@@ -14,6 +14,7 @@ use crate::{Error, Result};
 use gossipopt_obs::snapshot::{CampaignObs, RunSnapshot};
 use gossipopt_obs::OBS_SCHEMA;
 use serde::{Deserialize, Serialize};
+use std::fmt::Write as _;
 use std::path::Path;
 
 /// Report schema identifier; bump when the report shape changes so CI
@@ -314,8 +315,11 @@ impl CampaignReport {
         );
         for c in &self.cells {
             let r = &c.report;
-            out.push_str(&format!(
-                "{},{},{},{},{},{},{},{},{},{},{:e},{:e},{},{},{},{},{},{},{},{},{},{},{},{}\n",
+            // Rows format straight into `out` (writing to a `String`
+            // cannot fail).
+            let _ = writeln!(
+                out,
+                "{},{},{},{},{},{},{},{},{},{},{:e},{:e},{},{},{},{},{},{},{},{},{},{},{},{}",
                 c.index,
                 csv_escape(&c.label),
                 c.cell.kernel,
@@ -342,7 +346,7 @@ impl CampaignReport {
                 c.blocked_messages,
                 c.poisoned,
                 c.failures.len(),
-            ));
+            );
         }
         out
     }
@@ -381,8 +385,9 @@ impl CampaignReport {
             } else {
                 "ok"
             };
-            out.push_str(&format!(
-                "{:<4} {:<44} {:>12.4e} {:>7} {:>10} {:>7} {:>8} {:>6}\n",
+            let _ = writeln!(
+                out,
+                "{:<4} {:<44} {:>12.4e} {:>7} {:>10} {:>7} {:>8} {:>6}",
                 c.index,
                 truncate(&label, 44),
                 c.report.best_quality,
@@ -391,7 +396,7 @@ impl CampaignReport {
                 c.report.final_population,
                 c.blocked_messages,
                 state
-            ));
+            );
         }
         for f in self.failures() {
             out.push_str(&format!("ASSERT FAIL: {f}\n"));

@@ -23,7 +23,7 @@
 use crate::campaign::csv_escape;
 use crate::exec::CellReport;
 use crate::spec::CampaignSpec;
-use crate::store::exec_value;
+use crate::store::exec_json;
 use crate::CampaignReport;
 use gossipopt_util::OnlineStats;
 
@@ -52,7 +52,7 @@ struct Group<'a> {
 fn group_cells(report: &CampaignReport) -> Vec<Group<'_>> {
     let mut groups: Vec<(String, Group<'_>)> = Vec::new();
     for cell in &report.cells {
-        let key = serde_json::to_string(&exec_value(&cell.cell)).expect("exec value serializes");
+        let key = exec_json(&cell.cell);
         match groups.iter_mut().find(|(k, _)| *k == key) {
             Some((_, g)) => g.cells.push(cell),
             None => {

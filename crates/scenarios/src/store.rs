@@ -61,10 +61,11 @@ use crate::exec::CellReport;
 use crate::spec::CellSpec;
 use gossipopt_core::experiment::RunReport;
 use gossipopt_obs::snapshot::{DetSnapshot, RunSnapshot};
-use serde::{Deserialize, Serialize, Value};
-use std::fmt;
+use serde::{Deserialize, Serialize};
+use std::fmt::{self, Write as _};
 use std::io;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// On-disk layout version; bump when the entry/file shape changes so old
 /// stores are cleanly recomputed instead of misread.
@@ -75,38 +76,42 @@ pub const STORE_SCHEMA: &str = "gossipopt-store/v1";
 /// tripwire for *unintended* changes); the crate version covers releases.
 pub const CODE_FINGERPRINT: &str = concat!("gossipopt-", env!("CARGO_PKG_VERSION"), "+sim2");
 
-/// The execution-relevant subset of a [`CellSpec`] as a JSON value tree
-/// in fixed, explicit field order — the canonical form the key hashes.
+/// The execution-relevant subset of a [`CellSpec`] as compact JSON in
+/// fixed, explicit field order — the canonical form the key hashes.
 /// Crate-private on purpose: the canonical form is an implementation
 /// detail of the key (the report layer reuses it as its grouping key).
-pub(crate) fn exec_value(cell: &CellSpec) -> Value {
-    Value::Object(vec![
-        ("nodes".into(), Serialize::to_value(&cell.nodes)),
-        ("particles".into(), Serialize::to_value(&cell.particles)),
-        (
-            "gossip_every".into(),
-            Serialize::to_value(&cell.gossip_every),
-        ),
-        ("budget".into(), Serialize::to_value(&cell.budget)),
-        ("kernel".into(), Serialize::to_value(&cell.kernel)),
-        ("threads".into(), Serialize::to_value(&cell.threads)),
-        ("topology".into(), Serialize::to_value(&cell.topology)),
-        (
-            "coordination".into(),
-            Serialize::to_value(&cell.coordination),
-        ),
-        ("solver".into(), Serialize::to_value(&cell.solver)),
-        ("function".into(), Serialize::to_value(&cell.function)),
-        ("dim".into(), Serialize::to_value(&cell.dim)),
-        ("churn".into(), Serialize::to_value(&cell.churn)),
-        ("loss".into(), Serialize::to_value(&cell.loss)),
-        (
-            "stop_at_quality".into(),
-            Serialize::to_value(&cell.stop_at_quality),
-        ),
-        ("metrics".into(), Serialize::to_value(&cell.metrics)),
-        ("fault".into(), Serialize::to_value(&cell.fault)),
-    ])
+///
+/// Written straight into one `String`; the bytes are key material and
+/// equal what the serializer prints for the same fields as one object
+/// (pinned by `canonical_spec_and_entry_bytes_are_golden`). Only values
+/// whose JSON form is not their `Display` form go through the serializer.
+pub(crate) fn exec_json(cell: &CellSpec) -> String {
+    fn json<T: Serialize + ?Sized>(v: &T) -> String {
+        serde_json::to_string(v).expect("plain data serializes")
+    }
+    format!(
+        "{{\"nodes\":{},\"particles\":{},\"gossip_every\":{},\"budget\":{},\"kernel\":{},\
+         \"threads\":{},\"topology\":{},\"coordination\":{},\"solver\":{},\"function\":{},\
+         \"dim\":{},\"churn\":{},\"loss\":{},\"stop_at_quality\":{},\
+         \"metrics\":{{\"sample_every\":{},\"capacity\":{}}},\"fault\":{}}}",
+        cell.nodes,
+        cell.particles,
+        cell.gossip_every,
+        cell.budget,
+        json(&cell.kernel),
+        cell.threads,
+        json(&cell.topology),
+        json(&cell.coordination),
+        json(&cell.solver),
+        json(&cell.function),
+        cell.dim,
+        json(&cell.churn),
+        json(&cell.loss),
+        json(&cell.stop_at_quality),
+        cell.metrics.sample_every,
+        cell.metrics.capacity,
+        json(&cell.fault),
+    )
 }
 
 /// A content-addressed store key: the hash plus the components it was
@@ -124,7 +129,7 @@ pub struct StoreKey {
 /// Compute the content-addressed key for a cell (a pure function: stable
 /// across processes and machines).
 pub fn cell_key(cell: &CellSpec) -> StoreKey {
-    let spec = serde_json::to_string(&exec_value(cell)).expect("exec fields serialize");
+    let spec = exec_json(cell);
     let seed = cell.resolved_seed();
     StoreKey {
         hash: key_hash(seed, &spec),
@@ -364,18 +369,25 @@ impl Store {
 fn samples_csv(report: &RunReport) -> String {
     let mut out = String::from("tick,best_quality,alive,delivered,wire_bytes\n");
     for s in &report.samples {
-        out.push_str(&format!(
-            "{},{:e},{},{},{}\n",
+        // Writing to a `String` cannot fail.
+        let _ = writeln!(
+            out,
+            "{},{:e},{},{},{}",
             s.tick, s.best_quality, s.alive, s.delivered, s.wire_bytes
-        ));
+        );
     }
     out
 }
 
 /// Write via a unique temporary file + rename, so concurrent writers and
-/// crashes never leave a half-written entry behind.
+/// crashes never leave a half-written entry behind. The temporary name
+/// is unique per call, not just per process: two worker threads of one
+/// campaign may save the same key (cells that differ only in label).
 fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
-    let tmp = path.with_extension(format!("tmp.{}", std::process::id()));
+    static WRITES: AtomicU64 = AtomicU64::new(0);
+    // Relaxed: the counter only has to hand out distinct numbers.
+    let nth = WRITES.fetch_add(1, Ordering::Relaxed);
+    let tmp = path.with_extension(format!("tmp.{}.{nth}", std::process::id()));
     std::fs::write(&tmp, bytes)?;
     std::fs::rename(&tmp, path)
 }
@@ -422,6 +434,65 @@ mod tests {
         assert!(
             !key.spec.contains("\"assert\""),
             "assert overrides are not key material"
+        );
+    }
+
+    /// A cell that sets every field the canonical form has to escape or
+    /// format: quotes and backslashes, fractional and tiny floats, a
+    /// `Some` threshold and a fault with `null` members.
+    fn busy_cell() -> CellSpec {
+        CellSpec {
+            churn: 0.125,
+            loss: 1e-7,
+            stop_at_quality: Some(1e-3),
+            topology: "k\"reg\\ular".into(),
+            fault: vec![massacre()],
+            ..tiny_cell()
+        }
+    }
+
+    fn massacre() -> FaultSpec {
+        FaultSpec {
+            kind: "massacre".into(),
+            at: 5,
+            heal_at: None,
+            groups: None,
+            join: None,
+            kill_frac: Some(0.5),
+            node_frac: None,
+            lie: None,
+        }
+    }
+
+    #[test]
+    fn canonical_spec_and_entry_bytes_are_golden() {
+        // Key material and the on-disk format are frozen: these are the
+        // bytes every build since `+sim2` has written. If this fails,
+        // existing stores no longer load — bump CODE_FINGERPRINT /
+        // STORE_SCHEMA deliberately or fix the writer.
+        let key = cell_key(&tiny_cell());
+        assert_eq!(
+            key.spec,
+            r#"{"nodes":8,"particles":4,"gossip_every":8,"budget":20,"kernel":"cycle","threads":0,"topology":"newscast","coordination":"gossip-pushpull","solver":"pso","function":"sphere","dim":10,"churn":0.0,"loss":0.0,"stop_at_quality":null,"metrics":{"sample_every":10,"capacity":512},"fault":[]}"#
+        );
+        assert_eq!(key.hash, "91f9d3fd226c1bffce349de779c8c66f");
+        let busy = cell_key(&busy_cell());
+        assert_eq!(
+            busy.spec,
+            r#"{"nodes":8,"particles":4,"gossip_every":8,"budget":20,"kernel":"cycle","threads":0,"topology":"k\"reg\\ular","coordination":"gossip-pushpull","solver":"pso","function":"sphere","dim":10,"churn":0.125,"loss":0.0000001,"stop_at_quality":0.001,"metrics":{"sample_every":10,"capacity":512},"fault":[{"kind":"massacre","at":5,"heal_at":null,"groups":null,"join":null,"kill_frac":0.5,"node_frac":null,"lie":null}]}"#
+        );
+        assert_eq!(busy.hash, "3d6c397315e95f04418bf1f936fed546");
+
+        let store = tmp_store("golden");
+        store.save(&key, &run_cell(&tiny_cell()).unwrap()).unwrap();
+        let read = |name: &str| std::fs::read_to_string(store.dir(&key).join(name)).unwrap();
+        assert_eq!(
+            read("entry.json"),
+            include_str!("../tests/golden/entry.json")
+        );
+        assert_eq!(
+            read("samples.csv"),
+            include_str!("../tests/golden/samples.csv")
         );
     }
 
@@ -515,16 +586,7 @@ mod tests {
                 ..tiny_cell()
             },
             CellSpec {
-                fault: vec![FaultSpec {
-                    kind: "massacre".into(),
-                    at: 5,
-                    heal_at: None,
-                    groups: None,
-                    join: None,
-                    kill_frac: Some(0.5),
-                    node_frac: None,
-                    lie: None,
-                }],
+                fault: vec![massacre()],
                 ..tiny_cell()
             },
         ];
@@ -573,6 +635,17 @@ mod tests {
         assert!(format!("{e}").contains(&key.hash), "diagnoses the key");
         assert!(format!("{e}").contains("entry.json"), "names the path");
 
+        // Hostile nesting is an error, not a stack overflow; `\u` takes
+        // exactly four hex digits.
+        for bad in [
+            "[".repeat(100_000),
+            "{ \"schema\": \"gossipopt-store/v\\u+031\" }".to_string(),
+        ] {
+            std::fs::write(&path, bad).unwrap();
+            let e = store.load(&key).unwrap_err();
+            assert!(e.reason.contains("corrupt JSON"), "{e}");
+        }
+
         // An entry moved under the wrong hash: store under key A, copy to
         // key B's directory.
         store.save(&key, &out).unwrap();
@@ -589,5 +662,31 @@ mod tests {
         .unwrap();
         let e = store.load(&other_key).unwrap_err();
         assert!(e.reason.contains("mismatch"), "{e}");
+    }
+
+    #[test]
+    fn threads_of_one_process_may_save_the_same_key() {
+        // Two sweep rows that differ only in label share a key, and
+        // `campaign --threads 2` may finish them at the same moment.
+        let store = tmp_store("same-key");
+        let key = cell_key(&tiny_cell());
+        let out = run_cell(&tiny_cell()).unwrap();
+        let start = std::sync::Barrier::new(2);
+        std::thread::scope(|s| {
+            for _ in 0..2 {
+                s.spawn(|| {
+                    start.wait();
+                    for _ in 0..200 {
+                        store.save(&key, &out).unwrap();
+                    }
+                });
+            }
+        });
+        assert!(store.load(&key).unwrap().is_some());
+        let left: Vec<_> = std::fs::read_dir(store.dir(&key))
+            .unwrap()
+            .map(|e| e.unwrap().file_name())
+            .collect();
+        assert_eq!(left.len(), 2, "no temporary file is left behind: {left:?}");
     }
 }

@@ -282,6 +282,27 @@ proptest! {
         // bit-identical — the key is a pure function of the cell.
         prop_assert_eq!(&cell_key(&cell).hash, &key.hash);
         prop_assert_eq!(cell_key(&cell).seed, seed);
+        // The canonical form is written by hand, field by field; it must
+        // stay what the serializer prints for the same fields.
+        let reference = serde_json::json!({
+            "nodes": cell.nodes,
+            "particles": cell.particles,
+            "gossip_every": cell.gossip_every,
+            "budget": cell.budget,
+            "kernel": cell.kernel,
+            "threads": cell.threads,
+            "topology": cell.topology,
+            "coordination": cell.coordination,
+            "solver": cell.solver,
+            "function": cell.function,
+            "dim": cell.dim,
+            "churn": cell.churn,
+            "loss": cell.loss,
+            "stop_at_quality": cell.stop_at_quality,
+            "metrics": cell.metrics,
+            "fault": cell.fault
+        });
+        prop_assert_eq!(&key.spec, &serde_json::to_string(&reference).unwrap());
         // The display label and the assert override are report-side
         // concerns: changing them must keep every cache hit.
         let mut renamed = cell.clone();

@@ -138,28 +138,36 @@ fn corrupt_entries_are_diagnosed_recomputed_and_overwritten() {
     let cold = run_campaign_stored(&spec, 1, Some(&store)).unwrap();
 
     // Truncate one entry mid-JSON — a crash during a non-atomic copy, a
-    // disk error, a hand edit.
+    // disk error, a hand edit — then replace it with a hostile one whose
+    // nesting would overflow the stack of a parser that recursed freely.
     let victim = &spec.cells[2];
     let key = cell_key(victim);
     let entry_path = store.dir(&key).join("entry.json");
-    std::fs::write(&entry_path, b"{ \"schema\": \"gossipopt-st").unwrap();
+    let bad_entries = [
+        b"{ \"schema\": \"gossipopt-st".to_vec(),
+        b"[".repeat(100_000),
+    ];
+    for bad in bad_entries {
+        std::fs::write(&entry_path, bad).unwrap();
 
-    let warm = run_campaign_stored(&spec, 1, Some(&store)).unwrap();
-    assert_eq!(warm.executed, 1, "the corrupt cell is recomputed");
-    assert_eq!(warm.loaded, 7);
-    assert_eq!(warm.recovered.len(), 1, "and the recovery is reported");
-    let diag = &warm.recovered[0];
-    assert!(
-        diag.contains("entry.json") && diag.contains(&key.hash),
-        "diagnostic names the path and key: {diag}"
-    );
-    assert!(diag.contains(&format!("seed={}", key.seed)), "{diag}");
-    // The campaign still produced the exact same report...
-    assert_eq!(cold.report.to_json(), warm.report.to_json());
-    // ...and the bad entry was overwritten in place: a third run is clean.
-    let healed = run_campaign_stored(&spec, 1, Some(&store)).unwrap();
-    assert_eq!(healed.executed, 0);
-    assert!(healed.recovered.is_empty());
+        let warm = run_campaign_stored(&spec, 1, Some(&store)).unwrap();
+        assert_eq!(warm.executed, 1, "the corrupt cell is recomputed");
+        assert_eq!(warm.loaded, 7);
+        assert_eq!(warm.recovered.len(), 1, "and the recovery is reported");
+        let diag = &warm.recovered[0];
+        assert!(
+            diag.contains("entry.json") && diag.contains(&key.hash),
+            "diagnostic names the path and key: {diag}"
+        );
+        assert!(diag.contains("corrupt JSON"), "{diag}");
+        assert!(diag.contains(&format!("seed={}", key.seed)), "{diag}");
+        // The campaign still produced the exact same report...
+        assert_eq!(cold.report.to_json(), warm.report.to_json());
+        // ...and the bad entry was overwritten in place: a third run is clean.
+        let healed = run_campaign_stored(&spec, 1, Some(&store)).unwrap();
+        assert_eq!(healed.executed, 0);
+        assert!(healed.recovered.is_empty());
+    }
     let _ = std::fs::remove_dir_all(dir);
 }
 
