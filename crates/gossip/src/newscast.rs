@@ -149,7 +149,9 @@ impl PeerSampler for Newscast {
 mod tests {
     use super::*;
     use crate::sampler::PeerSampler;
-    use gossipopt_sim::{Application, Control, Ctx, CycleConfig, CycleEngine};
+    use gossipopt_sim::{
+        Application, Control, Ctx, CycleConfig, CycleEngine, EventConfig, EventEngine,
+    };
 
     fn cfg(view_size: usize) -> NewscastConfig {
         NewscastConfig {
@@ -336,5 +338,55 @@ mod tests {
             "samples covered only {} of 40 nodes",
             seen.len()
         );
+    }
+
+    /// FNV-1a over every node's id and view, in node order.
+    fn overlay_fingerprint<'a>(nodes: impl Iterator<Item = (NodeId, &'a NcApp)>) -> u64 {
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        let mut mix = |x: u64| {
+            for b in x.to_le_bytes() {
+                h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        };
+        for (id, app) in nodes {
+            mix(id.raw());
+            for d in app.nc.view().entries() {
+                mix(d.id.raw());
+                mix(d.stamp);
+            }
+        }
+        h
+    }
+
+    /// Bit-identity of the topology service on its own: 100 nodes,
+    /// `view_size` 20, 50 ticks, one constant per kernel configuration,
+    /// captured with the comparison-sort merge. Any change to the merge's
+    /// entry order or RNG consumption moves all three.
+    #[test]
+    fn golden_overlay_fingerprint() {
+        let nodes = || {
+            (0..100).map(|_| NcApp {
+                nc: Newscast::new(cfg(20)),
+            })
+        };
+        for (threads, golden) in [(0, 0x69ac_f787_da64_8c00u64), (1, 0x11d6_be20_689b_4ddb)] {
+            let mut e = CycleEngine::new(CycleConfig {
+                threads,
+                ..CycleConfig::seeded(15)
+            });
+            for app in nodes() {
+                e.insert(app);
+            }
+            e.run(50);
+            let got = overlay_fingerprint(e.nodes());
+            assert_eq!(got, golden, "cycle threads={threads}: {got:#018x}");
+        }
+        let mut e = EventEngine::new(EventConfig::seeded(15));
+        for app in nodes() {
+            e.insert(app);
+        }
+        e.run(50 * EventConfig::default().tick_period);
+        let got = overlay_fingerprint(e.nodes());
+        assert_eq!(got, 0xce2b_7a9b_ca75_b7dd, "event: {got:#018x}");
     }
 }

@@ -27,6 +27,14 @@ pub struct PartialView {
     entries: Vec<Descriptor>,
 }
 
+/// Slots of the id → position table a merge builds on the stack.
+const INDEX_SLOTS: usize = 512;
+/// Most merged entries the counting cut takes: its ranks are `u8`s.
+const SCRATCH_LEN: usize = 128;
+/// Stamp spans (`newest − oldest`) below this take the counting cut.
+const STAMP_BUCKETS: usize = 64;
+const _: () = assert!(SCRATCH_LEN <= u8::MAX as usize);
+
 impl PartialView {
     /// Empty view with room for `capacity` descriptors.
     pub fn new(capacity: usize) -> Self {
@@ -66,8 +74,7 @@ impl PartialView {
     /// Freshness ties are broken in favor of existing entries.
     pub fn insert(&mut self, d: Descriptor) {
         self.merge_entries(std::iter::once(d), None);
-        self.entries.sort_by_key(|e| std::cmp::Reverse(e.stamp));
-        self.entries.truncate(self.capacity);
+        self.keep_freshest();
     }
 
     /// Merge descriptors from `incoming`, dropping any descriptor of
@@ -77,6 +84,22 @@ impl PartialView {
     /// stamps collide (one logical clock tick per cycle), and a
     /// deterministic tie-break would systematically favor old entries,
     /// freezing the overlay instead of shuffling it.
+    ///
+    /// # Cost
+    ///
+    /// O(|view| + |incoming|) on what a gossip run feeds it. The per-node
+    /// dedup looks ids up in a direct-mapped id → position table and scans
+    /// the view only behind a slot collision; the shuffle draws exactly
+    /// `len − 1` values from `rng`; the freshest-`capacity` cut is a stable
+    /// counting sort keyed on `newest − stamp`. That cut equals the stable
+    /// comparison sort by descending stamp it replaces: either one lists,
+    /// for each stamp from newest to oldest, the entries carrying it in
+    /// shuffled order — the counting sort without comparing entries or
+    /// branching on them. Its scratch is fixed and on the stack, so it
+    /// takes at most `SCRATCH_LEN` (128) merged entries whose stamps span
+    /// fewer than `STAMP_BUCKETS` (64) ticks — views hold `newest − oldest
+    /// ≤ 5` on the cycle kernel, ≲ 50 on the event kernel. Longer or wider
+    /// input, as read off the merged entries, gets the comparison sort.
     pub fn merge_from<I: IntoIterator<Item = Descriptor>>(
         &mut self,
         incoming: I,
@@ -84,29 +107,102 @@ impl PartialView {
         rng: &mut Xoshiro256pp,
     ) {
         self.merge_entries(incoming, exclude);
+        // The node's RNG is shared with its solver: one draw more or less
+        // here changes every downstream number.
         rng.shuffle(&mut self.entries);
-        self.entries.sort_by_key(|e| std::cmp::Reverse(e.stamp)); // stable: ties stay shuffled
-        self.entries.truncate(self.capacity);
+        self.keep_freshest();
     }
 
+    /// Per-node freshest of `entries ∪ incoming`: known ids are refreshed
+    /// in place, new ids appended in arrival order.
     fn merge_entries<I: IntoIterator<Item = Descriptor>>(
         &mut self,
         incoming: I,
         exclude: Option<NodeId>,
     ) {
+        // slot → position + 1 of an entry whose id maps there (0: none).
+        // Every entry's slot is occupied, by itself or by another entry,
+        // so an empty slot proves the id is new.
+        let mut index = [0u16; INDEX_SLOTS];
+        let slot = |id: NodeId| id.raw() as usize % INDEX_SLOTS;
+        let tag = |pos: usize| u16::try_from(pos + 1).unwrap_or(u16::MAX);
+        for (pos, e) in self.entries.iter().enumerate() {
+            index[slot(e.id)] = tag(pos);
+        }
         for d in incoming {
             if Some(d.id) == exclude {
                 continue;
             }
-            match self.entries.iter_mut().find(|e| e.id == d.id) {
-                Some(e) => {
-                    if d.stamp > e.stamp {
-                        e.stamp = d.stamp;
-                    }
+            let s = &mut index[slot(d.id)];
+            let known = match *s {
+                0 => {
+                    *s = tag(self.entries.len());
+                    None
                 }
+                // A saturated tag or a slot collision points at some other
+                // entry; only then is the view scanned.
+                t => match self.entries.get_mut(usize::from(t) - 1) {
+                    Some(e) if e.id == d.id => Some(e),
+                    _ => self.entries.iter_mut().find(|e| e.id == d.id),
+                },
+            };
+            match known {
+                Some(e) => e.stamp = e.stamp.max(d.stamp),
                 None => self.entries.push(d),
             }
         }
+    }
+
+    /// Stable sort by descending stamp, then truncate to `capacity`.
+    fn keep_freshest(&mut self) {
+        let (oldest, newest) = self.entries.iter().fold((Ticks::MAX, 0), |(lo, hi), e| {
+            (lo.min(e.stamp), hi.max(e.stamp))
+        });
+        let span = newest.saturating_sub(oldest); // empty view: 0
+        if self.entries.len() > SCRATCH_LEN || span >= STAMP_BUCKETS as Ticks {
+            self.entries.sort_by_key(|e| std::cmp::Reverse(e.stamp));
+            self.entries.truncate(self.capacity);
+            return;
+        }
+        // Counting sort: bucket `newest - stamp` sizes, each bucket's first
+        // output rank, then one scatter in input order. The entries are
+        // shuffled, so neither loop may branch on them.
+        let mut sorted = [Descriptor {
+            id: NodeId(0),
+            stamp: 0,
+        }; SCRATCH_LEN];
+        if span < 8 {
+            // The usual case: eight `u8` counters in one register, where
+            // repeated stamps do not serialize on a store-to-load chain.
+            let mut next = 0u64;
+            for e in &self.entries {
+                next += 1 << (8 * (newest - e.stamp));
+            }
+            // Byte `b` of the product sums bytes `0..b`: the first ranks.
+            next = (next << 8).wrapping_mul(0x0101_0101_0101_0101);
+            for e in &self.entries {
+                let shift = 8 * (newest - e.stamp);
+                sorted[usize::from((next >> shift) as u8)] = *e;
+                next += 1 << shift;
+            }
+        } else {
+            let mut next = [0u8; STAMP_BUCKETS];
+            for e in &self.entries {
+                next[(newest - e.stamp) as usize] += 1;
+            }
+            let mut rank = 0;
+            for slot in &mut next[..=span as usize] {
+                rank += std::mem::replace(slot, rank);
+            }
+            for e in &self.entries {
+                let slot = &mut next[(newest - e.stamp) as usize];
+                sorted[usize::from(*slot)] = *e;
+                *slot += 1;
+            }
+        }
+        self.entries.truncate(self.capacity);
+        let kept = self.entries.len();
+        self.entries.copy_from_slice(&sorted[..kept]);
     }
 
     /// Remove a descriptor (e.g. a peer that failed to answer).
@@ -134,11 +230,142 @@ impl PartialView {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn d(id: u64, stamp: Ticks) -> Descriptor {
         Descriptor {
             id: NodeId(id),
             stamp,
+        }
+    }
+
+    /// `merge_from` as it was before the linear pass: quadratic dedup,
+    /// shuffle, stable comparison sort. The oracle for the tests below.
+    fn reference_merge_from(
+        v: &mut PartialView,
+        incoming: &[Descriptor],
+        exclude: Option<NodeId>,
+        rng: &mut Xoshiro256pp,
+    ) {
+        for &d in incoming {
+            if Some(d.id) == exclude {
+                continue;
+            }
+            match v.entries.iter_mut().find(|e| e.id == d.id) {
+                Some(e) => {
+                    if d.stamp > e.stamp {
+                        e.stamp = d.stamp;
+                    }
+                }
+                None => v.entries.push(d),
+            }
+        }
+        rng.shuffle(&mut v.entries);
+        v.entries.sort_by_key(|e| std::cmp::Reverse(e.stamp));
+        v.entries.truncate(v.capacity);
+    }
+
+    /// Merge `incoming` through both implementations from the same view
+    /// and RNG state; entries and the RNG's next output must agree.
+    fn assert_matches_reference(
+        view: &mut PartialView,
+        incoming: &[Descriptor],
+        exclude: Option<NodeId>,
+        rng: &mut Xoshiro256pp,
+    ) {
+        let (mut expected, mut expected_rng) = (view.clone(), rng.clone());
+        reference_merge_from(&mut expected, incoming, exclude, &mut expected_rng);
+        view.merge_from(incoming.iter().copied(), exclude, rng);
+        assert_eq!(view.entries(), expected.entries());
+        assert_eq!(
+            rng.next_u64(),
+            expected_rng.next_u64(),
+            "RNG state diverged"
+        );
+    }
+
+    /// Stamp shapes: all equal; 2–5 distinct; uniform 0..64 (the harness
+    /// probe); spread beyond 2^32; both ends of the `u64` range; spans
+    /// straddling the register/stack and the stack/comparison-sort splits.
+    const SHAPES: u8 = 7;
+    fn stamp(shape: u8, rng: &mut Xoshiro256pp) -> Ticks {
+        match shape {
+            0 => 1_000,
+            1 => 1_000 + rng.below(5),
+            2 => rng.below(64),
+            3 => rng.below(8) << 33,
+            4 => [0, 1, Ticks::MAX - 1, Ticks::MAX][rng.index(4)],
+            5 => 1_000 + rng.below(10),
+            _ => 1_000 + rng.below(STAMP_BUCKETS as u64 + 2),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn merge_matches_reference(
+            cap in 1usize..=70,
+            shape in 0..SHAPES,
+            // Narrow universes force duplicate ids inside one payload; the
+            // stride folds every id onto few index slots.
+            universe in 1u64..300,
+            stride in prop_oneof![Just(1u64), Just(64), Just(INDEX_SLOTS as u64), 1u64..1_000],
+            lens in (0usize..=150, 0usize..=150, 0usize..=150),
+            seed in any::<u64>(),
+        ) {
+            let mut rng = Xoshiro256pp::seeded(seed);
+            let batch = |len: usize, rng: &mut Xoshiro256pp| -> Vec<Descriptor> {
+                (0..len)
+                    .map(|_| d(rng.below(universe) * stride, stamp(shape, rng)))
+                    .collect()
+            };
+            // `universe` itself is never drawn: an exclude that misses.
+            let exclude = [None, Some(NodeId(0)), Some(NodeId(universe * stride))][rng.index(3)];
+            let mut view = PartialView::new(cap);
+            // A pre-populated view, then two more merges into it.
+            for len in [lens.0, lens.1, lens.2] {
+                let incoming = batch(len, &mut rng);
+                assert_matches_reference(&mut view, &incoming, exclude, &mut rng);
+            }
+        }
+    }
+
+    #[test]
+    fn scratch_bounds_match_reference() {
+        // Exactly at, one below and one above each bound of the counting cut.
+        let mut rng = Xoshiro256pp::seeded(78);
+        let buckets = STAMP_BUCKETS as u64;
+        for len in SCRATCH_LEN - 1..=SCRATCH_LEN + 1 {
+            for span in [0, 7, 8, 9, buckets - 1, buckets, buckets + 1] {
+                let incoming: Vec<Descriptor> = (0..len as u64)
+                    .map(|i| match i {
+                        3 => d(i, 50),
+                        5 => d(i, 50 + span),
+                        _ => d(i, 50 + rng.below(span + 1)),
+                    })
+                    .collect();
+                let mut view = PartialView::new(SCRATCH_LEN + 2);
+                assert_matches_reference(&mut view, &incoming, None, &mut rng);
+                assert_eq!(view.len(), len);
+            }
+        }
+    }
+
+    #[test]
+    fn datagram_sized_payload_matches_reference() {
+        // What a 64 KiB datagram can carry through `runtime::wire::decode`.
+        let mut rng = Xoshiro256pp::seeded(77);
+        for shape in 0..SHAPES {
+            let mut view = PartialView::new(20);
+            for i in 0..20 {
+                view.insert(d(i, stamp(shape, &mut rng)));
+            }
+            let incoming: Vec<Descriptor> = (0..5_000)
+                .map(|_| d(rng.below(4_000), stamp(shape, &mut rng)))
+                .collect();
+            assert_matches_reference(&mut view, &incoming, Some(NodeId(7)), &mut rng);
+            assert_eq!(view.len(), 20);
         }
     }
 
@@ -151,6 +378,12 @@ mod tests {
         assert_eq!(v.len(), 3);
         let stamps: Vec<Ticks> = v.entries().iter().map(|e| e.stamp).collect();
         assert_eq!(stamps, vec![4, 3, 2], "freshest three kept, sorted");
+        // Full view, newcomer ties the stalest entry: the existing one wins.
+        v.insert(d(9, 2));
+        assert_eq!(v.entries(), [d(4, 4), d(3, 3), d(2, 2)]);
+        // Tying a fresher entry: admitted behind it, the stalest drops out.
+        v.insert(d(10, 3));
+        assert_eq!(v.entries(), [d(4, 4), d(3, 3), d(10, 3)]);
     }
 
     #[test]
@@ -162,6 +395,17 @@ mod tests {
         assert_eq!(v.entries()[0].stamp, 10);
         v.insert(d(1, 20));
         assert_eq!(v.entries()[0].stamp, 20);
+        // Full view of tied stamps: an equal-stamp duplicate changes
+        // nothing, a refreshed one moves to the front of the rest.
+        for i in 2..=4 {
+            v.insert(d(i, 20));
+        }
+        let full = [d(1, 20), d(2, 20), d(3, 20), d(4, 20)];
+        assert_eq!(v.entries(), full);
+        v.insert(d(3, 20));
+        assert_eq!(v.entries(), full);
+        v.insert(d(3, 21));
+        assert_eq!(v.entries(), [d(3, 21), d(1, 20), d(2, 20), d(4, 20)]);
     }
 
     #[test]

@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
-# Run the kernel + dpso + solvers criterion benches and refresh (or check
-# against) the BENCH_kernel.json baseline. The dpso bench binary includes
-# the sharded `dpso-par/{cycle,event}/{10000,100000}` family (thread count
-# pinned inside the bench for reproducibility); its rows sit under the
-# same regression gate as everything else.
+# Run the kernel + dpso + solvers + newscast criterion benches and refresh
+# (or check against) the BENCH_kernel.json baseline. The dpso bench binary
+# includes the sharded `dpso-par/{cycle,event}/{10000,100000}` family
+# (thread count pinned inside the bench for reproducibility); its rows sit
+# under the same regression gate as everything else.
 #
 # Usage:
 #   scripts/bench.sh [rounds]     refresh the baseline (default 5 rounds)
@@ -46,7 +46,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-BENCHES=(kernel dpso solvers)
+BENCHES=(kernel dpso solvers newscast)
 
 build_benches() { # build_benches [dir]
     local dir="${1:-.}"
@@ -323,9 +323,9 @@ for key in sorted(raw):
         row["speedup"] = round(previous[key] / cur, 2)
     rows.append(row)
 
-desc = ("Criterion (in-repo shim) baseline for the kernel + dpso + solvers "
-        "hot paths; regenerate with scripts/bench.sh. 'before' carries the "
-        "previous baseline's numbers so successive runs track regressions; "
+desc = ("Criterion (in-repo shim) baseline for the kernel + dpso + solvers + "
+        "newscast hot paths; regenerate with scripts/bench.sh. 'before' carries "
+        "the previous baseline's numbers so successive runs track regressions; "
         "'ab_*' rows come from scripts/bench.sh --ab, which interleaves the "
         "base ref's binaries with the working tree's in one session so the "
         "recorded speedups never compare across hosts or thermal states.")
