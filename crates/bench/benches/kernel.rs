@@ -5,7 +5,10 @@
 //! separating kernel cost from protocol cost in the paper-scale runs. The
 //! event-kernel families advance the engine one tick-period per iteration,
 //! so one iteration dispatches ~n timer events (+ ~n deliveries when
-//! chatty) — directly comparable to one cycle-kernel tick.
+//! chatty) — directly comparable to one cycle-kernel tick. The `-phased`
+//! and `-sharded` families run the same chatty networks on the
+//! thread-invariant paths (`threads = 1`), so the regression gate sees
+//! them side by side with the legacy paths they are meant to replace.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use gossipopt_sim::{Application, Ctx, CycleConfig, CycleEngine, EventConfig, EventEngine, NodeId};
@@ -55,12 +58,16 @@ fn bench_quiet_ticks(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_chatty_ticks(c: &mut Criterion) {
-    let mut group = c.benchmark_group("kernel/tick-chatty");
-    for &n in &[64usize, 512, 4096, 10_000] {
+/// One chatty cycle-kernel family: `threads = 0` is the legacy sequential
+/// tick, `threads = 1` the phased one.
+fn chatty_ticks(c: &mut Criterion, family: &str, threads: usize, sizes: &[usize]) {
+    let mut group = c.benchmark_group(family);
+    for &n in sizes {
         group.throughput(Throughput::Elements(n as u64));
         group.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, &n| {
-            let mut e: CycleEngine<Chatty> = CycleEngine::new(CycleConfig::seeded(2));
+            let mut cfg = CycleConfig::seeded(2);
+            cfg.threads = threads;
+            let mut e: CycleEngine<Chatty> = CycleEngine::new(cfg);
             for _ in 0..n {
                 e.insert(Chatty {
                     peer: None,
@@ -71,6 +78,11 @@ fn bench_chatty_ticks(c: &mut Criterion) {
         });
     }
     group.finish();
+}
+
+fn bench_chatty_ticks(c: &mut Criterion) {
+    chatty_ticks(c, "kernel/tick-chatty", 0, &[64, 512, 4096, 10_000]);
+    chatty_ticks(c, "kernel/tick-chatty-phased", 1, &[4096, 10_000]);
 }
 
 fn bench_event_quiet(c: &mut Criterion) {
@@ -95,13 +107,16 @@ fn bench_event_quiet(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_event_chatty(c: &mut Criterion) {
-    let mut group = c.benchmark_group("kernel/event-chatty");
-    for &n in &[64usize, 512, 4096, 10_000] {
+/// One chatty event-kernel family: `threads = 0` is the sequential
+/// engine, `threads = 1` the sharded batches.
+fn chatty_events(c: &mut Criterion, family: &str, threads: usize, sizes: &[usize]) {
+    let mut group = c.benchmark_group(family);
+    for &n in sizes {
         group.throughput(Throughput::Elements(n as u64));
         group.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, &n| {
             let mut cfg = EventConfig::seeded(4);
             cfg.tick_period = 10;
+            cfg.threads = threads;
             let mut e: EventEngine<Chatty> = EventEngine::new(cfg);
             for _ in 0..n {
                 e.insert(Chatty {
@@ -118,6 +133,11 @@ fn bench_event_chatty(c: &mut Criterion) {
         });
     }
     group.finish();
+}
+
+fn bench_event_chatty(c: &mut Criterion) {
+    chatty_events(c, "kernel/event-chatty", 0, &[64, 512, 4096, 10_000]);
+    chatty_events(c, "kernel/event-chatty-sharded", 1, &[4096, 10_000]);
 }
 
 fn bench_obs_overhead(c: &mut Criterion) {

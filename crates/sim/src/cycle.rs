@@ -30,9 +30,17 @@
 //!    any node's behavior.
 //! 2. **Deterministic merge** — shard outboxes are concatenated in shard
 //!    order (= ascending source slot, then per-source emission order) and
-//!    stably sorted by destination slot: the canonical delivery order is
+//!    stably sorted by destination: the canonical delivery order is
 //!    **destination slot, then source slot, then source emission
-//!    sequence**, independent of the shard count.
+//!    sequence**, independent of the shard count. Destinations are dense
+//!    slot indices, so the sort is a counting sort (per-slot histogram,
+//!    prefix sum, stable placement; engine-owned scratch). A round falls
+//!    back to the comparison sort — same order, by construction — on two
+//!    properties of the round itself: it is much smaller than the slot
+//!    table (`slots > 8 * messages`: clearing the histogram would
+//!    dominate), or it addresses an id that was never allocated
+//!    (`>= slots`), whose raw-id order is part of the canonical order
+//!    because loss draws are consumed along it.
 //! 3. **Delivery rounds** — transport loss and liveness are decided
 //!    *sequentially* in canonical order (so the kernel RNG stream is
 //!    consumed identically at any thread count), then surviving messages
@@ -47,14 +55,14 @@
 //! bit-for-bit deterministic and **thread-count invariant**: every
 //! `threads >= 1` value produces the identical trace, proven by the
 //! sharded-vs-sequential equivalence suite (`tests/shard_equivalence.rs`)
-//! and the fingerprint CI job diffing `--threads 1/2/8`. Churn and
+//! and the fingerprint CI job diffing `--threads 1/2/3/8`. Churn and
 //! explicit joins keep the sequential path (they run in the sequential
 //! churn phase of the tick).
 
 use crate::app::{Application, Ctx, FrameSavings, WireCounts};
 use crate::churn::ChurnConfig;
 use crate::ids::{NodeId, Ticks};
-use crate::slots::{Slot, SlotArena};
+use crate::slots::{adopt_or_append, Slot, SlotArena};
 use crate::transport::Transport;
 use crate::Control;
 use gossipopt_obs::wall::{self, Phase};
@@ -205,6 +213,11 @@ pub struct CycleEngine<A: Application> {
     par_tri_pool: Vec<Vec<(NodeId, NodeId, A::Message)>>,
     /// Pool of per-shard `Ctx` outboxes (phased tick only).
     par_out_pool: Vec<Vec<(NodeId, A::Message)>>,
+    /// Counting-sort scratch of the phased merge: per-slot message counts,
+    /// then placement cursors.
+    sort_counts: Vec<u32>,
+    /// Counting-sort scratch: each message's position in canonical order.
+    sort_dest: Vec<u32>,
 }
 
 /// Callback-phase shard of a phased tick: exclusive slots of one
@@ -255,6 +268,8 @@ impl<A: Application> CycleEngine<A> {
             par_round_buf: Vec::new(),
             par_tri_pool: Vec::new(),
             par_out_pool: Vec::new(),
+            sort_counts: Vec::new(),
+            sort_dest: Vec::new(),
         }
     }
 
@@ -601,7 +616,7 @@ impl<A: Application> CycleEngine<A> {
             // already sorted by (source slot, emission seq) — the tiebreak
             // the stable by-destination sort in `deliver_phased` preserves.
             for (mut acc, tmp) in outs {
-                merged.append(&mut acc);
+                adopt_or_append(&mut merged, &mut acc);
                 self.return_tri_scratch(acc);
                 self.return_out_scratch(tmp);
             }
@@ -617,10 +632,10 @@ impl<A: Application> CycleEngine<A> {
     }
 
     /// Deliver `round` (and the reply rounds it spawns) under the phased
-    /// discipline. Each round: stable-sort by destination slot (canonical
-    /// order), decide loss/liveness sequentially in that order, dispatch
-    /// survivors in parallel shards cut at destination boundaries, then
-    /// recurse on the collected replies. `max_hops_per_tick` bounds the
+    /// discipline. Each round: stable counting sort by destination slot
+    /// (canonical order), decide loss/liveness sequentially in that order,
+    /// dispatch survivors in parallel shards cut at destination boundaries,
+    /// then recurse on the collected replies. `max_hops_per_tick` bounds the
     /// number of rounds; the remainder is discarded as hop overflow.
     fn deliver_phased(
         &mut self,
@@ -643,7 +658,12 @@ impl<A: Application> CycleEngine<A> {
             let merge_span = wall::start();
             // Canonical order: destination slot; stable, so the incoming
             // (source slot, seq) order is the tiebreak.
-            round.sort_by_key(|&(_, to, _)| to.raw());
+            sort_by_destination(
+                round,
+                self.arena.slots.len(),
+                &mut self.sort_counts,
+                &mut self.sort_dest,
+            );
 
             // Sequential transport + liveness pre-pass in canonical order:
             // the only kernel-RNG consumer of the delivery phase, so the
@@ -713,14 +733,19 @@ impl<A: Application> CycleEngine<A> {
                     )
                 })
                 .collect();
-            // Move each batch out of the round buffer (reverse split_off
+            // Move each batch out of the round buffer: a single batch is
+            // the buffer itself, several split off back to front (which
             // keeps order).
             let mut batches: Vec<Vec<(NodeId, NodeId, A::Message)>> =
                 Vec::with_capacity(ranges.len());
-            for w in cuts.windows(2).rev() {
-                batches.push(round.split_off(w[0]));
+            if ranges.len() == 1 {
+                batches.push(std::mem::take(round));
+            } else {
+                for w in cuts.windows(2).rev() {
+                    batches.push(round.split_off(w[0]));
+                }
+                batches.reverse();
             }
-            batches.reverse();
 
             let now = self.now;
             let views = crate::slots::disjoint_slot_ranges(&mut self.arena.slots, &ranges);
@@ -757,7 +782,7 @@ impl<A: Application> CycleEngine<A> {
             // they are the next breadth-first round.
             debug_assert!(round.is_empty());
             for (batch, mut replies, tmp) in outs {
-                round.append(&mut replies);
+                adopt_or_append(round, &mut replies);
                 self.return_tri_scratch(batch);
                 self.return_tri_scratch(replies);
                 self.return_out_scratch(tmp);
@@ -965,6 +990,56 @@ impl<A: Application> CycleEngine<A> {
             self.stats.sent += 1;
             *hops += 1;
             self.deliver_one(from, to, msg, queue, report);
+        }
+    }
+}
+
+/// Stable sort of a delivery round by destination id — the phased tick's
+/// canonical order (see the module docs, step 2). Destinations are dense
+/// slot indices, so this is a counting sort: histogram over the `nslots`
+/// slots, prefix sum, stable placement, then the permutation applied in
+/// place by following its cycles. Two properties of the round itself send
+/// it to the comparison sort instead: a round much smaller than the slot
+/// table (clearing and summing `nslots` counters would dominate), and any
+/// destination that was never allocated (`>= nslots`) — such ids have no
+/// counter, and their raw-id order is part of the canonical order.
+fn sort_by_destination<M>(
+    round: &mut [(NodeId, NodeId, M)],
+    nslots: usize,
+    counts: &mut Vec<u32>,
+    dest: &mut Vec<u32>,
+) {
+    let n = round.len();
+    let mut counted = nslots <= 8 * n && u32::try_from(n).is_ok();
+    if counted {
+        counts.clear();
+        counts.resize(nslots, 0);
+        counted = round.iter().all(|&(_, to, _)| {
+            let counter = counts.get_mut(to.raw() as usize);
+            counter.map(|c| *c += 1).is_some()
+        });
+    }
+    if !counted {
+        return round.sort_by_key(|&(_, to, _)| to.raw());
+    }
+    // Counts -> each slot's first position.
+    let mut start = 0u32;
+    for c in counts.iter_mut() {
+        start += std::mem::replace(c, start);
+    }
+    // Arrival order within a slot is kept: the sort is stable.
+    dest.clear();
+    dest.extend(round.iter().map(|&(_, to, _)| {
+        let cursor = &mut counts[to.raw() as usize];
+        *cursor += 1;
+        *cursor - 1
+    }));
+    // Every swap parks one message at its final position.
+    for i in 0..n {
+        while dest[i] as usize != i {
+            let j = dest[i] as usize;
+            round.swap(i, j);
+            dest.swap(i, j);
         }
     }
 }
@@ -1482,6 +1557,149 @@ mod tests {
             s.sent,
             s.delivered + s.lost + s.dead_letter + s.hop_overflow
         );
+    }
+
+    proptest::proptest! {
+        /// Oracle: the canonical sort is `sort_by_key(to.raw())`, whichever
+        /// of its two paths a round takes — slot tables on both sides of
+        /// the sparse-round threshold, with and without never-allocated
+        /// destinations. The payload is the arrival index, so a stability
+        /// slip shows as a mismatch.
+        #[test]
+        fn destination_sort_matches_the_comparison_sort(
+            nslots in 1usize..600,
+            strays in proptest::prop_oneof![proptest::prelude::Just(0u64), 1u64..40],
+            dests in proptest::collection::vec(0u64..1_000_000, 0..400),
+        ) {
+            let mut round: Vec<(NodeId, NodeId, usize)> = dests
+                .iter()
+                .enumerate()
+                .map(|(i, d)| (NodeId(i as u64), NodeId(d % (nslots as u64 + strays)), i))
+                .collect();
+            let mut oracle = round.clone();
+            oracle.sort_by_key(|&(_, to, _)| to.raw());
+            let (mut counts, mut dest) = (vec![7; 3], vec![9; 5]); // dirty scratch
+            sort_by_destination(&mut round, nslots, &mut counts, &mut dest);
+            proptest::prop_assert_eq!(round, oracle);
+        }
+    }
+
+    /// Sprays traffic at allocated ids (live and crashed) every tick, at
+    /// never-allocated ids on some ticks, and thins out to a sixteenth of
+    /// the senders on others — so the rounds of one run land on both sides
+    /// of the counting sort's fallback rule, for both of its reasons.
+    #[derive(Debug, Clone, Default)]
+    struct Stray {
+        population: u64,
+        ticks: u64,
+        heard: u64,
+    }
+
+    impl Application for Stray {
+        type Message = u64;
+
+        fn on_join(&mut self, _contacts: &[NodeId], _ctx: &mut Ctx<'_, u64>) {}
+
+        fn on_tick(&mut self, ctx: &mut Ctx<'_, u64>) {
+            self.ticks += 1;
+            let r = ctx.rng().next_u64();
+            if self.ticks.is_multiple_of(3) && !ctx.self_id.raw().is_multiple_of(16) {
+                return; // sparse tick
+            }
+            ctx.send(NodeId(r % self.population), r);
+            if self.ticks % 3 == 1 {
+                ctx.send(NodeId(self.population + r % 7), r);
+            }
+        }
+
+        fn on_message(&mut self, from: NodeId, msg: u64, ctx: &mut Ctx<'_, u64>) {
+            self.heard = self.heard.wrapping_mul(31).wrapping_add(msg);
+            if msg.is_multiple_of(4) {
+                ctx.send(from, msg / 4 + 1);
+            }
+        }
+    }
+
+    #[test]
+    fn phased_loss_draws_follow_the_comparison_sort_order() {
+        const N: u64 = 200;
+        const SEED: u64 = 1234;
+        const TICKS: u64 = 12;
+        let crashed = |id: u64| id % 9 == 4;
+        let transport = Transport::lossy(0.25);
+
+        // Reference model of the phased discipline, with the canonical
+        // order spelled as the comparison sort the kernel used to run:
+        // loss draws, dead letters and deliveries in exactly that order.
+        let mut apps: Vec<Stray> = (0..N)
+            .map(|_| Stray {
+                population: N,
+                ..Stray::default()
+            })
+            .collect();
+        let mut rngs: Vec<Xoshiro256pp> = (0..N)
+            .map(|id| Xoshiro256pp::derive(SEED, StreamId::node(0, id)))
+            .collect();
+        let mut krng = Xoshiro256pp::derive(SEED, StreamId::KERNEL);
+        let mut model = KernelStats::default();
+        let live = |id: u64| id < N && !crashed(id);
+        for now in 1..=TICKS {
+            let mut round: Vec<(NodeId, NodeId, u64)> = Vec::new();
+            for i in (0..N).filter(|&i| live(i)) {
+                let mut outbox = Vec::new();
+                let mut ctx = Ctx::new(NodeId(i), now, &mut rngs[i as usize], &mut outbox);
+                apps[i as usize].on_tick(&mut ctx);
+                round.extend(outbox.into_iter().map(|(to, m)| (NodeId(i), to, m)));
+            }
+            while !round.is_empty() {
+                round.sort_by_key(|&(_, to, _)| to.raw());
+                let mut next = Vec::new();
+                for (from, to, msg) in round {
+                    model.sent += 1;
+                    if transport.drops(&mut krng) {
+                        model.lost += 1;
+                    } else if !live(to.raw()) {
+                        model.dead_letter += 1;
+                    } else {
+                        model.delivered += 1;
+                        let t = to.raw() as usize;
+                        let mut outbox = Vec::new();
+                        let mut ctx = Ctx::new(to, now, &mut rngs[t], &mut outbox);
+                        apps[t].on_message(from, msg, &mut ctx);
+                        next.extend(outbox.into_iter().map(|(nto, m)| (to, nto, m)));
+                    }
+                }
+                round = next;
+            }
+        }
+        model.crashes = (0..N).filter(|&id| crashed(id)).count() as u64;
+        assert!(model.lost > 0 && model.dead_letter > 0 && model.delivered > 0);
+
+        for threads in [1, 3] {
+            let mut cfg = CycleConfig::seeded(SEED);
+            cfg.threads = threads;
+            cfg.transport = transport;
+            cfg.bootstrap_sample = 0; // no kernel draws at join time
+            let mut e: CycleEngine<Stray> = CycleEngine::new(cfg);
+            for _ in 0..N {
+                e.insert(Stray {
+                    population: N,
+                    ..Stray::default()
+                });
+            }
+            for id in (0..N).filter(|&id| crashed(id)) {
+                assert!(e.crash(NodeId(id)));
+            }
+            e.run(TICKS);
+            assert_eq!(e.stats(), model, "threads={threads}");
+            assert_eq!(e.kernel_rng.state(), krng.state(), "threads={threads}");
+            let heard: Vec<u64> = e.nodes().map(|(_, a)| a.heard).collect();
+            let expected: Vec<u64> = (0..N)
+                .filter(|&i| live(i))
+                .map(|i| apps[i as usize].heard)
+                .collect();
+            assert_eq!(heard, expected, "threads={threads}");
+        }
     }
 
     #[test]

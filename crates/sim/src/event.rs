@@ -37,19 +37,30 @@
 //! Setting `threads >= 1` runs each same-timestamp batch as parallel
 //! slot-range shards, and — unlike the cycle kernel's phased tick, which
 //! is a new discipline — the result is **bit-for-bit identical to the
-//! sequential engine** at every thread count. The argument:
+//! sequential engine** at every thread count. A batch is *partitioned*,
+//! never sorted:
 //!
-//! * Callbacks only touch their own node's state, private RNG stream and
-//!   outbox, never the kernel RNG. So the global `(time, seq)`
-//!   interleaving only matters *per node*: the batch is grouped by target
-//!   node (a tick targets its node, a delivery its destination), each
-//!   target's events run in seq order, and targets are sharded across
-//!   workers by contiguous slot ranges.
-//! * Everything that consumes the kernel RNG or allocates sequence
-//!   numbers — transport loss/latency draws and `schedule` calls — is
-//!   *replayed sequentially in event-seq order* after the callbacks, which
-//!   is exactly the order the sequential engine interleaves them in
-//!   (callbacks draw nothing from the kernel stream in between).
+//! * **Partition by slot range.** After triage (events for dead targets
+//!   drop out in place) a stable partition deals the batch to at most
+//!   `threads` shards, each owning a contiguous slot range (`ShardCuts`
+//!   balances event counts over a coarse histogram of the batch's targets,
+//!   so a hub gets a shard nearly to itself). A single shard simply keeps
+//!   the batch buffer.
+//! * **Per-shard seq order.** Callbacks only touch their own node's state,
+//!   private RNG stream and outbox, never the kernel RNG, so the global
+//!   `(time, seq)` interleaving only matters *per node* (a tick targets
+//!   its node, a delivery its destination). A node's events all land in
+//!   one shard, in an order that is a subsequence of seq order — the order
+//!   the sequential engine runs them in. Each shard appends what its
+//!   callbacks send to one flat outbox and records, per event, the seq and
+//!   the number of messages sent.
+//! * **Replay by k-way merge.** Everything that consumes the kernel RNG or
+//!   allocates sequence numbers — transport loss/latency draws and
+//!   `schedule` calls — is *replayed sequentially in event-seq order*
+//!   after the callbacks, exactly as the sequential engine interleaves
+//!   them (callbacks draw nothing from the kernel stream in between). The
+//!   shards' records are already seq-sorted, so the replay merges
+//!   `k <= threads` sorted lists; one shard is one straight walk.
 //! * Churn events mutate liveness and spawn nodes, so a batch is split at
 //!   every churn event: the sub-batch before it is processed (callbacks +
 //!   replay), churn runs sequentially, and the remainder sees the updated
@@ -58,7 +69,7 @@
 //!   nodes mid-batch.
 //!
 //! The committed event fingerprints therefore hold unchanged at
-//! `--threads 1/2/8`, and `tests/shard_equivalence.rs` asserts
+//! `--threads 1/2/3/8`, and `tests/shard_equivalence.rs` asserts
 //! byte-identical delivery traces against the sequential engine under
 //! churn, loss and latency.
 //!
@@ -80,7 +91,7 @@
 use crate::app::{Application, Ctx, FrameSavings, WireCounts};
 use crate::churn::ChurnConfig;
 use crate::ids::{NodeId, Ticks};
-use crate::slots::SlotArena;
+use crate::slots::{adopt_or_append, ShardCuts, SlotArena};
 use crate::transport::Transport;
 use crate::Control;
 use gossipopt_obs::wall::{self, Phase};
@@ -159,6 +170,17 @@ struct Event<M> {
     kind: EventKind<M>,
 }
 
+impl<M> Event<M> {
+    /// The node this event runs on: a tick's owner, a delivery's destination.
+    fn target(&self) -> NodeId {
+        match &self.kind {
+            EventKind::Tick { node } => *node,
+            EventKind::Deliver { to, .. } => *to,
+            EventKind::Churn => unreachable!("segments are split at churn events"),
+        }
+    }
+}
+
 // Ordering on (time, seq) only; the payload does not need Ord.
 impl<M> PartialEq for Event<M> {
     fn eq(&self, other: &Self) -> bool {
@@ -180,25 +202,31 @@ impl<M> Ord for Event<M> {
 type Spawner<A> = Box<dyn FnMut(NodeId, &mut Xoshiro256pp) -> A>;
 
 /// One shard of a sharded same-timestamp segment: exclusive slots of a
-/// contiguous range plus the events targeting them, in seq order.
+/// contiguous range plus the buffers it works through.
 struct EventShard<'a, A: Application> {
     base: usize,
     slots: &'a mut [crate::slots::Slot<A>],
     now: Ticks,
-    events: Vec<Event<A::Message>>,
-    /// Recycled outbox vectors handed to this shard (its slice of the
-    /// engine's replay pool); callbacks pop from here instead of
-    /// allocating one `Vec` per sending event.
-    pool: Vec<Vec<(NodeId, A::Message)>>,
+    bufs: ShardBufs<A::Message>,
+}
+
+/// Recycled buffers of one shard; all three are in event-seq order.
+struct ShardBufs<M> {
+    events: Vec<Event<M>>,
+    /// Every message the shard's callbacks sent, back to back; each
+    /// [`Replay`] owns the next `sent` entries.
+    outbox: Vec<(NodeId, M)>,
+    replays: Vec<Replay>,
 }
 
 /// Deferred side effects of one processed event, replayed sequentially in
 /// seq order after the parallel callback phase.
-struct Replay<M> {
+struct Replay {
     seq: u64,
-    /// The event's target node (sender of the outbox; owner of the timer).
+    /// The event's target node (sender of the messages; owner of the timer).
     from: NodeId,
-    outbox: Vec<(NodeId, M)>,
+    /// How many entries of the shard's flat outbox this event sent.
+    sent: u32,
     /// Tick events reschedule their timer after routing, like `process`.
     reschedule_tick: bool,
 }
@@ -248,18 +276,13 @@ pub struct EventEngine<A: Application> {
     contacts_buf: Vec<NodeId>,
     /// Live-slot snapshot for the churn crash sweep.
     churn_buf: Vec<u32>,
-    /// Pool of recycled per-event outbox vectors for the sharded replay
-    /// path (sequential dispatch reuses `outbox_buf`; the sharded path
-    /// needs one live outbox per *sending* event until the seq-order
-    /// replay has routed it). Bounded so one pathological batch cannot
-    /// pin memory forever.
-    replay_pool: Vec<Vec<(NodeId, A::Message)>>,
+    /// Same-timestamp batch scratch of the sharded path.
+    batch_buf: Vec<Event<A::Message>>,
+    /// Recycled shard buffers, at most one per worker.
+    shard_pool: Vec<ShardBufs<A::Message>>,
+    /// Per-segment target histogram and the shard cuts chosen from it.
+    shard_cuts: ShardCuts,
 }
-
-/// Upper bound on pooled replay outboxes ([`EventEngine::replay_pool`]):
-/// enough to cover every sending event of a large same-timestamp batch,
-/// while letting a one-off burst's excess be freed instead of retained.
-const REPLAY_POOL_CAP: usize = 4096;
 
 impl<A: Application> EventEngine<A> {
     /// Create an empty network with the given configuration.
@@ -287,7 +310,9 @@ impl<A: Application> EventEngine<A> {
             join_outbox_buf: Vec::new(),
             contacts_buf: Vec::new(),
             churn_buf: Vec::new(),
-            replay_pool: Vec::new(),
+            batch_buf: Vec::new(),
+            shard_pool: Vec::new(),
+            shard_cuts: ShardCuts::new(),
         };
         if !engine.cfg.churn.is_static() {
             let period = engine.cfg.tick_period;
@@ -458,7 +483,7 @@ impl<A: Application> EventEngine<A> {
                 // in seq order: overflow seqs all precede bucketed seqs)
                 // and process them as parallel shards with a sequential
                 // seq-order replay — bit-identical to the loop below.
-                let mut batch: Vec<Event<A::Message>> = Vec::new();
+                let mut batch = std::mem::take(&mut self.batch_buf);
                 while let Some(Reverse(head)) = self.overflow.peek() {
                     if head.time != batch_time {
                         break;
@@ -467,12 +492,11 @@ impl<A: Application> EventEngine<A> {
                     batch.push(ev);
                 }
                 let bucket = (batch_time & WHEEL_MASK) as usize;
-                let mut bucket_events = std::mem::take(&mut self.wheel[bucket]);
-                debug_assert!(bucket_events.iter().all(|ev| ev.time == batch_time));
-                batch.append(&mut bucket_events);
-                std::mem::swap(&mut self.wheel[bucket], &mut bucket_events);
+                debug_assert!(self.wheel[bucket].iter().all(|ev| ev.time == batch_time));
+                adopt_or_append(&mut batch, &mut self.wheel[bucket]);
                 self.pending -= batch.len();
-                self.process_batch_sharded(batch);
+                self.process_batch_sharded(&mut batch);
+                self.batch_buf = batch;
             } else {
                 while let Some(Reverse(head)) = self.overflow.peek() {
                     if head.time != batch_time {
@@ -606,57 +630,51 @@ impl<A: Application> EventEngine<A> {
     }
 
     /// Process one same-timestamp batch in sharded mode: split at churn
-    /// events (liveness barriers), run each sub-batch as parallel shards
-    /// grouped by target node, then replay routing/scheduling sequentially
-    /// in seq order. Bit-identical to processing the batch event by event.
-    fn process_batch_sharded(&mut self, batch: Vec<Event<A::Message>>) {
-        let mut segment: Vec<Event<A::Message>> = Vec::with_capacity(batch.len());
-        for ev in batch {
-            if matches!(ev.kind, EventKind::Churn) {
-                let seg = std::mem::take(&mut segment);
-                self.process_segment_sharded(seg);
+    /// events (liveness barriers), run each sub-batch as parallel
+    /// slot-range shards, then replay routing/scheduling sequentially in
+    /// seq order. Bit-identical to processing the batch event by event;
+    /// leaves `batch` empty.
+    fn process_batch_sharded(&mut self, batch: &mut Vec<Event<A::Message>>) {
+        let is_churn = |ev: &Event<A::Message>| matches!(ev.kind, EventKind::Churn);
+        if !batch.iter().any(is_churn) {
+            return self.process_segment_sharded(batch);
+        }
+        let mut segment = Vec::new();
+        for ev in batch.drain(..) {
+            if is_churn(&ev) {
+                self.process_segment_sharded(&mut segment);
                 self.process(EventKind::Churn);
             } else {
                 segment.push(ev);
             }
         }
-        self.process_segment_sharded(segment);
+        self.process_segment_sharded(&mut segment);
     }
 
-    /// Sharded execution of a churn-free, same-timestamp event segment.
-    fn process_segment_sharded(&mut self, events: Vec<Event<A::Message>>) {
-        if events.len() <= 1 {
-            // Nothing to parallelize; the sequential path is the identical
-            // semantics at any thread count.
-            for ev in events {
-                self.process(ev.kind);
-            }
-            return;
-        }
+    /// Sharded execution of a churn-free, same-timestamp event segment
+    /// (in seq order); leaves `events` empty.
+    fn process_segment_sharded(&mut self, events: &mut Vec<Event<A::Message>>) {
         let threads = self.cfg.threads.max(1);
-
-        // Triage: drop events for dead/unknown targets now (liveness is
-        // static within the segment, so this matches the per-event checks
-        // of the sequential engine).
-        let mut live: Vec<Event<A::Message>> = Vec::with_capacity(events.len());
-        for ev in events {
-            let target = match &ev.kind {
-                EventKind::Tick { node } => *node,
-                EventKind::Deliver { to, .. } => *to,
-                EventKind::Churn => unreachable!("segments are split at churn events"),
-            };
-            match self.arena.slot_index(target) {
-                Some(t) if self.arena.slots[t].alive => live.push(ev),
-                _ => {
-                    // Crashed-node timer lapses silently; message
-                    // dead-letters.
-                    if matches!(ev.kind, EventKind::Deliver { .. }) {
-                        self.dropped += 1;
-                    }
-                }
+        // Triage, in place: drop events for dead/unknown targets now
+        // (liveness is static within the segment, so this matches the
+        // per-event checks of the sequential engine) and count the
+        // survivors' targets for the shard cuts.
+        let (arena, dropped, cuts) = (&self.arena, &mut self.dropped, &mut self.shard_cuts);
+        cuts.reset(arena.slots.len(), threads);
+        events.retain(|ev| match arena.slot_index(ev.target()) {
+            Some(t) if arena.slots[t].alive => {
+                cuts.count(t);
+                true
             }
-        }
-        if live.is_empty() {
+            _ => {
+                // Crashed-node timer lapses silently; message dead-letters.
+                if matches!(ev.kind, EventKind::Deliver { .. }) {
+                    *dropped += 1;
+                }
+                false
+            }
+        });
+        if events.is_empty() {
             return;
         }
         // Coalesce hook: fuse seq-adjacent same-destination deliveries of
@@ -664,141 +682,123 @@ impl<A: Application> EventEngine<A> {
         // nothing, so adjacency among survivors is adjacency in the order
         // the sequential engine interleaves routing in).
         if self.cfg.coalesce_frames {
-            self.coalesce_segment(&mut live);
+            self.coalesce_segment(events);
         }
-        // Index live events by target slot.
-        let mut wrapped: Vec<Option<Event<A::Message>>> = live.into_iter().map(Some).collect();
-        let mut order: Vec<(u32, u32)> = Vec::with_capacity(wrapped.len());
-        for (i, ev) in wrapped.iter().enumerate() {
-            let ev = ev.as_ref().expect("just wrapped");
-            let target = match &ev.kind {
-                EventKind::Tick { node } => *node,
-                EventKind::Deliver { to, .. } => *to,
-                EventKind::Churn => unreachable!("segments are split at churn events"),
-            };
-            let t = self
-                .arena
-                .slot_index(target)
-                .expect("triage kept known live targets");
-            order.push((t as u32, i as u32));
-        }
-        // Stable by target slot: each target's events stay in seq order
-        // (batch index order = seq order).
-        order.sort_by_key(|&(t, _)| t);
 
-        // Shard chunks cut at target boundaries.
-        let n = order.len();
-        let cuts =
-            crate::slots::cuts_at_group_boundaries(n, threads, |i| order[i].0 == order[i - 1].0);
-        let ranges: Vec<(usize, usize)> = cuts
-            .windows(2)
-            .map(|w| (order[w[0]].0 as usize, order[w[1] - 1].0 as usize + 1))
+        // Stable partition by slot range: the first shard keeps the batch
+        // buffer, compacted in place; later shards' events move out to
+        // their own buffers. Every shard holds its events in seq order.
+        let ranges = self.shard_cuts.cut();
+        let mut bufs: Vec<ShardBufs<A::Message>> = ranges
+            .iter()
+            .map(|_| {
+                self.shard_pool.pop().unwrap_or_else(|| ShardBufs {
+                    events: Vec::new(),
+                    outbox: Vec::new(),
+                    replays: Vec::new(),
+                })
+            })
             .collect();
-        let mut chunk_events: Vec<Vec<Event<A::Message>>> = Vec::with_capacity(ranges.len());
-        for w in cuts.windows(2) {
-            let mut evs = Vec::with_capacity(w[1] - w[0]);
-            for &(_, idx) in &order[w[0]..w[1]] {
-                evs.push(
-                    wrapped[idx as usize]
-                        .take()
-                        .expect("each event claimed once"),
-                );
-            }
-            chunk_events.push(evs);
+        let (arena, cuts) = (&self.arena, &self.shard_cuts);
+        let shard_of = |ev: &Event<A::Message>| cuts.shard_of(arena.slot_of_live(ev.target()));
+        for ev in events.extract_if(.., |ev| shard_of(ev) != 0) {
+            bufs[shard_of(&ev)].events.push(ev);
         }
+        std::mem::swap(&mut bufs[0].events, events);
 
-        // Callback phase: parallel shards, per-target seq order. Each
-        // shard takes an even slice of the engine's recycled outbox pool,
-        // so a sending event's outbox is a pooled vector instead of a
-        // fresh allocation (steady state: zero outbox allocations).
+        // Callback phase: parallel shards, each running its events in seq
+        // order against one flat outbox.
         let now = self.now;
-        let nshards = ranges.len();
         let views = crate::slots::disjoint_slot_ranges(&mut self.arena.slots, &ranges);
-        let per_shard_pool = self.replay_pool.len() / nshards.max(1);
         let tasks: Vec<EventShard<'_, A>> = views
             .into_iter()
-            .zip(chunk_events)
-            .map(|((base, slots), events)| EventShard {
+            .zip(bufs)
+            .map(|((base, slots), bufs)| EventShard {
                 base,
                 slots,
                 now,
-                events,
-                pool: self
-                    .replay_pool
-                    .split_off(self.replay_pool.len() - per_shard_pool),
+                bufs,
             })
             .collect();
         let dispatch_span = wall::start();
-        let outs = rayon::execute_indexed(tasks, threads, &|mut shard: EventShard<'_, A>| {
-            let mut replays: Vec<Replay<A::Message>> = Vec::new();
+        let mut outs = rayon::execute_indexed(tasks, threads, &|mut shard: EventShard<'_, A>| {
             let mut delivered = 0u64;
-            for ev in shard.events.drain(..) {
-                match ev.kind {
-                    EventKind::Tick { node } => {
-                        let slot = &mut shard.slots[node.raw() as usize - shard.base];
-                        debug_assert!(slot.alive, "triage kept live targets only");
-                        let mut outbox = shard.pool.pop().unwrap_or_default();
-                        outbox.clear();
-                        {
-                            let mut ctx = Ctx::new(node, shard.now, &mut slot.rng, &mut outbox);
-                            slot.app.on_tick(&mut ctx);
-                        }
-                        // Ticks always replay: the timer must be rescheduled.
-                        replays.push(Replay {
-                            seq: ev.seq,
-                            from: node,
-                            outbox,
-                            reschedule_tick: true,
-                        });
+            for ev in shard.bufs.events.drain(..) {
+                let outbox = &mut shard.bufs.outbox;
+                let before = outbox.len();
+                let node = ev.target();
+                let slot = &mut shard.slots[node.raw() as usize - shard.base];
+                debug_assert!(slot.alive, "triage kept live targets only");
+                let mut ctx = Ctx::new(node, shard.now, &mut slot.rng, outbox);
+                // Ticks always replay: the timer must be rescheduled.
+                let reschedule_tick = match ev.kind {
+                    EventKind::Tick { .. } => {
+                        slot.app.on_tick(&mut ctx);
+                        true
                     }
-                    EventKind::Deliver { from, to, msg } => {
-                        let slot = &mut shard.slots[to.raw() as usize - shard.base];
-                        debug_assert!(slot.alive, "triage kept live targets only");
-                        let mut outbox = shard.pool.pop().unwrap_or_default();
-                        outbox.clear();
-                        {
-                            let mut ctx = Ctx::new(to, shard.now, &mut slot.rng, &mut outbox);
-                            slot.app.on_message(from, msg, &mut ctx);
-                        }
+                    EventKind::Deliver { from, msg, .. } => {
+                        slot.app.on_message(from, msg, &mut ctx);
                         delivered += 1;
-                        if outbox.is_empty() {
-                            // Silent receiver: hand the vector straight back.
-                            shard.pool.push(outbox);
-                        } else {
-                            replays.push(Replay {
-                                seq: ev.seq,
-                                from: to,
-                                outbox,
-                                reschedule_tick: false,
-                            });
-                        }
+                        false
                     }
                     EventKind::Churn => unreachable!("segments are split at churn events"),
+                };
+                let sent = u32::try_from(shard.bufs.outbox.len() - before)
+                    .expect("one callback's sends fit a u32");
+                if reschedule_tick || sent > 0 {
+                    shard.bufs.replays.push(Replay {
+                        seq: ev.seq,
+                        from: node,
+                        sent,
+                        reschedule_tick,
+                    });
                 }
             }
-            (replays, delivered, shard.pool)
+            (shard.bufs, delivered)
         });
         wall::finish(Phase::EventDispatch, dispatch_span);
 
         // Replay phase: sequential, in seq order — the exact interleaving
         // of kernel-RNG draws and sequence allocation the per-event loop
         // produces (callbacks never touch the kernel stream in between).
-        let mut replays: Vec<Replay<A::Message>> = Vec::new();
-        for (shard_replays, delivered, leftover_pool) in outs {
-            self.delivered += delivered;
-            replays.extend(shard_replays);
-            for buf in leftover_pool {
-                self.return_replay_scratch(buf);
+        // Each shard's replays are already seq-sorted, so this is a merge:
+        // walk the shard with the smallest pending seq until it passes the
+        // runner-up's. One shard is one straight walk.
+        let period = self.cfg.tick_period;
+        self.delivered += outs.iter().map(|(_, delivered)| delivered).sum::<u64>();
+        let mut heads: Vec<_> = outs
+            .iter_mut()
+            .map(|(bufs, _)| (bufs.replays.iter().peekable(), bufs.outbox.drain(..)))
+            .collect();
+        loop {
+            // `u64::MAX` stands for an exhausted shard.
+            let (mut s, mut first, mut limit) = (0, u64::MAX, u64::MAX);
+            for (i, (replays, _)) in heads.iter_mut().enumerate() {
+                let seq = replays.peek().map_or(u64::MAX, |r| r.seq);
+                if seq < first {
+                    (s, limit, first) = (i, first, seq);
+                } else {
+                    limit = limit.min(seq);
+                }
+            }
+            if first == u64::MAX {
+                break;
+            }
+            let (replays, sent) = &mut heads[s];
+            while let Some(r) = replays.next_if(|r| r.seq < limit) {
+                for (to, msg) in sent.by_ref().take(r.sent as usize) {
+                    self.transmit(r.from, to, msg);
+                }
+                if r.reschedule_tick {
+                    self.schedule(period, EventKind::Tick { node: r.from });
+                }
             }
         }
-        replays.sort_unstable_by_key(|r| r.seq);
-        let period = self.cfg.tick_period;
-        for mut r in replays {
-            self.route(r.from, &mut r.outbox);
-            if r.reschedule_tick {
-                self.schedule(period, EventKind::Tick { node: r.from });
-            }
-            self.return_replay_scratch(r.outbox);
+        drop(heads);
+        std::mem::swap(&mut outs[0].0.events, events);
+        for (mut bufs, _) in outs {
+            bufs.replays.clear();
+            self.shard_pool.push(bufs);
         }
     }
 
@@ -890,29 +890,26 @@ impl<A: Application> EventEngine<A> {
         }
     }
 
-    /// Check a replay outbox vector back into the bounded pool (see
-    /// [`REPLAY_POOL_CAP`]); excess capacity from a one-off burst is freed.
-    fn return_replay_scratch(&mut self, mut buf: Vec<(NodeId, A::Message)>) {
-        if self.replay_pool.len() < REPLAY_POOL_CAP {
-            buf.clear();
-            self.replay_pool.push(buf);
+    fn route(&mut self, from: NodeId, outbox: &mut Vec<(NodeId, A::Message)>) {
+        for (to, msg) in outbox.drain(..) {
+            self.transmit(from, to, msg);
         }
     }
 
-    fn route(&mut self, from: NodeId, outbox: &mut Vec<(NodeId, A::Message)>) {
-        for (to, msg) in outbox.drain(..) {
-            if self.cfg.transport.drops(&mut self.kernel_rng) {
-                self.dropped += 1;
-                continue;
-            }
-            let delay = self
-                .cfg
-                .transport
-                .latency
-                .sample(&mut self.kernel_rng)
-                .max(1);
-            self.schedule(delay, EventKind::Deliver { from, to, msg });
+    /// Hand one message to the transport: loss draw, latency draw, schedule.
+    #[inline]
+    fn transmit(&mut self, from: NodeId, to: NodeId, msg: A::Message) {
+        if self.cfg.transport.drops(&mut self.kernel_rng) {
+            self.dropped += 1;
+            return;
         }
+        let delay = self
+            .cfg
+            .transport
+            .latency
+            .sample(&mut self.kernel_rng)
+            .max(1);
+        self.schedule(delay, EventKind::Deliver { from, to, msg });
     }
 
     fn churn_step(&mut self) {
@@ -1272,7 +1269,7 @@ mod tests {
         // frame_bytes_saved ledger moves (and stays zero sequentially).
         let (sd, sx, ss, srng, ssaved) = fusing_digest(0);
         assert_eq!(ssaved, 0, "sequential dispatch never coalesces");
-        for threads in [1, 2, 8] {
+        for threads in [1, 2, 3, 8] {
             let (d, x, s, rng, saved) = fusing_digest(threads);
             assert_eq!(d, sd, "threads={threads} delivered diverged");
             assert_eq!(x, sx, "threads={threads} dropped diverged");

@@ -293,9 +293,9 @@ pub(crate) fn disjoint_slot_ranges<'a, A>(
 /// Ascending cut positions (starting at 0, ending at `len`) slicing
 /// `0..len` into at most `parts` near-even contiguous chunks whose
 /// boundaries never split a group: while `joined(i)` says position `i`
-/// belongs with position `i - 1`, the boundary advances. Shared by both
-/// kernels' sharded delivery paths (groups = one destination's messages /
-/// one target's events).
+/// belongs with position `i - 1`, the boundary advances. The phased cycle
+/// tick cuts its delivery rounds with it (groups = one destination's
+/// messages).
 pub(crate) fn cuts_at_group_boundaries(
     len: usize,
     parts: usize,
@@ -312,6 +312,103 @@ pub(crate) fn cuts_at_group_boundaries(
     }
     debug_assert_eq!(*cuts.last().expect("non-empty"), len);
     cuts
+}
+
+/// `dst.append(src)`, except that an empty `dst` takes over `src`'s buffer
+/// instead of copying it (the first — with one shard, the only — part of
+/// every concatenation in the sharded paths).
+pub(crate) fn adopt_or_append<T>(dst: &mut Vec<T>, src: &mut Vec<T>) {
+    if dst.is_empty() {
+        std::mem::swap(dst, src);
+    } else {
+        dst.append(src);
+    }
+}
+
+/// Histogram bins per worker behind [`ShardCuts`]: a shard boundary can
+/// overshoot its even share of a batch by less than one bin.
+const BINS_PER_SHARD: usize = 8;
+
+/// Slot-range shard cuts for one batch of the sharded event kernel, chosen
+/// from a coarse histogram of the batch's target slots.
+///
+/// The rule: walking the bins in slot order, a shard closes at the first
+/// bin edge where it holds an even share of the events that were left when
+/// it opened (`left / shards still to fill`, rounded up). Shards therefore
+/// balance *event counts* to within one bin, not slot counts, and a bin
+/// that alone exceeds its share — a star hub — ends its shard right there,
+/// the remaining events being re-divided evenly over the remaining shards
+/// instead of an even slice of every other slot riding along with the hub.
+/// Which cuts are chosen never shows in a result (any slot partition
+/// yields the same bits); it only decides how evenly workers are loaded.
+pub(crate) struct ShardCuts {
+    /// Per-bin target counts while a batch is counted; after
+    /// [`ShardCuts::cut`], the index of the shard each bin belongs to.
+    bins: Vec<u32>,
+    /// Bin `b` covers slots `b << shift .. (b + 1) << shift`.
+    shift: u32,
+    nslots: usize,
+}
+
+impl ShardCuts {
+    pub(crate) fn new() -> Self {
+        ShardCuts {
+            bins: Vec::new(),
+            shift: 0,
+            nslots: 0,
+        }
+    }
+
+    /// Start counting a batch over `nslots` slots, to be cut into at most
+    /// `parts` shards: the coarsest power-of-two bin width that keeps the
+    /// slot table within `BINS_PER_SHARD` bins per shard.
+    pub(crate) fn reset(&mut self, nslots: usize, parts: usize) {
+        self.bins.clear();
+        self.bins.resize(BINS_PER_SHARD * parts, 0);
+        self.shift = (0..usize::BITS)
+            .find(|&s| nslots.saturating_sub(1) >> s < self.bins.len())
+            .expect("a usize shifts down to zero");
+        self.nslots = nslots;
+    }
+
+    /// Count one batch item targeting `slot`.
+    #[inline]
+    pub(crate) fn count(&mut self, slot: usize) {
+        self.bins[slot >> self.shift] += 1;
+    }
+
+    /// Close the histogram: at most `parts` half-open slot ranges —
+    /// ascending, covering `0..nslots`, each holding at least one counted
+    /// item. Afterwards [`ShardCuts::shard_of`] maps slots to ranges.
+    pub(crate) fn cut(&mut self) -> Vec<(usize, usize)> {
+        let parts = self.bins.len() / BINS_PER_SHARD;
+        let total: usize = self.bins.iter().map(|&c| c as usize).sum();
+        let mut ranges = Vec::with_capacity(parts);
+        // `goal`: the running count at which the open shard closes.
+        let (mut lo, mut acc, mut goal) = (0usize, 0usize, total.div_ceil(parts));
+        for (b, bin) in self.bins.iter_mut().enumerate() {
+            acc += *bin as usize;
+            *bin = ranges.len() as u32;
+            // `acc < total`: cut only while events remain for a further
+            // shard — which also caps the cuts at `parts - 1`, because the
+            // last shard's goal is `total` itself.
+            if acc < total && acc >= goal {
+                let hi = (b + 1) << self.shift;
+                ranges.push((lo, hi));
+                lo = hi;
+                goal = acc + (total - acc).div_ceil(parts - ranges.len());
+            }
+        }
+        ranges.push((lo, self.nslots));
+        ranges
+    }
+
+    /// Index, into the ranges [`ShardCuts::cut`] returned, of the shard
+    /// that owns `slot`.
+    #[inline]
+    pub(crate) fn shard_of(&self, slot: usize) -> usize {
+        self.bins[slot >> self.shift] as usize
+    }
 }
 
 /// Cut the positions `0..len` into at most `parts` contiguous chunks of
@@ -421,6 +518,69 @@ mod tests {
             }
         }
         assert_eq!(cuts_at_group_boundaries(0, 4, |_| false), vec![0]);
+    }
+
+    #[test]
+    fn histogram_cuts_keep_a_hub_alone() {
+        // One gossip step on a 1024-node star, hub in slot 0: every leaf
+        // ticks (an event targeting the leaf) and the hub receives one
+        // delivery per leaf — half the batch targets a single slot.
+        const N: usize = 1024;
+        for parts in [2usize, 3, 8] {
+            let mut cuts = ShardCuts::new();
+            cuts.reset(N, parts);
+            for leaf in 1..N {
+                cuts.count(0);
+                cuts.count(leaf);
+            }
+            let ranges = cuts.cut();
+            assert_eq!(ranges.len(), parts, "{ranges:?}");
+            let mut leaf_events = vec![0usize; parts];
+            for leaf in 1..N {
+                leaf_events[cuts.shard_of(leaf)] += 1;
+            }
+            let hub = cuts.shard_of(0);
+            let bin = 1usize << cuts.shift;
+            assert!(
+                leaf_events[hub] < bin,
+                "parts {parts}: the hub shares its shard with {} leaves",
+                leaf_events[hub]
+            );
+            // The leaves spread evenly over the shards the hub left free.
+            let even = (N - 1).div_ceil(parts - 1);
+            for (s, &load) in leaf_events.iter().enumerate() {
+                assert!(
+                    s == hub || load <= even + bin,
+                    "parts {parts}: shard {s} carries {load} of {} leaf events",
+                    N - 1
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn histogram_cuts_partition_the_slot_table() {
+        let mut rng = rng();
+        for (nslots, parts, events) in [(1, 1, 1), (5, 8, 3), (1000, 3, 40), (4097, 8, 9000)] {
+            let mut cuts = ShardCuts::new();
+            cuts.reset(nslots, parts);
+            let targets: Vec<usize> = (0..events).map(|_| rng.index(nslots)).collect();
+            targets.iter().for_each(|&t| cuts.count(t));
+            let ranges = cuts.cut();
+            assert!(ranges.len() <= parts);
+            assert_eq!(ranges[0].0, 0);
+            assert_eq!(ranges.last().unwrap().1, nslots);
+            for w in ranges.windows(2) {
+                assert_eq!(w[0].1, w[1].0, "contiguous: {ranges:?}");
+            }
+            let mut load = vec![0usize; ranges.len()];
+            for &t in &targets {
+                let s = cuts.shard_of(t);
+                assert!((ranges[s].0..ranges[s].1).contains(&t));
+                load[s] += 1;
+            }
+            assert!(load.iter().all(|&l| l > 0), "no empty shard: {load:?}");
+        }
     }
 
     #[test]

@@ -6,7 +6,10 @@
 //! * **Event kernel** — `threads >= 1` shards each same-timestamp batch
 //!   but must reproduce the *sequential engine* (`threads = 0`)
 //!   bit-for-bit: every node's full receive trace, tick count, the kernel
-//!   counters, and the engine clock.
+//!   counters, and the engine clock. Besides the randomized sweep, a star
+//!   overlay pins the shapes the partition/merge machinery must get right:
+//!   one target owning a whole batch, events that send 0, 1 and 2
+//!   messages, and a churn event in the middle of a batch.
 //! * **Cycle kernel** — the phased tick (`threads >= 1`) is its own
 //!   scheduling discipline, so the reference is the same discipline run
 //!   on one thread: `threads ∈ {2, 3, 8}` must reproduce `threads = 1`
@@ -161,7 +164,7 @@ proptest! {
             Latency::Uniform(1, 25)
         };
         let sequential = run_event(0, seed, n, loss, churny, latency, until);
-        for threads in [1usize, 2, 8] {
+        for threads in [1usize, 2, 3, 8] {
             let sharded = run_event(threads, seed, n, loss, churny, latency, until);
             prop_assert_eq!(
                 &sharded, &sequential,
@@ -190,6 +193,102 @@ proptest! {
             prop_assert_eq!(
                 &sharded, &reference,
                 "cycle threads={} diverged", threads
+            );
+        }
+    }
+}
+
+/// Star traffic: every leaf's tick sends one message to the hub (node 0);
+/// a receiver answers with 0, 1 or 2 messages depending on the payload, so
+/// the flat per-shard outbox sees every `sent` count, silent receivers
+/// included. Reply payloads shrink, so cascades die out.
+#[derive(Debug, Clone, Default)]
+struct StarNode {
+    ticks: u64,
+    trace: Vec<(u64, u64, u64)>,
+}
+
+impl Application for StarNode {
+    type Message = u64;
+
+    fn on_join(&mut self, _contacts: &[NodeId], _ctx: &mut Ctx<'_, u64>) {}
+
+    fn on_tick(&mut self, ctx: &mut Ctx<'_, u64>) {
+        use gossipopt_util::Rng64;
+        self.ticks += 1;
+        let payload = ctx.rng().next_u64() % 1000;
+        if ctx.self_id != NodeId(0) {
+            ctx.send(NodeId(0), payload);
+        }
+    }
+
+    fn on_message(&mut self, from: NodeId, msg: u64, ctx: &mut Ctx<'_, u64>) {
+        self.trace.push((ctx.now, from.raw(), msg));
+        match msg % 3 {
+            0 => {}
+            1 => ctx.send(from, msg / 3),
+            _ => {
+                ctx.send(from, msg / 3);
+                ctx.send(NodeId(msg % 7 + 1), msg / 2);
+            }
+        }
+    }
+}
+
+fn run_star(threads: usize, latency: Latency, churny: bool) -> Digest {
+    const N: usize = 96;
+    let mut cfg = EventConfig::seeded(31);
+    cfg.threads = threads;
+    cfg.tick_period = 10;
+    cfg.jitter_phase = false; // synchronized ticks: big same-timestamp batches
+    cfg.bootstrap_sample = 0;
+    cfg.transport = Transport {
+        loss_prob: 0.1,
+        latency,
+    };
+    if churny {
+        cfg.churn = ChurnConfig {
+            crash_prob_per_tick: 0.02,
+            joins_per_tick: 0.8,
+            min_nodes: 8,
+            max_nodes: 2 * N,
+        };
+    }
+    let mut e: EventEngine<StarNode> = EventEngine::new(cfg);
+    e.set_spawner(|_, _| StarNode::default());
+    e.populate(N);
+    e.run(300);
+    let nodes = e
+        .nodes()
+        .map(|(id, a)| (id.raw(), a.ticks, a.trace.clone()))
+        .collect();
+    (nodes, e.delivered(), e.dropped())
+}
+
+#[test]
+fn event_sharded_equals_sequential_on_a_star() {
+    let cases = [
+        // Every leaf -> hub delivery of a tick lands on one timestamp: the
+        // hub is the target of the entire batch.
+        (Latency::Constant(3), false),
+        // Deliveries coincide with the next ticks: the hub owns just under
+        // half of a mixed tick + delivery batch, the leaves the rest.
+        (Latency::Constant(10), false),
+        // Ticks fire at t = 1, 11, 21, ... and the churn event at t = 10,
+        // 20, ...: at t = 20 the batch holds deliveries sent at t = 1
+        // (latency 19, scheduled before the churn event was), the churn
+        // event, and deliveries sent at t = 11 (latency 9, scheduled
+        // after) — a liveness barrier in mid-batch.
+        (Latency::Uniform(9, 19), true),
+    ];
+    for (latency, churny) in cases {
+        let sequential = run_star(0, latency, churny);
+        assert!(sequential.1 > 0, "{latency:?}: nothing was delivered");
+        for threads in [1usize, 2, 3, 8] {
+            assert_eq!(
+                run_star(threads, latency, churny),
+                sequential,
+                "{latency:?} churny={churny}: threads={threads} diverged"
             );
         }
     }

@@ -10,7 +10,7 @@
 //! sharded execution with `N` worker threads. The event kernel is
 //! bit-identical to sequential, and the cycle kernel's phased discipline
 //! is thread-count invariant, so the output for every `N >= 1` must be
-//! byte-identical — CI diffs `--threads 1/2/8`. `N = 0` keeps the
+//! byte-identical — CI diffs `--threads 1/2/3/8`. `N = 0` keeps the
 //! historical sequential output.
 //!
 //! `--simd MODE` (`auto` | `avx2` | `scalar`, same as `GOSSIPOPT_SIMD`)

@@ -19,11 +19,7 @@
 #                                 interleave base and working-tree rounds
 #                                 in one session, so the recorded speedups
 #                                 never compare numbers from different
-#                                 hosts, thermal states or toolchains.
-#                                 Each round also re-runs the dpso and
-#                                 solvers benches with GOSSIPOPT_SIMD=scalar
-#                                 so the rows record the same-session
-#                                 AVX2-vs-scalar kernel delta
+#                                 hosts, thermal states or toolchains
 #   scripts/bench.sh --threads-sweep [N]
 #                                 run the `dpso-par/*` family at every
 #                                 worker-thread count 1..N (default nproc)
@@ -33,10 +29,14 @@
 #
 # Refresh mode: each round runs both bench binaries once with JSON capture;
 # the baseline records, per benchmark, the best (min) and median ns/iter
-# across rounds — min is the robust estimator on noisy shared machines. If
-# BENCH_kernel.json already exists, its "after" numbers are carried over as
-# the new "before" so successive runs track regressions; otherwise only
-# current numbers are written.
+# across rounds — min is the robust estimator on noisy shared machines. On
+# an AVX2 host each round also re-runs the dpso and solvers benches with
+# GOSSIPOPT_SIMD=scalar, so those rows record the same-session
+# AVX2-vs-scalar kernel delta (`simd_speedup`). If BENCH_kernel.json
+# already exists, its "after" numbers are carried over as the new "before"
+# so successive runs track regressions, and its `threads_sweep` block is
+# kept (only --threads-sweep measures it); otherwise only current numbers
+# are written.
 #
 # A/B mode instead records `ab_before_ns_per_iter` / `ab_after_ns_per_iter`
 # per row, both measured this session; `--check` prefers the ab numbers as
@@ -186,7 +186,7 @@ for round in $(seq 1 "$ROUNDS"); do
         run_benches "$RAW_BASE" "$AB_WORKTREE"
     fi
     run_benches "$RAW"
-    if [[ "$MODE" == ab && "$SIMD_PATH" == avx2 ]]; then
+    if [[ "$MODE" != check && "$SIMD_PATH" == avx2 ]]; then
         # Same-session scalar leg for the kernel-bearing benches: the
         # row's simd_speedup is then an honest AVX2-vs-scalar delta
         # measured interleaved with the vector rounds above.
@@ -284,14 +284,15 @@ def load(path):
 
 raw = load(raw_path)
 base = load(base_path) if mode == "ab" else {}
-scalar = load(scalar_path) if mode == "ab" else {}
+scalar = load(scalar_path)
 
-previous = {}
+previous, sweep = {}, None
 if os.path.exists("BENCH_kernel.json"):
     try:
         old = json.load(open("BENCH_kernel.json"))
         for row in old.get("results", []):
             previous[row["benchmark"]] = row.get("after_ns_per_iter")
+        sweep = old.get("threads_sweep")
     except (json.JSONDecodeError, KeyError):
         pass
 
@@ -342,6 +343,8 @@ doc = {
 }
 if mode == "ab" and ab_sha:
     doc["ab_base_ref"] = ab_sha
+if sweep:
+    doc["threads_sweep"] = sweep
 if int(wire_net):
     # scenarios/wire_event.toml payload bytes, coalesced vs the
     # sequential engine's unbatched ledger (same trajectories).

@@ -81,7 +81,7 @@
 //! All of this preserves determinism bit for bit: RNG draw order, float
 //! operation order and delivery order are unchanged, verified against the
 //! pre-refactor implementation by `examples/fingerprint.rs` (which also
-//! proves thread-count invariance under `--threads 1/2/8`) and the
+//! proves thread-count invariance under `--threads 1/2/3/8`) and the
 //! `soa_equivalence`, `arena_equivalence` and `shard_equivalence` test
 //! suites.
 //!
