@@ -95,8 +95,7 @@ fn bench_eval_batch(c: &mut Criterion) {
         for dim in [4usize, 32] {
             let f = by_name(registry_name, dim).expect("registered");
             let mut rng = Xoshiro256pp::seeded(11);
-            // 64-byte-aligned scratch so the AVX2 lane kernels measure
-            // aligned-load throughput, matching the arena's row layout.
+            // 64-byte-aligned scratch, matching the arena's row layout.
             let xs = AlignedBox::new_with(POINTS * dim, |i| {
                 let (lo, hi) = f.bounds(i % dim);
                 rng.range_f64(lo, hi)

@@ -18,22 +18,13 @@
 //!   fresh results are persisted, corrupt entries are recomputed in
 //!   place (with a warning naming the offending path and key);
 //! * `--no-store` — always simulate, never persist;
-//! * `--simd MODE` — force the objective/solver kernel backend
-//!   (`auto` | `avx2` | `scalar`; same as `GOSSIPOPT_SIMD`). Results are
-//!   bit-identical either way — this knob exists for benchmarking and
-//!   the CI path diff;
 //! * `--obs-out DIR` — export observability snapshots: per cell
 //!   `DIR/cell_<i>/{obs_det.json, obs.prom}` plus `obs_wall.json`
 //!   (the flag switches the wall-clock recorder on), and a campaign-level
 //!   `DIR/campaign_obs_det.json`. The deterministic files are
-//!   byte-identical across runs, `--threads`, and `--simd` paths — CI
-//!   diffs them like fingerprints (report mode nests per campaign:
-//!   `DIR/<name>/...`);
+//!   byte-identical across runs and `--threads` — CI diffs them like
+//!   fingerprints (report mode nests per campaign: `DIR/<name>/...`);
 //! * `--quiet` — suppress the summary table.
-//!
-//! `campaign simd-path` prints the backend the process would use
-//! (`avx2` or `scalar`, after env/flag resolution) and exits — the bench
-//! harness records it in `BENCH_kernel.json` host metadata.
 //!
 //! `campaign trace <dir> [cell]` renders a stored snapshot as a
 //! convergence timeline, a per-kind wire table, and (when the wall plane
@@ -65,11 +56,9 @@ use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 const USAGE: &str = "usage: campaign <spec.toml> [--out DIR] [--threads N] \
-                     [--store DIR | --no-store] [--simd auto|avx2|scalar] \
-                     [--obs-out DIR] [--quiet]\n       \
+                     [--store DIR | --no-store] [--obs-out DIR] [--quiet]\n       \
                      campaign report [spec.toml ...] [same options]\n       \
-                     campaign trace <dir> [cell]\n       \
-                     campaign simd-path";
+                     campaign trace <dir> [cell]";
 
 /// The campaigns `campaign report` renders when none are listed.
 const PAPER_TABLES: [&str; 4] = [
@@ -120,12 +109,6 @@ fn parse_args() -> Result<Args, String> {
                 store_explicit = true;
             }
             "--no-store" => no_store = true,
-            "--simd" => {
-                let mode = it.next().ok_or("--simd requires auto|avx2|scalar")?;
-                let path = gossipopt_util::simd::parse_mode(&mode)?;
-                gossipopt_util::simd::set_path(path);
-                log::info(&format!("simd: forcing the {} kernel backend", path.name()));
-            }
             "--obs-out" => {
                 obs_out = Some(PathBuf::from(
                     it.next().ok_or("--obs-out requires a directory")?,
@@ -419,12 +402,6 @@ fn render_trace(det: &DetSnapshot, wall: Option<&WallSnapshot>) -> String {
 }
 
 fn main() -> ExitCode {
-    // `campaign simd-path`: print the resolved kernel backend for this
-    // host/env and exit (consumed by scripts/bench.sh host metadata).
-    if std::env::args().nth(1).as_deref() == Some("simd-path") {
-        println!("{}", gossipopt_util::simd::active().name());
-        return ExitCode::SUCCESS;
-    }
     // `campaign trace <dir> [cell]`: render a stored snapshot and exit.
     if std::env::args().nth(1).as_deref() == Some("trace") {
         let rest: Vec<String> = std::env::args().skip(2).collect();

@@ -470,7 +470,7 @@ impl NodeRecipe {
 /// the join-time sample, but static topologies ignore contacts entirely —
 /// sampling them would make populating a 100k-node network O(n·c) for
 /// nothing, so they get 0 and network construction stays O(n).
-fn bootstrap_sample(spec: &DistributedPsoSpec, n: usize) -> usize {
+pub fn bootstrap_sample(spec: &DistributedPsoSpec, n: usize) -> usize {
     if spec.topology.is_dynamic() {
         spec.newscast.view_size.min(n.saturating_sub(1)).max(1)
     } else {
@@ -752,7 +752,10 @@ pub fn run_distributed_async(
                     best_quality: quality,
                     alive: engine.alive_count(),
                     delivered: engine.delivered(),
-                    wire_bytes,
+                    // Node ledgers charge unbatched sizes; net off the
+                    // kernel's frame-coalescing savings, as the cycle
+                    // driver does.
+                    wire_bytes: wire_bytes.saturating_sub(engine.frame_bytes_saved()),
                 });
             }
             if stopped.get() {
@@ -790,7 +793,7 @@ pub fn run_distributed_async(
         ticks: end / opts.tick_period,
         reached_threshold_at: reached_at.map(|t| t / opts.tick_period),
         coordination_exchanges: exchanges,
-        payload_bytes,
+        payload_bytes: payload_bytes.saturating_sub(engine.frame_bytes_saved()),
         messages_sent: engine.delivered() + engine.dropped(),
         messages_delivered: engine.delivered(),
         messages_dropped: engine.dropped(),

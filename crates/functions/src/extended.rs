@@ -25,7 +25,7 @@ macro_rules! extended_objective {
         min_dim: $min_dim:expr,
         optimum: $opt:expr,
         eval($x:ident) $body:block
-        lanes($simd:ident, $pts:ident, $dim:ident) $lanes_body:block
+        lanes($pts:ident, $dim:ident) $lanes_body:block
     ) => {
         $(#[$meta])*
         #[derive(Debug, Clone)]
@@ -47,14 +47,13 @@ macro_rules! extended_objective {
             #[inline(always)]
             fn eval_point($x: &[f64]) -> f64 $body
 
-            /// Four-points-at-once kernel (see [`crate::lanes`]), generic
-            /// over the SIMD backend; each lane replays `eval_point`'s
-            /// arithmetic in the same order (packed expressions keep the
-            /// scalar associativity, transcendentals go through `map`), so
-            /// results stay bit-identical on every backend.
+            /// Four-points-at-once kernel (see [`crate::lanes`]); each lane
+            /// replays `eval_point`'s arithmetic in the same order (packed
+            /// expressions keep the scalar associativity, transcendentals
+            /// go through `map`), so results stay bit-identical to it.
             #[allow(clippy::needless_range_loop)]
             #[inline(always)]
-            fn eval_lanes<$simd: gossipopt_util::simd::SimdOps>($pts: [&[f64]; 4]) -> [f64; 4] {
+            fn eval_lanes($pts: [&[f64]; 4]) -> [f64; 4] {
                 let $dim = $pts[0].len();
                 $lanes_body
             }
@@ -62,8 +61,8 @@ macro_rules! extended_objective {
 
         impl crate::lanes::LaneKernel for $name {
             #[inline(always)]
-            fn lanes<LK: gossipopt_util::simd::SimdOps>(&self, pts: [&[f64]; 4]) -> [f64; 4] {
-                Self::eval_lanes::<LK>(pts)
+            fn lanes(&self, pts: [&[f64]; 4]) -> [f64; 4] {
+                Self::eval_lanes(pts)
             }
             #[inline(always)]
             fn point(&self, x: &[f64]) -> f64 {
@@ -143,10 +142,10 @@ macro_rules! fixed_2d_objective {
 
         impl crate::lanes::LaneKernel for $name {
             // These 2-D kernels are transcendental-dominated; the lane win
-            // is the four independent chains, so every backend runs the
-            // same per-lane scalar kernel (trivially bit-identical).
+            // is the four independent chains, so each lane runs the scalar
+            // kernel (trivially bit-identical).
             #[inline(always)]
-            fn lanes<LK: gossipopt_util::simd::SimdOps>(&self, pts: [&[f64]; 4]) -> [f64; 4] {
+            fn lanes(&self, pts: [&[f64]; 4]) -> [f64; 4] {
                 let mut r = [0.0f64; 4];
                 for (l, p) in pts.iter().enumerate() {
                     r[l] = Self::eval_point(p[0], p[1]);
@@ -181,15 +180,15 @@ extended_objective! {
             .sum();
         head + mid + tail
     }
-    lanes(S, pts, k) {
+    lanes(pts, k) {
         let w = |v: f64| 1.0 + (v - 1.0) / 4.0;
         // -0.0 is `Iterator::sum`'s additive identity for f64; seeding the
         // lanes with it keeps signed zeros (and empty sums) bit-identical.
         // The per-term sin²/powi factors are transcendental, so each whole
         // term routes through `map` (identical scalar code per lane).
-        let mut mid = V::<S>::splat(-0.0);
+        let mut mid = V::splat(-0.0);
         for d in 0..k - 1 {
-            mid = mid + V::<S>::gather(&pts, d).map(|v| {
+            mid = mid + V::gather(&pts, d).map(|v| {
                 let wi = w(v);
                 (wi - 1.0).powi(2) * (1.0 + 10.0 * (PI * wi + 1.0).sin().powi(2))
             });
@@ -234,16 +233,16 @@ extended_objective! {
             .sum();
         head + tail
     }
-    lanes(S, pts, k) {
-        let mut tail = V::<S>::splat(-0.0);
+    lanes(pts, k) {
+        let mut tail = V::splat(-0.0);
         for d in 0..k - 1 {
             let wgt = (d + 2) as f64;
-            let a = V::<S>::gather(&pts, d);
-            let b = V::<S>::gather(&pts, d + 1);
+            let a = V::gather(&pts, d);
+            let b = V::gather(&pts, d + 1);
             let t = 2.0 * b * b - a;
             tail = tail + wgt * t * t;
         }
-        let head = V::<S>::gather(&pts, 0).map(|v| (v - 1.0).powi(2));
+        let head = V::gather(&pts, 0).map(|v| (v - 1.0).powi(2));
         (head + tail).to_array()
     }
 }
@@ -260,11 +259,11 @@ extended_objective! {
             .map(|(i, v)| (i + 1) as f64 * v * v)
             .sum()
     }
-    lanes(S, pts, k) {
-        let mut acc = V::<S>::splat(-0.0);
+    lanes(pts, k) {
+        let mut acc = V::splat(-0.0);
         for d in 0..k {
             let wgt = (d + 1) as f64;
-            let v = V::<S>::gather(&pts, d);
+            let v = V::gather(&pts, d);
             acc = acc + wgt * v * v;
         }
         acc.to_array()
@@ -280,13 +279,13 @@ extended_objective! {
     eval(x) {
         x[0] * x[0] + 1e6 * x[1..].iter().map(|v| v * v).sum::<f64>()
     }
-    lanes(S, pts, k) {
-        let mut s = V::<S>::splat(-0.0);
+    lanes(pts, k) {
+        let mut s = V::splat(-0.0);
         for d in 1..k {
-            let v = V::<S>::gather(&pts, d);
+            let v = V::gather(&pts, d);
             s = s + v * v;
         }
-        let x0 = V::<S>::gather(&pts, 0);
+        let x0 = V::gather(&pts, 0);
         (x0 * x0 + 1e6 * s).to_array()
     }
 }
@@ -307,15 +306,15 @@ extended_objective! {
             .map(|(i, v)| 10f64.powf(6.0 * i as f64 / (d - 1) as f64) * v * v)
             .sum()
     }
-    lanes(S, pts, k) {
+    lanes(pts, k) {
         if k == 1 {
-            let v = V::<S>::gather(&pts, 0);
+            let v = V::gather(&pts, 0);
             return (v * v).to_array();
         }
-        let mut acc = V::<S>::splat(-0.0);
+        let mut acc = V::splat(-0.0);
         for d in 0..k {
             let wgt = 10f64.powf(6.0 * d as f64 / (k - 1) as f64);
-            let v = V::<S>::gather(&pts, d);
+            let v = V::gather(&pts, d);
             acc = acc + wgt * v * v;
         }
         acc.to_array()
@@ -331,11 +330,11 @@ extended_objective! {
     eval(x) {
         x.iter().map(|v| (v * v.sin() + 0.1 * v).abs()).sum()
     }
-    lanes(S, pts, k) {
-        let mut acc = V::<S>::splat(-0.0);
+    lanes(pts, k) {
+        let mut acc = V::splat(-0.0);
         for d in 0..k {
             // sin dominates the term; keep the whole thing per-lane scalar.
-            acc = acc + V::<S>::gather(&pts, d).map(|v| (v * v.sin() + 0.1 * v).abs());
+            acc = acc + V::gather(&pts, d).map(|v| (v * v.sin() + 0.1 * v).abs());
         }
         acc.to_array()
     }
@@ -352,10 +351,10 @@ extended_objective! {
         let r = x.iter().map(|v| v * v).sum::<f64>().sqrt();
         1.0 - (2.0 * PI * r).cos() + 0.1 * r
     }
-    lanes(S, pts, k) {
-        let mut s = V::<S>::splat(-0.0);
+    lanes(pts, k) {
+        let mut s = V::splat(-0.0);
         for d in 0..k {
-            let v = V::<S>::gather(&pts, d);
+            let v = V::gather(&pts, d);
             s = s + v * v;
         }
         let s = s.to_array();
@@ -399,13 +398,13 @@ extended_objective! {
         }
         SCHWEFEL226_OFFSET * x.len() as f64 - raw + penalty
     }
-    lanes(S, pts, k) {
-        let lo = V::<S>::splat(-500.0);
-        let hi = V::<S>::splat(500.0);
-        let mut raw = V::<S>::splat(0.0);
-        let mut penalty = V::<S>::splat(0.0);
+    lanes(pts, k) {
+        let lo = V::splat(-500.0);
+        let hi = V::splat(500.0);
+        let mut raw = V::splat(0.0);
+        let mut penalty = V::splat(0.0);
         for d in 0..k {
-            let v = V::<S>::gather(&pts, d);
+            let v = V::gather(&pts, d);
             // Packed clamp is bit-identical to f64::clamp for ordered
             // bounds (see gossipopt_util::simd); the sin factor stays
             // per-lane scalar.

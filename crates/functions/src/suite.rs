@@ -30,7 +30,7 @@ macro_rules! simple_objective {
         $name:ident, $str_name:expr, lo: $lo:expr, hi: $hi:expr,
         optimum: $opt:expr,
         eval($x:ident) $body:block
-        lanes($simd:ident, $pts:ident, $dim:ident) $lanes_body:block
+        lanes($pts:ident, $dim:ident) $lanes_body:block
     ) => {
         $(#[$meta])*
         #[derive(Debug, Clone)]
@@ -50,14 +50,13 @@ macro_rules! simple_objective {
             #[inline(always)]
             fn eval_point($x: &[f64]) -> f64 $body
 
-            /// Four-points-at-once kernel (see [`crate::lanes`]), generic
-            /// over the SIMD backend; each lane replays `eval_point`'s
-            /// arithmetic in the same order (packed expressions keep the
-            /// scalar associativity, transcendentals go through `map`), so
-            /// results stay bit-identical on every backend.
+            /// Four-points-at-once kernel (see [`crate::lanes`]); each lane
+            /// replays `eval_point`'s arithmetic in the same order (packed
+            /// expressions keep the scalar associativity, transcendentals
+            /// go through `map`), so results stay bit-identical to it.
             #[allow(clippy::needless_range_loop)]
             #[inline(always)]
-            fn eval_lanes<$simd: gossipopt_util::simd::SimdOps>($pts: [&[f64]; 4]) -> [f64; 4] {
+            fn eval_lanes($pts: [&[f64]; 4]) -> [f64; 4] {
                 let $dim = $pts[0].len();
                 $lanes_body
             }
@@ -65,8 +64,8 @@ macro_rules! simple_objective {
 
         impl crate::lanes::LaneKernel for $name {
             #[inline(always)]
-            fn lanes<LK: gossipopt_util::simd::SimdOps>(&self, pts: [&[f64]; 4]) -> [f64; 4] {
-                Self::eval_lanes::<LK>(pts)
+            fn lanes(&self, pts: [&[f64]; 4]) -> [f64; 4] {
+                Self::eval_lanes(pts)
             }
             #[inline(always)]
             fn point(&self, x: &[f64]) -> f64 {
@@ -91,8 +90,8 @@ macro_rules! simple_objective {
             fn eval_batch(&self, xs: &[f64], k: usize, out: &mut [f64]) {
                 assert_eq!(k, self.dim, "stride must equal the dimensionality");
                 // One virtual dispatch for the whole batch; groups of four
-                // points run the lane kernel on the active SIMD backend,
-                // the tail the scalar one (length checked there).
+                // points run the lane kernel, the tail the scalar one
+                // (length checked there).
                 crate::lanes::eval_groups(xs, k, out, self);
             }
             fn optimum_position(&self) -> Option<Vec<f64>> {
@@ -107,12 +106,12 @@ simple_objective! {
     Sphere, "sphere", lo: -100.0, hi: 100.0,
     optimum: |d| Some(vec![0.0; d]),
     eval(x) { x.iter().map(|v| v * v).sum() }
-    lanes(S, pts, k) {
+    lanes(pts, k) {
         // -0.0 is `Iterator::sum`'s additive identity for f64; seeding the
         // lanes with it keeps signed zeros (and empty sums) bit-identical.
-        let mut acc = V::<S>::splat(-0.0);
+        let mut acc = V::splat(-0.0);
         for d in 0..k {
-            let v = V::<S>::gather(&pts, d);
+            let v = V::gather(&pts, d);
             acc = acc + v * v;
         }
         acc.to_array()
@@ -132,11 +131,11 @@ simple_objective! {
             })
             .sum()
     }
-    lanes(S, pts, k) {
-        let mut acc = V::<S>::splat(-0.0);
+    lanes(pts, k) {
+        let mut acc = V::splat(-0.0);
         for d in 0..k.saturating_sub(1) {
-            let a = V::<S>::gather(&pts, d);
-            let b = V::<S>::gather(&pts, d + 1);
+            let a = V::gather(&pts, d);
+            let b = V::gather(&pts, d + 1);
             let t = b - a * a;
             acc = acc + (100.0 * t * t + (1.0 - a) * (1.0 - a));
         }
@@ -158,12 +157,12 @@ simple_objective! {
             .sum();
         s1 + s2 * s2 + s2 * s2 * s2 * s2
     }
-    lanes(S, pts, k) {
-        let mut s1 = V::<S>::splat(-0.0);
-        let mut s2 = V::<S>::splat(-0.0);
+    lanes(pts, k) {
+        let mut s1 = V::splat(-0.0);
+        let mut s2 = V::splat(-0.0);
         for d in 0..k {
             let w = 0.5 * (d + 1) as f64;
-            let v = V::<S>::gather(&pts, d);
+            let v = V::gather(&pts, d);
             s1 = s1 + v * v;
             s2 = s2 + w * v;
         }
@@ -185,12 +184,12 @@ simple_objective! {
             .product();
         1.0 + s - p
     }
-    lanes(S, pts, k) {
-        let mut s = V::<S>::splat(-0.0);
-        let mut prod = V::<S>::splat(1.0);
+    lanes(pts, k) {
+        let mut s = V::splat(-0.0);
+        let mut prod = V::splat(1.0);
         for d in 0..k {
             let root = ((d + 1) as f64).sqrt();
-            let v = V::<S>::gather(&pts, d);
+            let v = V::gather(&pts, d);
             s = s + v * v;
             prod = prod * (v / root).map(f64::cos);
         }
@@ -209,10 +208,10 @@ simple_objective! {
                 .map(|v| v * v - 10.0 * (2.0 * PI * v).cos())
                 .sum::<f64>()
     }
-    lanes(S, pts, k) {
-        let mut acc = V::<S>::splat(-0.0);
+    lanes(pts, k) {
+        let mut acc = V::splat(-0.0);
         for d in 0..k {
-            let v = V::<S>::gather(&pts, d);
+            let v = V::gather(&pts, d);
             acc = acc + (v * v - 10.0 * v.map(|x| (2.0 * PI * x).cos()));
         }
         let base = 10.0 * k as f64;
@@ -230,11 +229,11 @@ simple_objective! {
         let cs = x.iter().map(|v| (2.0 * PI * v).cos()).sum::<f64>() / d;
         -20.0 * (-0.2 * sq.sqrt()).exp() - cs.exp() + 20.0 + std::f64::consts::E
     }
-    lanes(S, pts, k) {
-        let mut sq = V::<S>::splat(-0.0);
-        let mut cs = V::<S>::splat(-0.0);
+    lanes(pts, k) {
+        let mut sq = V::splat(-0.0);
+        let mut cs = V::splat(-0.0);
         for d in 0..k {
-            let v = V::<S>::gather(&pts, d);
+            let v = V::gather(&pts, d);
             sq = sq + v * v;
             cs = cs + v.map(|x| (2.0 * PI * x).cos());
         }
@@ -266,11 +265,11 @@ simple_objective! {
         }
         total
     }
-    lanes(S, pts, k) {
-        let mut total = V::<S>::splat(0.0);
-        let mut prefix = V::<S>::splat(0.0);
+    lanes(pts, k) {
+        let mut total = V::splat(0.0);
+        let mut prefix = V::splat(0.0);
         for d in 0..k {
-            prefix = prefix + V::<S>::gather(&pts, d);
+            prefix = prefix + V::gather(&pts, d);
             total = total + prefix * prefix;
         }
         total.to_array()
@@ -290,10 +289,10 @@ simple_objective! {
             })
             .sum()
     }
-    lanes(S, pts, k) {
-        let mut acc = V::<S>::splat(-0.0);
+    lanes(pts, k) {
+        let mut acc = V::splat(-0.0);
         for d in 0..k {
-            let t = (V::<S>::gather(&pts, d) + 0.5).floor();
+            let t = (V::gather(&pts, d) + 0.5).floor();
             acc = acc + t * t;
         }
         acc.to_array()
@@ -314,9 +313,9 @@ impl DeJongF2 {
 
 impl crate::lanes::LaneKernel for DeJongF2 {
     #[inline(always)]
-    fn lanes<S: gossipopt_util::simd::SimdOps>(&self, pts: [&[f64]; 4]) -> [f64; 4] {
-        let x0 = V::<S>::gather(&pts, 0);
-        let x1 = V::<S>::gather(&pts, 1);
+    fn lanes(&self, pts: [&[f64]; 4]) -> [f64; 4] {
+        let x0 = V::gather(&pts, 0);
+        let x1 = V::gather(&pts, 1);
         let t = x0 * x0 - x1;
         (100.0 * t * t + (1.0 - x0) * (1.0 - x0)).to_array()
     }
@@ -399,9 +398,9 @@ impl Objective for SchafferF6 {
 
 impl crate::lanes::LaneKernel for SchafferF6 {
     #[inline(always)]
-    fn lanes<S: gossipopt_util::simd::SimdOps>(&self, pts: [&[f64]; 4]) -> [f64; 4] {
-        let x0 = V::<S>::gather(&pts, 0);
-        let x1 = V::<S>::gather(&pts, 1);
+    fn lanes(&self, pts: [&[f64]; 4]) -> [f64; 4] {
+        let x0 = V::gather(&pts, 0);
+        let x1 = V::gather(&pts, 1);
         // The ripple is sin/sqrt-heavy: packed radius, per-lane ripple.
         (x0 * x0 + x1 * x1).map(Self::ripple).to_array()
     }
@@ -453,12 +452,12 @@ impl Objective for SchafferF6Nd {
 
 impl crate::lanes::LaneKernel for SchafferF6Nd {
     #[inline(always)]
-    fn lanes<S: gossipopt_util::simd::SimdOps>(&self, pts: [&[f64]; 4]) -> [f64; 4] {
+    fn lanes(&self, pts: [&[f64]; 4]) -> [f64; 4] {
         let k = pts[0].len();
-        let mut acc = V::<S>::splat(-0.0);
+        let mut acc = V::splat(-0.0);
         for d in 0..k - 1 {
-            let a = V::<S>::gather(&pts, d);
-            let b = V::<S>::gather(&pts, d + 1);
+            let a = V::gather(&pts, d);
+            let b = V::gather(&pts, d + 1);
             acc = acc + (a * a + b * b).map(SchafferF6::ripple);
         }
         acc.to_array()
@@ -519,15 +518,15 @@ impl Objective for StyblinskiTang {
 
 impl crate::lanes::LaneKernel for StyblinskiTang {
     #[inline(always)]
-    fn lanes<S: gossipopt_util::simd::SimdOps>(&self, pts: [&[f64]; 4]) -> [f64; 4] {
+    fn lanes(&self, pts: [&[f64]; 4]) -> [f64; 4] {
         let k = pts[0].len();
         let offset = STYBLINSKI_MIN_PER_DIM * self.dim as f64;
-        let mut raw = V::<S>::splat(-0.0);
+        let mut raw = V::splat(-0.0);
         for d in 0..k {
             // powi lowers to an intrinsic whose expansion we don't pin;
-            // route the whole polynomial term through `map` so both
-            // backends run the identical scalar expression per lane.
-            raw = raw + V::<S>::gather(&pts, d).map(|v| 0.5 * (v.powi(4) - 16.0 * v * v + 5.0 * v));
+            // route the whole polynomial term through `map` so each lane
+            // runs the identical scalar expression.
+            raw = raw + V::gather(&pts, d).map(|v| 0.5 * (v.powi(4) - 16.0 * v * v + 5.0 * v));
         }
         (raw - offset).to_array()
     }

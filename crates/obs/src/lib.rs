@@ -12,8 +12,8 @@
 //!   per-phase merge-round counts, and best-improvement trace events
 //!   `(tick, node, quality)`. Everything in this plane is a pure function
 //!   of a cell's spec and seed, so serialized snapshots are **byte
-//!   identical** across runs, worker-thread counts and SIMD paths — CI
-//!   diffs them exactly like fingerprints. Nothing wall-clock-derived may
+//!   identical** across runs and worker-thread counts — CI diffs them
+//!   exactly like fingerprints. Nothing wall-clock-derived may
 //!   ever enter this plane.
 //! * the **wall-clock plane** ([`wall`], [`WallSnapshot`]) — log2-bucketed
 //!   latency histograms around the kernels' shard/merge/dispatch phases

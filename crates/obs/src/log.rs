@@ -1,7 +1,7 @@
 //! Structured stderr logging facade.
 //!
 //! Every ad-hoc diagnostic line in the workspace (store load/execute
-//! narration, `--simd` override notes, campaign progress) routes through
+//! narration, campaign progress) routes through
 //! this module so that daemon-ification later has a single switch. The
 //! active threshold comes from the `GOSSIPOPT_LOG` environment variable
 //! (`error`, `warn`, `info`, `debug`; default `info`) and is read once

@@ -94,8 +94,8 @@ impl Default for TickHistogram {
 
 /// The deterministic plane of one cell run.
 ///
-/// Byte-identical across runs, worker-thread counts, and SIMD paths for
-/// a fixed cell spec + seed; CI diffs serialized copies exactly like
+/// Byte-identical across runs and worker-thread counts for a fixed cell
+/// spec + seed; CI diffs serialized copies exactly like
 /// fingerprints.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct DetSnapshot {

@@ -13,7 +13,9 @@
 use crate::faults::{FaultApp, FaultSchedule};
 use crate::spec::{CellSpec, Fault};
 use crate::{Error, Result};
-use gossipopt_core::experiment::{AsyncOpts, Budget, DistributedPsoSpec, NodeRecipe, RunReport};
+use gossipopt_core::experiment::{
+    bootstrap_sample, AsyncOpts, Budget, DistributedPsoSpec, NodeRecipe, RunReport,
+};
 use gossipopt_core::messages::KIND_NAMES;
 use gossipopt_core::metrics::{MetricSample, MetricsRing};
 use gossipopt_core::node::OptNode;
@@ -159,16 +161,6 @@ impl EngineFaults {
     }
 }
 
-/// Kernel bootstrap-contact count, mirroring `core::experiment`: NEWSCAST
-/// seeds its view from the join-time sample; static overlays need none.
-fn bootstrap_sample(spec: &DistributedPsoSpec, n: usize) -> usize {
-    if spec.topology.is_dynamic() {
-        spec.newscast.view_size.min(n.saturating_sub(1)).max(1)
-    } else {
-        0
-    }
-}
-
 /// Run one cell (validates first). Deterministic per cell: all randomness
 /// derives from the cell's resolved seed.
 pub fn run_cell(cell: &CellSpec) -> Result<CellReport> {
@@ -178,9 +170,9 @@ pub fn run_cell(cell: &CellSpec) -> Result<CellReport> {
 /// Run one cell and capture both observability planes.
 ///
 /// The deterministic plane ([`DetSnapshot`]) is derived purely from
-/// simulation state and is byte-identical across runs, worker-thread
-/// counts, and SIMD paths; `campaign`/`cell` are left blank for the
-/// campaign runner to fill. The wall-clock plane is attached only when
+/// simulation state and is byte-identical across runs and worker-thread
+/// counts; `campaign`/`cell` are left blank for the campaign runner to
+/// fill. The wall-clock plane is attached only when
 /// the global recorder is on ([`wall::set_enabled`]) and holds the
 /// *delta* over this run — phase latencies plus rayon-shim
 /// steal/home-run counts.
@@ -606,7 +598,7 @@ fn run_event_cell(
 mod tests {
     use super::*;
     use crate::spec::FaultSpec;
-    use gossipopt_core::experiment::run_distributed_pso;
+    use gossipopt_core::experiment::{run_distributed, run_distributed_async};
 
     fn small_cell() -> CellSpec {
         CellSpec {
@@ -621,24 +613,52 @@ mod tests {
 
     #[test]
     fn fault_free_cell_matches_run_distributed() {
-        // The executor's cycle loop + transparent FaultApp wrapper must be
-        // bit-identical to core's run_distributed on the same spec/seed.
-        let cell = small_cell();
-        let out = run_cell(&cell).unwrap();
-        let mut spec = cell.to_dist_spec().unwrap();
-        spec.metrics = None;
-        let reference =
-            run_distributed_pso(&spec, &cell.function, Budget::PerNode(cell.budget), 11).unwrap();
-        assert_eq!(
-            out.report.best_quality.to_bits(),
-            reference.best_quality.to_bits()
-        );
-        assert_eq!(out.report.messages_sent, reference.messages_sent);
-        assert_eq!(out.report.payload_bytes, reference.payload_bytes);
-        assert_eq!(out.report.total_evals, reference.total_evals);
-        assert_eq!(out.blocked_messages, 0);
-        assert!(!out.poisoned);
-        assert!(!out.report.samples.is_empty(), "the tap is always on");
+        // The executor's loops + transparent FaultApp wrapper must be
+        // bit-identical to core's drivers on the same spec/seed, on both
+        // kernels and both scheduling disciplines. A star with gossip
+        // every tick makes frame coalescing engage at threads = 1, so the
+        // savings netted off `payload_bytes` are part of the comparison.
+        for kernel in ["cycle", "event"] {
+            for threads in [0usize, 1] {
+                let cell = CellSpec {
+                    nodes: 64,
+                    topology: "star".into(),
+                    gossip_every: 1,
+                    kernel: kernel.into(),
+                    threads,
+                    ..small_cell()
+                };
+                let out = run_cell(&cell).unwrap();
+                let spec = cell.to_dist_spec().unwrap();
+                let budget = Budget::PerNode(cell.budget);
+                let objective: Arc<dyn Objective> = Arc::from(
+                    gossipopt_functions::by_name(&cell.function, cell.dim).expect("registered"),
+                );
+                let reference = if kernel == "cycle" {
+                    run_distributed(&spec, objective, budget, 11)
+                } else {
+                    run_distributed_async(&spec, objective, budget, AsyncOpts::default(), 11)
+                }
+                .unwrap();
+                let ctx = format!("{kernel} threads={threads}");
+                assert_eq!(
+                    out.report.best_quality.to_bits(),
+                    reference.best_quality.to_bits(),
+                    "{ctx}"
+                );
+                assert_eq!(out.report.messages_sent, reference.messages_sent, "{ctx}");
+                assert_eq!(
+                    out.report.messages_delivered, reference.messages_delivered,
+                    "{ctx}"
+                );
+                assert_eq!(out.report.payload_bytes, reference.payload_bytes, "{ctx}");
+                assert_eq!(out.report.total_evals, reference.total_evals, "{ctx}");
+                assert_eq!(out.blocked_messages, 0, "{ctx}");
+                assert!(!out.poisoned, "{ctx}");
+                assert!(!out.report.samples.is_empty(), "the tap is always on");
+                assert_eq!(out.report.samples, reference.samples, "{ctx}");
+            }
+        }
     }
 
     #[test]

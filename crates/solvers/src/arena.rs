@@ -45,7 +45,7 @@ use std::sync::Arc;
 /// Fixed-size column of `T` with row-granular interior mutability,
 /// 64-byte aligned (see [`gossipopt_util::mem::AlignedBox`]) so f64 rows
 /// laid out at 8-multiple strides start on cache-line boundaries and the
-/// SIMD lane kernels' 4-wide groups never straddle lines.
+/// lane kernels' 4-wide groups never straddle lines.
 struct Column<T> {
     cells: gossipopt_util::AlignedBox<UnsafeCell<T>>,
 }

@@ -2,11 +2,7 @@
 //!
 //! Same discipline as the objective batch kernels in
 //! `gossipopt_functions::lanes`: process **four dimensions per lane
-//! group** with a scalar tail, the packing explicit since PR 9 — group
-//! arithmetic is written against [`gossipopt_util::simd::SimdOps`] and
-//! each kernel dispatches to the AVX2 backend (whole group loop compiled
-//! under `#[target_feature(enable = "avx2")]`) or the portable
-//! scalar-lane backend per [`gossipopt_util::simd::active`].
+//! group** ([`gossipopt_util::simd::V`]) with a scalar tail.
 //!
 //! The twist the solver loops add over `eval_batch` is the RNG: the
 //! scalar update loops interleave `rng` draws with arithmetic, which
@@ -16,16 +12,15 @@
 //! arithmetic phase over the four lanes.
 //!
 //! **Bit-identity contract:** every lane evaluates the scalar loop's
-//! exact FP expressions (same associativity, no FMA on any backend), in
-//! the scalar loop's per-dimension order, on the same RNG values the
-//! scalar loop would have drawn for that dimension — so positions,
-//! velocities and the RNG stream are bit-for-bit identical to the scalar
-//! code they replace, on both backends. `tests` below lock each kernel
-//! against a verbatim copy of the scalar loop it replaced, once per
-//! backend.
+//! exact FP expressions (same associativity, no FMA), in the scalar
+//! loop's per-dimension order, on the same RNG values the scalar loop
+//! would have drawn for that dimension — so positions, velocities and
+//! the RNG stream are bit-for-bit identical to the scalar code they
+//! replace. `tests` below lock each kernel against a verbatim copy of
+//! the scalar loop it replaced.
 
 use gossipopt_functions::Objective;
-use gossipopt_util::simd::{self, SimdOps, V};
+use gossipopt_util::simd::V;
 use gossipopt_util::{Rng64, Xoshiro256pp};
 
 /// Classic (gbest / best-of-neighborhood) PSO velocity + position update
@@ -55,48 +50,6 @@ pub(crate) fn pso_move_lanes(
     w: f64,
     rng: &mut Xoshiro256pp,
 ) {
-    #[cfg(target_arch = "x86_64")]
-    if simd::active() == simd::SimdPath::Avx2 {
-        // SAFETY: the Avx2 path is only selected when avx2_supported()
-        // held (parse_mode/set_path enforce it).
-        unsafe { pso_move_avx2(xs, vs, pb, g, vmax, c1, c2, chi, w, rng) };
-        return;
-    }
-    pso_move_groups::<simd::ScalarLanes>(xs, vs, pb, g, vmax, c1, c2, chi, w, rng);
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-#[allow(clippy::too_many_arguments)]
-unsafe fn pso_move_avx2(
-    xs: &mut [f64],
-    vs: &mut [f64],
-    pb: &[f64],
-    g: &[f64],
-    vmax: &[f64],
-    c1: f64,
-    c2: f64,
-    chi: f64,
-    w: f64,
-    rng: &mut Xoshiro256pp,
-) {
-    pso_move_groups::<simd::Avx2>(xs, vs, pb, g, vmax, c1, c2, chi, w, rng)
-}
-
-#[allow(clippy::too_many_arguments)]
-#[inline(always)]
-fn pso_move_groups<S: SimdOps>(
-    xs: &mut [f64],
-    vs: &mut [f64],
-    pb: &[f64],
-    g: &[f64],
-    vmax: &[f64],
-    c1: f64,
-    c2: f64,
-    chi: f64,
-    w: f64,
-    rng: &mut Xoshiro256pp,
-) {
     let k = xs.len();
     debug_assert!(vs.len() == k && pb.len() == k && g.len() == k && vmax.len() == k);
     let groups = k / 4 * 4;
@@ -111,13 +64,13 @@ fn pso_move_groups<S: SimdOps>(
             r1[l] = rng.next_f64();
             r2[l] = rng.next_f64();
         }
-        let x = V::<S>::load(&xs[d..d + 4]);
-        let v = V::<S>::load(&vs[d..d + 4]);
-        let pbv = V::<S>::load(&pb[d..d + 4]);
-        let gv = V::<S>::load(&g[d..d + 4]);
-        let vm = V::<S>::load(&vmax[d..d + 4]);
-        let cognitive = c1 * V::<S>::from_array(r1) * (pbv - x);
-        let social_term = c2 * V::<S>::from_array(r2) * (gv - x);
+        let x = V::load(&xs[d..d + 4]);
+        let v = V::load(&vs[d..d + 4]);
+        let pbv = V::load(&pb[d..d + 4]);
+        let gv = V::load(&g[d..d + 4]);
+        let vm = V::load(&vmax[d..d + 4]);
+        let cognitive = c1 * V::from_array(r1) * (pbv - x);
+        let social_term = c2 * V::from_array(r2) * (gv - x);
         let attraction = cognitive + social_term;
         let vel = (chi * (w * v + attraction)).clamp(-vm, vm);
         vel.store(&mut vs[d..d + 4]);
@@ -143,47 +96,10 @@ fn pso_move_groups<S: SimdOps>(
 /// untouched. The mutant is computed packed for all four lanes and
 /// stored only where taken — pure arithmetic, so discarded lanes are
 /// behavior-free.
-#[allow(clippy::too_many_arguments)]
-#[inline(always)]
-pub(crate) fn de_crossover_lanes(
-    trial: &mut [f64],
-    a: &[f64],
-    b: &[f64],
-    c: &[f64],
-    forced: usize,
-    f_weight: f64,
-    cr: f64,
-    rng: &mut Xoshiro256pp,
-) {
-    #[cfg(target_arch = "x86_64")]
-    if simd::active() == simd::SimdPath::Avx2 {
-        // SAFETY: gated on avx2_supported() via the dispatch state.
-        unsafe { de_crossover_avx2(trial, a, b, c, forced, f_weight, cr, rng) };
-        return;
-    }
-    de_crossover_groups::<simd::ScalarLanes>(trial, a, b, c, forced, f_weight, cr, rng);
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-#[allow(clippy::too_many_arguments)]
-unsafe fn de_crossover_avx2(
-    trial: &mut [f64],
-    a: &[f64],
-    b: &[f64],
-    c: &[f64],
-    forced: usize,
-    f_weight: f64,
-    cr: f64,
-    rng: &mut Xoshiro256pp,
-) {
-    de_crossover_groups::<simd::Avx2>(trial, a, b, c, forced, f_weight, cr, rng)
-}
-
 #[allow(clippy::needless_range_loop)]
 #[allow(clippy::too_many_arguments)]
 #[inline(always)]
-fn de_crossover_groups<S: SimdOps>(
+pub(crate) fn de_crossover_lanes(
     trial: &mut [f64],
     a: &[f64],
     b: &[f64],
@@ -203,8 +119,8 @@ fn de_crossover_groups<S: SimdOps>(
             // Same short-circuit as the scalar loop: no draw at `forced`.
             take[l] = d + l == forced || rng.chance(cr);
         }
-        let m = (V::<S>::load(&a[d..d + 4])
-            + f_weight * (V::<S>::load(&b[d..d + 4]) - V::<S>::load(&c[d..d + 4])))
+        let m = (V::load(&a[d..d + 4])
+            + f_weight * (V::load(&b[d..d + 4]) - V::load(&c[d..d + 4])))
         .to_array();
         for l in 0..4 {
             if take[l] {
@@ -224,36 +140,9 @@ fn de_crossover_groups<S: SimdOps>(
 /// dimension. The normal draws are pre-drawn per group in the scalar
 /// order (`bounds(d)` consumes no randomness, so hoisting it into the
 /// arithmetic phase changes nothing).
-#[inline(always)]
-pub(crate) fn es_mutate_lanes(
-    child: &mut [f64],
-    f: &dyn Objective,
-    sigma_frac: f64,
-    rng: &mut Xoshiro256pp,
-) {
-    #[cfg(target_arch = "x86_64")]
-    if simd::active() == simd::SimdPath::Avx2 {
-        // SAFETY: gated on avx2_supported() via the dispatch state.
-        unsafe { es_mutate_avx2(child, f, sigma_frac, rng) };
-        return;
-    }
-    es_mutate_groups::<simd::ScalarLanes>(child, f, sigma_frac, rng);
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn es_mutate_avx2(
-    child: &mut [f64],
-    f: &dyn Objective,
-    sigma_frac: f64,
-    rng: &mut Xoshiro256pp,
-) {
-    es_mutate_groups::<simd::Avx2>(child, f, sigma_frac, rng)
-}
-
 #[allow(clippy::needless_range_loop)]
 #[inline(always)]
-fn es_mutate_groups<S: SimdOps>(
+pub(crate) fn es_mutate_lanes(
     child: &mut [f64],
     f: &dyn Objective,
     sigma_frac: f64,
@@ -274,8 +163,8 @@ fn es_mutate_groups<S: SimdOps>(
             let (lo, hi) = f.bounds(d + l);
             scale[l] = sigma_frac * (hi - lo);
         }
-        let c = V::<S>::load(&child[d..d + 4]);
-        (c + V::<S>::from_array(scale) * V::<S>::from_array(n)).store(&mut child[d..d + 4]);
+        let c = V::load(&child[d..d + 4]);
+        (c + V::from_array(scale) * V::from_array(n)).store(&mut child[d..d + 4]);
         d += 4;
     }
     for d in groups..k {
@@ -288,19 +177,6 @@ fn es_mutate_groups<S: SimdOps>(
 mod tests {
     use super::*;
     use gossipopt_functions::registry;
-
-    /// Run `body` once per available SIMD backend (forcing the global
-    /// dispatch state), so the kernels stay bit-identical to the scalar
-    /// references on both paths.
-    fn with_both_backends(mut body: impl FnMut(&str)) {
-        simd::set_path(simd::SimdPath::Scalar);
-        body("scalar");
-        if simd::avx2_supported() {
-            simd::set_path(simd::SimdPath::Avx2);
-            body("avx2");
-            simd::set_path(simd::SimdPath::Scalar);
-        }
-    }
 
     /// Verbatim copy of the scalar PSO update loop the lane kernel
     /// replaced (`ArenaPso::move_particle`'s hot branch / the
@@ -367,117 +243,94 @@ mod tests {
     }
 
     /// The lane kernel must leave positions, velocities *and the RNG
-    /// stream* bit-identical to the scalar loop, on both backends, at
-    /// dimensionalities that exercise both full lane groups and the
-    /// scalar tail.
+    /// stream* bit-identical to the scalar loop, at dimensionalities that
+    /// exercise both full lane groups and the scalar tail.
     #[test]
     fn pso_lanes_bit_identical_to_scalar() {
-        with_both_backends(|backend| {
-            let mut seed_rng = Xoshiro256pp::seeded(0x950);
-            for k in [1usize, 2, 3, 4, 5, 7, 8, 10, 12, 13, 32, 33] {
-                for trial in 0..8 {
-                    let mut xs_a = fill(&mut seed_rng, k, -100.0, 100.0);
-                    let mut vs_a = fill(&mut seed_rng, k, -50.0, 50.0);
-                    let pb = fill(&mut seed_rng, k, -100.0, 100.0);
-                    let g = fill(&mut seed_rng, k, -100.0, 100.0);
-                    let vmax = fill(&mut seed_rng, k, 1.0, 100.0);
-                    let (mut xs_b, mut vs_b) = (xs_a.clone(), vs_a.clone());
-                    let (c1, c2, chi, w) = (2.05, 2.05, 0.729_843_788, 1.0);
-                    let mut rng_a = Xoshiro256pp::seeded(1000 + trial);
-                    let mut rng_b = Xoshiro256pp::seeded(1000 + trial);
-                    pso_move_lanes(
-                        &mut xs_a, &mut vs_a, &pb, &g, &vmax, c1, c2, chi, w, &mut rng_a,
-                    );
-                    pso_move_reference(
-                        &mut xs_b, &mut vs_b, &pb, &g, &vmax, c1, c2, chi, w, &mut rng_b,
-                    );
-                    for d in 0..k {
-                        assert_eq!(
-                            xs_a[d].to_bits(),
-                            xs_b[d].to_bits(),
-                            "[{backend}] x[{d}] at k={k}"
-                        );
-                        assert_eq!(
-                            vs_a[d].to_bits(),
-                            vs_b[d].to_bits(),
-                            "[{backend}] v[{d}] at k={k}"
-                        );
-                    }
-                    assert_eq!(
-                        rng_a.next_u64(),
-                        rng_b.next_u64(),
-                        "[{backend}] RNG streams diverged at k={k}"
-                    );
+        let mut seed_rng = Xoshiro256pp::seeded(0x950);
+        for k in [1usize, 2, 3, 4, 5, 7, 8, 10, 12, 13, 32, 33] {
+            for trial in 0..8 {
+                let mut xs_a = fill(&mut seed_rng, k, -100.0, 100.0);
+                let mut vs_a = fill(&mut seed_rng, k, -50.0, 50.0);
+                let pb = fill(&mut seed_rng, k, -100.0, 100.0);
+                let g = fill(&mut seed_rng, k, -100.0, 100.0);
+                let vmax = fill(&mut seed_rng, k, 1.0, 100.0);
+                let (mut xs_b, mut vs_b) = (xs_a.clone(), vs_a.clone());
+                let (c1, c2, chi, w) = (2.05, 2.05, 0.729_843_788, 1.0);
+                let mut rng_a = Xoshiro256pp::seeded(1000 + trial);
+                let mut rng_b = Xoshiro256pp::seeded(1000 + trial);
+                pso_move_lanes(
+                    &mut xs_a, &mut vs_a, &pb, &g, &vmax, c1, c2, chi, w, &mut rng_a,
+                );
+                pso_move_reference(
+                    &mut xs_b, &mut vs_b, &pb, &g, &vmax, c1, c2, chi, w, &mut rng_b,
+                );
+                for d in 0..k {
+                    assert_eq!(xs_a[d].to_bits(), xs_b[d].to_bits(), "x[{d}] at k={k}");
+                    assert_eq!(vs_a[d].to_bits(), vs_b[d].to_bits(), "v[{d}] at k={k}");
                 }
+                assert_eq!(
+                    rng_a.next_u64(),
+                    rng_b.next_u64(),
+                    "RNG streams diverged at k={k}"
+                );
             }
-        });
+        }
     }
 
     #[test]
     fn de_lanes_bit_identical_to_scalar() {
-        with_both_backends(|backend| {
-            let mut seed_rng = Xoshiro256pp::seeded(0xde0);
-            for k in [1usize, 3, 4, 5, 8, 10, 13, 32, 33] {
-                for trial in 0..8 {
-                    let base = fill(&mut seed_rng, k, -30.0, 30.0);
-                    let a = fill(&mut seed_rng, k, -30.0, 30.0);
-                    let b = fill(&mut seed_rng, k, -30.0, 30.0);
-                    let c = fill(&mut seed_rng, k, -30.0, 30.0);
-                    // Exercise every forced position, incl. tail dimensions.
-                    for forced in [0, k / 2, k - 1] {
-                        let (mut t_a, mut t_b) = (base.clone(), base.clone());
-                        let mut rng_a = Xoshiro256pp::seeded(2000 + trial);
-                        let mut rng_b = Xoshiro256pp::seeded(2000 + trial);
-                        de_crossover_lanes(&mut t_a, &a, &b, &c, forced, 0.5, 0.9, &mut rng_a);
-                        de_crossover_reference(&mut t_b, &a, &b, &c, forced, 0.5, 0.9, &mut rng_b);
-                        for d in 0..k {
-                            assert_eq!(
-                                t_a[d].to_bits(),
-                                t_b[d].to_bits(),
-                                "[{backend}] trial[{d}] at k={k} forced={forced}"
-                            );
-                        }
+        let mut seed_rng = Xoshiro256pp::seeded(0xde0);
+        for k in [1usize, 3, 4, 5, 8, 10, 13, 32, 33] {
+            for trial in 0..8 {
+                let base = fill(&mut seed_rng, k, -30.0, 30.0);
+                let a = fill(&mut seed_rng, k, -30.0, 30.0);
+                let b = fill(&mut seed_rng, k, -30.0, 30.0);
+                let c = fill(&mut seed_rng, k, -30.0, 30.0);
+                // Exercise every forced position, incl. tail dimensions.
+                for forced in [0, k / 2, k - 1] {
+                    let (mut t_a, mut t_b) = (base.clone(), base.clone());
+                    let mut rng_a = Xoshiro256pp::seeded(2000 + trial);
+                    let mut rng_b = Xoshiro256pp::seeded(2000 + trial);
+                    de_crossover_lanes(&mut t_a, &a, &b, &c, forced, 0.5, 0.9, &mut rng_a);
+                    de_crossover_reference(&mut t_b, &a, &b, &c, forced, 0.5, 0.9, &mut rng_b);
+                    for d in 0..k {
                         assert_eq!(
-                            rng_a.next_u64(),
-                            rng_b.next_u64(),
-                            "[{backend}] RNG diverged at k={k}"
+                            t_a[d].to_bits(),
+                            t_b[d].to_bits(),
+                            "trial[{d}] at k={k} forced={forced}"
                         );
                     }
+                    assert_eq!(rng_a.next_u64(), rng_b.next_u64(), "RNG diverged at k={k}");
                 }
             }
-        });
+        }
     }
 
     #[test]
     fn es_lanes_bit_identical_to_scalar_for_entire_registry() {
-        with_both_backends(|backend| {
-            let mut seed_rng = Xoshiro256pp::seeded(0xe5);
-            for name in registry::names() {
-                for dim in [1usize, 2, 4, 5, 10, 32] {
-                    let Some(f) = registry::by_name(name, dim) else {
-                        continue;
-                    };
-                    let k = f.dim();
-                    let base = fill(&mut seed_rng, k, -5.0, 5.0);
-                    let (mut c_a, mut c_b) = (base.clone(), base.clone());
-                    let mut rng_a = Xoshiro256pp::seeded(3000 + dim as u64);
-                    let mut rng_b = Xoshiro256pp::seeded(3000 + dim as u64);
-                    es_mutate_lanes(&mut c_a, f.as_ref(), 0.1, &mut rng_a);
-                    es_mutate_reference(&mut c_b, f.as_ref(), 0.1, &mut rng_b);
-                    for d in 0..k {
-                        assert_eq!(
-                            c_a[d].to_bits(),
-                            c_b[d].to_bits(),
-                            "[{backend}] {name} dim {k}: child[{d}]"
-                        );
-                    }
+        let mut seed_rng = Xoshiro256pp::seeded(0xe5);
+        for name in registry::names() {
+            for dim in [1usize, 2, 4, 5, 10, 32] {
+                let Some(f) = registry::by_name(name, dim) else {
+                    continue;
+                };
+                let k = f.dim();
+                let base = fill(&mut seed_rng, k, -5.0, 5.0);
+                let (mut c_a, mut c_b) = (base.clone(), base.clone());
+                let mut rng_a = Xoshiro256pp::seeded(3000 + dim as u64);
+                let mut rng_b = Xoshiro256pp::seeded(3000 + dim as u64);
+                es_mutate_lanes(&mut c_a, f.as_ref(), 0.1, &mut rng_a);
+                es_mutate_reference(&mut c_b, f.as_ref(), 0.1, &mut rng_b);
+                for d in 0..k {
                     assert_eq!(
-                        rng_a.next_u64(),
-                        rng_b.next_u64(),
-                        "[{backend}] {name}: RNG diverged"
+                        c_a[d].to_bits(),
+                        c_b[d].to_bits(),
+                        "{name} dim {k}: child[{d}]"
                     );
                 }
+                assert_eq!(rng_a.next_u64(), rng_b.next_u64(), "{name}: RNG diverged");
             }
-        });
+        }
     }
 }

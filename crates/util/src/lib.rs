@@ -20,9 +20,8 @@
 //! * [`csv`] — a tiny dependency-free CSV writer for experiment artifacts.
 //! * [`varint`] — LEB128 varints and bit-pattern f64 deltas shared by the
 //!   simulator's byte accounting and the runtime wire codec.
-//! * [`simd`] — the explicit 4-wide f64 dispatch layer (AVX2 intrinsics
-//!   with a bit-identical portable fallback) behind the objective and
-//!   solver lane kernels; forced via `GOSSIPOPT_SIMD={auto,avx2,scalar}`.
+//! * [`simd`] — the 4-wide f64 lane type behind the objective and
+//!   solver lane kernels.
 
 pub mod csv;
 pub mod hypothesis;

@@ -74,11 +74,10 @@ pub fn advise_hugepages<T>(ptr: *const T, len_bytes: usize) {
 }
 
 /// A heap slice with 64-byte (cache-line) alignment, for the arena
-/// columns and eval scratch buffers the SIMD lane kernels walk: a
-/// 64-byte start guarantees every 4-lane group sits inside one cache
-/// line and lets the AVX2 backend's 32-byte aligned loads line up with
-/// row starts. Huge pages are advised on the allocation before first
-/// touch (see [`advise_hugepages`]).
+/// columns and eval scratch buffers the lane kernels walk: a 64-byte
+/// start guarantees every 4-lane group of a row laid out at an
+/// 8-multiple stride sits inside one cache line. Huge pages are advised
+/// on the allocation before first touch (see [`advise_hugepages`]).
 ///
 /// Restricted to element types without drop glue (`needs_drop::<T>()`
 /// must be false — asserted at construction): `Drop` only frees the

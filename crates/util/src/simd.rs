@@ -1,35 +1,21 @@
-//! Explicit 4-wide f64 SIMD with a bit-identity contract between backends.
+//! One explicit 4-wide f64 lane type for the objective and solver kernels.
 //!
 //! The objective lane kernels (`gossipopt_functions`) and the solver update
-//! kernels (`gossipopt_solvers`) process particles in groups of four. Until
-//! PR 9 they relied on LLVM autovectorizing `[f64; 4]` loops — fragile
-//! across compiler versions. This module makes the packing explicit:
+//! kernels (`gossipopt_solvers`) process particles in groups of four. [`V`]
+//! is the one pack they are written against: a 32-byte-aligned `[f64; 4]`
+//! with ordinary operators, every operation applied per lane. **No FMA is
+//! used anywhere**, so every packed operation performs the same single
+//! IEEE-754 rounding as its scalar counterpart and a lane kernel that
+//! replays the scalar kernel's op order is bit-identical to it.
 //!
-//! * [`F64x4`] is a 32-byte-aligned pack of four lanes.
-//! * [`SimdOps`] is the backend trait: packed add/sub/mul/div/min/max/
-//!   abs/neg/sqrt/floor/clamp.
-//! * [`ScalarLanes`] is the portable `[f64; 4]` reference backend — the
-//!   bit-identity baseline every other backend must match.
-//! * `Avx2` (x86-64 only) implements the same ops with AVX intrinsics.
-//!   **No FMA is used anywhere**, so every packed operation performs the
-//!   same single IEEE-754 rounding as its scalar counterpart and the two
-//!   backends are bit-identical by construction (locked by tests here, by
-//!   the registry/solver equivalence suites, and by the CI fingerprint
-//!   diff between `GOSSIPOPT_SIMD=scalar` and `avx2`).
+//! There is exactly one implementation and nothing to select; why is
+//! recorded in ARCHITECTURE.md, "Lane kernels".
 //!
-//! Backend selection is a process-global resolved once from the
-//! `GOSSIPOPT_SIMD` environment variable (`auto` | `avx2` | `scalar`;
-//! unset means `auto`, which takes AVX2 when the CPU has it) or forced
-//! programmatically via [`set_path`] (the `--simd` flag of the bench and
-//! campaign binaries). Because both paths produce identical bits, flipping
-//! the path at runtime can never change a result — only its speed.
+//! ## Pinned semantics
 //!
-//! ## Semantics pinned by the contract
-//!
-//! * `min(a, b)` is `if a < b { a } else { b }` — exactly `VMINPD`
-//!   (NaN or equal operands return `b`). Likewise `max` with `>`. These
-//!   are *not* IEEE `minNum`: the scalar reference is written to match
-//!   the hardware select, not the other way round.
+//! * `min(a, b)` is `if a < b { a } else { b }` (NaN or equal operands
+//!   return `b`). Likewise `max` with `>`. These are *not* IEEE `minNum`;
+//!   committed fingerprints depend on this select.
 //! * `clamp(v, lo, hi)` is the two-step select chain
 //!   `t = if v < lo { lo } else { v }; if t > hi { hi } else { t }`,
 //!   which reproduces `f64::clamp`'s result for every `lo <= hi`
@@ -37,502 +23,179 @@
 //!   does not panic when `lo > hi` (callers in this workspace always
 //!   pass ordered bounds).
 //! * `abs` clears the sign bit (matching `f64::abs`, even on NaN);
-//!   `neg` flips it; `sqrt` and `floor` are IEEE-exact in hardware.
+//!   `neg` flips it; `sqrt` and `floor` are IEEE-exact.
 //! * Transcendentals (sin/cos/exp/powi/...) are **never** packed: kernels
 //!   route them through [`V::map`], which applies the scalar libm call
-//!   per lane on both backends.
+//!   per lane.
 
-use std::sync::atomic::{AtomicU8, Ordering};
-
-/// Four `f64` lanes, 32-byte aligned so AVX2 backends can use aligned
-/// loads/stores. The inner array is private: backends in this module are
-/// the only code that touches raw lane storage.
+/// Four `f64` lanes, 32-byte aligned. Operator expressions must keep the
+/// *same associativity* as the scalar kernel they mirror — bit-identity
+/// is per operation, so the op sequence must match too.
 #[repr(C, align(32))]
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct F64x4([f64; 4]);
+#[derive(Debug, Clone, Copy)]
+pub struct V([f64; 4]);
 
-impl F64x4 {
+impl V {
     /// Pack four lanes.
     #[inline(always)]
-    pub fn new(lanes: [f64; 4]) -> Self {
-        F64x4(lanes)
+    pub fn from_array(lanes: [f64; 4]) -> Self {
+        V(lanes)
     }
 
-    /// Broadcast one value to all four lanes.
+    /// Broadcast one value to all lanes.
     #[inline(always)]
     pub fn splat(v: f64) -> Self {
-        F64x4([v; 4])
+        V([v; 4])
+    }
+
+    /// Load the first four elements of `xs` (`xs.len() >= 4`).
+    #[inline(always)]
+    pub fn load(xs: &[f64]) -> Self {
+        V([xs[0], xs[1], xs[2], xs[3]])
     }
 
     /// Gather coordinate `d` from four points (the lane-kernel access
     /// pattern: one group = four particles, walked dimension-major).
     #[inline(always)]
     pub fn gather(pts: &[&[f64]; 4], d: usize) -> Self {
-        F64x4([pts[0][d], pts[1][d], pts[2][d], pts[3][d]])
-    }
-
-    /// Unpack the four lanes.
-    #[inline(always)]
-    pub fn to_array(self) -> [f64; 4] {
-        self.0
-    }
-
-    /// Read a single lane.
-    #[inline(always)]
-    pub fn lane(self, l: usize) -> f64 {
-        self.0[l]
-    }
-
-    /// Apply a scalar function to every lane. This is the designated
-    /// route for transcendentals: both backends evaluate the same libm
-    /// call per lane, so results stay bit-identical.
-    #[inline(always)]
-    pub fn map(self, mut f: impl FnMut(f64) -> f64) -> Self {
-        F64x4([f(self.0[0]), f(self.0[1]), f(self.0[2]), f(self.0[3])])
-    }
-}
-
-/// A 4-wide f64 backend. All operations are element-wise; implementations
-/// must be bit-identical to [`ScalarLanes`] on every input, including
-/// NaN, infinities, signed zeros and subnormals (no FMA, no fast-math).
-pub trait SimdOps {
-    /// Lane-wise `a + b`.
-    fn add(a: F64x4, b: F64x4) -> F64x4;
-    /// Lane-wise `a - b`.
-    fn sub(a: F64x4, b: F64x4) -> F64x4;
-    /// Lane-wise `a * b`.
-    fn mul(a: F64x4, b: F64x4) -> F64x4;
-    /// Lane-wise `a / b`.
-    fn div(a: F64x4, b: F64x4) -> F64x4;
-    /// Lane-wise `if a < b { a } else { b }` (`VMINPD` semantics: NaN or
-    /// equal operands return `b`).
-    fn min(a: F64x4, b: F64x4) -> F64x4;
-    /// Lane-wise `if a > b { a } else { b }` (`VMAXPD` semantics).
-    fn max(a: F64x4, b: F64x4) -> F64x4;
-    /// Lane-wise clear of the sign bit (matches `f64::abs` on NaN too).
-    fn abs(a: F64x4) -> F64x4;
-    /// Lane-wise flip of the sign bit.
-    fn neg(a: F64x4) -> F64x4;
-    /// Lane-wise IEEE square root.
-    fn sqrt(a: F64x4) -> F64x4;
-    /// Lane-wise round toward negative infinity.
-    fn floor(a: F64x4) -> F64x4;
-    /// Lane-wise `clamp` via the select chain documented at module level:
-    /// bit-identical to `f64::clamp` for `lo <= hi`, total (non-panicking)
-    /// otherwise.
-    fn clamp(v: F64x4, lo: F64x4, hi: F64x4) -> F64x4;
-}
-
-/// The portable reference backend: plain `[f64; 4]` lane arithmetic.
-/// This is the bit-identity baseline — every other backend must match it
-/// exactly, and it in turn replays the scalar kernels' op order per lane.
-pub struct ScalarLanes;
-
-#[inline(always)]
-fn lanewise2(a: F64x4, b: F64x4, mut f: impl FnMut(f64, f64) -> f64) -> F64x4 {
-    F64x4([
-        f(a.0[0], b.0[0]),
-        f(a.0[1], b.0[1]),
-        f(a.0[2], b.0[2]),
-        f(a.0[3], b.0[3]),
-    ])
-}
-
-impl SimdOps for ScalarLanes {
-    #[inline(always)]
-    fn add(a: F64x4, b: F64x4) -> F64x4 {
-        lanewise2(a, b, |x, y| x + y)
-    }
-    #[inline(always)]
-    fn sub(a: F64x4, b: F64x4) -> F64x4 {
-        lanewise2(a, b, |x, y| x - y)
-    }
-    #[inline(always)]
-    fn mul(a: F64x4, b: F64x4) -> F64x4 {
-        lanewise2(a, b, |x, y| x * y)
-    }
-    #[inline(always)]
-    fn div(a: F64x4, b: F64x4) -> F64x4 {
-        lanewise2(a, b, |x, y| x / y)
-    }
-    #[inline(always)]
-    fn min(a: F64x4, b: F64x4) -> F64x4 {
-        lanewise2(a, b, |x, y| if x < y { x } else { y })
-    }
-    #[inline(always)]
-    fn max(a: F64x4, b: F64x4) -> F64x4 {
-        lanewise2(a, b, |x, y| if x > y { x } else { y })
-    }
-    #[inline(always)]
-    fn abs(a: F64x4) -> F64x4 {
-        a.map(f64::abs)
-    }
-    #[inline(always)]
-    fn neg(a: F64x4) -> F64x4 {
-        a.map(|x| -x)
-    }
-    #[inline(always)]
-    fn sqrt(a: F64x4) -> F64x4 {
-        a.map(f64::sqrt)
-    }
-    #[inline(always)]
-    fn floor(a: F64x4) -> F64x4 {
-        a.map(f64::floor)
-    }
-    #[inline(always)]
-    fn clamp(v: F64x4, lo: F64x4, hi: F64x4) -> F64x4 {
-        // Not expressible via min/max: those return the *second* operand
-        // on equal lanes (e.g. -0.0 vs +0.0), while f64::clamp keeps `v`
-        // unless strictly out of bounds.
-        let t = lanewise2(v, lo, |x, l| if x < l { l } else { x });
-        lanewise2(t, hi, |x, h| if x > h { h } else { x })
-    }
-}
-
-/// The AVX2 backend (x86-64 only). Packed single-rounding arithmetic —
-/// no FMA — so every op is bit-identical to [`ScalarLanes`].
-///
-/// Methods wrap `avx`/`avx2` intrinsics in `unsafe` blocks under one
-/// invariant: **`Avx2` is only reachable through the dispatchers and
-/// tests gated on [`avx2_supported`]**, so the required CPU features are
-/// present whenever these run.
-#[cfg(target_arch = "x86_64")]
-pub use avx2_impl::Avx2;
-
-#[cfg(target_arch = "x86_64")]
-mod avx2_impl {
-    use super::{F64x4, SimdOps};
-    use std::arch::x86_64::{
-        __m256d, _mm256_add_pd, _mm256_andnot_pd, _mm256_blendv_pd, _mm256_cmp_pd, _mm256_div_pd,
-        _mm256_floor_pd, _mm256_load_pd, _mm256_max_pd, _mm256_min_pd, _mm256_mul_pd,
-        _mm256_set1_pd, _mm256_sqrt_pd, _mm256_store_pd, _mm256_sub_pd, _mm256_xor_pd, _CMP_GT_OQ,
-        _CMP_LT_OQ,
-    };
-
-    /// AVX2 intrinsics backend; see the re-export's docs for the safety
-    /// invariant (only reachable when `avx2_supported()` is true).
-    pub struct Avx2;
-
-    // SAFETY (all fns below): callers reach Avx2 only through dispatch
-    // gated on avx2_supported(), so the `avx` target feature is present.
-    // F64x4 is #[repr(C, align(32))], satisfying the aligned load/store
-    // contract of _mm256_load_pd/_mm256_store_pd.
-    #[inline(always)]
-    fn ld(v: F64x4) -> __m256d {
-        unsafe { _mm256_load_pd(v.0.as_ptr()) }
-    }
-
-    #[inline(always)]
-    fn st(v: __m256d) -> F64x4 {
-        let mut out = F64x4([0.0; 4]);
-        unsafe { _mm256_store_pd(out.0.as_mut_ptr(), v) };
-        out
-    }
-
-    impl SimdOps for Avx2 {
-        #[inline(always)]
-        fn add(a: F64x4, b: F64x4) -> F64x4 {
-            st(unsafe { _mm256_add_pd(ld(a), ld(b)) })
-        }
-        #[inline(always)]
-        fn sub(a: F64x4, b: F64x4) -> F64x4 {
-            st(unsafe { _mm256_sub_pd(ld(a), ld(b)) })
-        }
-        #[inline(always)]
-        fn mul(a: F64x4, b: F64x4) -> F64x4 {
-            st(unsafe { _mm256_mul_pd(ld(a), ld(b)) })
-        }
-        #[inline(always)]
-        fn div(a: F64x4, b: F64x4) -> F64x4 {
-            st(unsafe { _mm256_div_pd(ld(a), ld(b)) })
-        }
-        #[inline(always)]
-        fn min(a: F64x4, b: F64x4) -> F64x4 {
-            // VMINPD: IF SRC1 < SRC2 THEN SRC1 ELSE SRC2 — the exact
-            // select ScalarLanes::min implements.
-            st(unsafe { _mm256_min_pd(ld(a), ld(b)) })
-        }
-        #[inline(always)]
-        fn max(a: F64x4, b: F64x4) -> F64x4 {
-            st(unsafe { _mm256_max_pd(ld(a), ld(b)) })
-        }
-        #[inline(always)]
-        fn abs(a: F64x4) -> F64x4 {
-            st(unsafe { _mm256_andnot_pd(_mm256_set1_pd(-0.0), ld(a)) })
-        }
-        #[inline(always)]
-        fn neg(a: F64x4) -> F64x4 {
-            st(unsafe { _mm256_xor_pd(_mm256_set1_pd(-0.0), ld(a)) })
-        }
-        #[inline(always)]
-        fn sqrt(a: F64x4) -> F64x4 {
-            st(unsafe { _mm256_sqrt_pd(ld(a)) })
-        }
-        #[inline(always)]
-        fn floor(a: F64x4) -> F64x4 {
-            st(unsafe { _mm256_floor_pd(ld(a)) })
-        }
-        #[inline(always)]
-        fn clamp(v: F64x4, lo: F64x4, hi: F64x4) -> F64x4 {
-            unsafe {
-                let vv = ld(v);
-                let lov = ld(lo);
-                let hiv = ld(hi);
-                // t = if v < lo { lo } else { v }: blendv picks lo where
-                // the (ordered, quiet) v < lo compare is true — NaN lanes
-                // compare false and pass v through, matching the scalar
-                // select chain.
-                let lt = _mm256_cmp_pd::<_CMP_LT_OQ>(vv, lov);
-                let t = _mm256_blendv_pd(vv, lov, lt);
-                let gt = _mm256_cmp_pd::<_CMP_GT_OQ>(t, hiv);
-                st(_mm256_blendv_pd(t, hiv, gt))
-            }
-        }
-    }
-}
-
-/// Ergonomic wrapper tying an [`F64x4`] value to a backend `S`, so lane
-/// kernels can be written with ordinary operators while staying generic
-/// over the backend. Operator expressions must keep the *same
-/// associativity* as the scalar kernel they mirror — the bit-identity
-/// contract is per-operation, so the op sequence must match too.
-pub struct V<S: SimdOps>(F64x4, std::marker::PhantomData<S>);
-
-// Hand-written so `V<S>` is Copy without demanding `S: Copy` (backends
-// are zero-sized tags, never values).
-impl<S: SimdOps> Clone for V<S> {
-    #[inline(always)]
-    fn clone(&self) -> Self {
-        *self
-    }
-}
-impl<S: SimdOps> Copy for V<S> {}
-
-impl<S: SimdOps> V<S> {
-    /// Wrap an existing pack.
-    #[inline(always)]
-    pub fn from_array(lanes: [f64; 4]) -> Self {
-        V(F64x4::new(lanes), std::marker::PhantomData)
-    }
-
-    /// Broadcast one value to all lanes.
-    #[inline(always)]
-    pub fn splat(v: f64) -> Self {
-        V(F64x4::splat(v), std::marker::PhantomData)
-    }
-
-    /// Load the first four elements of `xs` (`xs.len() >= 4`).
-    #[inline(always)]
-    pub fn load(xs: &[f64]) -> Self {
-        V(
-            F64x4::new([xs[0], xs[1], xs[2], xs[3]]),
-            std::marker::PhantomData,
-        )
-    }
-
-    /// Gather coordinate `d` from four points.
-    #[inline(always)]
-    pub fn gather(pts: &[&[f64]; 4], d: usize) -> Self {
-        V(F64x4::gather(pts, d), std::marker::PhantomData)
+        V([pts[0][d], pts[1][d], pts[2][d], pts[3][d]])
     }
 
     /// Store the four lanes into the first four elements of `out`.
     #[inline(always)]
     pub fn store(self, out: &mut [f64]) {
-        out[..4].copy_from_slice(&self.0.to_array());
+        out[..4].copy_from_slice(&self.0);
     }
 
     /// Unpack the lanes.
     #[inline(always)]
     pub fn to_array(self) -> [f64; 4] {
-        self.0.to_array()
+        self.0
     }
 
-    /// Read one lane.
+    /// Apply a scalar function to every lane. This is the designated
+    /// route for transcendentals: each lane runs the same libm call the
+    /// scalar kernel does.
     #[inline(always)]
-    pub fn lane(self, l: usize) -> f64 {
-        self.0.lane(l)
+    pub fn map(self, mut f: impl FnMut(f64) -> f64) -> Self {
+        V([f(self.0[0]), f(self.0[1]), f(self.0[2]), f(self.0[3])])
     }
 
-    /// Per-lane scalar function (the transcendental escape hatch; both
-    /// backends run the identical scalar call per lane).
     #[inline(always)]
-    pub fn map(self, f: impl FnMut(f64) -> f64) -> Self {
-        V(self.0.map(f), std::marker::PhantomData)
+    fn zip(self, rhs: Self, mut f: impl FnMut(f64, f64) -> f64) -> Self {
+        V([
+            f(self.0[0], rhs.0[0]),
+            f(self.0[1], rhs.0[1]),
+            f(self.0[2], rhs.0[2]),
+            f(self.0[3], rhs.0[3]),
+        ])
     }
 
-    /// Packed square root.
+    /// Lane-wise IEEE square root.
     #[inline(always)]
     pub fn sqrt(self) -> Self {
-        V(S::sqrt(self.0), std::marker::PhantomData)
+        self.map(f64::sqrt)
     }
 
-    /// Packed absolute value.
+    /// Lane-wise clear of the sign bit (matches `f64::abs` on NaN too).
     #[inline(always)]
     pub fn abs(self) -> Self {
-        V(S::abs(self.0), std::marker::PhantomData)
+        self.map(f64::abs)
     }
 
-    /// Packed floor.
+    /// Lane-wise round toward negative infinity.
     #[inline(always)]
     pub fn floor(self) -> Self {
-        V(S::floor(self.0), std::marker::PhantomData)
+        self.map(f64::floor)
     }
 
-    /// Packed `if self < rhs { self } else { rhs }`.
+    /// Lane-wise `if self < rhs { self } else { rhs }` (NaN or equal
+    /// operands return `rhs`).
     #[inline(always)]
     pub fn min(self, rhs: Self) -> Self {
-        V(S::min(self.0, rhs.0), std::marker::PhantomData)
+        self.zip(rhs, |x, y| if x < y { x } else { y })
     }
 
-    /// Packed `if self > rhs { self } else { rhs }`.
+    /// Lane-wise `if self > rhs { self } else { rhs }` (NaN or equal
+    /// operands return `rhs`).
     #[inline(always)]
     pub fn max(self, rhs: Self) -> Self {
-        V(S::max(self.0, rhs.0), std::marker::PhantomData)
+        self.zip(rhs, |x, y| if x > y { x } else { y })
     }
 
-    /// Packed clamp (select-chain semantics; see [`SimdOps::clamp`]).
+    /// Lane-wise `clamp` via the select chain documented at module level:
+    /// bit-identical to `f64::clamp` for `lo <= hi`, total (non-panicking)
+    /// otherwise.
     #[inline(always)]
     pub fn clamp(self, lo: Self, hi: Self) -> Self {
-        V(S::clamp(self.0, lo.0, hi.0), std::marker::PhantomData)
+        // Not expressible via min/max: those return the *second* operand
+        // on equal lanes (e.g. -0.0 vs +0.0), while f64::clamp keeps `v`
+        // unless strictly out of bounds.
+        self.zip(lo, |x, l| if x < l { l } else { x })
+            .zip(hi, |x, h| if x > h { h } else { x })
     }
 }
 
 macro_rules! v_binop {
-    ($trait:ident, $method:ident, $op:ident) => {
-        impl<S: SimdOps> std::ops::$trait for V<S> {
-            type Output = V<S>;
+    ($trait:ident, $method:ident, $op:tt) => {
+        impl std::ops::$trait for V {
+            type Output = V;
             #[inline(always)]
-            fn $method(self, rhs: V<S>) -> V<S> {
-                V(S::$op(self.0, rhs.0), std::marker::PhantomData)
+            fn $method(self, rhs: V) -> V {
+                self.zip(rhs, |x, y| x $op y)
             }
         }
-        impl<S: SimdOps> std::ops::$trait<f64> for V<S> {
-            type Output = V<S>;
+        impl std::ops::$trait<f64> for V {
+            type Output = V;
             #[inline(always)]
-            fn $method(self, rhs: f64) -> V<S> {
-                V(S::$op(self.0, F64x4::splat(rhs)), std::marker::PhantomData)
+            fn $method(self, rhs: f64) -> V {
+                self.zip(V::splat(rhs), |x, y| x $op y)
             }
         }
-        impl<S: SimdOps> std::ops::$trait<V<S>> for f64 {
-            type Output = V<S>;
+        impl std::ops::$trait<V> for f64 {
+            type Output = V;
             #[inline(always)]
-            fn $method(self, rhs: V<S>) -> V<S> {
-                V(S::$op(F64x4::splat(self), rhs.0), std::marker::PhantomData)
+            fn $method(self, rhs: V) -> V {
+                V::splat(self).zip(rhs, |x, y| x $op y)
             }
         }
     };
 }
-v_binop!(Add, add, add);
-v_binop!(Sub, sub, sub);
-v_binop!(Mul, mul, mul);
-v_binop!(Div, div, div);
+v_binop!(Add, add, +);
+v_binop!(Sub, sub, -);
+v_binop!(Mul, mul, *);
+v_binop!(Div, div, /);
 
-impl<S: SimdOps> std::ops::Neg for V<S> {
-    type Output = V<S>;
+impl std::ops::Neg for V {
+    type Output = V;
+    /// Lane-wise flip of the sign bit.
     #[inline(always)]
-    fn neg(self) -> V<S> {
-        V(S::neg(self.0), std::marker::PhantomData)
+    fn neg(self) -> V {
+        self.map(|x| -x)
     }
 }
 
-/// The dispatchable SIMD implementations.
+/// The lane implementation in use. Single-valued; kept, with [`active`],
+/// only because the frozen `benchmarks/` harness prints
+/// `simd::active().name()` into its host block. Both leave with the next
+/// PR licensed to edit `benchmarks/` (ROADMAP item 4).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SimdPath {
-    /// AVX2 intrinsics (x86-64 with the `avx2` CPU feature).
-    Avx2,
-    /// Portable `[f64; 4]` lane arithmetic — the bit-identity reference.
+    /// `[f64; 4]` lane arithmetic ([`V`]).
     Scalar,
 }
 
 impl SimdPath {
-    /// Stable lowercase name (`"avx2"` / `"scalar"`), as accepted by
-    /// [`parse_mode`] and printed by `campaign simd-path`.
+    /// Stable lowercase name (`"scalar"`).
     pub fn name(self) -> &'static str {
-        match self {
-            SimdPath::Avx2 => "avx2",
-            SimdPath::Scalar => "scalar",
-        }
+        "scalar"
     }
 }
 
-// 0 = unresolved, 1 = Avx2, 2 = Scalar. Races are benign: both paths
-// produce identical bits, so a torn read of the policy cannot change any
-// result — only which (equivalent) code path computes it.
-static ACTIVE: AtomicU8 = AtomicU8::new(0);
-
-/// Whether the running CPU supports the AVX2 backend.
-pub fn avx2_supported() -> bool {
-    #[cfg(target_arch = "x86_64")]
-    {
-        is_x86_feature_detected!("avx2")
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        false
-    }
-}
-
-/// Parse a `GOSSIPOPT_SIMD` / `--simd` mode string into a concrete path.
-///
-/// `auto` (or empty) picks AVX2 when the CPU supports it; `avx2` demands
-/// it (`Err` when unsupported, rather than silently falling back — a
-/// forced path that cannot be honored must be loud); `scalar` always
-/// works. Anything else is an error naming the accepted values.
-pub fn parse_mode(mode: &str) -> Result<SimdPath, String> {
-    match mode {
-        "" | "auto" => Ok(if avx2_supported() {
-            SimdPath::Avx2
-        } else {
-            SimdPath::Scalar
-        }),
-        "avx2" => {
-            if avx2_supported() {
-                Ok(SimdPath::Avx2)
-            } else {
-                Err("GOSSIPOPT_SIMD=avx2 requested but this CPU lacks AVX2".into())
-            }
-        }
-        "scalar" => Ok(SimdPath::Scalar),
-        other => Err(format!(
-            "unknown SIMD mode `{other}` (expected auto, avx2 or scalar)"
-        )),
-    }
-}
-
-/// Force the active SIMD path for this process (used by `--simd` flags
-/// and the dual-backend equivalence tests). Panics if `Avx2` is forced
-/// on a CPU without it.
-pub fn set_path(path: SimdPath) {
-    if path == SimdPath::Avx2 {
-        assert!(avx2_supported(), "cannot force Avx2: CPU lacks AVX2");
-    }
-    let tag = match path {
-        SimdPath::Avx2 => 1,
-        SimdPath::Scalar => 2,
-    };
-    ACTIVE.store(tag, Ordering::Relaxed);
-}
-
-/// The active SIMD path, resolving `GOSSIPOPT_SIMD` on first use.
-#[inline]
+/// The lane implementation in use — always [`SimdPath::Scalar`]; see
+/// [`SimdPath`] for why this still exists.
 pub fn active() -> SimdPath {
-    match ACTIVE.load(Ordering::Relaxed) {
-        1 => SimdPath::Avx2,
-        2 => SimdPath::Scalar,
-        _ => resolve_from_env(),
-    }
-}
-
-#[cold]
-fn resolve_from_env() -> SimdPath {
-    let mode = std::env::var("GOSSIPOPT_SIMD").unwrap_or_default();
-    let path = match parse_mode(&mode) {
-        Ok(p) => p,
-        Err(e) => panic!("{e}"),
-    };
-    set_path(path);
-    path
+    SimdPath::Scalar
 }
 
 #[cfg(test)]
@@ -541,26 +204,23 @@ mod tests {
 
     #[test]
     fn scalar_ops_match_plain_arithmetic() {
-        let a = F64x4::new([1.5, -2.0, 0.0, 1.0e300]);
-        let b = F64x4::new([0.5, 4.0, -0.0, 1.0e-300]);
-        assert_eq!(
-            ScalarLanes::add(a, b).to_array(),
-            [2.0, 2.0, 0.0, 1.0e300 + 1.0e-300]
-        );
-        assert_eq!(ScalarLanes::mul(a, b).to_array()[1], -8.0);
-        assert_eq!(ScalarLanes::abs(a).to_array()[1], 2.0);
-        assert_eq!(ScalarLanes::neg(a).to_array()[0], -1.5);
+        let a = V::from_array([1.5, -2.0, 0.0, 1.0e300]);
+        let b = V::from_array([0.5, 4.0, -0.0, 1.0e-300]);
+        assert_eq!((a + b).to_array(), [2.0, 2.0, 0.0, 1.0e300 + 1.0e-300]);
+        assert_eq!((a * b).to_array()[1], -8.0);
+        assert_eq!(a.abs().to_array()[1], 2.0);
+        assert_eq!((-a).to_array()[0], -1.5);
     }
 
     #[test]
     fn scalar_min_max_take_second_operand_on_nan() {
         let nan = f64::NAN;
-        let a = F64x4::new([nan, 1.0, nan, 2.0]);
-        let b = F64x4::new([3.0, nan, nan, 2.0]);
-        let mn = ScalarLanes::min(a, b).to_array();
-        let mx = ScalarLanes::max(a, b).to_array();
-        // Hardware VMINPD/VMAXPD select semantics: NaN (or equality) in
-        // the compare yields the second operand.
+        let a = V::from_array([nan, 1.0, nan, 2.0]);
+        let b = V::from_array([3.0, nan, nan, 2.0]);
+        let mn = a.min(b).to_array();
+        let mx = a.max(b).to_array();
+        // Select semantics: NaN (or equality) in the compare yields the
+        // second operand.
         assert_eq!(mn[0], 3.0);
         assert!(mn[1].is_nan());
         assert!(mn[2].is_nan());
@@ -581,8 +241,7 @@ mod tests {
             (f64::INFINITY, -1.0, 1.0),
         ];
         for (v, lo, hi) in cases {
-            let got =
-                ScalarLanes::clamp(F64x4::splat(v), F64x4::splat(lo), F64x4::splat(hi)).lane(0);
+            let got = V::splat(v).clamp(V::splat(lo), V::splat(hi)).to_array()[0];
             let want = v.clamp(lo, hi);
             assert_eq!(
                 got.to_bits(),
@@ -592,86 +251,19 @@ mod tests {
         }
     }
 
-    #[cfg(target_arch = "x86_64")]
-    #[test]
-    fn avx2_matches_scalar_on_mixed_lanes() {
-        if !avx2_supported() {
-            return;
-        }
-        let a = F64x4::new([1.5, -0.0, f64::NAN, f64::MIN_POSITIVE / 2.0]);
-        let b = F64x4::new([-2.5, 0.0, 1.0, 1.0e308]);
-        let pairs: [(F64x4, F64x4); 2] = [(a, b), (b, a)];
-        for (x, y) in pairs {
-            for (s, v) in [
-                (ScalarLanes::add(x, y), Avx2::add(x, y)),
-                (ScalarLanes::sub(x, y), Avx2::sub(x, y)),
-                (ScalarLanes::mul(x, y), Avx2::mul(x, y)),
-                (ScalarLanes::div(x, y), Avx2::div(x, y)),
-                (ScalarLanes::min(x, y), Avx2::min(x, y)),
-                (ScalarLanes::max(x, y), Avx2::max(x, y)),
-                (ScalarLanes::abs(x), Avx2::abs(x)),
-                (ScalarLanes::neg(x), Avx2::neg(x)),
-                (ScalarLanes::floor(x), Avx2::floor(x)),
-                (
-                    ScalarLanes::clamp(x, F64x4::splat(-1.0), F64x4::splat(1.0)),
-                    Avx2::clamp(x, F64x4::splat(-1.0), F64x4::splat(1.0)),
-                ),
-            ] {
-                for l in 0..4 {
-                    assert_eq!(s.lane(l).to_bits(), v.lane(l).to_bits());
-                }
-            }
-            // sqrt of the abs so NaN-from-negative stays a separate case.
-            let sx = ScalarLanes::abs(x);
-            for l in 0..4 {
-                assert_eq!(
-                    ScalarLanes::sqrt(sx).lane(l).to_bits(),
-                    Avx2::sqrt(sx).lane(l).to_bits()
-                );
-            }
-        }
-    }
-
     #[test]
     fn v_operators_preserve_associativity() {
-        type Sv = V<ScalarLanes>;
-        let x = Sv::splat(3.0);
+        let x = V::splat(3.0);
         let r = 2.0 * x * (x - 1.0) + 1.0;
-        assert_eq!(r.lane(0), 13.0);
-        assert_eq!((-x).lane(2), -3.0);
-        assert_eq!((x / 2.0).lane(3), 1.5);
+        assert_eq!(r.to_array()[0], 13.0);
+        assert_eq!((-x).to_array()[2], -3.0);
+        assert_eq!((x / 2.0).to_array()[3], 1.5);
         let mut out = [0.0; 4];
         r.store(&mut out);
         assert_eq!(out, [13.0; 4]);
         assert_eq!(
-            Sv::load(&[1.0, 2.0, 3.0, 4.0]).to_array(),
+            V::load(&[1.0, 2.0, 3.0, 4.0]).to_array(),
             [1.0, 2.0, 3.0, 4.0]
         );
-    }
-
-    #[test]
-    fn parse_mode_accepts_documented_values() {
-        assert_eq!(parse_mode("scalar"), Ok(SimdPath::Scalar));
-        assert!(parse_mode("neon").is_err());
-        let auto = parse_mode("auto").unwrap();
-        assert_eq!(parse_mode("").unwrap(), auto);
-        if avx2_supported() {
-            assert_eq!(auto, SimdPath::Avx2);
-            assert_eq!(parse_mode("avx2"), Ok(SimdPath::Avx2));
-        } else {
-            assert_eq!(auto, SimdPath::Scalar);
-            assert!(parse_mode("avx2").is_err());
-        }
-    }
-
-    #[test]
-    fn set_path_flips_active() {
-        set_path(SimdPath::Scalar);
-        assert_eq!(active(), SimdPath::Scalar);
-        if avx2_supported() {
-            set_path(SimdPath::Avx2);
-            assert_eq!(active(), SimdPath::Avx2);
-        }
-        set_path(SimdPath::Scalar);
     }
 }

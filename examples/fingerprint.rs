@@ -12,12 +12,6 @@
 //! is thread-count invariant, so the output for every `N >= 1` must be
 //! byte-identical — CI diffs `--threads 1/2/3/8`. `N = 0` keeps the
 //! historical sequential output.
-//!
-//! `--simd MODE` (`auto` | `avx2` | `scalar`, same as `GOSSIPOPT_SIMD`)
-//! forces the objective/solver kernel backend. The SIMD bit-identity
-//! contract means every mode must print byte-identical lines — CI diffs
-//! `--simd scalar` against `--simd avx2`. The chosen path is narrated on
-//! stderr only, so stdout stays path-agnostic.
 
 use gossipopt::core::prelude::*;
 use gossipopt::functions::{by_name, Objective};
@@ -200,39 +194,25 @@ fn distributed_fingerprint(label: &str, spec: &DistributedPsoSpec, function: &st
     );
 }
 
-/// `--simd MODE` from the command line: force the kernel backend before
-/// any objective work runs. Narrates on stderr only — the stdout
-/// fingerprint lines must not depend on the active path.
-fn force_simd_path() {
-    let mut it = std::env::args().skip(1);
-    while let Some(flag) = it.next() {
-        if flag == "--simd" {
-            let mode = it.next().expect("--simd requires auto|avx2|scalar");
-            let path =
-                gossipopt::util::simd::parse_mode(&mode).unwrap_or_else(|e| panic!("--simd: {e}"));
-            gossipopt::util::simd::set_path(path);
-            gossipopt::obs::log::info(&format!("simd: forcing the {} kernel backend", path.name()));
-            return;
-        }
-    }
-}
-
-/// `--threads N` from the command line; 0 (sequential engines) when absent.
+/// `--threads N` from the command line; 0 (sequential engines) when
+/// absent. Any other argument is an error, not a silent no-op.
 fn shard_threads() -> usize {
+    let mut threads = 0;
     let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
-        if flag == "--threads" {
-            return it
-                .next()
-                .and_then(|v| v.parse().ok())
-                .expect("--threads requires a number");
-        }
+        assert!(
+            flag == "--threads",
+            "unknown argument `{flag}` (usage: fingerprint [--threads N])"
+        );
+        threads = it
+            .next()
+            .and_then(|v| v.parse().ok())
+            .expect("--threads requires a number");
     }
-    0
+    threads
 }
 
 fn main() {
-    force_simd_path();
     let sphere = by_name("sphere", 10).unwrap();
     let rastrigin = by_name("rastrigin", 8).unwrap();
 

@@ -29,14 +29,11 @@
 #
 # Refresh mode: each round runs both bench binaries once with JSON capture;
 # the baseline records, per benchmark, the best (min) and median ns/iter
-# across rounds — min is the robust estimator on noisy shared machines. On
-# an AVX2 host each round also re-runs the dpso and solvers benches with
-# GOSSIPOPT_SIMD=scalar, so those rows record the same-session
-# AVX2-vs-scalar kernel delta (`simd_speedup`). If BENCH_kernel.json
-# already exists, its "after" numbers are carried over as the new "before"
-# so successive runs track regressions, and its `threads_sweep` block is
-# kept (only --threads-sweep measures it); otherwise only current numbers
-# are written.
+# across rounds — min is the robust estimator on noisy shared machines. If
+# BENCH_kernel.json already exists, its "after" numbers are carried over as
+# the new "before" so successive runs track regressions, and its
+# `threads_sweep` block is kept (only --threads-sweep measures it);
+# otherwise only current numbers are written.
 #
 # A/B mode instead records `ab_before_ns_per_iter` / `ab_after_ns_per_iter`
 # per row, both measured this session; `--check` prefers the ab numbers as
@@ -102,10 +99,9 @@ PAR_THREADS="${PAR_THREADS:-0}"
 
 RAW="$(mktemp /tmp/gossipopt-bench.XXXXXX.jsonl)"
 RAW_BASE="$(mktemp /tmp/gossipopt-bench-base.XXXXXX.jsonl)"
-RAW_SCALAR="$(mktemp /tmp/gossipopt-bench-scalar.XXXXXX.jsonl)"
 AB_WORKTREE="target/ab-base"
 cleanup() {
-    rm -f "$RAW" "$RAW_BASE" "$RAW_SCALAR" "$RAW".t*
+    rm -f "$RAW" "$RAW_BASE" "$RAW".t*
     if [[ "$MODE" == ab ]]; then
         # Remove the baseline worktree even on failure/interrupt, and
         # prune so a dead target/ab-base never blocks the next --ab run.
@@ -117,11 +113,6 @@ cleanup() {
 # registered worktree behind.
 trap cleanup EXIT INT TERM
 
-# The kernel backend the bench binaries will use (avx2 or scalar after
-# GOSSIPOPT_SIMD resolution) — recorded in the baseline's host block.
-cargo build --release -q -p gossipopt_bench --bin campaign
-SIMD_PATH="$(./target/release/campaign simd-path)"
-
 if [[ "$MODE" == sweep ]]; then
     echo "== building dpso bench (release)"
     cargo bench -p gossipopt_bench --bench dpso --no-run
@@ -130,10 +121,10 @@ if [[ "$MODE" == sweep ]]; then
         CRITERION_JSON="$RAW.t$t" GOSSIPOPT_BENCH_THREADS="$t" \
             cargo bench -q -p gossipopt_bench --bench dpso -- dpso-par
     done
-    python3 - "$RAW" "$SWEEP_MAX" "$SIMD_PATH" <<'EOF'
+    python3 - "$RAW" "$SWEEP_MAX" <<'EOF'
 import json, sys, collections, os
 
-raw_prefix, sweep_max, simd_path = sys.argv[1], int(sys.argv[2]), sys.argv[3]
+raw_prefix, sweep_max = sys.argv[1], int(sys.argv[2])
 if not os.path.exists("BENCH_kernel.json"):
     sys.exit("BENCH_kernel.json missing: refresh the baseline first (scripts/bench.sh)")
 doc = json.load(open("BENCH_kernel.json"))
@@ -156,7 +147,6 @@ doc["threads_sweep"] = {
              "regenerate with scripts/bench.sh --threads-sweep N"),
     "max_threads": sweep_max,
     "criterion_samples": int(os.environ.get("CRITERION_SAMPLES", 0)),
-    "simd_path": simd_path,
     "rows": rows,
 }
 json.dump(doc, open("BENCH_kernel.json", "w"), indent=2)
@@ -186,15 +176,6 @@ for round in $(seq 1 "$ROUNDS"); do
         run_benches "$RAW_BASE" "$AB_WORKTREE"
     fi
     run_benches "$RAW"
-    if [[ "$MODE" != check && "$SIMD_PATH" == avx2 ]]; then
-        # Same-session scalar leg for the kernel-bearing benches: the
-        # row's simd_speedup is then an honest AVX2-vs-scalar delta
-        # measured interleaved with the vector rounds above.
-        for b in dpso solvers; do
-            CRITERION_JSON="$RAW_SCALAR" GOSSIPOPT_SIMD=scalar \
-                cargo bench -q -p gossipopt_bench --bench "$b"
-        done
-    fi
 done
 
 WIRE_NET=0
@@ -268,11 +249,11 @@ EOF
     exit 0
 fi
 
-python3 - "$RAW" "$RAW_BASE" "$MODE" "$HOST_CORES" "$PAR_THREADS" "${AB_BASE_SHA:-}" "$WIRE_NET" "$WIRE_GROSS" "$RAW_SCALAR" "$SIMD_PATH" <<'EOF'
+python3 - "$RAW" "$RAW_BASE" "$MODE" "$HOST_CORES" "$PAR_THREADS" "${AB_BASE_SHA:-}" "$WIRE_NET" "$WIRE_GROSS" <<'EOF'
 import json, sys, collections, statistics, os
 
-(raw_path, base_path, mode, cores, par_threads, ab_sha, wire_net, wire_gross,
- scalar_path, simd_path) = sys.argv[1:11]
+(raw_path, base_path, mode, cores, par_threads, ab_sha, wire_net,
+ wire_gross) = sys.argv[1:9]
 
 def load(path):
     rows = collections.defaultdict(list)
@@ -284,7 +265,6 @@ def load(path):
 
 raw = load(raw_path)
 base = load(base_path) if mode == "ab" else {}
-scalar = load(scalar_path)
 
 previous, sweep = {}, None
 if os.path.exists("BENCH_kernel.json"):
@@ -312,13 +292,6 @@ for key in sorted(raw):
         row["ab_before_ns_per_iter"] = ab_before
         row["ab_after_ns_per_iter"] = cur
         row["ab_speedup"] = round(ab_before / cur, 2) if cur else None
-    if key in scalar:
-        # Same-session GOSSIPOPT_SIMD=scalar leg of the working tree:
-        # simd_speedup is the AVX2-vs-scalar kernel delta (honest even
-        # when break-even — sim-dominated rows sit near 1.0x).
-        sc = round(min(scalar[key]), 1)
-        row["scalar_ns_per_iter"] = sc
-        row["simd_speedup"] = round(sc / cur, 2) if cur else None
     if previous.get(key):
         row["before_ns_per_iter"] = previous[key]
         row["speedup"] = round(previous[key] / cur, 2)
@@ -337,7 +310,6 @@ doc = {
         "cores": int(cores),
         "dpso_par_threads": int(par_threads),
         "criterion_samples": int(os.environ.get("CRITERION_SAMPLES", 0)),
-        "simd_path": simd_path,
     },
     "results": rows,
 }
