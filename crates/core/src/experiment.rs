@@ -1,30 +1,32 @@
 //! Experiment specification, network construction and budgeted execution.
 //!
 //! This module is the reproduction's workhorse: it turns a declarative
-//! [`DistributedPsoSpec`] into a network of [`OptNode`]s inside the
-//! cycle-driven kernel, runs it under a [`Budget`], and reports the
-//! paper's figures of merit (solution quality, total evaluations, time in
-//! local evaluations per node). [`run_repeated`] executes independent
-//! repetitions (rayon-parallel) and is the basis of every table row and
-//! figure series.
+//! [`DistributedPsoSpec`] into a network of [`OptNode`]s inside either
+//! kernel, runs it under a [`Budget`], and reports the paper's figures of
+//! merit (solution quality, total evaluations, time in local evaluations
+//! per node). There is one run loop, [`drive`], over the small [`Engine`]
+//! trait that both kernels implement; [`run_distributed`] (cycle kernel),
+//! [`run_distributed_async`] (event kernel) and the scenario executor are
+//! its callers. [`run_repeated`] executes independent repetitions
+//! (rayon-parallel) and is the basis of every table row and figure series.
 
 use crate::metrics::{MetricSample, MetricsRing, MetricsSpec};
 use crate::node::{CoordComp, OptNode, Role, TopologyComp};
 use crate::CoreError;
 use gossipopt_functions::{by_name, Objective};
 use gossipopt_gossip::{
-    sampler::topologies, topology, AntiEntropy, ExchangeMode, Newscast, NewscastConfig,
-    RumorConfig, StaticSampler,
+    topology, AntiEntropy, ExchangeMode, Newscast, NewscastConfig, RumorConfig, StaticSampler,
 };
-use gossipopt_sim::cycle::KernelStats;
+use gossipopt_obs::snapshot::TraceEvent;
 use gossipopt_sim::{
-    ChurnConfig, Control, CycleConfig, CycleEngine, EventConfig, EventEngine, Latency, NodeId,
-    Transport,
+    Application, ChurnConfig, Control, CycleConfig, CycleEngine, EventConfig, EventEngine,
+    FrameSavings, Latency, NodeId, Transport, WireCounts,
 };
 use gossipopt_solvers::{solver_by_name, PsoParams, Solver, Swarm, SwarmArena};
-use gossipopt_util::{OnlineStats, Summary};
+use gossipopt_util::{OnlineStats, Summary, Xoshiro256pp};
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
+use std::borrow::Borrow;
 use std::sync::Arc;
 
 /// Which topology service the nodes run.
@@ -251,7 +253,8 @@ pub struct RunReport {
     pub messages_sent: u64,
     /// Messages delivered.
     pub messages_delivered: u64,
-    /// Messages dropped (loss + dead letters).
+    /// Messages dropped: loss and dead letters, plus hop-budget overflow
+    /// on the cycle kernel.
     pub messages_dropped: u64,
     /// Live nodes at the end (differs from `nodes` under churn).
     pub final_population: usize,
@@ -264,7 +267,7 @@ pub struct RunReport {
 }
 
 /// Cloneable recipe constructing framework nodes for a spec — shared by
-/// the cycle runner, the event-driven runner and the churn spawner.
+/// the run loop's initial population and its joiner spawner.
 ///
 /// Shared structures (objective, zones, static neighbor lists) live behind
 /// `Arc`s, so cloning the recipe for the churn spawner is O(1) even when
@@ -277,6 +280,9 @@ pub struct NodeRecipe {
     static_neighbors: Option<Arc<Vec<Vec<NodeId>>>>,
     hub: NodeId,
     per_node_budget: u64,
+    /// The network-wide evaluation cap of a [`Budget::Total`] run, which
+    /// the run loop enforces (under churn the per-node split alone cannot).
+    total_cap: Option<u64>,
     /// Cross-node SoA store for the hot particle state when the solver
     /// spec is the gbest/classic PSO the arena implements bit-identically
     /// (see `gossipopt_solvers::arena`): one flat allocation for the whole
@@ -318,14 +324,17 @@ impl NodeRecipe {
         let ids: Vec<NodeId> = (0..n as u64).map(NodeId).collect();
         let static_neighbors = match spec.topology {
             TopologyKind::Newscast => None,
-            TopologyKind::FullMesh => Some(topologies::full_mesh(&ids)),
-            TopologyKind::Star => Some(topologies::star(&ids)),
-            TopologyKind::Ring => Some(topologies::ring(&ids)),
+            TopologyKind::FullMesh => Some(topology::relabel(&ids, &topology::full_mesh(n))),
+            TopologyKind::Star => Some(topology::relabel(&ids, &topology::star(n))),
+            TopologyKind::Ring => Some(topology::relabel(&ids, &topology::ring(n))),
             TopologyKind::KOut(k) => {
                 let mut topo_rng = gossipopt_util::Xoshiro256pp::seeded(seed ^ 0x0070_9311);
-                Some(topologies::k_out_random(&ids, k, &mut topo_rng))
+                Some(topology::relabel(
+                    &ids,
+                    &topology::k_out_random(n, k, &mut topo_rng),
+                ))
             }
-            TopologyKind::Grid => Some(topologies::torus_grid(&ids)),
+            TopologyKind::Grid => Some(topology::relabel(&ids, &topology::torus_grid(n))),
             TopologyKind::SmallWorld { k, beta } => {
                 if !(0.0..=1.0).contains(&beta) {
                     return Err(CoreError::InvalidSpec(format!(
@@ -333,7 +342,10 @@ impl NodeRecipe {
                     )));
                 }
                 let mut topo_rng = gossipopt_util::Xoshiro256pp::seeded(seed ^ 0x0077_5357);
-                Some(topologies::watts_strogatz(&ids, k, beta, &mut topo_rng))
+                Some(topology::relabel(
+                    &ids,
+                    &topology::watts_strogatz(n, k, beta, &mut topo_rng),
+                ))
             }
             TopologyKind::ErdosRenyi(p) => {
                 if !(0.0..=1.0).contains(&p) {
@@ -342,7 +354,10 @@ impl NodeRecipe {
                     )));
                 }
                 let mut topo_rng = gossipopt_util::Xoshiro256pp::seeded(seed ^ 0x00e7_d057);
-                Some(topologies::erdos_renyi(&ids, p, &mut topo_rng))
+                Some(topology::relabel(
+                    &ids,
+                    &topology::erdos_renyi(n, p, &mut topo_rng),
+                ))
             }
             TopologyKind::RingLattice(k) => {
                 if k == 0 || k >= n {
@@ -394,6 +409,10 @@ impl NodeRecipe {
             static_neighbors: static_neighbors.map(Arc::new),
             hub: NodeId(0),
             per_node_budget: budget.per_node(n),
+            total_cap: match budget {
+                Budget::Total(e) => Some(e),
+                Budget::PerNode(_) => None,
+            },
             solver_arena,
         })
     }
@@ -478,151 +497,185 @@ pub fn bootstrap_sample(spec: &DistributedPsoSpec, n: usize) -> usize {
     }
 }
 
-/// Build and run one experiment on `objective` under `budget` with `seed`.
-pub fn run_distributed(
-    spec: &DistributedPsoSpec,
-    objective: Arc<dyn Objective>,
-    budget: Budget,
-    seed: u64,
-) -> Result<RunReport, CoreError> {
-    let recipe = NodeRecipe::new(spec, objective, budget, seed)?;
-    let n = spec.nodes;
-    let per_node_budget = recipe.per_node_budget();
+/// Kernel traffic and membership counters in one shape. The cycle kernel
+/// keeps them in [`gossipopt_sim::cycle::KernelStats`], the event kernel
+/// behind separate accessors; [`Engine::traffic`] hides the difference.
+#[derive(Debug, Clone, Copy)]
+pub struct Traffic {
+    /// Messages handed to the transport.
+    pub sent: u64,
+    /// Messages delivered to a live node.
+    pub delivered: u64,
+    /// Messages dropped (loss, dead destination, hop-budget overflow).
+    pub dropped: u64,
+    /// Wire bytes saved by frame coalescing (`0` at `threads == 0`).
+    pub frame_bytes_saved: u64,
+    /// Nodes crashed by the churn process (the cycle kernel also counts
+    /// scripted [`Engine::crash`] calls here; the event kernel does not).
+    pub crashes: u64,
+    /// Nodes joined by the churn process.
+    pub joins: u64,
+    /// Phased merge rounds (`0` on the event kernel, which drains a queue).
+    pub merge_rounds: u64,
+}
 
+/// What [`drive`] needs from a simulation kernel: one observation period
+/// at a time, and the counters in one shape. A period is one `tick()` on
+/// the cycle kernel and `tick_period` units of simulated time on the event
+/// kernel; the implementations forward to the engines' inherent methods.
+pub trait Engine<A: Application> {
+    /// Add a node, running its join callback.
+    fn insert(&mut self, app: A);
+    /// Install the factory for churn and [`Engine::populate`] joiners.
+    fn set_spawner(&mut self, f: impl FnMut(NodeId, &mut Xoshiro256pp) -> A + 'static);
+    /// Join `n` spawner-built nodes now.
+    fn populate(&mut self, n: usize);
+    /// Crash a node now; `false` if it was already dead.
+    fn crash(&mut self, id: NodeId) -> bool;
+    /// Observation periods a run with this per-node budget lasts.
+    fn periods(&self, per_node_budget: u64) -> u64;
+    /// Advance one observation period.
+    fn step(&mut self);
+    /// After the last period of an unstopped run: finish whatever part of
+    /// the horizon is not a whole period.
+    fn drain_tail(&mut self, per_node_budget: u64);
+    /// The kernel's clock (ticks, or simulated time units).
+    fn now(&self) -> u64;
+    /// `(id, application)` over live nodes.
+    fn nodes<'a>(&'a self) -> impl Iterator<Item = (NodeId, &'a A)>
+    where
+        A: 'a;
+    /// Cumulative counters.
+    fn traffic(&self) -> Traffic;
+    /// Per-class split of [`Traffic::frame_bytes_saved`].
+    fn frame_saved(&self) -> FrameSavings;
+    /// Per-kind wire counts harvested from dead nodes.
+    fn retired_wire_counts(&self) -> WireCounts;
+}
+
+impl<A: Application> Engine<A> for CycleEngine<A> {
+    fn insert(&mut self, app: A) {
+        CycleEngine::insert(self, app);
+    }
+    fn set_spawner(&mut self, f: impl FnMut(NodeId, &mut Xoshiro256pp) -> A + 'static) {
+        CycleEngine::set_spawner(self, f);
+    }
+    fn populate(&mut self, n: usize) {
+        CycleEngine::populate(self, n);
+    }
+    fn crash(&mut self, id: NodeId) -> bool {
+        CycleEngine::crash(self, id)
+    }
+    /// Every node evaluates once per tick until its local budget is
+    /// exhausted, so `per_node_budget` ticks exhaust the run.
+    fn periods(&self, per_node_budget: u64) -> u64 {
+        per_node_budget
+    }
+    fn step(&mut self) {
+        self.tick();
+    }
+    fn drain_tail(&mut self, _per_node_budget: u64) {}
+    fn now(&self) -> u64 {
+        CycleEngine::now(self)
+    }
+    fn nodes<'a>(&'a self) -> impl Iterator<Item = (NodeId, &'a A)>
+    where
+        A: 'a,
+    {
+        CycleEngine::nodes(self)
+    }
+    fn traffic(&self) -> Traffic {
+        let stats = self.stats();
+        Traffic {
+            sent: stats.sent,
+            delivered: stats.delivered,
+            dropped: stats.lost + stats.dead_letter + stats.hop_overflow,
+            frame_bytes_saved: stats.frame_bytes_saved,
+            crashes: stats.crashes,
+            joins: stats.joins,
+            merge_rounds: self.merge_rounds(),
+        }
+    }
+    fn frame_saved(&self) -> FrameSavings {
+        CycleEngine::frame_saved(self)
+    }
+    fn retired_wire_counts(&self) -> WireCounts {
+        CycleEngine::retired_wire_counts(self)
+    }
+}
+
+/// Simulated-time horizon of an event-kernel run: enough periods for every
+/// node to burn its budget, plus slack for latency stragglers.
+fn event_horizon(per_node_budget: u64, tick_period: u64) -> u64 {
+    per_node_budget * tick_period + 10 * tick_period + 200
+}
+
+impl<A: Application> Engine<A> for EventEngine<A> {
+    fn insert(&mut self, app: A) {
+        EventEngine::insert(self, app);
+    }
+    fn set_spawner(&mut self, f: impl FnMut(NodeId, &mut Xoshiro256pp) -> A + 'static) {
+        EventEngine::set_spawner(self, f);
+    }
+    fn populate(&mut self, n: usize) {
+        EventEngine::populate(self, n);
+    }
+    fn crash(&mut self, id: NodeId) -> bool {
+        EventEngine::crash(self, id)
+    }
+    fn periods(&self, per_node_budget: u64) -> u64 {
+        event_horizon(per_node_budget, self.tick_period()) / self.tick_period()
+    }
+    /// Chunk boundaries are exactly the observation boundaries of a single
+    /// `run_until` over the whole horizon, so chunking moves no trajectory.
+    fn step(&mut self) {
+        let period = self.tick_period();
+        self.run_until(EventEngine::now(self) + period, period, |_, _| {
+            Control::Continue
+        });
+    }
+    fn drain_tail(&mut self, per_node_budget: u64) {
+        let period = self.tick_period();
+        self.run_until(event_horizon(per_node_budget, period), period, |_, _| {
+            Control::Continue
+        });
+    }
+    fn now(&self) -> u64 {
+        EventEngine::now(self)
+    }
+    fn nodes<'a>(&'a self) -> impl Iterator<Item = (NodeId, &'a A)>
+    where
+        A: 'a,
+    {
+        EventEngine::nodes(self)
+    }
+    fn traffic(&self) -> Traffic {
+        Traffic {
+            sent: self.delivered() + self.dropped(),
+            delivered: self.delivered(),
+            dropped: self.dropped(),
+            frame_bytes_saved: self.frame_bytes_saved(),
+            crashes: self.churn_crashes(),
+            joins: self.churn_joins(),
+            merge_rounds: 0,
+        }
+    }
+    fn frame_saved(&self) -> FrameSavings {
+        EventEngine::frame_saved(self)
+    }
+    fn retired_wire_counts(&self) -> WireCounts {
+        EventEngine::retired_wire_counts(self)
+    }
+}
+
+/// The cycle kernel configured for `spec`.
+pub fn cycle_engine<A: Application>(spec: &DistributedPsoSpec, seed: u64) -> CycleEngine<A> {
     let mut cfg = CycleConfig::seeded(seed);
     cfg.transport = Transport::lossy(spec.loss_prob);
     cfg.churn = spec.churn;
-    cfg.bootstrap_sample = bootstrap_sample(spec, n);
+    cfg.bootstrap_sample = bootstrap_sample(spec, spec.nodes);
     cfg.threads = spec.threads;
-
-    let mut engine: CycleEngine<OptNode> = CycleEngine::new(cfg);
-    for i in 0..n {
-        engine.insert(recipe.build(i)?);
-    }
-    if !spec.churn.is_static() {
-        // Churn joiners: same recipe, indexed by their node id.
-        let recipe2 = recipe.clone();
-        engine.set_spawner(move |id, _rng| {
-            recipe2
-                .build(id.raw() as usize)
-                .expect("recipe was validated at construction")
-        });
-    }
-
-    // Budget in ticks: every node evaluates once per tick until its local
-    // budget is exhausted, so `per_node_budget` ticks exhaust the run. Under
-    // a Total budget with churn the observer additionally enforces the
-    // global cap.
-    let max_ticks = per_node_budget;
-    let total_cap = match budget {
-        Budget::Total(e) => Some(e),
-        Budget::PerNode(_) => None,
-    };
-
-    let mut trace: Vec<(u64, f64)> = Vec::new();
-    let mut reached_at: Option<u64> = None;
-    let stop_quality = spec.stop_at_quality;
-    let trace_every = spec.trace_every;
-    let mut ring = spec.metrics.map(MetricsRing::new);
-
-    // Explicit tick loop replicating `run_until` exactly (tick, observe,
-    // stop → `t + 1` ticks) — driven directly so the metrics tap can read
-    // kernel counters between ticks, which an observer closure cannot.
-    let mut ticks = max_ticks;
-    for t in 0..max_ticks {
-        engine.tick();
-        let now = engine.now();
-        let mut quality = f64::INFINITY;
-        let mut evals = 0u64;
-        {
-            let view = engine.view();
-            for (_, node) in view.iter() {
-                quality = quality.min(node.quality());
-                evals += node.evals();
-            }
-            if let Some(ring) = ring.as_mut() {
-                if ring.wants(now) {
-                    // Live ledgers plus the kernel's retired-node
-                    // accumulator: bytes from churn-crashed senders stay
-                    // counted, making the sample exact under churn.
-                    let mut wire_bytes = engine.retired_wire_counts().total_bytes();
-                    for (_, node) in view.iter() {
-                        wire_bytes += node.payload_bytes_sent();
-                    }
-                    // Node ledgers charge unbatched sizes at send time;
-                    // frame coalescing happens later in the kernel, so
-                    // its savings are netted off here.
-                    wire_bytes = wire_bytes.saturating_sub(engine.stats().frame_bytes_saved);
-                    ring.record(MetricSample {
-                        tick: now,
-                        best_quality: quality,
-                        alive: view.len(),
-                        delivered: engine.stats().delivered,
-                        wire_bytes,
-                    });
-                }
-            }
-        }
-        if let Some(every) = trace_every {
-            if now.is_multiple_of(every) {
-                trace.push((now, quality));
-            }
-        }
-        let mut stop = false;
-        if let Some(thr) = stop_quality {
-            if quality <= thr && reached_at.is_none() {
-                reached_at = Some(now);
-                stop = true;
-            }
-        }
-        if !stop {
-            if let Some(cap) = total_cap {
-                if evals >= cap {
-                    stop = true;
-                }
-            }
-        }
-        if stop {
-            ticks = t + 1;
-            break;
-        }
-    }
-
-    let mut quality = f64::INFINITY;
-    let mut value = f64::INFINITY;
-    let mut total_evals = 0u64;
-    let mut exchanges = 0u64;
-    let mut payload_bytes = 0u64;
-    for (_, node) in engine.nodes() {
-        quality = quality.min(node.quality());
-        if let Some(b) = node.best() {
-            value = value.min(b.f);
-        }
-        total_evals += node.evals();
-        exchanges += node.exchanges_initiated();
-        payload_bytes += node.payload_bytes_sent();
-    }
-    let stats: KernelStats = engine.stats();
-    // Crashed senders' ledgers were harvested into the kernel's retired
-    // accumulator at death — fold them in so churn never loses bytes.
-    payload_bytes += engine.retired_wire_counts().total_bytes();
-    Ok(RunReport {
-        best_quality: quality,
-        best_value: value,
-        total_evals,
-        ticks,
-        reached_threshold_at: reached_at,
-        coordination_exchanges: exchanges,
-        // Sender ledgers charge unbatched sizes; the kernel's frame
-        // coalescing (phased path only) reports what it saved on the wire.
-        payload_bytes: payload_bytes.saturating_sub(stats.frame_bytes_saved),
-        messages_sent: stats.sent,
-        messages_delivered: stats.delivered,
-        messages_dropped: stats.lost + stats.dead_letter + stats.hop_overflow,
-        final_population: engine.alive_count(),
-        trace,
-        samples: ring.map(|r| r.to_series()).unwrap_or_default(),
-    })
+    CycleEngine::new(cfg)
 }
 
 /// Asynchronous-deployment options for [`run_distributed_async`].
@@ -646,22 +699,12 @@ impl Default for AsyncOpts {
     }
 }
 
-/// Run the spec on the **event-driven** kernel: unsynchronized per-node
-/// clocks and real message latency, the regime a deployment over the
-/// Internet would face. Exercises the same [`OptNode`] protocol as
-/// [`run_distributed`]; used by the `EXT-async` experiment to check that
-/// the paper's cycle-based results survive asynchrony.
-pub fn run_distributed_async(
+/// The event kernel configured for `spec` under `opts`.
+pub fn event_engine<A: Application>(
     spec: &DistributedPsoSpec,
-    objective: Arc<dyn Objective>,
-    budget: Budget,
     opts: AsyncOpts,
     seed: u64,
-) -> Result<RunReport, CoreError> {
-    let recipe = NodeRecipe::new(spec, objective, budget, seed)?;
-    let n = spec.nodes;
-    let per_node_budget = recipe.per_node_budget();
-
+) -> EventEngine<A> {
     let mut cfg = EventConfig::seeded(seed);
     cfg.transport = Transport {
         loss_prob: spec.loss_prob,
@@ -670,137 +713,214 @@ pub fn run_distributed_async(
     cfg.tick_period = opts.tick_period;
     cfg.jitter_phase = opts.jitter_phase;
     cfg.churn = spec.churn;
-    cfg.bootstrap_sample = bootstrap_sample(spec, n);
+    cfg.bootstrap_sample = bootstrap_sample(spec, spec.nodes);
     cfg.threads = spec.threads;
+    EventEngine::new(cfg)
+}
 
-    let mut engine: EventEngine<OptNode> = EventEngine::new(cfg);
-    for i in 0..n {
-        engine.insert(recipe.build(i)?);
+/// What [`drive`] hands back besides the [`RunReport`].
+#[derive(Debug, Clone)]
+pub struct Driven {
+    /// The run's figures of merit.
+    pub report: RunReport,
+    /// Per-kind wire totals: nodes alive at the end plus the kernel's
+    /// retired accumulator (exact under churn), before frame savings.
+    pub wire: WireCounts,
+    /// Global best-improvement events at metric-sample granularity
+    /// (empty unless [`DistributedPsoSpec::metrics`] is set).
+    pub improvements: Vec<TraceEvent>,
+}
+
+/// The run loop, shared by every experiment driver on both kernels.
+///
+/// Populates `engine` with `recipe`'s initial network (each node passed
+/// through `wrap`) and installs the joiner spawner — unconditionally: it
+/// is only ever invoked on a join, so a static network never calls it.
+/// Then, per 1-based tick `t`: `before_tick(engine, t)` (scripted faults)
+/// → [`Engine::step`] → one observer pass → trace → stop check. The
+/// observer reads quality only on an unsampled tick; quality, the argmin
+/// node, ledger bytes and the live count in a single pass when the metrics
+/// ring wants `t`; evaluations only under [`Budget::Total`], whose cap it
+/// enforces. A run that was not stopped then drains the horizon's tail
+/// ([`Engine::drain_tail`]: the `max_time % tick_period` of simulated time
+/// that is not a whole period) for every caller, before the final totals.
+pub fn drive<A, E>(
+    engine: &mut E,
+    recipe: &NodeRecipe,
+    wrap: impl Fn(OptNode) -> A + 'static,
+    mut before_tick: impl FnMut(&mut E, u64),
+) -> Result<Driven, CoreError>
+where
+    A: Application + Borrow<OptNode>,
+    E: Engine<A>,
+{
+    let spec = &recipe.spec;
+    for i in 0..spec.nodes {
+        engine.insert(wrap(recipe.build(i)?));
     }
-    if !spec.churn.is_static() {
-        let recipe2 = recipe.clone();
-        engine.set_spawner(move |id, _rng| {
-            recipe2
+    // Joiners: same recipe, indexed by their node id.
+    let joiners = recipe.clone();
+    engine.set_spawner(move |id, _rng| {
+        wrap(
+            joiners
                 .build(id.raw() as usize)
-                .expect("recipe was validated at construction")
-        });
-    }
+                .expect("recipe was validated at construction"),
+        )
+    });
 
-    // Time horizon: enough periods for every node to burn its budget plus
-    // slack for latency stragglers.
-    let max_time = per_node_budget * opts.tick_period + 10 * opts.tick_period + 200;
-    let total_cap = match budget {
-        Budget::Total(e) => Some(e),
-        Budget::PerNode(_) => None,
-    };
-    let mut trace: Vec<(u64, f64)> = Vec::new();
-    let mut reached_at: Option<u64> = None;
-    let stop_quality = spec.stop_at_quality;
-    let trace_every = spec.trace_every.map(|t| t * opts.tick_period);
+    let total_cap = recipe.total_cap;
     let mut ring = spec.metrics.map(MetricsRing::new);
+    let mut trace: Vec<(u64, f64)> = Vec::new();
+    let mut improvements: Vec<TraceEvent> = Vec::new();
+    let mut best_seen = f64::INFINITY;
+    let mut reached_at: Option<u64> = None;
+    let mut stopped_at: Option<u64> = None;
+    let periods = engine.periods(recipe.per_node_budget);
 
-    let stopped = std::cell::Cell::new(false);
-    let mut observer = |now: u64, view: &gossipopt_sim::NodesView<'_, OptNode>| {
+    for t in 1..=periods {
+        before_tick(engine, t);
+        engine.step();
+
         let mut quality = f64::INFINITY;
         let mut evals = 0u64;
-        for (_, node) in view.iter() {
-            quality = quality.min(node.quality());
-            evals += node.evals();
-        }
-        if let Some(every) = trace_every {
-            if now.is_multiple_of(every) {
-                trace.push((now, quality));
-            }
-        }
-        if let Some(thr) = stop_quality {
-            if quality <= thr && reached_at.is_none() {
-                reached_at = Some(now);
-                stopped.set(true);
-                return Control::Stop;
-            }
-        }
-        if let Some(cap) = total_cap {
-            if evals >= cap {
-                stopped.set(true);
-                return Control::Stop;
-            }
-        }
-        Control::Continue
-    };
-
-    let end = if let Some(ring) = ring.as_mut() {
-        // Tapped run: advance period by period so the tap can read the
-        // kernel's delivery counter between chunks (an observer closure
-        // cannot — the engine is mutably borrowed while it runs). The
-        // chunk boundaries are exactly the observation boundaries of the
-        // single-call path, so the trajectory is identical.
-        let period = opts.tick_period;
-        let mut end = 0;
-        for t in 1..=max_time / period {
-            end = engine.run_until(t * period, period, &mut observer);
-            if ring.wants(t) {
-                let mut quality = f64::INFINITY;
-                // Include the retired-node accumulator so bytes from
-                // churn-crashed senders stay counted (exact under churn).
-                let mut wire_bytes = engine.retired_wire_counts().total_bytes();
-                for (_, node) in engine.nodes() {
-                    quality = quality.min(node.quality());
-                    wire_bytes += node.payload_bytes_sent();
+        match ring.as_mut().filter(|ring| ring.wants(t)) {
+            Some(ring) => {
+                let (mut best_node, mut bytes, mut alive) = (0u64, 0u64, 0usize);
+                for (id, app) in engine.nodes() {
+                    let node: &OptNode = app.borrow();
+                    let q = node.quality();
+                    if q < quality {
+                        quality = q;
+                        best_node = id.raw();
+                    }
+                    bytes += node.payload_bytes_sent();
+                    alive += 1;
+                    if total_cap.is_some() {
+                        evals += node.evals();
+                    }
                 }
+                if quality < best_seen {
+                    best_seen = quality;
+                    improvements.push(TraceEvent {
+                        tick: t,
+                        node: best_node,
+                        quality,
+                    });
+                }
+                let traffic = engine.traffic();
                 ring.record(MetricSample {
                     tick: t,
                     best_quality: quality,
-                    alive: engine.alive_count(),
-                    delivered: engine.delivered(),
-                    // Node ledgers charge unbatched sizes; net off the
-                    // kernel's frame-coalescing savings, as the cycle
-                    // driver does.
-                    wire_bytes: wire_bytes.saturating_sub(engine.frame_bytes_saved()),
+                    alive,
+                    delivered: traffic.delivered,
+                    // Node ledgers charge unbatched sizes at send time:
+                    // add back what crashed senders had on their ledgers
+                    // at death, then net off what the kernel's frame
+                    // coalescing saved later.
+                    wire_bytes: (bytes + engine.retired_wire_counts().total_bytes())
+                        .saturating_sub(traffic.frame_bytes_saved),
                 });
             }
-            if stopped.get() {
-                break;
+            None => {
+                for (_, app) in engine.nodes() {
+                    let node: &OptNode = app.borrow();
+                    quality = quality.min(node.quality());
+                    if total_cap.is_some() {
+                        evals += node.evals();
+                    }
+                }
             }
         }
-        if !stopped.get() && !max_time.is_multiple_of(period) {
-            end = engine.run_until(max_time, period, &mut observer);
+        if spec
+            .trace_every
+            .is_some_and(|every| t.is_multiple_of(every))
+        {
+            trace.push((engine.now(), quality));
         }
-        end
-    } else {
-        engine.run_until(max_time, opts.tick_period, &mut observer)
-    };
+        if spec.stop_at_quality.is_some_and(|thr| quality <= thr) {
+            reached_at = Some(t);
+        }
+        if reached_at.is_some() || total_cap.is_some_and(|cap| evals >= cap) {
+            stopped_at = Some(t);
+            break;
+        }
+    }
+    if stopped_at.is_none() {
+        engine.drain_tail(recipe.per_node_budget);
+    }
 
     let mut quality = f64::INFINITY;
     let mut value = f64::INFINITY;
     let mut total_evals = 0u64;
     let mut exchanges = 0u64;
-    let mut payload_bytes = 0u64;
-    for (_, node) in engine.nodes() {
+    let mut alive = 0usize;
+    // Ledgers harvested from crashed senders at death, then the survivors'.
+    let mut wire = engine.retired_wire_counts();
+    for (_, app) in engine.nodes() {
+        let node: &OptNode = app.borrow();
         quality = quality.min(node.quality());
         if let Some(b) = node.best() {
             value = value.min(b.f);
         }
         total_evals += node.evals();
         exchanges += node.exchanges_initiated();
-        payload_bytes += node.payload_bytes_sent();
+        wire.add(&node.wire_counts());
+        alive += 1;
     }
-    // Fold in ledgers harvested from churn-crashed nodes at death.
-    payload_bytes += engine.retired_wire_counts().total_bytes();
-    Ok(RunReport {
+    let traffic = engine.traffic();
+    let report = RunReport {
         best_quality: quality,
         best_value: value,
         total_evals,
-        ticks: end / opts.tick_period,
-        reached_threshold_at: reached_at.map(|t| t / opts.tick_period),
+        ticks: stopped_at.unwrap_or(periods),
+        reached_threshold_at: reached_at,
         coordination_exchanges: exchanges,
-        payload_bytes: payload_bytes.saturating_sub(engine.frame_bytes_saved()),
-        messages_sent: engine.delivered() + engine.dropped(),
-        messages_delivered: engine.delivered(),
-        messages_dropped: engine.dropped(),
-        final_population: engine.alive_count(),
+        // Sender ledgers charge unbatched sizes; the kernel's frame
+        // coalescing reports what it saved on the wire.
+        payload_bytes: wire.total_bytes().saturating_sub(traffic.frame_bytes_saved),
+        messages_sent: traffic.sent,
+        messages_delivered: traffic.delivered,
+        messages_dropped: traffic.dropped,
+        final_population: alive,
         trace,
         samples: ring.map(|r| r.to_series()).unwrap_or_default(),
+    };
+    Ok(Driven {
+        report,
+        wire,
+        improvements,
     })
+}
+
+/// Build and run one experiment on `objective` under `budget` with `seed`
+/// on the **cycle-driven** kernel.
+pub fn run_distributed(
+    spec: &DistributedPsoSpec,
+    objective: Arc<dyn Objective>,
+    budget: Budget,
+    seed: u64,
+) -> Result<RunReport, CoreError> {
+    let recipe = NodeRecipe::new(spec, objective, budget, seed)?;
+    let mut engine = cycle_engine(spec, seed);
+    Ok(drive(&mut engine, &recipe, |node| node, |_, _| {})?.report)
+}
+
+/// Run the spec on the **event-driven** kernel: unsynchronized per-node
+/// clocks and real message latency, the regime a deployment over the
+/// Internet would face. Exercises the same [`OptNode`] protocol as
+/// [`run_distributed`]; used by the `EXT-async` experiment to check that
+/// the paper's cycle-based results survive asynchrony. Ticks in the report
+/// are tick periods; [`RunReport::trace`] stamps are simulated time.
+pub fn run_distributed_async(
+    spec: &DistributedPsoSpec,
+    objective: Arc<dyn Objective>,
+    budget: Budget,
+    opts: AsyncOpts,
+    seed: u64,
+) -> Result<RunReport, CoreError> {
+    let recipe = NodeRecipe::new(spec, objective, budget, seed)?;
+    let mut engine = event_engine(spec, opts, seed);
+    Ok(drive(&mut engine, &recipe, |node| node, |_, _| {})?.report)
 }
 
 /// Run the spec on a registry function (`function_dim` applies).

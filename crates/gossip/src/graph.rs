@@ -10,10 +10,6 @@
 use gossipopt_util::{OnlineStats, Rng64, Xoshiro256pp};
 use std::collections::VecDeque;
 
-// The scale-topology constructors historically lived here; they are now
-// part of the unified topology service and re-exported for compatibility.
-pub use crate::topology::{k_out_regular, ring_lattice, two_level_hierarchy};
-
 /// Breadth-first distances from `src` along directed edges; `usize::MAX`
 /// marks unreachable nodes.
 pub fn bfs_distances(adj: &[Vec<usize>], src: usize) -> Vec<usize> {
@@ -150,58 +146,6 @@ mod tests {
         (0..n)
             .map(|i| if i + 1 < n { vec![i + 1] } else { vec![] })
             .collect()
-    }
-
-    #[test]
-    fn ring_lattice_degree_and_connectivity() {
-        let g = ring_lattice(10, 3);
-        assert!(g.iter().all(|nbrs| nbrs.len() == 3));
-        assert_eq!(g[9], vec![0, 1, 2], "wraps around");
-        assert!(is_strongly_connected(&g));
-        assert_eq!(ring_lattice(5, 1), ring_graph(5));
-    }
-
-    #[test]
-    fn k_out_regular_degree_distinct_no_self() {
-        let mut rng = Xoshiro256pp::seeded(9);
-        let g = k_out_regular(200, 4, &mut rng);
-        for (i, nbrs) in g.iter().enumerate() {
-            assert_eq!(nbrs.len(), 4);
-            assert!(!nbrs.contains(&i), "no self-loop at {i}");
-            let mut s = nbrs.clone();
-            s.sort_unstable();
-            s.dedup();
-            assert_eq!(s.len(), 4, "distinct picks at {i}");
-        }
-        // Random 4-out digraphs of this size are connected w.h.p.; with a
-        // fixed seed this is deterministic.
-        assert!(is_weakly_connected(&g));
-        let mut rng2 = Xoshiro256pp::seeded(9);
-        assert_eq!(g, k_out_regular(200, 4, &mut rng2), "seeded determinism");
-    }
-
-    #[test]
-    fn hierarchy_is_connected_and_shaped() {
-        let g = two_level_hierarchy(6, 10, 2, 2);
-        assert_eq!(g.len(), 60);
-        assert!(is_strongly_connected(&g));
-        // A non-head member: intra ring (2) + uplink (1).
-        assert_eq!(g[1].len(), 3);
-        assert!(g[1].contains(&0), "member points at its head");
-        // A head: intra ring (2) + hub ring (2).
-        assert_eq!(g[0].len(), 4);
-        assert!(g[0].contains(&10) && g[0].contains(&20), "head hub links");
-        // Heads only link to other heads in the hub ring.
-        assert!(g[10].iter().filter(|&&v| v % 10 == 0).count() >= 2);
-        // Members whose ring window wraps onto the head get no duplicate
-        // uplink; every adjacency list is duplicate-free.
-        assert_eq!(g[9].iter().filter(|&&v| v == 0).count(), 1);
-        for (i, nbrs) in g.iter().enumerate() {
-            let mut s = nbrs.clone();
-            s.sort_unstable();
-            s.dedup();
-            assert_eq!(s.len(), nbrs.len(), "duplicate edge at node {i}");
-        }
     }
 
     #[test]

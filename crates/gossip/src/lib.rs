@@ -17,16 +17,13 @@
 //! * [`aggregation`] — push-pull gossip averaging (Jelasity, Montresor &
 //!   Babaoglu), included as the background's example epidemic service and
 //!   used in tests as a convergence yardstick;
-//! * [`sampler`] — static peer samplers, plus the compatibility facade
-//!   `sampler::topologies` over the unified builders;
+//! * [`sampler`] — the peer-sampler interface and its static
+//!   implementation;
 //! * [`topology`] — **the unified topology service**: every static overlay
 //!   builder (full mesh, ring, star, ring lattice, shuffle and rejection
 //!   k-out, torus grid, Watts–Strogatz, Erdős–Rényi, two-level hierarchy)
 //!   in one index-space module, single source of truth for both the
 //!   experiment layer and the 100k-node scale paths;
-//! * [`tman`] — T-Man gossip-based topology *construction* (Jelasity &
-//!   Babaoglu, the paper's reference for overlay management): evolves the
-//!   overlay toward an arbitrary ranked target topology;
 //! * [`graph`] — overlay analysis: connectivity, degree statistics,
 //!   clustering, path lengths; used to validate that NEWSCAST maintains a
 //!   random-graph-like topology (`c = 20` "already sufficient").
@@ -43,7 +40,6 @@ pub mod graph;
 pub mod newscast;
 pub mod rumor;
 pub mod sampler;
-pub mod tman;
 pub mod topology;
 pub mod view;
 
@@ -51,5 +47,4 @@ pub use antientropy::{AntiEntropy, AntiEntropyMsg, ExchangeMode, Rumor};
 pub use newscast::{Newscast, NewscastConfig, NewscastMsg};
 pub use rumor::{RumorAck, RumorConfig, RumorMonger};
 pub use sampler::{PeerSampler, StaticSampler};
-pub use tman::{Ranking, RingRanking, TMan, TManMsg};
 pub use view::{Descriptor, PartialView};

@@ -49,87 +49,9 @@ impl PeerSampler for StaticSampler {
     }
 }
 
-/// Build per-node neighbor lists for the standard static topologies over
-/// nodes `ids[0..n]`. Returned `Vec` is indexed like `ids`.
-///
-/// Compatibility facade: the builders themselves live in
-/// [`crate::topology`] (the unified topology service, in index space);
-/// these wrappers apply [`crate::topology::relabel`] so the historical
-/// `&[NodeId] -> Vec<Vec<NodeId>>` signatures — and their seeded RNG draw
-/// orders — are preserved exactly.
-pub mod topologies {
-    use super::*;
-    use crate::topology;
-
-    /// Full mesh: everyone knows everyone else.
-    pub fn full_mesh(ids: &[NodeId]) -> Vec<Vec<NodeId>> {
-        topology::relabel(ids, &topology::full_mesh(ids.len()))
-    }
-
-    /// Star: `ids[0]` is the hub; spokes only know the hub.
-    pub fn star(ids: &[NodeId]) -> Vec<Vec<NodeId>> {
-        topology::relabel(ids, &topology::star(ids.len()))
-    }
-
-    /// Bidirectional ring in `ids` order.
-    pub fn ring(ids: &[NodeId]) -> Vec<Vec<NodeId>> {
-        topology::relabel(ids, &topology::ring(ids.len()))
-    }
-
-    /// Random `k`-out digraph: each node gets `k` distinct random
-    /// out-neighbors (excluding itself). See [`topology::k_out_random`].
-    pub fn k_out_random(ids: &[NodeId], k: usize, rng: &mut Xoshiro256pp) -> Vec<Vec<NodeId>> {
-        topology::relabel(ids, &topology::k_out_random(ids.len(), k, rng))
-    }
-
-    /// 2-D torus grid (4-neighborhood with wraparound); see
-    /// [`topology::torus_grid`].
-    pub fn torus_grid(ids: &[NodeId]) -> Vec<Vec<NodeId>> {
-        let mut lists = topology::relabel(ids, &topology::torus_grid(ids.len()));
-        // Historical contract: neighbor lists are ordered by raw id (a
-        // no-op for ascending `ids`, but callers may pass any labeling).
-        for nbrs in &mut lists {
-            nbrs.sort_unstable_by_key(|id| id.raw());
-        }
-        lists
-    }
-
-    /// Watts–Strogatz small world; see [`topology::watts_strogatz`].
-    pub fn watts_strogatz(
-        ids: &[NodeId],
-        k: usize,
-        beta: f64,
-        rng: &mut Xoshiro256pp,
-    ) -> Vec<Vec<NodeId>> {
-        topology::relabel(ids, &topology::watts_strogatz(ids.len(), k, beta, rng))
-    }
-
-    /// Erdős–Rényi `G(n, p)`; see [`topology::erdos_renyi`].
-    pub fn erdos_renyi(ids: &[NodeId], p: f64, rng: &mut Xoshiro256pp) -> Vec<Vec<NodeId>> {
-        topology::relabel(ids, &topology::erdos_renyi(ids.len(), p, rng))
-    }
-
-    /// Neighbor lists converted to index-based adjacency (for the graph
-    /// metrics in [`crate::graph`]). `ids` must be the same slice the
-    /// builder was called with.
-    pub fn to_adjacency(ids: &[NodeId], lists: &[Vec<NodeId>]) -> Vec<Vec<usize>> {
-        let index: std::collections::HashMap<NodeId, usize> =
-            ids.iter().enumerate().map(|(i, &id)| (id, i)).collect();
-        lists
-            .iter()
-            .map(|nbrs| nbrs.iter().map(|id| index[id]).collect())
-            .collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
-    use super::topologies::*;
     use super::*;
-
-    fn ids(n: u64) -> Vec<NodeId> {
-        (0..n).map(NodeId).collect()
-    }
 
     #[test]
     fn static_sampler_uniform_and_empty() {
@@ -142,150 +64,5 @@ mod tests {
         assert_eq!(seen.len(), 3);
         let empty = StaticSampler::new(vec![]);
         assert!(empty.sample_peer(&mut rng).is_none());
-    }
-
-    #[test]
-    fn full_mesh_degrees() {
-        let t = full_mesh(&ids(5));
-        for (i, nbrs) in t.iter().enumerate() {
-            assert_eq!(nbrs.len(), 4);
-            assert!(!nbrs.contains(&NodeId(i as u64)));
-        }
-    }
-
-    #[test]
-    fn star_shape() {
-        let t = star(&ids(6));
-        assert_eq!(t[0].len(), 5, "hub sees all spokes");
-        for spoke in &t[1..] {
-            assert_eq!(spoke, &vec![NodeId(0)]);
-        }
-    }
-
-    #[test]
-    fn ring_shape() {
-        let t = ring(&ids(5));
-        assert_eq!(t[0], vec![NodeId(4), NodeId(1)]);
-        assert_eq!(t[2], vec![NodeId(1), NodeId(3)]);
-        // tiny rings
-        assert_eq!(ring(&ids(1))[0].len(), 0);
-        assert_eq!(ring(&ids(2))[0], vec![NodeId(1)]);
-    }
-
-    #[test]
-    fn torus_grid_four_neighbors_when_square() {
-        let t = torus_grid(&ids(16)); // 4x4
-        for (i, nbrs) in t.iter().enumerate() {
-            assert_eq!(nbrs.len(), 4, "node {i}: {nbrs:?}");
-            assert!(!nbrs.contains(&NodeId(i as u64)));
-        }
-        // Torus is connected and symmetric.
-        let adj = to_adjacency(&ids(16), &t);
-        assert!(crate::graph::is_strongly_connected(&adj));
-    }
-
-    #[test]
-    fn torus_grid_prime_size_degenerates_to_ring() {
-        let t = torus_grid(&ids(7)); // 1x7 ring
-        for nbrs in &t {
-            assert_eq!(nbrs.len(), 2);
-        }
-        let adj = to_adjacency(&ids(7), &t);
-        assert!(crate::graph::is_strongly_connected(&adj));
-    }
-
-    #[test]
-    fn torus_grid_tiny_cases() {
-        assert_eq!(torus_grid(&ids(1))[0].len(), 0);
-        let t2 = torus_grid(&ids(2));
-        assert_eq!(t2[0], vec![NodeId(1)]);
-        // 2x2 torus: wraparound duplicates collapse to the two distinct
-        // orthogonal neighbors.
-        let t4 = torus_grid(&ids(4));
-        for (i, nbrs) in t4.iter().enumerate() {
-            assert!(!nbrs.is_empty());
-            assert!(!nbrs.contains(&NodeId(i as u64)));
-        }
-    }
-
-    #[test]
-    fn watts_strogatz_beta_zero_is_lattice() {
-        let mut rng = Xoshiro256pp::seeded(7);
-        let t = watts_strogatz(&ids(20), 4, 0.0, &mut rng);
-        for (i, nbrs) in t.iter().enumerate() {
-            assert_eq!(nbrs.len(), 4, "node {i}");
-            // Lattice neighbors are ring-adjacent within distance 2.
-            for nb in nbrs {
-                let d = (nb.raw() as i64 - i as i64).rem_euclid(20);
-                assert!(d <= 2 || d >= 18, "node {i} linked to distant {nb:?}");
-            }
-        }
-        let adj = to_adjacency(&ids(20), &t);
-        assert!((crate::graph::avg_clustering(&adj) - 0.5).abs() < 1e-9);
-    }
-
-    #[test]
-    fn watts_strogatz_rewiring_shortens_paths() {
-        let mut rng = Xoshiro256pp::seeded(8);
-        let n = 100;
-        let lattice = watts_strogatz(&ids(n), 4, 0.0, &mut rng);
-        let small_world = watts_strogatz(&ids(n), 4, 0.3, &mut rng);
-        let al = to_adjacency(&ids(n), &lattice);
-        let asw = to_adjacency(&ids(n), &small_world);
-        let mut prng = Xoshiro256pp::seeded(9);
-        let pl = crate::graph::avg_path_length(&al, 200, &mut prng);
-        let psw = crate::graph::avg_path_length(&asw, 200, &mut prng);
-        assert!(
-            psw < pl,
-            "rewiring must shorten paths: lattice {pl}, small-world {psw}"
-        );
-    }
-
-    #[test]
-    fn watts_strogatz_stays_symmetric_after_rewiring() {
-        let mut rng = Xoshiro256pp::seeded(10);
-        let t = watts_strogatz(&ids(30), 4, 0.5, &mut rng);
-        let adj = to_adjacency(&ids(30), &t);
-        for (i, nbrs) in adj.iter().enumerate() {
-            for &j in nbrs {
-                assert!(adj[j].contains(&i), "edge {i}->{j} missing reverse");
-                assert_ne!(i, j, "self loop at {i}");
-            }
-        }
-    }
-
-    #[test]
-    fn erdos_renyi_edge_density_tracks_p() {
-        let mut rng = Xoshiro256pp::seeded(11);
-        let n = 200;
-        let t = erdos_renyi(&ids(n), 0.1, &mut rng);
-        let edges: usize = t.iter().map(|l| l.len()).sum::<usize>() / 2;
-        let expect = 0.1 * (n * (n - 1) / 2) as f64;
-        assert!(
-            (edges as f64 - expect).abs() < 0.25 * expect,
-            "{edges} edges vs expected {expect}"
-        );
-        // p = 0 and p = 1 extremes.
-        let none = erdos_renyi(&ids(10), 0.0, &mut rng);
-        assert!(none.iter().all(|l| l.is_empty()));
-        let full = erdos_renyi(&ids(10), 1.0, &mut rng);
-        assert!(full.iter().all(|l| l.len() == 9));
-    }
-
-    #[test]
-    fn k_out_random_degrees_and_no_self() {
-        let mut rng = Xoshiro256pp::seeded(2);
-        let t = k_out_random(&ids(20), 4, &mut rng);
-        for (i, nbrs) in t.iter().enumerate() {
-            assert_eq!(nbrs.len(), 4);
-            assert!(!nbrs.contains(&NodeId(i as u64)));
-            let mut u = nbrs.clone();
-            u.sort();
-            u.dedup();
-            assert_eq!(u.len(), 4, "neighbors must be distinct");
-        }
-        // k larger than n-1 saturates
-        let t2 = k_out_random(&ids(3), 10, &mut rng);
-        assert!(t2.iter().all(|nbrs| nbrs.len() == 2));
     }
 }

@@ -1,21 +1,15 @@
 //! The unified topology service: every static overlay builder in one
 //! module, in index space.
 //!
-//! Before this module existed the workspace grew two parallel builder
-//! families: [`crate::sampler::topologies`] built `Vec<Vec<NodeId>>`
-//! neighbor lists for the experiment layer, while [`crate::graph`] built
-//! `Vec<Vec<usize>>` adjacencies for the overlay-analysis and 100k-scale
-//! paths — with ring and k-out graphs implemented twice. This module is now
-//! the single source of truth: every builder works in **index space**
-//! (`adj[i]` = out-neighbor indices of node `i`), and [`relabel`] maps an
-//! adjacency onto an id slice for the samplers. Both old modules re-export
-//! from here, so existing call sites keep compiling.
+//! Every builder works in **index space** (`adj[i]` = out-neighbor indices
+//! of node `i`); [`relabel`] maps an adjacency onto an id slice for the
+//! samplers. The experiment layer, the overlay-analysis functions in
+//! [`crate::graph`] and the 100k-scale paths all build overlays here.
 //!
-//! Determinism contract: the ported builders consume their RNG in exactly
-//! the same order as the originals (shuffles of equal length, identical
-//! loop nests), so seeded overlays — and everything downstream of them,
-//! including the committed `examples/fingerprint.rs` hashes — are
-//! bit-for-bit unchanged.
+//! Determinism contract: a builder's RNG draw order (shuffles of equal
+//! length, identical loop nests) is part of its interface — seeded
+//! overlays, and everything downstream of them including the committed
+//! `examples/fingerprint.rs` hashes, depend on it.
 //!
 //! Two k-out constructions coexist on purpose:
 //!
@@ -324,6 +318,194 @@ fn largest_divisor_below_sqrt(n: usize) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::graph;
+
+    #[test]
+    fn full_mesh_degrees() {
+        for (i, nbrs) in full_mesh(5).iter().enumerate() {
+            assert_eq!(nbrs.len(), 4);
+            assert!(!nbrs.contains(&i));
+        }
+    }
+
+    #[test]
+    fn star_shape() {
+        let t = star(6);
+        assert_eq!(t[0].len(), 5, "hub sees all spokes");
+        for spoke in &t[1..] {
+            assert_eq!(spoke, &vec![0]);
+        }
+    }
+
+    #[test]
+    fn ring_shape() {
+        let t = ring(5);
+        assert_eq!(t[0], vec![4, 1]);
+        assert_eq!(t[2], vec![1, 3]);
+        // tiny rings
+        assert_eq!(ring(1)[0].len(), 0);
+        assert_eq!(ring(2)[0], vec![1]);
+    }
+
+    #[test]
+    fn torus_grid_four_neighbors_when_square() {
+        let t = torus_grid(16); // 4x4
+        for (i, nbrs) in t.iter().enumerate() {
+            assert_eq!(nbrs.len(), 4, "node {i}: {nbrs:?}");
+            assert!(!nbrs.contains(&i));
+            assert!(nbrs.is_sorted(), "lists are ordered by index");
+        }
+        assert!(graph::is_strongly_connected(&t));
+    }
+
+    #[test]
+    fn torus_grid_prime_size_degenerates_to_ring() {
+        let t = torus_grid(7); // 1x7 ring
+        for nbrs in &t {
+            assert_eq!(nbrs.len(), 2);
+        }
+        assert!(graph::is_strongly_connected(&t));
+    }
+
+    #[test]
+    fn torus_grid_tiny_cases() {
+        assert_eq!(torus_grid(1)[0].len(), 0);
+        assert_eq!(torus_grid(2)[0], vec![1]);
+        // 2x2 torus: wraparound duplicates collapse to the two distinct
+        // orthogonal neighbors.
+        for (i, nbrs) in torus_grid(4).iter().enumerate() {
+            assert!(!nbrs.is_empty());
+            assert!(!nbrs.contains(&i));
+        }
+    }
+
+    #[test]
+    fn watts_strogatz_beta_zero_is_lattice() {
+        let mut rng = Xoshiro256pp::seeded(7);
+        let t = watts_strogatz(20, 4, 0.0, &mut rng);
+        for (i, nbrs) in t.iter().enumerate() {
+            assert_eq!(nbrs.len(), 4, "node {i}");
+            // Lattice neighbors are ring-adjacent within distance 2.
+            for &nb in nbrs {
+                let d = (nb as i64 - i as i64).rem_euclid(20);
+                assert!(d <= 2 || d >= 18, "node {i} linked to distant {nb}");
+            }
+        }
+        assert!((graph::avg_clustering(&t) - 0.5).abs() < 1e-9);
+    }
+
+    #[test]
+    fn watts_strogatz_rewiring_shortens_paths() {
+        let mut rng = Xoshiro256pp::seeded(8);
+        let lattice = watts_strogatz(100, 4, 0.0, &mut rng);
+        let small_world = watts_strogatz(100, 4, 0.3, &mut rng);
+        let mut prng = Xoshiro256pp::seeded(9);
+        let pl = graph::avg_path_length(&lattice, 200, &mut prng);
+        let psw = graph::avg_path_length(&small_world, 200, &mut prng);
+        assert!(
+            psw < pl,
+            "rewiring must shorten paths: lattice {pl}, small-world {psw}"
+        );
+    }
+
+    #[test]
+    fn watts_strogatz_stays_symmetric_after_rewiring() {
+        let mut rng = Xoshiro256pp::seeded(10);
+        let adj = watts_strogatz(30, 4, 0.5, &mut rng);
+        for (i, nbrs) in adj.iter().enumerate() {
+            for &j in nbrs {
+                assert!(adj[j].contains(&i), "edge {i}->{j} missing reverse");
+                assert_ne!(i, j, "self loop at {i}");
+            }
+        }
+    }
+
+    #[test]
+    fn erdos_renyi_edge_density_tracks_p() {
+        let mut rng = Xoshiro256pp::seeded(11);
+        let n = 200;
+        let t = erdos_renyi(n, 0.1, &mut rng);
+        let edges: usize = t.iter().map(|l| l.len()).sum::<usize>() / 2;
+        let expect = 0.1 * (n * (n - 1) / 2) as f64;
+        assert!(
+            (edges as f64 - expect).abs() < 0.25 * expect,
+            "{edges} edges vs expected {expect}"
+        );
+        // p = 0 and p = 1 extremes.
+        let none = erdos_renyi(10, 0.0, &mut rng);
+        assert!(none.iter().all(|l| l.is_empty()));
+        let full = erdos_renyi(10, 1.0, &mut rng);
+        assert!(full.iter().all(|l| l.len() == 9));
+    }
+
+    #[test]
+    fn k_out_random_degrees_and_no_self() {
+        let mut rng = Xoshiro256pp::seeded(2);
+        let t = k_out_random(20, 4, &mut rng);
+        for (i, nbrs) in t.iter().enumerate() {
+            assert_eq!(nbrs.len(), 4);
+            assert!(!nbrs.contains(&i));
+            let mut u = nbrs.clone();
+            u.sort_unstable();
+            u.dedup();
+            assert_eq!(u.len(), 4, "neighbors must be distinct");
+        }
+        // k larger than n-1 saturates
+        let t2 = k_out_random(3, 10, &mut rng);
+        assert!(t2.iter().all(|nbrs| nbrs.len() == 2));
+    }
+
+    #[test]
+    fn ring_lattice_degree_and_connectivity() {
+        let g = ring_lattice(10, 3);
+        assert!(g.iter().all(|nbrs| nbrs.len() == 3));
+        assert_eq!(g[9], vec![0, 1, 2], "wraps around");
+        assert!(graph::is_strongly_connected(&g));
+        assert_eq!(ring_lattice(3, 1), vec![vec![1], vec![2], vec![0]]);
+    }
+
+    #[test]
+    fn k_out_regular_degree_distinct_no_self() {
+        let mut rng = Xoshiro256pp::seeded(9);
+        let g = k_out_regular(200, 4, &mut rng);
+        for (i, nbrs) in g.iter().enumerate() {
+            assert_eq!(nbrs.len(), 4);
+            assert!(!nbrs.contains(&i), "no self-loop at {i}");
+            let mut s = nbrs.clone();
+            s.sort_unstable();
+            s.dedup();
+            assert_eq!(s.len(), 4, "distinct picks at {i}");
+        }
+        // Random 4-out digraphs of this size are connected w.h.p.; with a
+        // fixed seed this is deterministic.
+        assert!(graph::is_weakly_connected(&g));
+        let mut rng2 = Xoshiro256pp::seeded(9);
+        assert_eq!(g, k_out_regular(200, 4, &mut rng2), "seeded determinism");
+    }
+
+    #[test]
+    fn hierarchy_is_connected_and_shaped() {
+        let g = two_level_hierarchy(6, 10, 2, 2);
+        assert_eq!(g.len(), 60);
+        assert!(graph::is_strongly_connected(&g));
+        // A non-head member: intra ring (2) + uplink (1).
+        assert_eq!(g[1].len(), 3);
+        assert!(g[1].contains(&0), "member points at its head");
+        // A head: intra ring (2) + hub ring (2).
+        assert_eq!(g[0].len(), 4);
+        assert!(g[0].contains(&10) && g[0].contains(&20), "head hub links");
+        // Heads only link to other heads in the hub ring.
+        assert!(g[10].iter().filter(|&&v| v % 10 == 0).count() >= 2);
+        // Members whose ring window wraps onto the head get no duplicate
+        // uplink; every adjacency list is duplicate-free.
+        assert_eq!(g[9].iter().filter(|&&v| v == 0).count(), 1);
+        for (i, nbrs) in g.iter().enumerate() {
+            let mut s = nbrs.clone();
+            s.sort_unstable();
+            s.dedup();
+            assert_eq!(s.len(), nbrs.len(), "duplicate edge at node {i}");
+        }
+    }
 
     #[test]
     fn relabel_maps_through_ids() {
@@ -359,7 +541,7 @@ mod tests {
         for n in [60usize, 100, 997, 1000, 9998] {
             let adj = two_level_auto(n, 4);
             assert!(
-                crate::graph::is_strongly_connected(&adj),
+                graph::is_strongly_connected(&adj),
                 "auto hierarchy with n = {n} must be strongly connected"
             );
         }
@@ -372,10 +554,7 @@ mod tests {
         // The ragged split keeps ~100 clusters, so BFS eccentricity from
         // any node stays two orders of magnitude below ring diameter.
         let adj = two_level_auto(9998, 4);
-        let ecc = crate::graph::bfs_distances(&adj, 1)
-            .into_iter()
-            .max()
-            .unwrap();
+        let ecc = graph::bfs_distances(&adj, 1).into_iter().max().unwrap();
         assert!(ecc < 200, "hierarchy eccentricity {ecc} looks like a ring");
         // Heads at the ragged offsets: cluster sizes differ by at most 1
         // and sum to n, so every index is covered exactly once.

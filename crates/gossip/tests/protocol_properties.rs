@@ -1,7 +1,6 @@
 //! Property-based tests for the epidemic substrate.
 
 use gossipopt_gossip::aggregation::GossipAverage;
-use gossipopt_gossip::tman::{LineRanking, Ranking, RingRanking, TMan};
 use gossipopt_gossip::{Descriptor, Newscast, NewscastConfig, PartialView};
 use gossipopt_sim::NodeId;
 use gossipopt_util::Xoshiro256pp;
@@ -84,40 +83,5 @@ proptest! {
         let after = x.estimate() + y.estimate();
         prop_assert!((before - after).abs() <= 1e-6 * before.abs().max(1.0));
         prop_assert!((x.estimate() - y.estimate()).abs() < 1e-6 * before.abs().max(1.0));
-    }
-
-    /// T-Man merge keeps the view rank-sorted, deduplicated and bounded
-    /// for arbitrary candidate streams.
-    #[test]
-    fn tman_merge_invariants(
-        cap in 1usize..12,
-        me in 0u64..100,
-        candidates in prop::collection::vec(0u64..100, 0..50),
-    ) {
-        let mut tm = TMan::new(LineRanking, cap, 1);
-        let ids: Vec<NodeId> = candidates.iter().map(|&c| NodeId(c)).collect();
-        tm.on_join(NodeId(me), &ids);
-        let view = tm.view();
-        prop_assert!(view.len() <= cap);
-        prop_assert!(!view.contains(&NodeId(me)));
-        let mut dedup = view.to_vec();
-        dedup.sort();
-        dedup.dedup();
-        prop_assert_eq!(dedup.len(), view.len());
-        for w in view.windows(2) {
-            prop_assert!(
-                LineRanking.rank(NodeId(me), w[0]) <= LineRanking.rank(NodeId(me), w[1])
-            );
-        }
-    }
-
-    /// Ring ranking is a metric-like symmetric function bounded by n/2.
-    #[test]
-    fn ring_ranking_symmetric_bounded(n in 2u64..1000, a in 0u64..1000, b in 0u64..1000) {
-        let r = RingRanking { n };
-        let (x, y) = (NodeId(a % n), NodeId(b % n));
-        prop_assert_eq!(r.rank(x, y), r.rank(y, x));
-        prop_assert!(r.rank(x, y) <= n as f64 / 2.0);
-        prop_assert_eq!(r.rank(x, x), 0.0);
     }
 }

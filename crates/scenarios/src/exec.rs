@@ -1,12 +1,13 @@
 //! Cell executor: run one validated [`CellSpec`] on the requested kernel
 //! with fault injection and the allocation-free metrics tap.
 //!
-//! The executor drives the engines directly (instead of going through
-//! `core::experiment::run_distributed`) because timed faults need engine
-//! access between ticks — scripted mass crashes, flash-crowd joins — and
-//! the tap wants the kernel's delivery counters. For a fault-free cycle
-//! cell the loop replicates `run_distributed` exactly (same construction,
-//! same tick/observe/stop order, transparent [`FaultApp`] wrapper), which
+//! The executor owns no run loop. It builds the requested engine, hands
+//! it to `core::experiment::drive` — the loop `run_distributed` and
+//! `run_distributed_async` also use — with two additions: every node is
+//! wrapped in a [`FaultApp`] (message-plane faults), and the per-tick hook
+//! fires the scripted membership faults (mass crashes, flash-crowd joins)
+//! through the engine before the tick runs. For a fault-free cell both
+//! additions are transparent, which
 //! `exec::tests::fault_free_cell_matches_run_distributed` locks bit for
 //! bit.
 
@@ -14,10 +15,9 @@ use crate::faults::{FaultApp, FaultSchedule};
 use crate::spec::{CellSpec, Fault};
 use crate::{Error, Result};
 use gossipopt_core::experiment::{
-    bootstrap_sample, AsyncOpts, Budget, DistributedPsoSpec, NodeRecipe, RunReport,
+    cycle_engine, drive, event_engine, AsyncOpts, Budget, Engine, NodeRecipe, RunReport,
 };
 use gossipopt_core::messages::KIND_NAMES;
-use gossipopt_core::metrics::{MetricSample, MetricsRing};
 use gossipopt_core::node::OptNode;
 use gossipopt_functions::Objective;
 use gossipopt_obs::snapshot::{
@@ -25,10 +25,7 @@ use gossipopt_obs::snapshot::{
 };
 use gossipopt_obs::wall::{self, WallSnapshot};
 use gossipopt_obs::OBS_SCHEMA;
-use gossipopt_sim::{
-    frame_class, Application, Control, CycleConfig, CycleEngine, EventConfig, EventEngine,
-    FrameSavings, NodeId, Transport, WireCounts,
-};
+use gossipopt_sim::{frame_class, FrameSavings, NodeId, WireCounts};
 use gossipopt_util::{Rng64, StreamId, Xoshiro256pp};
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
@@ -58,7 +55,7 @@ pub struct CellReport {
     pub failures: Vec<String>,
 }
 
-/// Deterministic-plane raw material harvested by the cell loops: pure
+/// Deterministic-plane raw material harvested from a finished run: pure
 /// functions of the cell spec and seed, assembled into a
 /// [`DetSnapshot`] by [`run_cell_obs`].
 struct RawObs {
@@ -78,33 +75,6 @@ struct RawObs {
     churn_crashes: u64,
     /// Global best-improvement events at metric-sample granularity.
     trace: Vec<TraceEvent>,
-}
-
-impl RawObs {
-    fn new() -> RawObs {
-        RawObs {
-            wire: WireCounts::new(),
-            frame_saved: FrameSavings::default(),
-            merge_rounds: 0,
-            fault_events: 0,
-            churn_joins: 0,
-            churn_crashes: 0,
-            trace: Vec::new(),
-        }
-    }
-
-    /// Record a best-improvement trace event when `quality` beats the
-    /// best seen so far (`best_seen` is updated in place).
-    fn trace_improvement(&mut self, best_seen: &mut f64, tick: u64, node: u64, quality: f64) {
-        if quality < *best_seen {
-            *best_seen = quality;
-            self.trace.push(TraceEvent {
-                tick,
-                node,
-                quality,
-            });
-        }
-    }
 }
 
 /// Membership faults the executor applies through the engine.
@@ -197,14 +167,21 @@ fn run_cell_inner(cell: &CellSpec) -> Result<(CellReport, RawObs)> {
     let seed = cell.resolved_seed();
     let objective: Arc<dyn Objective> =
         Arc::from(gossipopt_functions::by_name(&cell.function, cell.dim).expect("validated"));
-    let budget = Budget::PerNode(cell.budget);
-    let recipe =
-        NodeRecipe::new(&spec, Arc::clone(&objective), budget, seed).map_err(Error::from_core)?;
+    let recipe = NodeRecipe::new(&spec, objective, Budget::PerNode(cell.budget), seed)
+        .map_err(Error::from_core)?;
     let faults = cell.compiled_faults()?;
 
+    // `FaultSchedule` times are in the kernel's clock units: ticks on the
+    // cycle kernel, `tick_period` per tick on the event kernel. Scripted
+    // crashes land in the cycle kernel's crash counter but not in the
+    // event kernel's, which counts the churn process only.
     let (report, blocked_messages, raw) = match cell.kernel.as_str() {
-        "cycle" => run_cycle_cell(cell, &spec, recipe, &faults, seed),
-        "event" => run_event_cell(cell, &spec, recipe, &faults, seed),
+        "cycle" => run_on(cycle_engine(&spec, seed), cell, &recipe, &faults, 1, true),
+        "event" => {
+            let opts = AsyncOpts::default();
+            let engine = event_engine(&spec, opts, seed);
+            run_on(engine, cell, &recipe, &faults, opts.tick_period, false)
+        }
         other => unreachable!("validated kernel {other}"),
     };
     let poisoned = report.best_quality < POISON_EPSILON;
@@ -270,328 +247,62 @@ fn assemble_det(cell: &CellSpec, out: &CellReport, raw: RawObs) -> DetSnapshot {
     }
 }
 
-/// Per-tick observer: the global best quality only — the stop check
-/// needs nothing else, and the full scan clones every node's best point
-/// (a Vec per node), which at 100k nodes would dominate the tick.
-fn scan_quality<'a>(nodes: impl Iterator<Item = (NodeId, &'a FaultApp<OptNode>)>) -> f64 {
-    let mut quality = f64::INFINITY;
-    for (_, app) in nodes {
-        quality = quality.min(app.inner().quality());
-    }
-    quality
-}
-
-/// Sampled-tick observer: `(quality, argmin node, wire bytes, alive)`
-/// for the ring and the best-improvement trace.
-fn scan_sample<'a>(
-    nodes: impl Iterator<Item = (NodeId, &'a FaultApp<OptNode>)>,
-) -> (f64, u64, u64, usize) {
-    let mut quality = f64::INFINITY;
-    let mut best_node = 0u64;
-    let mut bytes = 0u64;
-    let mut alive = 0usize;
-    for (id, app) in nodes {
-        let q = app.inner().quality();
-        if q < quality {
-            quality = q;
-            best_node = id.raw();
-        }
-        bytes += app.inner().payload_bytes_sent();
-        alive += 1;
-    }
-    (quality, best_node, bytes, alive)
-}
-
-/// End-of-run totals over the surviving nodes.
-struct ScanTotals {
-    quality: f64,
-    value: f64,
-    evals: u64,
-    exchanges: u64,
-    /// Per-kind wire counts of the live nodes (the caller adds the
-    /// kernel's retired accumulator for exact totals under churn).
-    wire: WireCounts,
-    blocked: u64,
-    alive: usize,
-}
-
-/// End-of-run observer scan shared by both kernels.
-fn scan<'a>(nodes: impl Iterator<Item = (NodeId, &'a FaultApp<OptNode>)>) -> ScanTotals {
-    let mut totals = ScanTotals {
-        quality: f64::INFINITY,
-        value: f64::INFINITY,
-        evals: 0,
-        exchanges: 0,
-        wire: WireCounts::new(),
-        blocked: 0,
-        alive: 0,
-    };
-    for (_, app) in nodes {
-        let node = app.inner();
-        totals.quality = totals.quality.min(node.quality());
-        if let Some(b) = node.best() {
-            totals.value = totals.value.min(b.f);
-        }
-        totals.evals += node.evals();
-        totals.exchanges += node.exchanges_initiated();
-        totals.wire.add(&app.wire_counts());
-        totals.blocked += app.blocked();
-        totals.alive += 1;
-    }
-    totals
-}
-
-fn run_cycle_cell(
+/// Run the cell on `engine` through core's run loop: nodes wrapped in
+/// [`FaultApp`], scripted membership faults fired before each tick.
+fn run_on<E: Engine<FaultApp<OptNode>>>(
+    mut engine: E,
     cell: &CellSpec,
-    spec: &DistributedPsoSpec,
-    recipe: NodeRecipe,
+    recipe: &NodeRecipe,
     faults: &[Fault],
-    seed: u64,
+    tick_scale: u64,
+    crash_counts_itself: bool,
 ) -> (RunReport, u64, RawObs) {
-    let n = spec.nodes;
-    let sched = Arc::new(FaultSchedule::new(faults, cell.dim, seed, 1));
+    let seed = cell.resolved_seed();
+    let sched = Arc::new(FaultSchedule::new(faults, cell.dim, seed, tick_scale));
     let mut engine_faults = EngineFaults::new(faults, seed);
-
-    let mut cfg = CycleConfig::seeded(seed);
-    cfg.transport = Transport::lossy(spec.loss_prob);
-    cfg.churn = spec.churn;
-    cfg.bootstrap_sample = bootstrap_sample(spec, n);
-    cfg.threads = spec.threads;
-
-    let mut engine: CycleEngine<FaultApp<OptNode>> = CycleEngine::new(cfg);
-    for i in 0..n {
-        engine.insert(FaultApp::new(
-            recipe.build(i).expect("recipe validated"),
-            Arc::clone(&sched),
-        ));
-    }
-    {
-        // Spawner serves both churn joins and flash-crowd populates.
-        let recipe2 = recipe.clone();
-        let sched2 = Arc::clone(&sched);
-        engine.set_spawner(move |id, _rng| {
-            FaultApp::new(
-                recipe2
-                    .build(id.raw() as usize)
-                    .expect("recipe validated at construction"),
-                Arc::clone(&sched2),
-            )
-        });
-    }
-
-    let max_ticks = recipe.per_node_budget();
-    let mut ring = MetricsRing::new(cell.metrics);
-    let stop_quality = cell.stop_at_quality;
-    let mut reached_at: Option<u64> = None;
-    let mut ticks = max_ticks;
-    let mut raw = RawObs::new();
+    let mut fault_events = 0u64;
     let mut scripted_crashes = 0u64;
     let mut scripted_joins = 0u64;
-    let mut best_seen = f64::INFINITY;
 
-    for t in 0..max_ticks {
-        // Membership faults scheduled for the upcoming tick fire first.
-        let upcoming = t + 1;
-        let (crash, join) =
-            engine_faults.at_tick(upcoming, || engine.nodes().map(|(id, _)| id).collect());
-        scripted_crashes += crash.len() as u64;
-        scripted_joins += join as u64;
-        raw.fault_events +=
-            crash.len() as u64 + join as u64 + engine_faults.window_events_at(upcoming);
-        for id in crash {
-            engine.crash(id);
-        }
-        if join > 0 {
-            engine.populate(join);
-        }
-
-        engine.tick();
-        let now = engine.now();
-        let quality = if ring.wants(now) {
-            let (quality, best_node, bytes, alive) = scan_sample(engine.nodes());
-            raw.trace_improvement(&mut best_seen, now, best_node, quality);
-            ring.record(MetricSample {
-                tick: now,
-                best_quality: quality,
-                alive,
-                delivered: engine.stats().delivered,
-                // Node ledgers charge unbatched sizes: add back what
-                // crashed senders had on their ledgers at death, then
-                // net off what the kernel's frame coalescing saved.
-                wire_bytes: (bytes + engine.retired_wire_counts().total_bytes())
-                    .saturating_sub(engine.stats().frame_bytes_saved),
-            });
-            quality
-        } else {
-            scan_quality(engine.nodes())
-        };
-        if let Some(thr) = stop_quality {
-            if quality <= thr && reached_at.is_none() {
-                reached_at = Some(now);
-                ticks = t + 1;
-                break;
+    let driven = drive(
+        &mut engine,
+        recipe,
+        move |node| FaultApp::new(node, Arc::clone(&sched)),
+        |engine: &mut E, t| {
+            let (crash, join) =
+                engine_faults.at_tick(t, || engine.nodes().map(|(id, _)| id).collect());
+            scripted_crashes += crash.len() as u64;
+            scripted_joins += join as u64;
+            fault_events += crash.len() as u64 + join as u64 + engine_faults.window_events_at(t);
+            for id in crash {
+                engine.crash(id);
             }
-        }
-    }
-
-    let totals = scan(engine.nodes());
-    let stats = engine.stats();
-    raw.wire = totals.wire;
-    raw.wire.add(&engine.retired_wire_counts());
-    raw.frame_saved = engine.frame_saved();
-    raw.merge_rounds = engine.merge_rounds();
-    // The cycle kernel counts scripted crashes into `stats.crashes`
-    // (joins stay churn-only); normalize both to churn + scripted.
-    raw.churn_crashes = stats.crashes;
-    raw.churn_joins = stats.joins + scripted_joins;
-    debug_assert!(stats.crashes >= scripted_crashes);
-    let report = RunReport {
-        best_quality: totals.quality,
-        best_value: totals.value,
-        total_evals: totals.evals,
-        ticks,
-        reached_threshold_at: reached_at,
-        coordination_exchanges: totals.exchanges,
-        payload_bytes: raw
-            .wire
-            .total_bytes()
-            .saturating_sub(stats.frame_bytes_saved),
-        messages_sent: stats.sent,
-        messages_delivered: stats.delivered,
-        messages_dropped: stats.lost + stats.dead_letter + stats.hop_overflow,
-        final_population: totals.alive,
-        trace: Vec::new(),
-        samples: ring.to_series(),
-    };
-    (report, totals.blocked, raw)
-}
-
-fn run_event_cell(
-    cell: &CellSpec,
-    spec: &DistributedPsoSpec,
-    recipe: NodeRecipe,
-    faults: &[Fault],
-    seed: u64,
-) -> (RunReport, u64, RawObs) {
-    let n = spec.nodes;
-    let opts = AsyncOpts::default();
-    let period = opts.tick_period;
-    let sched = Arc::new(FaultSchedule::new(faults, cell.dim, seed, period));
-    let mut engine_faults = EngineFaults::new(faults, seed);
-
-    let mut cfg = EventConfig::seeded(seed);
-    cfg.transport = Transport {
-        loss_prob: spec.loss_prob,
-        latency: opts.latency,
-    };
-    cfg.tick_period = period;
-    cfg.jitter_phase = opts.jitter_phase;
-    cfg.churn = spec.churn;
-    cfg.bootstrap_sample = bootstrap_sample(spec, n);
-    cfg.threads = spec.threads;
-
-    let mut engine: EventEngine<FaultApp<OptNode>> = EventEngine::new(cfg);
-    for i in 0..n {
-        engine.insert(FaultApp::new(
-            recipe.build(i).expect("recipe validated"),
-            Arc::clone(&sched),
-        ));
-    }
-    {
-        let recipe2 = recipe.clone();
-        let sched2 = Arc::clone(&sched);
-        engine.set_spawner(move |id, _rng| {
-            FaultApp::new(
-                recipe2
-                    .build(id.raw() as usize)
-                    .expect("recipe validated at construction"),
-                Arc::clone(&sched2),
-            )
-        });
-    }
-
-    // Same horizon as `run_distributed_async`: budget plus latency slack.
-    let per_node_budget = recipe.per_node_budget();
-    let max_time = per_node_budget * period + 10 * period + 200;
-    let horizon = max_time / period;
-    let mut ring = MetricsRing::new(cell.metrics);
-    let stop_quality = cell.stop_at_quality;
-    let mut reached_at: Option<u64> = None;
-    let mut end = 0u64;
-    let mut raw = RawObs::new();
-    let mut scripted_crashes = 0u64;
-    let mut scripted_joins = 0u64;
-    let mut best_seen = f64::INFINITY;
-
-    for t in 1..=horizon {
-        let (crash, join) = engine_faults.at_tick(t, || engine.nodes().map(|(id, _)| id).collect());
-        scripted_crashes += crash.len() as u64;
-        scripted_joins += join as u64;
-        raw.fault_events += crash.len() as u64 + join as u64 + engine_faults.window_events_at(t);
-        for id in crash {
-            engine.crash(id);
-        }
-        if join > 0 {
-            engine.populate(join);
-        }
-
-        end = engine.run_until(t * period, period, |_, _| Control::Continue);
-        let quality = if ring.wants(t) {
-            let (quality, best_node, bytes, alive) = scan_sample(engine.nodes());
-            raw.trace_improvement(&mut best_seen, t, best_node, quality);
-            ring.record(MetricSample {
-                tick: t,
-                best_quality: quality,
-                alive,
-                delivered: engine.delivered(),
-                // Node ledgers charge unbatched sizes: add back what
-                // crashed senders had on their ledgers at death, then
-                // net off what the kernel's frame coalescing saved.
-                wire_bytes: (bytes + engine.retired_wire_counts().total_bytes())
-                    .saturating_sub(engine.frame_bytes_saved()),
-            });
-            quality
-        } else {
-            scan_quality(engine.nodes())
-        };
-        if let Some(thr) = stop_quality {
-            if quality <= thr && reached_at.is_none() {
-                reached_at = Some(t);
-                break;
+            if join > 0 {
+                engine.populate(join);
             }
-        }
-    }
+        },
+    )
+    .expect("recipe validated");
 
-    let totals = scan(engine.nodes());
-    raw.wire = totals.wire;
-    raw.wire.add(&engine.retired_wire_counts());
-    raw.frame_saved = engine.frame_saved();
-    // The event kernel drains a queue; phased merge rounds are a
-    // cycle-kernel concept.
-    raw.merge_rounds = 0;
-    // The event kernel's counters are churn-process-only; fold in the
-    // scripted membership faults for parity with the cycle kernel.
-    raw.churn_crashes = engine.churn_crashes() + scripted_crashes;
-    raw.churn_joins = engine.churn_joins() + scripted_joins;
-    let report = RunReport {
-        best_quality: totals.quality,
-        best_value: totals.value,
-        total_evals: totals.evals,
-        ticks: end / period,
-        reached_threshold_at: reached_at,
-        coordination_exchanges: totals.exchanges,
-        payload_bytes: raw
-            .wire
-            .total_bytes()
-            .saturating_sub(engine.frame_bytes_saved()),
-        messages_sent: engine.delivered() + engine.dropped(),
-        messages_delivered: engine.delivered(),
-        messages_dropped: engine.dropped(),
-        final_population: totals.alive,
-        trace: Vec::new(),
-        samples: ring.to_series(),
+    let blocked = engine.nodes().map(|(_, app)| app.blocked()).sum();
+    let traffic = engine.traffic();
+    // Normalize both kernels to churn + scripted (joins are churn-only in
+    // either kernel's counter).
+    let uncounted_crashes = if crash_counts_itself {
+        0
+    } else {
+        scripted_crashes
     };
-    (report, totals.blocked, raw)
+    let raw = RawObs {
+        wire: driven.wire,
+        frame_saved: engine.frame_saved(),
+        merge_rounds: traffic.merge_rounds,
+        fault_events,
+        churn_joins: traffic.joins + scripted_joins,
+        churn_crashes: traffic.crashes + uncounted_crashes,
+        trace: driven.improvements,
+    };
+    (driven.report, blocked, raw)
 }
 
 #[cfg(test)]
@@ -613,7 +324,7 @@ mod tests {
 
     #[test]
     fn fault_free_cell_matches_run_distributed() {
-        // The executor's loops + transparent FaultApp wrapper must be
+        // The transparent FaultApp wrapper + no-fault hook must be
         // bit-identical to core's drivers on the same spec/seed, on both
         // kernels and both scheduling disciplines. A star with gossip
         // every tick makes frame coalescing engage at threads = 1, so the
@@ -653,6 +364,23 @@ mod tests {
                 );
                 assert_eq!(out.report.payload_bytes, reference.payload_bytes, "{ctx}");
                 assert_eq!(out.report.total_evals, reference.total_evals, "{ctx}");
+                assert_eq!(out.report.ticks, reference.ticks, "{ctx}");
+                assert_eq!(
+                    out.report.reached_threshold_at, reference.reached_threshold_at,
+                    "{ctx}"
+                );
+                assert_eq!(
+                    out.report.messages_dropped, reference.messages_dropped,
+                    "{ctx}"
+                );
+                assert_eq!(
+                    out.report.final_population, reference.final_population,
+                    "{ctx}"
+                );
+                assert_eq!(
+                    out.report.coordination_exchanges, reference.coordination_exchanges,
+                    "{ctx}"
+                );
                 assert_eq!(out.blocked_messages, 0, "{ctx}");
                 assert!(!out.poisoned, "{ctx}");
                 assert!(!out.report.samples.is_empty(), "the tap is always on");
@@ -727,8 +455,15 @@ mod tests {
                 node_frac: None,
                 lie: None,
             });
+            // No churn process: the joiners exist only because the run
+            // loop installs the spawner unconditionally.
+            assert!(cell.to_dist_spec().unwrap().churn.is_static());
             let out = run_cell(&cell).unwrap();
             assert_eq!(out.report.final_population, 26, "{kernel}: 16 + 10 joiners");
+            assert!(
+                out.report.total_evals > 16 * cell.budget,
+                "{kernel}: joiners must evaluate"
+            );
         }
     }
 

@@ -252,6 +252,14 @@ impl<A: FaultTarget> FaultApp<A> {
     }
 }
 
+/// Observers that read the protocol node (core's run loop) see through
+/// the wrapper.
+impl<A: FaultTarget> std::borrow::Borrow<A> for FaultApp<A> {
+    fn borrow(&self) -> &A {
+        &self.inner
+    }
+}
+
 impl<A: FaultTarget> Application for FaultApp<A> {
     type Message = <A as Application>::Message;
 

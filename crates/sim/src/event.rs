@@ -386,6 +386,11 @@ impl<A: Application> EventEngine<A> {
         self.now
     }
 
+    /// Period of each node's local clock ([`EventConfig::tick_period`]).
+    pub fn tick_period(&self) -> Ticks {
+        self.cfg.tick_period
+    }
+
     /// Number of live nodes.
     pub fn alive_count(&self) -> usize {
         self.arena.alive_count

@@ -11,8 +11,8 @@
 //! * `--mode dpso` — the paper's composed distributed-PSO stack
 //!   (`core::OptNode`: topology + optimization + coordination services)
 //!   at the same scale, executed through the scenario harness
-//!   (`gossipopt::scenarios::run_cell` — bit-identical to
-//!   `run_distributed_pso`, plus the metrics tap). Proves the end-to-end
+//!   (`gossipopt::scenarios::run_cell` — the same run loop as
+//!   `run_distributed_pso`, with the metrics tap on). Proves the end-to-end
 //!   framework — pooled message payloads, O(n) network construction,
 //!   allocation-free steady-state coordination — at 100k nodes on both
 //!   kernels.

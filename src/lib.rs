@@ -11,8 +11,8 @@
 //! * [`util`] — deterministic PRNG streams and online statistics;
 //! * [`obs`] — two-plane observability: deterministic run snapshots
 //!   (per-kind wire accounting, frame savings, churn/fault counters,
-//!   best-improvement traces — byte-identical across threads and SIMD
-//!   paths), wall-clock phase histograms, and the `GOSSIPOPT_LOG`
+//!   best-improvement traces — byte-identical across worker-thread
+//!   counts), wall-clock phase histograms, and the `GOSSIPOPT_LOG`
 //!   structured-logging facade;
 //! * [`functions`] — the benchmark objective suite (Sphere, Rosenbrock, …);
 //! * [`sim`] — a PeerSim-equivalent cycle- and event-driven P2P simulator;
