@@ -1,9 +1,10 @@
 //! Campaign entrypoint: run a declarative scenario file end to end, or
-//! render the paper's tables from the result store.
+//! render the paper's tables and figures from the result store.
 //!
 //! ```text
 //! cargo run --release -p gossipopt_bench --bin campaign -- scenarios/paper_grid.toml
 //! cargo run --release -p gossipopt_bench --bin campaign -- report
+//! cargo run --release -p gossipopt_bench --bin campaign -- figures
 //! ```
 //!
 //! Run mode — `campaign <spec.toml>` plus options:
@@ -42,6 +43,12 @@
 //! `curves_<name>.csv` of raw convergence samples per campaign — all
 //! byte-identical across runs and `--threads`.
 //!
+//! Figures mode — `campaign figures [spec.toml ...]` (same default
+//! campaigns, same store/run path) renders the paper's Figures 1–4 as
+//! ASCII plots, followed by the per-function best rows of Tables 1–3, to
+//! `<out>/paper_figures.txt` (and stdout) — byte-identical across runs,
+//! stores and `--threads`.
+//!
 //! Exit status: `0` when every cell ran and every `[assert]` bound held;
 //! `1` on assertion failures; `2` on usage/spec errors.
 
@@ -49,8 +56,8 @@ use gossipopt_obs::snapshot::DetSnapshot;
 use gossipopt_obs::wall::WallSnapshot;
 use gossipopt_obs::{log, wall};
 use gossipopt_scenarios::{
-    curves_csv, parse_campaign, render_paper_tables, run_campaign_observed, CampaignOutcome,
-    CampaignSpec, Store,
+    curves_csv, parse_campaign, render_paper_figures, render_paper_tables, run_campaign_observed,
+    CampaignOutcome, CampaignSpec, Store,
 };
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -58,9 +65,11 @@ use std::process::ExitCode;
 const USAGE: &str = "usage: campaign <spec.toml> [--out DIR] [--threads N] \
                      [--store DIR | --no-store] [--obs-out DIR] [--quiet]\n       \
                      campaign report [spec.toml ...] [same options]\n       \
+                     campaign figures [spec.toml ...] [same options]\n       \
                      campaign trace <dir> [cell]";
 
-/// The campaigns `campaign report` renders when none are listed.
+/// The campaigns `campaign report` and `campaign figures` render when
+/// none are listed.
 const PAPER_TABLES: [&str; 4] = [
     "scenarios/paper_table1.toml",
     "scenarios/paper_table2.toml",
@@ -68,8 +77,19 @@ const PAPER_TABLES: [&str; 4] = [
     "scenarios/paper_table4.toml",
 ];
 
+/// What a run publishes besides the per-campaign JSON/CSV reports.
+#[derive(Clone, Copy, PartialEq)]
+enum Mode {
+    /// One campaign, its summary table on stdout.
+    Run,
+    /// `campaign report`: the paper-style tables and convergence curves.
+    Report,
+    /// `campaign figures`: the paper's figures and best rows.
+    Figures,
+}
+
 struct Args {
-    report_mode: bool,
+    mode: Mode,
     specs: Vec<PathBuf>,
     out: PathBuf,
     store: Option<PathBuf>, // None = --no-store
@@ -80,7 +100,7 @@ struct Args {
 
 fn parse_args() -> Result<Args, String> {
     let mut specs: Vec<PathBuf> = Vec::new();
-    let mut report_mode = false;
+    let mut mode = Mode::Run;
     let mut out = PathBuf::from("campaign-out");
     let mut store: Option<PathBuf> = None;
     let mut no_store = false;
@@ -117,7 +137,11 @@ fn parse_args() -> Result<Args, String> {
             "--quiet" => quiet = true,
             "--help" | "-h" => return Err(USAGE.to_string()),
             "report" if first_positional => {
-                report_mode = true;
+                mode = Mode::Report;
+                first_positional = false;
+            }
+            "figures" if first_positional => {
+                mode = Mode::Figures;
                 first_positional = false;
             }
             other if !other.starts_with('-') => {
@@ -130,13 +154,13 @@ fn parse_args() -> Result<Args, String> {
     if no_store && store_explicit {
         return Err("--store and --no-store are mutually exclusive".to_string());
     }
-    if report_mode && specs.is_empty() {
+    if mode != Mode::Run && specs.is_empty() {
         specs = PAPER_TABLES.iter().map(PathBuf::from).collect();
     }
     if specs.is_empty() {
         return Err(USAGE.to_string());
     }
-    if !report_mode && specs.len() > 1 {
+    if mode == Mode::Run && specs.len() > 1 {
         return Err("run mode takes exactly one spec (use `report` for several)".to_string());
     }
     let store = if no_store {
@@ -145,7 +169,7 @@ fn parse_args() -> Result<Args, String> {
         Some(store.unwrap_or_else(|| out.join("store")))
     };
     Ok(Args {
-        report_mode,
+        mode,
         specs,
         out,
         store,
@@ -236,24 +260,30 @@ fn run(args: &Args) -> Result<u8, String> {
         let csv_path = args.out.join(format!("{}.csv", spec.name));
         write(&json_path, &outcome.report.to_json())?;
         write(&csv_path, &outcome.report.to_csv())?;
-        if !args.quiet && !args.report_mode {
+        if !args.quiet && args.mode == Mode::Run {
             print!("{}", outcome.report.to_table());
             println!("report: {} / {}", json_path.display(), csv_path.display());
         }
         reports.push(outcome.report);
     }
 
-    if args.report_mode {
-        let tables = render_paper_tables(&reports);
-        let tables_path = args.out.join("paper_tables.txt");
-        write(&tables_path, &tables)?;
-        for report in &reports {
-            let curves_path = args.out.join(format!("curves_{}.csv", report.name));
-            write(&curves_path, &curves_csv(report))?;
+    let published = match args.mode {
+        Mode::Run => None,
+        Mode::Report => {
+            for report in &reports {
+                let curves_path = args.out.join(format!("curves_{}.csv", report.name));
+                write(&curves_path, &curves_csv(report))?;
+            }
+            Some(("paper_tables.txt", render_paper_tables(&reports)))
         }
+        Mode::Figures => Some(("paper_figures.txt", render_paper_figures(&reports))),
+    };
+    if let Some((file, text)) = published {
+        let path = args.out.join(file);
+        write(&path, &text)?;
         if !args.quiet {
-            print!("{tables}");
-            println!("report: {}", tables_path.display());
+            print!("{text}");
+            println!("report: {}", path.display());
         }
     }
 

@@ -3,44 +3,8 @@
 use std::io::Write;
 use std::process::{Command, Stdio};
 
-fn repro() -> Command {
-    Command::new(env!("CARGO_BIN_EXE_repro"))
-}
-
 fn cli() -> Command {
     Command::new(env!("CARGO_BIN_EXE_gossipopt-cli"))
-}
-
-#[test]
-fn repro_smoke_set1_writes_artifacts() {
-    let dir = std::env::temp_dir().join("gossipopt-bin-test-set1");
-    let _ = std::fs::remove_dir_all(&dir);
-    let out = repro()
-        .args(["set1", "--scale", "smoke", "--out"])
-        .arg(&dir)
-        .output()
-        .expect("repro runs");
-    assert!(
-        out.status.success(),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(stdout.contains("Table 1"), "missing table header");
-    assert!(stdout.contains("griewank"));
-    assert!(dir.join("set1_quality_vs_swarm.csv").exists());
-    assert!(dir.join("set1.json").exists());
-    let csv = std::fs::read_to_string(dir.join("set1_quality_vs_swarm.csv")).unwrap();
-    assert!(csv.lines().count() > 10, "CSV should hold the whole grid");
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn repro_rejects_unknown_command_and_scale() {
-    let out = repro().args(["not-a-set"]).output().unwrap();
-    assert!(!out.status.success());
-    let out2 = repro().args(["set1", "--scale", "bogus"]).output().unwrap();
-    assert!(!out2.status.success());
 }
 
 #[test]
@@ -342,17 +306,9 @@ fn campaign_store_skips_finished_cells_and_recovers_corruption() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-#[test]
-fn campaign_report_renders_byte_identical_tables() {
-    let dir = std::env::temp_dir().join("gossipopt-bin-test-report");
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    let spec_path = dir.join("paper_table1.toml");
-    // A miniature stand-in for the committed paper tables: same shape
-    // (zip axis, reps, report-recognised name), tiny budget.
-    std::fs::write(
-        &spec_path,
-        r#"
+/// A miniature stand-in for the committed paper tables: same shape (zip
+/// axis, reps, report-recognised name), tiny budget.
+const PAPER_TABLE1: &str = r#"
 [campaign]
 name = "paper-table1"
 seed = 41
@@ -369,9 +325,15 @@ capacity = 8
 [sweep.zip]
 nodes = [4, 8]
 gossip_every = [4, 8]
-"#,
-    )
-    .unwrap();
+"#;
+
+#[test]
+fn campaign_report_renders_byte_identical_tables() {
+    let dir = std::env::temp_dir().join("gossipopt-bin-test-report");
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let spec_path = dir.join("paper_table1.toml");
+    std::fs::write(&spec_path, PAPER_TABLE1).unwrap();
 
     let render = |out: &str, threads: &str| {
         let outdir = dir.join(out);
@@ -404,5 +366,40 @@ gossip_every = [4, 8]
         "{curves_a}"
     );
     assert!(curves_a.lines().count() > 2, "samples were captured");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn campaign_figures_render_byte_identical_plots() {
+    let dir = std::env::temp_dir().join("gossipopt-bin-test-figures");
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let spec_path = dir.join("paper_table1.toml");
+    std::fs::write(&spec_path, PAPER_TABLE1).unwrap();
+
+    let render = |out: &str, store: &str, threads: &str| {
+        let outdir = dir.join(out);
+        let res = campaign()
+            .arg("figures")
+            .arg(&spec_path)
+            .args(["--out", outdir.to_str().unwrap()])
+            .args(["--store", dir.join(store).to_str().unwrap()])
+            .args(["--threads", threads, "--quiet"])
+            .output()
+            .expect("campaign figures runs");
+        assert!(
+            res.status.success(),
+            "{}",
+            String::from_utf8_lossy(&res.stderr)
+        );
+        std::fs::read_to_string(outdir.join("paper_figures.txt")).unwrap()
+    };
+    let cold = render("a", "store_a", "1");
+    let threads = render("b", "store_b", "2");
+    let warm = render("c", "store_a", "1");
+    assert_eq!(cold, threads, "figures must not depend on --threads");
+    assert_eq!(cold, warm, "a warm store must render the cold bytes");
+    assert!(cold.contains("Figure 1 [sphere]"), "{cold}");
+    assert!(cold.contains("Best configuration per function"), "{cold}");
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -19,9 +19,9 @@
 //!
 //! [`node::OptNode`] composes the three services into one
 //! [`gossipopt_sim::Application`]; [`experiment`] builds networks of them,
-//! runs budgeted simulations and aggregates repetitions; [`paper`]
-//! enumerates the exact parameter grids of the paper's four experiment
-//! sets (Tables 1–4 / Figures 1–4).
+//! runs budgeted simulations and aggregates repetitions. The paper's four
+//! experiment grids (Tables 1–4 / Figures 1–4) are declarative campaigns
+//! run by `gossipopt_scenarios`, not code here.
 //!
 //! ## Scale architecture (100k nodes)
 //!
@@ -66,7 +66,6 @@ pub mod experiment;
 pub mod messages;
 pub mod metrics;
 pub mod node;
-pub mod paper;
 pub mod partition;
 pub mod rumor;
 

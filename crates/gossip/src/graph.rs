@@ -2,10 +2,9 @@
 //!
 //! NEWSCAST's value proposition is that its emergent overlay behaves like a
 //! random graph: strongly connected at small view sizes, low diameter,
-//! near-Poisson in-degree, vanishing clustering. These functions measure
-//! those properties on a snapshot of the directed overlay (`adj[i]` = out-
-//! neighbors of node `i`, as indices). They back the `EXT-overlay`
-//! experiment and the self-repair tests.
+//! vanishing clustering. These functions measure those properties on a
+//! snapshot of the directed overlay (`adj[i]` = out-neighbors of node `i`,
+//! as indices). They back the overlay-health and self-repair tests.
 
 use gossipopt_util::{OnlineStats, Rng64, Xoshiro256pp};
 use std::collections::VecDeque;
@@ -74,17 +73,6 @@ pub fn symmetrize(adj: &[Vec<usize>]) -> Vec<Vec<usize>> {
         nbrs.dedup();
     }
     s
-}
-
-/// In-degree statistics (NEWSCAST aims for a concentrated distribution).
-pub fn in_degree_stats(adj: &[Vec<usize>]) -> OnlineStats {
-    let mut indeg = vec![0u32; adj.len()];
-    for nbrs in adj {
-        for &v in nbrs {
-            indeg[v] += 1;
-        }
-    }
-    indeg.iter().map(|&d| d as f64).collect()
 }
 
 /// Local clustering coefficient of the symmetrized graph, averaged over
@@ -179,15 +167,6 @@ mod tests {
         let g = vec![vec![1], vec![0]]; // already mutual
         let s = symmetrize(&g);
         assert_eq!(s, vec![vec![1], vec![0]]);
-    }
-
-    #[test]
-    fn in_degrees() {
-        let g = vec![vec![1, 2], vec![2], vec![]];
-        let stats = in_degree_stats(&g);
-        assert_eq!(stats.count(), 3);
-        assert_eq!(stats.max(), 2.0); // node 2
-        assert_eq!(stats.min(), 0.0); // node 0
     }
 
     #[test]

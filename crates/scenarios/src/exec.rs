@@ -15,7 +15,7 @@ use crate::faults::{FaultApp, FaultSchedule};
 use crate::spec::{CellSpec, Fault};
 use crate::{Error, Result};
 use gossipopt_core::experiment::{
-    cycle_engine, drive, event_engine, AsyncOpts, Budget, Engine, NodeRecipe, RunReport,
+    cycle_engine, drive, event_engine, Budget, Engine, NodeRecipe, RunReport,
 };
 use gossipopt_core::messages::KIND_NAMES;
 use gossipopt_core::node::OptNode;
@@ -175,14 +175,12 @@ fn run_cell_inner(cell: &CellSpec) -> Result<(CellReport, RawObs)> {
     // cycle kernel, `tick_period` per tick on the event kernel. Scripted
     // crashes land in the cycle kernel's crash counter but not in the
     // event kernel's, which counts the churn process only.
-    let (report, blocked_messages, raw) = match cell.kernel.as_str() {
-        "cycle" => run_on(cycle_engine(&spec, seed), cell, &recipe, &faults, 1, true),
-        "event" => {
-            let opts = AsyncOpts::default();
+    let (report, blocked_messages, raw) = match cell.event_opts()? {
+        None => run_on(cycle_engine(&spec, seed), cell, &recipe, &faults, 1, true),
+        Some(opts) => {
             let engine = event_engine(&spec, opts, seed);
             run_on(engine, cell, &recipe, &faults, opts.tick_period, false)
         }
-        other => unreachable!("validated kernel {other}"),
     };
     let poisoned = report.best_quality < POISON_EPSILON;
     Ok((
@@ -326,10 +324,11 @@ mod tests {
     fn fault_free_cell_matches_run_distributed() {
         // The transparent FaultApp wrapper + no-fault hook must be
         // bit-identical to core's drivers on the same spec/seed, on both
-        // kernels and both scheduling disciplines. A star with gossip
-        // every tick makes frame coalescing engage at threads = 1, so the
-        // savings netted off `payload_bytes` are part of the comparison.
-        for kernel in ["cycle", "event"] {
+        // kernels (and the event kernel's latency grammar) and both
+        // scheduling disciplines. A star with gossip every tick makes frame
+        // coalescing engage at threads = 1, so the savings netted off
+        // `payload_bytes` are part of the comparison.
+        for kernel in ["cycle", "event", "event:exp:30"] {
             for threads in [0usize, 1] {
                 let cell = CellSpec {
                     nodes: 64,
@@ -345,10 +344,9 @@ mod tests {
                 let objective: Arc<dyn Objective> = Arc::from(
                     gossipopt_functions::by_name(&cell.function, cell.dim).expect("registered"),
                 );
-                let reference = if kernel == "cycle" {
-                    run_distributed(&spec, objective, budget, 11)
-                } else {
-                    run_distributed_async(&spec, objective, budget, AsyncOpts::default(), 11)
+                let reference = match cell.event_opts().unwrap() {
+                    None => run_distributed(&spec, objective, budget, 11),
+                    Some(opts) => run_distributed_async(&spec, objective, budget, opts, 11),
                 }
                 .unwrap();
                 let ctx = format!("{kernel} threads={threads}");

@@ -58,7 +58,9 @@
 //!   incremental sweeps and crash resume;
 //! * [`report`] — the query layer over stored/combined results: the
 //!   paper's Tables 1–4 and convergence-curve CSVs, byte-identical
-//!   across runs and thread counts.
+//!   across runs and thread counts;
+//! * [`figures`] — the paper's Figures 1–4 as ASCII plots over the same
+//!   report groups, plus the per-function best rows of Tables 1–3.
 //!
 //! Committed campaign files live in the repository's `scenarios/`
 //! directory (see its README for the cookbook); run one with
@@ -67,6 +69,7 @@
 pub mod campaign;
 pub mod exec;
 pub mod faults;
+pub mod figures;
 pub mod report;
 pub mod spec;
 pub mod store;
@@ -78,6 +81,7 @@ pub use campaign::{
 };
 pub use exec::{run_cell, run_cell_obs, CellReport};
 pub use faults::{FaultApp, FaultSchedule, FaultTarget};
+pub use figures::render_paper_figures;
 pub use report::{curves_csv, paper_title, render_paper_tables, render_table};
 pub use spec::{parse_campaign, AssertSpec, CampaignSpec, CellSpec, Fault, FaultSpec};
 pub use store::{

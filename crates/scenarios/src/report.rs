@@ -22,34 +22,74 @@
 
 use crate::campaign::csv_escape;
 use crate::exec::CellReport;
-use crate::spec::CampaignSpec;
+use crate::spec::CellSpec;
 use crate::store::exec_json;
 use crate::CampaignReport;
-use gossipopt_util::OnlineStats;
+use gossipopt_util::{OnlineStats, Summary};
 
-/// The paper-table caption for a committed campaign name (the
-/// `scenarios/paper_table*.toml` files); `None` for other campaigns.
-pub fn paper_title(name: &str) -> Option<&'static str> {
+/// Which of the paper's four experiment sets (1–4) a campaign encodes:
+/// `paper-tableN`, the name of the committed `scenarios/paper_table*.toml`
+/// and `scenarios/paper_full/table*.toml` files, is set `N`; `None` for
+/// other campaigns. The one place that knows which campaign is which
+/// paper experiment — captions and figures both key on it.
+pub(crate) fn paper_set(name: &str) -> Option<u8> {
     match name {
-        "paper-table1" => Some("Table 1: solution quality vs swarm size (n\u{d7}k particles, r=k)"),
-        "paper-table2" => Some("Table 2: solution quality vs network size at fixed total budget"),
-        "paper-table3" => Some("Table 3: solution quality vs coordination period r"),
-        "paper-table4" => Some("Table 4: ticks to reach quality 1e-10 (capped budget)"),
+        "paper-table1" => Some(1),
+        "paper-table2" => Some(2),
+        "paper-table3" => Some(3),
+        "paper-table4" => Some(4),
         _ => None,
     }
 }
 
+/// The paper-table caption for a campaign name (`paper-table1` …
+/// `paper-table4`); `None` for other campaigns.
+pub fn paper_title(name: &str) -> Option<&'static str> {
+    const TITLES: [&str; 4] = [
+        "Table 1: solution quality vs swarm size (n\u{d7}k particles, r=k)",
+        "Table 2: solution quality vs network size at fixed total budget",
+        "Table 3: solution quality vs coordination period r",
+        "Table 4: ticks to reach quality 1e-10 (capped budget)",
+    ];
+    paper_set(name).map(|set| TITLES[usize::from(set) - 1])
+}
+
 /// One aggregation group: all cells sharing the same execution
 /// configuration (repetitions differ only in seed).
-struct Group<'a> {
-    label: String,
-    cells: Vec<&'a CellReport>,
+pub(crate) struct Group<'a> {
+    pub(crate) label: String,
+    pub(crate) cells: Vec<&'a CellReport>,
+}
+
+impl Group<'_> {
+    /// The configuration every member shares (up to seed and label).
+    pub(crate) fn cell(&self) -> &CellSpec {
+        &self.cells[0].cell
+    }
+
+    /// Final-quality aggregate over the group's repetitions.
+    pub(crate) fn quality(&self) -> Summary {
+        let stats: OnlineStats = self.cells.iter().map(|c| c.report.best_quality).collect();
+        stats.summary()
+    }
+
+    /// Ticks-to-threshold over the repetitions that hit the threshold
+    /// (`count` is the number of hits).
+    pub(crate) fn hit_ticks(&self) -> Summary {
+        let stats: OnlineStats = self
+            .cells
+            .iter()
+            .filter(|c| c.report.reached_threshold_at.is_some())
+            .map(|c| c.report.ticks as f64)
+            .collect();
+        stats.summary()
+    }
 }
 
 /// Group a report's cells by canonical exec JSON, preserving grid order.
 /// The group label is the first member's sweep label with the `rep=N`
 /// token dropped (repetitions collapse into one row).
-fn group_cells(report: &CampaignReport) -> Vec<Group<'_>> {
+pub(crate) fn group_cells(report: &CampaignReport) -> Vec<Group<'_>> {
     let mut groups: Vec<(String, Group<'_>)> = Vec::new();
     for cell in &report.cells {
         let key = exec_json(&cell.cell);
@@ -80,6 +120,15 @@ fn group_cells(report: &CampaignReport) -> Vec<Group<'_>> {
     groups.into_iter().map(|(_, g)| g).collect()
 }
 
+/// Does the campaign measure time-to-threshold (Table 4) rather than
+/// final quality? True when any cell sets `stop_at_quality`.
+pub(crate) fn time_mode(report: &CampaignReport) -> bool {
+    report
+        .cells
+        .iter()
+        .any(|c| c.cell.stop_at_quality.is_some())
+}
+
 /// Render one campaign as a paper-style text table.
 pub fn render_table(report: &CampaignReport) -> String {
     let caption = paper_title(&report.name).unwrap_or("campaign results");
@@ -91,30 +140,20 @@ pub fn render_table(report: &CampaignReport) -> String {
         .max()
         .unwrap_or(0)
         .max(5);
-    let time_mode = report
-        .cells
-        .iter()
-        .any(|c| c.cell.stop_at_quality.is_some());
-    if time_mode {
+    if time_mode(report) {
         out.push_str(&format!(
             "{:<width$} {:>9} {:<12} {:<12} {:<12}\n",
             "cell", "hits/reps", "avg-ticks", "min", "max"
         ));
         for g in &groups {
-            let hits: Vec<&&CellReport> = g
-                .cells
-                .iter()
-                .filter(|c| c.report.reached_threshold_at.is_some())
-                .collect();
-            let ratio = format!("{}/{}", hits.len(), g.cells.len());
-            if hits.is_empty() {
+            let s = g.hit_ticks();
+            let ratio = format!("{}/{}", s.count, g.cells.len());
+            if s.count == 0 {
                 out.push_str(&format!(
                     "{:<width$} {ratio:>9} {:<12} {:<12} {:<12}\n",
                     g.label, "-", "-", "-"
                 ));
             } else {
-                let stats: OnlineStats = hits.iter().map(|c| c.report.ticks as f64).collect();
-                let s = stats.summary();
                 out.push_str(&format!(
                     "{:<width$} {ratio:>9} {:<12.5e} {:<12.5e} {:<12.5e}\n",
                     g.label, s.avg, s.min, s.max
@@ -127,12 +166,11 @@ pub fn render_table(report: &CampaignReport) -> String {
             "cell", "reps", "avg", "min", "max", "Var"
         ));
         for g in &groups {
-            let stats: OnlineStats = g.cells.iter().map(|c| c.report.best_quality).collect();
             out.push_str(&format!(
                 "{:<width$} {:>4} {}\n",
                 g.label,
                 g.cells.len(),
-                stats.summary().paper_row()
+                g.quality().paper_row()
             ));
         }
     }
@@ -177,20 +215,6 @@ pub fn curves_csv(report: &CampaignReport) -> String {
         }
     }
     out
-}
-
-/// Sanity gate for report inputs: every committed paper campaign must
-/// expand (used by the bin before touching the store).
-pub fn validate_campaigns(specs: &[&CampaignSpec]) -> crate::Result<()> {
-    for s in specs {
-        if s.cells.is_empty() {
-            return Err(crate::Error::Invalid(format!(
-                "campaign `{}` expanded to zero cells",
-                s.name
-            )));
-        }
-    }
-    Ok(())
 }
 
 #[cfg(test)]

@@ -10,7 +10,7 @@
 //!
 //! [cell]                     # the base experiment cell (all keys optional)
 //! nodes = 1000
-//! kernel = "cycle"           # cycle | event
+//! kernel = "cycle"           # cycle | event | event:exp:30
 //! topology = "kregular:4"    # see `parse_topology` for the grammar
 //! coordination = "gossip-pushpull"
 //! function = "sphere"
@@ -52,10 +52,13 @@
 //! are therefore bit-reproducible regardless of execution order.
 
 use crate::{Error, Result};
-use gossipopt_core::experiment::{CoordinationKind, DistributedPsoSpec, SolverSpec, TopologyKind};
+use gossipopt_core::experiment::{
+    AsyncOpts, CoordinationKind, DistributedPsoSpec, SolverSpec, TopologyKind,
+};
 use gossipopt_core::metrics::MetricsSpec;
 use gossipopt_gossip::{ExchangeMode, RumorConfig};
-use gossipopt_sim::ChurnConfig;
+use gossipopt_sim::{ChurnConfig, Latency};
+use gossipopt_solvers::PsoParams;
 use gossipopt_util::StreamId;
 use serde::{Deserialize, Serialize, Value};
 
@@ -92,11 +95,14 @@ pub struct CellSpec {
     pub gossip_every: u64,
     /// Local evaluations per node (the run lasts this many ticks).
     pub budget: u64,
-    /// `"cycle"` (synchronous rounds) or `"event"` (async clocks + latency).
+    /// `"cycle"` (synchronous rounds), `"event"` (async clocks, latency
+    /// uniform in 1..=20) or `"event:exp:30"` (the event kernel with
+    /// exponential latency of mean 30).
     pub kernel: String,
     /// Kernel shard workers (0 = sequential engines).
     pub threads: usize,
-    /// Topology grammar: `newscast`, `fullmesh`, `star`, `ring`, `grid`,
+    /// Topology grammar: `newscast`, `newscast:C` (view size `C`; the
+    /// default is 20), `fullmesh`, `star`, `ring`, `grid`,
     /// `ring-lattice:K`, `kregular:K`, `kout:K`, `hier:D`,
     /// `smallworld:K,BETA`, `erdos:P`.
     pub topology: String,
@@ -105,7 +111,8 @@ pub struct CellSpec {
     /// `master-slave`, `none`.
     pub coordination: String,
     /// Solver registry name (`pso`, `de`, `sa`, `es`, `ga`, `cmaes`,
-    /// `nelder-mead`, `random`).
+    /// `nelder-mead`, `random`), or `pso-1995` for PSO with the update
+    /// rule as printed in the paper.
     pub solver: String,
     /// Objective registry name.
     pub function: String,
@@ -296,6 +303,27 @@ impl CellSpec {
         parse_coordination(&self.coordination)
     }
 
+    /// Resolve the kernel grammar: `None` is the cycle kernel, `Some` the
+    /// event kernel with its options.
+    pub fn event_opts(&self) -> Result<Option<AsyncOpts>> {
+        parse_kernel(&self.kernel)
+    }
+
+    /// Resolve the solver name. `pso` and `pso-1995` lower to explicit
+    /// parameters (`pso` is bit-identical to the registry's
+    /// default-parameterized swarm) so `NodeRecipe` can engage the
+    /// cross-node solver arena.
+    pub fn solver_spec(&self) -> Result<SolverSpec> {
+        match self.solver.as_str() {
+            "pso" => Ok(SolverSpec::Pso(PsoParams::default())),
+            "pso-1995" => Ok(SolverSpec::Pso(PsoParams::paper_1995())),
+            name if gossipopt_solvers::solver_by_name(name, self.particles).is_some() => {
+                Ok(SolverSpec::Named(name.to_string()))
+            }
+            name => Err(Error::Invalid(format!("unknown solver `{name}`"))),
+        }
+    }
+
     /// The seed this cell runs with (set during expansion; defaults to 0
     /// for hand-built cells that never went through [`parse_campaign`]).
     pub fn resolved_seed(&self) -> u64 {
@@ -310,20 +338,13 @@ impl CellSpec {
     /// Lower into the core experiment spec (shared by both kernels).
     pub fn to_dist_spec(&self) -> Result<DistributedPsoSpec> {
         self.validate()?;
-        Ok(DistributedPsoSpec {
+        let mut spec = DistributedPsoSpec {
             nodes: self.nodes,
             particles_per_node: self.particles,
             gossip_every: self.gossip_every,
             topology: self.topology_kind()?,
             coordination: self.coordination_kind()?,
-            // `pso` lowers to the explicit variant (bit-identical to the
-            // registry's default-parameterized swarm) so `NodeRecipe` can
-            // engage the cross-node solver arena.
-            solver: if self.solver == "pso" {
-                SolverSpec::Pso(gossipopt_solvers::PsoParams::default())
-            } else {
-                SolverSpec::Named(self.solver.clone())
-            },
+            solver: self.solver_spec()?,
             churn: if self.churn > 0.0 {
                 ChurnConfig::balanced(self.churn, self.nodes)
             } else {
@@ -337,7 +358,11 @@ impl CellSpec {
             threads: self.threads,
             metrics: Some(self.metrics),
             ..Default::default()
-        })
+        };
+        if let Some(view_size) = newscast_view(&self.topology)? {
+            spec.newscast.view_size = view_size;
+        }
+        Ok(spec)
     }
 
     /// Check every field (grammars, registries, ranges, fault schedule).
@@ -357,12 +382,7 @@ impl CellSpec {
         if self.dim == 0 {
             return Err(Error::Invalid("dim must be positive".into()));
         }
-        if !matches!(self.kernel.as_str(), "cycle" | "event") {
-            return Err(Error::Invalid(format!(
-                "kernel `{}` is not cycle|event",
-                self.kernel
-            )));
-        }
+        self.event_opts()?;
         if !(0.0..=1.0).contains(&self.churn) {
             return Err(Error::Invalid(format!(
                 "churn rate {} out of [0, 1]",
@@ -383,9 +403,7 @@ impl CellSpec {
                 self.function
             )));
         }
-        if gossipopt_solvers::solver_by_name(&self.solver, self.particles).is_none() {
-            return Err(Error::Invalid(format!("unknown solver `{}`", self.solver)));
-        }
+        self.solver_spec()?;
         self.metrics.validate().map_err(Error::Invalid)?;
         self.compiled_faults()?;
         Ok(())
@@ -401,7 +419,7 @@ pub fn parse_topology(text: &str) -> Result<TopologyKind> {
             .map_err(|_| Error::Invalid(format!("topology `{text}`: bad {what}")))
     };
     match head {
-        "newscast" => Ok(TopologyKind::Newscast),
+        "newscast" => newscast_view(text).map(|_| TopologyKind::Newscast),
         "fullmesh" => Ok(TopologyKind::FullMesh),
         "star" => Ok(TopologyKind::Star),
         "ring" => Ok(TopologyKind::Ring),
@@ -444,6 +462,36 @@ pub fn parse_topology(text: &str) -> Result<TopologyKind> {
             Ok(TopologyKind::ErdosRenyi(p))
         }
         _ => Err(Error::Invalid(format!("unknown topology `{text}`"))),
+    }
+}
+
+/// The view size `C` of a `newscast:C` topology; `None` for every other
+/// spelling (bare `newscast` keeps the default view size).
+fn newscast_view(text: &str) -> Result<Option<usize>> {
+    match split_grammar(text) {
+        ("newscast", Some(c)) => match c.parse::<usize>() {
+            Ok(c) if c > 0 => Ok(Some(c)),
+            _ => Err(Error::Invalid(format!(
+                "topology `{text}`: view size C must be a positive integer"
+            ))),
+        },
+        _ => Ok(None),
+    }
+}
+
+/// Parse the kernel grammar (see [`CellSpec::kernel`]): `None` is the
+/// cycle kernel, `Some` the event kernel with its options.
+fn parse_kernel(text: &str) -> Result<Option<AsyncOpts>> {
+    match split_grammar(text) {
+        ("cycle", None) => Ok(None),
+        ("event", None) => Ok(Some(AsyncOpts::default())),
+        ("event", Some("exp:30")) => Ok(Some(AsyncOpts {
+            latency: Latency::Exponential(30.0),
+            ..AsyncOpts::default()
+        })),
+        _ => Err(Error::Invalid(format!(
+            "kernel `{text}` is not cycle|event|event:exp:30"
+        ))),
     }
 }
 
@@ -1018,6 +1066,30 @@ mod tests {
         assert!(parse_topology("mobius").is_err());
         assert!(parse_topology("kregular").is_err());
         assert!(parse_topology("erdos:1.5").is_err());
+        assert_eq!(
+            parse_topology("newscast:8").unwrap(),
+            TopologyKind::Newscast
+        );
+        for bad in ["newscast:0", "newscast:x", "newscast:"] {
+            assert!(parse_topology(bad).is_err(), "{bad}");
+        }
+
+        assert_eq!(parse_kernel("cycle").unwrap(), None);
+        assert_eq!(parse_kernel("event").unwrap(), Some(AsyncOpts::default()));
+        assert_eq!(
+            parse_kernel("event:exp:30").unwrap().unwrap().latency,
+            Latency::Exponential(30.0)
+        );
+        for bad in [
+            "event:exp:0",
+            "event:exp:nan",
+            "event:exp:30.5",
+            "event:bogus",
+            "cycle:exp:30",
+            "quantum",
+        ] {
+            assert!(parse_kernel(bad).is_err(), "{bad}");
+        }
 
         assert_eq!(
             parse_coordination("gossip-pushpull").unwrap(),
@@ -1324,6 +1396,30 @@ lie = -1e9
         let text = serde_json::to_string(&cell).unwrap();
         let back: CellSpec = serde_json::from_str(&text).unwrap();
         assert_eq!(back, cell);
+    }
+
+    #[test]
+    fn grammar_values_lower_into_the_spec() {
+        let spec = CellSpec {
+            topology: "newscast:8".into(),
+            solver: "pso-1995".into(),
+            ..CellSpec::default()
+        }
+        .to_dist_spec()
+        .unwrap();
+        assert_eq!(spec.newscast.view_size, 8);
+        assert_eq!(spec.newscast.exchange_every, 10, "only C is set");
+        assert_eq!(spec.solver, SolverSpec::Pso(PsoParams::paper_1995()));
+        // The bare spellings keep the defaults they always lowered to.
+        let base = CellSpec::default().to_dist_spec().unwrap();
+        assert_eq!(base.newscast, DistributedPsoSpec::default().newscast);
+        assert_eq!(base.solver, SolverSpec::Pso(PsoParams::default()));
+        assert!(CellSpec {
+            solver: "pso-2000".into(),
+            ..CellSpec::default()
+        }
+        .validate()
+        .is_err());
     }
 
     #[test]

@@ -2,7 +2,9 @@
 //! **byte-identical** across repeated runs and across worker-thread
 //! counts (cells are independently seeded; no wall-clock data enters the
 //! report). Also parse-validates every committed campaign under
-//! `scenarios/` so a spec typo fails tier-1 tests, not just CI.
+//! `scenarios/` (subdirectories included) so a spec typo fails tier-1
+//! tests, not just CI, and pins the paper-scale grids of
+//! `scenarios/paper_full/` to the paper's axes.
 
 use gossipopt_scenarios::{parse_campaign, run_campaign};
 
@@ -94,84 +96,168 @@ fn reports_are_byte_identical_across_runs_and_thread_counts() {
     assert_eq!(parsed.to_json(), ref_json);
 }
 
+/// Every `*.toml` under the repository's `scenarios/` directory,
+/// subdirectories included, as `(path relative to scenarios/, text)` in
+/// sorted order.
+fn committed_campaigns() -> Vec<(String, String)> {
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../scenarios");
+    let mut dirs = vec![root.clone()];
+    let mut files = Vec::new();
+    while let Some(dir) = dirs.pop() {
+        for entry in std::fs::read_dir(&dir).unwrap() {
+            let path = entry.unwrap().path();
+            if path.is_dir() {
+                dirs.push(path);
+            } else if path.extension().is_some_and(|e| e == "toml") {
+                let rel = path
+                    .strip_prefix(&root)
+                    .unwrap()
+                    .to_string_lossy()
+                    .into_owned();
+                files.push((rel, std::fs::read_to_string(&path).unwrap()));
+            }
+        }
+    }
+    files.sort();
+    files
+}
+
+/// The campaign name a committed file must declare, derived from its path
+/// relative to `scenarios/`: the stem, except that the paper tables
+/// (`paper_tableN.toml`, `paper_full/tableN.toml`) are `paper-tableN` —
+/// the names `paper_title` captions — and `ext/x_y.toml` is `ext-x-y`.
+fn expected_name(rel: &str) -> String {
+    let stem = rel.strip_suffix(".toml").unwrap();
+    match stem.split_once('/') {
+        Some(("ext", s)) => format!("ext-{}", s.replace('_', "-")),
+        Some(("paper_full", s)) => format!("paper-{s}"),
+        Some(_) => panic!("unexpected subdirectory in scenarios/{rel}"),
+        None if stem.starts_with("paper_table") => stem.replace('_', "-"),
+        None => stem.to_string(),
+    }
+}
+
 #[test]
 fn committed_campaign_files_parse_and_validate() {
-    for (name, text) in [
-        (
-            "paper_grid",
-            include_str!("../../../scenarios/paper_grid.toml"),
-        ),
-        (
-            "partition_heal",
-            include_str!("../../../scenarios/partition_heal.toml"),
-        ),
-        (
-            "byzantine_optimum",
-            include_str!("../../../scenarios/byzantine_optimum.toml"),
-        ),
-        ("massacre", include_str!("../../../scenarios/massacre.toml")),
-        (
-            "flash_crowd",
-            include_str!("../../../scenarios/flash_crowd.toml"),
-        ),
-        (
-            "churn_resilience",
-            include_str!("../../../scenarios/churn_resilience.toml"),
-        ),
-        (
-            "compare_baselines",
-            include_str!("../../../scenarios/compare_baselines.toml"),
-        ),
-        ("ci_smoke", include_str!("../../../scenarios/ci_smoke.toml")),
-        (
-            "wire_dpso",
-            include_str!("../../../scenarios/wire_dpso.toml"),
-        ),
-        (
-            "paper-table1",
-            include_str!("../../../scenarios/paper_table1.toml"),
-        ),
-        (
-            "paper-table2",
-            include_str!("../../../scenarios/paper_table2.toml"),
-        ),
-        (
-            "paper-table3",
-            include_str!("../../../scenarios/paper_table3.toml"),
-        ),
-        (
-            "paper-table4",
-            include_str!("../../../scenarios/paper_table4.toml"),
-        ),
-    ] {
+    let files = committed_campaigns();
+    for dir in ["ext/", "paper_full/"] {
+        assert!(
+            files.iter().any(|(rel, _)| rel.starts_with(dir)),
+            "the walk must reach scenarios/{dir}"
+        );
+    }
+    assert!(files.iter().any(|(rel, _)| rel == "wire_event.toml"));
+    for (rel, text) in &files {
         let spec = parse_campaign(text)
-            .unwrap_or_else(|e| panic!("committed campaign {name} is invalid: {e}"));
-        assert_eq!(spec.name, name);
-        assert!(!spec.cells.is_empty());
+            .unwrap_or_else(|e| panic!("committed campaign {rel} is invalid: {e}"));
+        assert_eq!(spec.name, expected_name(rel), "{rel}");
+        assert!(!spec.cells.is_empty(), "{rel}");
         // The two fault-schedule acceptance campaigns must actually carry
         // their faults.
-        if name == "partition_heal" {
+        if rel == "partition_heal.toml" {
             assert!(spec.cells.iter().all(|c| !c.fault.is_empty()));
             assert_eq!(spec.asserts.min_blocked, Some(100));
         }
-        if name == "byzantine_optimum" {
+        if rel == "byzantine_optimum.toml" {
             assert_eq!(spec.asserts.expect_poisoned, Some(true));
         }
-        // The paper-table campaigns feed `campaign report`: they must
-        // carry their captions and the shapes the report layer renders.
-        if name.starts_with("paper-table") {
+        // The paper-table campaigns feed `campaign report` and `campaign
+        // figures`: they must carry their captions and the shapes the
+        // report layer renders.
+        if spec.name.starts_with("paper-table") {
             assert!(
                 gossipopt_scenarios::paper_title(&spec.name).is_some(),
-                "{name} needs a paper_title mapping"
+                "{rel} needs a paper_title mapping"
             );
         }
-        if name == "paper-table2" {
+        if rel == "paper_table2.toml" {
             // The zip pairing is the point: total budget is constant.
             assert!(spec.cells.iter().all(|c| c.nodes as u64 * c.budget == 4096));
         }
-        if name == "paper-table4" {
+        if rel == "paper_table4.toml" {
             assert!(spec.cells.iter().all(|c| c.stop_at_quality == Some(1e-10)));
         }
+    }
+}
+
+/// One paper-scale grid point: (function, nodes, particles, gossip_every,
+/// per-node budget, stop_at_quality).
+type Axes = (String, usize, usize, u64, u64, Option<f64>);
+
+/// The paper's four grids at full scale, as the former hard-coded
+/// `run_set1..4` loops enumerated them: function, then network size, then
+/// swarm size or period. Sets 2 and 4 spread a 2^20 total over the nodes.
+fn paper_scale_axes(set: u8) -> Vec<Axes> {
+    let pow2 = |max: u32| (0..=max).map(|i| 1usize << i).collect::<Vec<_>>();
+    let r_is_k = |ks: &[usize]| ks.iter().map(|&k| (k, k as u64)).collect::<Vec<_>>();
+    let (sizes, swarms, total, stop) = match set {
+        1 => (
+            vec![1, 10, 100, 1000],
+            r_is_k(&[1, 4, 8, 16, 32]),
+            false,
+            None,
+        ),
+        2 => (pow2(16), r_is_k(&[1, 4, 8, 16, 32]), true, None),
+        3 => (
+            vec![10, 100, 1000],
+            (1..=16).map(|m| (16, 4 * m)).collect(),
+            false,
+            None,
+        ),
+        _ => (pow2(10), r_is_k(&[1, 4, 8, 16]), true, Some(1e-10)),
+    };
+    let mut out = Vec::new();
+    for f in [
+        "f2",
+        "zakharov",
+        "rosenbrock",
+        "sphere",
+        "schaffer",
+        "griewank",
+    ] {
+        for &n in &sizes {
+            let budget = if total { (1 << 20) / n as u64 } else { 1000 };
+            for &(k, r) in &swarms {
+                out.push((f.to_string(), n, k, r, budget, stop));
+            }
+        }
+    }
+    out
+}
+
+#[test]
+fn paper_full_campaigns_encode_the_paper_scale_grids() {
+    let files = committed_campaigns();
+    for (set, cells) in [(1u8, 6000usize), (2, 25500), (3, 14400), (4, 13200)] {
+        let rel = format!("paper_full/table{set}.toml");
+        let (_, text) = files.iter().find(|(r, _)| *r == rel).expect("committed");
+        let spec = parse_campaign(text).unwrap();
+        assert_eq!(spec.cells.len(), cells, "{rel}");
+        assert_eq!(spec.name, format!("paper-table{set}"), "{rel}");
+        let mut grid: Vec<Axes> = Vec::new();
+        for c in &spec.cells {
+            // Every unswept key at the paper's configuration.
+            let fixed = (c.dim, c.kernel.as_str(), c.topology.as_str());
+            assert_eq!(fixed, (10, "cycle", "newscast"), "{rel}");
+            assert_eq!(
+                (c.coordination.as_str(), c.solver.as_str()),
+                ("gossip-pushpull", "pso")
+            );
+            let axes = (
+                c.function.clone(),
+                c.nodes,
+                c.particles,
+                c.gossip_every,
+                c.budget,
+                c.stop_at_quality,
+            );
+            if grid.last() != Some(&axes) {
+                grid.push(axes);
+            }
+        }
+        // 50 consecutive repetitions per grid point, in the loops' order.
+        assert_eq!(grid.len() * 50, cells, "{rel}");
+        assert_eq!(grid, paper_scale_axes(set), "{rel}");
     }
 }
 

@@ -16,14 +16,12 @@
 //! * [`stats`] — Welford online moments, min/max tracking, summaries and
 //!   percentiles matching the aggregates the paper reports.
 //! * [`hypothesis`] — Mann–Whitney U / Vargha–Delaney A₁₂ for comparing
-//!   configurations (used by the baseline and ablation reports).
-//! * [`csv`] — a tiny dependency-free CSV writer for experiment artifacts.
+//!   configurations (used by `examples/solver_zoo.rs`).
 //! * [`varint`] — LEB128 varints and bit-pattern f64 deltas shared by the
 //!   simulator's byte accounting and the runtime wire codec.
 //! * [`simd`] — the 4-wide f64 lane type behind the objective and
 //!   solver lane kernels.
 
-pub mod csv;
 pub mod hypothesis;
 pub mod mem;
 pub mod rng;

@@ -12,7 +12,10 @@
 #
 #   * examples/fingerprint at default and --threads 1/2/3/8;
 #   * every scenarios/*.toml through
-#     `campaign --no-store --threads 2 --obs-out` (JSON, CSV, obs_det.json);
+#     `campaign --no-store --threads 2 --obs-out` (JSON, CSV, obs_det.json).
+#     Subdirectories of scenarios/ are deliberately not run: paper_full/
+#     holds CPU-hour grids, and ext/ uses grammar values a parent binary
+#     may reject;
 #   * `campaign report` (paper tables and curves).
 #
 # Outputs are compared with `diff -r`, excluding only the wall-clock files

@@ -22,12 +22,14 @@
 //!   sep-CMA-ES, Nelder–Mead, SA, (1+1)-ES and random search;
 //! * [`core`] — the three-service framework (topology / optimization /
 //!   coordination), the distributed PSO instantiation, baselines, and the
-//!   experiment runner reproducing every table and figure of the paper;
+//!   seeded experiment runner;
 //! * [`scenarios`] — declarative experiment campaigns: TOML scenario
 //!   specs with sweep grids, fault-schedule injection (partitions, flash
 //!   crowds, massacres, byzantine optimum corruption), an
-//!   allocation-free metrics tap, and a deterministic parallel campaign
-//!   runner (committed campaigns live in the repo's `scenarios/` dir);
+//!   allocation-free metrics tap, a deterministic parallel campaign
+//!   runner, and the renderers of the paper's tables and figures
+//!   (committed campaigns, the paper's four experiment sets among them,
+//!   live in the repo's `scenarios/` dir);
 //! * [`runtime`] — a real threaded deployment of the same protocol (one OS
 //!   thread per node, channel or UDP transport, binary wire format).
 //!

@@ -1,10 +1,11 @@
 //! Integration tests: the epidemic substrate protocols (rumor mongering,
 //! gossip averaging) hosted inside the simulation kernel over NEWSCAST —
-//! the full background-section stack, end to end.
+//! the full background-section stack, end to end — and the health of the
+//! NEWSCAST overlay itself.
 
 use gossipopt::gossip::aggregation::{AvgMsg, GossipAverage};
 use gossipopt::gossip::rumor::{RumorAck, RumorConfig, RumorMonger};
-use gossipopt::gossip::{Newscast, NewscastConfig, NewscastMsg, PeerSampler};
+use gossipopt::gossip::{graph, Newscast, NewscastConfig, NewscastMsg, PeerSampler};
 use gossipopt::sim::{Application, Control, Ctx, CycleConfig, CycleEngine, NodeId};
 
 /// Composite protocol: NEWSCAST for peer sampling + rumor mongering +
@@ -201,4 +202,121 @@ fn composite_protocol_is_deterministic() {
         (e.stats().delivered, ests)
     };
     assert_eq!(run(9), run(9));
+}
+
+/// Pure-NEWSCAST host application for overlay analysis.
+struct NcApp {
+    nc: Newscast,
+}
+
+impl Application for NcApp {
+    type Message = NewscastMsg;
+
+    fn on_join(&mut self, contacts: &[NodeId], ctx: &mut Ctx<'_, NewscastMsg>) {
+        let now = ctx.now;
+        self.nc.on_join(contacts, now, ctx.rng());
+    }
+    fn on_tick(&mut self, ctx: &mut Ctx<'_, NewscastMsg>) {
+        let (self_id, now) = (ctx.self_id, ctx.now);
+        if let Some((peer, msg)) = self.nc.on_tick(self_id, now, ctx.rng()) {
+            ctx.send(peer, msg);
+        }
+    }
+    fn on_message(&mut self, from: NodeId, msg: NewscastMsg, ctx: &mut Ctx<'_, NewscastMsg>) {
+        let (self_id, now) = (ctx.self_id, ctx.now);
+        if let Some(reply) = self.nc.handle(self_id, from, msg, now, ctx.rng()) {
+            ctx.send(from, reply);
+        }
+    }
+}
+
+/// One snapshot of overlay health.
+struct OverlayRow {
+    label: &'static str,
+    view_size: usize,
+    weakly_connected: bool,
+    /// Fraction of view entries referencing dead nodes.
+    stale_fraction: f64,
+}
+
+fn snapshot(engine: &CycleEngine<NcApp>, label: &'static str, view_size: usize) -> OverlayRow {
+    let live: Vec<NodeId> = engine.nodes().map(|(id, _)| id).collect();
+    let index: std::collections::HashMap<NodeId, usize> =
+        live.iter().enumerate().map(|(i, &id)| (id, i)).collect();
+    let mut stale = 0usize;
+    let mut total = 0usize;
+    let adj: Vec<Vec<usize>> = engine
+        .nodes()
+        .map(|(_, app)| {
+            app.nc
+                .view()
+                .ids()
+                .filter_map(|id| {
+                    total += 1;
+                    let slot = index.get(&id).copied();
+                    stale += usize::from(slot.is_none());
+                    slot
+                })
+                .collect()
+        })
+        .collect();
+    OverlayRow {
+        label,
+        view_size,
+        weakly_connected: graph::is_weakly_connected(&adj),
+        stale_fraction: if total == 0 {
+            0.0
+        } else {
+            stale as f64 / total as f64
+        },
+    }
+}
+
+/// NEWSCAST overlay health across view sizes, before and after a 50 %
+/// simultaneous crash.
+fn overlay_analysis(nodes: usize, seed: u64) -> Vec<OverlayRow> {
+    let mut rows = Vec::new();
+    for &view_size in &[4usize, 8, 20] {
+        let cfg = CycleConfig::seeded(seed ^ view_size as u64);
+        let mut engine: CycleEngine<NcApp> = CycleEngine::new(cfg);
+        for _ in 0..nodes {
+            engine.insert(NcApp {
+                nc: Newscast::new(NewscastConfig {
+                    view_size,
+                    exchange_every: 1,
+                }),
+            });
+        }
+        engine.run(30);
+        rows.push(snapshot(&engine, "steady", view_size));
+        engine.crash_fraction(0.5);
+        rows.push(snapshot(&engine, "after-50%-crash", view_size));
+        engine.run(30);
+        rows.push(snapshot(&engine, "after-repair", view_size));
+    }
+    rows
+}
+
+#[test]
+fn overlay_analysis_shapes_and_repair() {
+    // The paper's c = 20 robustness claims: the steady-state overlay is
+    // connected with no stale entries, and it repairs itself after half
+    // the network crashes at once.
+    let rows = overlay_analysis(64, 1);
+    assert_eq!(rows.len(), 9); // 3 view sizes x 3 phases
+    let c20_steady = rows
+        .iter()
+        .find(|r| r.view_size == 20 && r.label == "steady")
+        .unwrap();
+    assert!(c20_steady.weakly_connected);
+    assert!(c20_steady.stale_fraction < 0.01);
+    let c20_repaired = rows
+        .iter()
+        .find(|r| r.view_size == 20 && r.label == "after-repair")
+        .unwrap();
+    assert!(
+        c20_repaired.stale_fraction < 0.10,
+        "stale {} after repair",
+        c20_repaired.stale_fraction
+    );
 }
