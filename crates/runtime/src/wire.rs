@@ -33,14 +33,21 @@
 //!   top bit of the item's dimension word, which real dimensionalities
 //!   never reach.
 //!
-//! Decoding is strict: trailing bytes, truncation, unknown tags and
-//! unknown versions are all errors (a corrupted optimum silently accepted
-//! would poison the whole epidemic). Overlong varints are rejected as
-//! truncation.
+//! Decoding is strict: trailing bytes, truncation, unknown tags, unknown
+//! versions and rumor-feedback flags other than 0/1 are all errors (a
+//! corrupted optimum silently accepted would poison the whole epidemic).
+//! Overlong varints are rejected as truncation.
+//!
+//! Cost: [`encode`] writes a frame in one pass into one buffer sized by a
+//! cheap estimate — no pre-pass to measure it, no intermediate copy — and
+//! [`decode`] builds every payload of up to
+//! [`POS_INLINE_DIM`] dimensions on the stack, so neither side touches the
+//! allocator per payload below 17 dimensions. Batch varints go through
+//! the word-at-a-time LEB128 path of [`gossipopt_util::varint`].
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::Bytes;
 use gossipopt_core::messages::{CoordBatch, GossipBatch, Msg};
-use gossipopt_core::rumor::GlobalBest;
+use gossipopt_core::rumor::{GlobalBest, Pos, POS_INLINE_DIM};
 use gossipopt_gossip::view::Descriptor;
 use gossipopt_gossip::{AntiEntropyMsg, NewscastMsg, RumorAck};
 use gossipopt_sim::NodeId;
@@ -100,54 +107,6 @@ mod kind {
     pub const TELL: u8 = 2;
 }
 
-fn put_best(buf: &mut BytesMut, g: &GlobalBest) {
-    buf.put_u32_le(g.x.len() as u32);
-    for v in g.x.iter() {
-        buf.put_f64_le(*v);
-    }
-    buf.put_f64_le(g.f);
-}
-
-fn put_coord_batch(buf: &mut BytesMut, b: &CoordBatch) {
-    let mut out = Vec::with_capacity(b.payload_wire_bytes());
-    write_varint(&mut out, b.items.len() as u64);
-    let mut reference: Option<&GlobalBest> = None;
-    for (src, m) in &b.items {
-        write_varint(&mut out, src.raw());
-        let (k, g) = match m {
-            AntiEntropyMsg::Offer(g) => (kind::OFFER, Some(g)),
-            AntiEntropyMsg::Ask => (kind::ASK, None),
-            AntiEntropyMsg::Tell(g) => (kind::TELL, Some(g)),
-        };
-        out.push(k);
-        let Some(g) = g else { continue };
-        out.extend_from_slice(&(g.x.len() as u32).to_le_bytes());
-        match reference {
-            // Same dimensionality as the frame reference: bit-pattern
-            // deltas (one byte per element once the epidemic converges).
-            Some(r) if r.x.len() == g.x.len() => {
-                for (&x, &rx) in g.x.iter().zip(r.x.iter()) {
-                    write_f64_delta(&mut out, x, rx);
-                }
-                write_f64_delta(&mut out, g.f, r.f);
-            }
-            // First payload (or a dimension mismatch): raw, and the first
-            // one becomes the reference — a deterministic rule, so the
-            // decoder needs no flag byte.
-            _ => {
-                for &x in g.x.iter() {
-                    out.extend_from_slice(&x.to_le_bytes());
-                }
-                out.extend_from_slice(&g.f.to_le_bytes());
-                if reference.is_none() {
-                    reference = Some(g);
-                }
-            }
-        }
-    }
-    buf.put_slice(&out);
-}
-
 /// Top bit of a gossip-batch item's dimensionality word: set when the
 /// follower payload is raw-encoded because bit-pattern deltas against the
 /// frame reference would cost more (dissimilar payloads pay up to 10
@@ -155,148 +114,166 @@ fn put_coord_batch(buf: &mut BytesMut, b: &CoordBatch) {
 /// never approach `2^31`, so the bit is otherwise always clear.
 const GOSSIP_RAW_FLAG: u32 = 1 << 31;
 
-fn put_gossip_batch(buf: &mut BytesMut, b: &GossipBatch) {
-    let mut out = Vec::with_capacity(b.payload_wire_bytes());
-    write_varint(&mut out, b.items.len() as u64);
+/// Raw `f64` coordinates followed by the raw fitness.
+fn put_raw(out: &mut Vec<u8>, g: &GlobalBest) {
+    for &x in g.x.iter() {
+        out.extend_from_slice(&x.to_le_bytes());
+    }
+    out.extend_from_slice(&g.f.to_le_bytes());
+}
+
+/// Coordinates and fitness as bit-pattern deltas against `r` (same
+/// dimensionality as `g`).
+fn put_delta(out: &mut Vec<u8>, g: &GlobalBest, r: &GlobalBest) {
+    for (&x, &rx) in g.x.iter().zip(r.x.iter()) {
+        write_f64_delta(out, x, rx);
+    }
+    write_f64_delta(out, g.f, r.f);
+}
+
+fn best_len(g: &GlobalBest) -> usize {
+    12 + 8 * g.x.len()
+}
+
+fn put_best(out: &mut Vec<u8>, g: &GlobalBest) {
+    out.extend_from_slice(&(g.x.len() as u32).to_le_bytes());
+    put_raw(out, g);
+}
+
+fn batch_len(items: usize) -> usize {
+    128 + 32 * items
+}
+
+fn put_coord_batch(out: &mut Vec<u8>, b: &CoordBatch) {
+    write_varint(out, b.items.len() as u64);
     let mut reference: Option<&GlobalBest> = None;
-    let raw_payload = |out: &mut Vec<u8>, g: &GlobalBest| {
-        for &x in g.x.iter() {
-            out.extend_from_slice(&x.to_le_bytes());
+    for (src, m) in &b.items {
+        write_varint(out, src.raw());
+        let (k, g) = match m {
+            AntiEntropyMsg::Offer(g) => (kind::OFFER, g),
+            AntiEntropyMsg::Ask => {
+                out.push(kind::ASK);
+                continue;
+            }
+            AntiEntropyMsg::Tell(g) => (kind::TELL, g),
+        };
+        out.push(k);
+        out.extend_from_slice(&(g.x.len() as u32).to_le_bytes());
+        match reference {
+            // Same dimensionality as the frame reference: bit-pattern
+            // deltas (one byte per element once the epidemic converges).
+            Some(r) if r.x.len() == g.x.len() => put_delta(out, g, r),
+            // First payload (or a dimension mismatch): raw, and the first
+            // one becomes the reference — a deterministic rule, so the
+            // decoder needs no flag byte.
+            _ => {
+                put_raw(out, g);
+                reference.get_or_insert(g);
+            }
         }
-        out.extend_from_slice(&g.f.to_le_bytes());
-    };
+    }
+}
+
+fn put_gossip_batch(out: &mut Vec<u8>, b: &GossipBatch) {
+    write_varint(out, b.items.len() as u64);
+    let mut reference: Option<&GlobalBest> = None;
     for (src, g) in &b.items {
-        write_varint(&mut out, src.raw());
+        write_varint(out, src.raw());
         let dim = g.x.len() as u32;
+        let at = out.len();
+        out.extend_from_slice(&dim.to_le_bytes());
         match reference {
             // Same dimensionality as the frame reference: bit-pattern
             // deltas (one byte per element once the epidemic converges) —
             // unless the payload is dissimilar enough that raw is
-            // cheaper, in which case the dimension word's top bit tells
-            // the decoder it is raw.
+            // cheaper, in which case the deltas are dropped and the
+            // dimension word's top bit tells the decoder it is raw.
             Some(r) if r.x.len() == g.x.len() => {
-                let mut delta = Vec::with_capacity(8 * g.x.len() + 8);
-                for (&x, &rx) in g.x.iter().zip(r.x.iter()) {
-                    write_f64_delta(&mut delta, x, rx);
-                }
-                write_f64_delta(&mut delta, g.f, r.f);
-                if delta.len() <= 8 * g.x.len() + 8 {
-                    out.extend_from_slice(&dim.to_le_bytes());
-                    out.extend_from_slice(&delta);
-                } else {
+                put_delta(out, g, r);
+                if out.len() - at - 4 > 8 * g.x.len() + 8 {
+                    out.truncate(at);
                     out.extend_from_slice(&(dim | GOSSIP_RAW_FLAG).to_le_bytes());
-                    raw_payload(&mut out, g);
+                    put_raw(out, g);
                 }
             }
             // First payload (or a dimension mismatch): raw, and the first
             // one becomes the reference — a deterministic rule, so no
             // flag is needed here.
             _ => {
-                out.extend_from_slice(&dim.to_le_bytes());
-                raw_payload(&mut out, g);
-                if reference.is_none() {
-                    reference = Some(g);
-                }
+                put_raw(out, g);
+                reference.get_or_insert(g);
             }
         }
     }
-    buf.put_slice(&out);
 }
 
-fn put_descriptors(buf: &mut BytesMut, ds: &[Descriptor]) {
-    buf.put_u32_le(ds.len() as u32);
+fn put_descriptors(out: &mut Vec<u8>, ds: &[Descriptor]) {
+    out.extend_from_slice(&(ds.len() as u32).to_le_bytes());
     for d in ds {
-        buf.put_u64_le(d.id.raw());
-        buf.put_u64_le(d.stamp);
+        out.extend_from_slice(&d.id.raw().to_le_bytes());
+        out.extend_from_slice(&d.stamp.to_le_bytes());
     }
 }
 
 /// Encode a framework message into a standalone datagram payload.
 pub fn encode(msg: &Msg) -> Bytes {
-    let mut buf = BytesMut::with_capacity(64);
-    buf.put_u8(WIRE_VERSION);
+    // Tag, and a payload size estimate so the frame is written into one
+    // allocation: exact for fixed layouts, ≈ one near-converged item per
+    // 32 bytes for batches.
+    let (t, size) = match msg {
+        Msg::Newscast(NewscastMsg::Request(ds)) => (tag::NEWSCAST_REQUEST, 4 + 16 * ds.len()),
+        Msg::Newscast(NewscastMsg::Reply(ds)) => (tag::NEWSCAST_REPLY, 4 + 16 * ds.len()),
+        Msg::Coord(AntiEntropyMsg::Offer(g)) => (tag::COORD_OFFER, best_len(g)),
+        Msg::Coord(AntiEntropyMsg::Ask) => (tag::COORD_ASK, 0),
+        Msg::Coord(AntiEntropyMsg::Tell(g)) => (tag::COORD_TELL, best_len(g)),
+        Msg::RumorPush(g) => (tag::RUMOR_PUSH, best_len(g)),
+        Msg::RumorFeedback(_) => (tag::RUMOR_FEEDBACK, 1),
+        Msg::Migrant(g) => (tag::MIGRANT, best_len(g)),
+        Msg::MasterReport(g) => (tag::MASTER_REPORT, best_len(g)),
+        Msg::MasterUpdate(g) => (tag::MASTER_UPDATE, best_len(g)),
+        Msg::CoordBatch(b) => (tag::COORD_BATCH, batch_len(b.items.len())),
+        Msg::RumorBatch(b) => (tag::RUMOR_BATCH, batch_len(b.items.len())),
+        Msg::MigrantBatch(b) => (tag::MIGRANT_BATCH, batch_len(b.items.len())),
+    };
+    let mut out = Vec::with_capacity(2 + size);
+    out.extend_from_slice(&[WIRE_VERSION, t]);
     match msg {
-        Msg::Newscast(NewscastMsg::Request(ds)) => {
-            buf.put_u8(tag::NEWSCAST_REQUEST);
-            put_descriptors(&mut buf, ds);
+        Msg::Newscast(NewscastMsg::Request(ds) | NewscastMsg::Reply(ds)) => {
+            put_descriptors(&mut out, ds)
         }
-        Msg::Newscast(NewscastMsg::Reply(ds)) => {
-            buf.put_u8(tag::NEWSCAST_REPLY);
-            put_descriptors(&mut buf, ds);
-        }
-        Msg::Coord(AntiEntropyMsg::Offer(g)) => {
-            buf.put_u8(tag::COORD_OFFER);
-            put_best(&mut buf, g);
-        }
-        Msg::Coord(AntiEntropyMsg::Ask) => {
-            buf.put_u8(tag::COORD_ASK);
-        }
-        Msg::Coord(AntiEntropyMsg::Tell(g)) => {
-            buf.put_u8(tag::COORD_TELL);
-            put_best(&mut buf, g);
-        }
-        Msg::RumorPush(g) => {
-            buf.put_u8(tag::RUMOR_PUSH);
-            put_best(&mut buf, g);
-        }
-        Msg::RumorFeedback(ack) => {
-            buf.put_u8(tag::RUMOR_FEEDBACK);
-            buf.put_u8(match ack {
-                RumorAck::New => 0,
-                RumorAck::Duplicate => 1,
-            });
-        }
-        Msg::Migrant(g) => {
-            buf.put_u8(tag::MIGRANT);
-            put_best(&mut buf, g);
-        }
-        Msg::MasterReport(g) => {
-            buf.put_u8(tag::MASTER_REPORT);
-            put_best(&mut buf, g);
-        }
-        Msg::MasterUpdate(g) => {
-            buf.put_u8(tag::MASTER_UPDATE);
-            put_best(&mut buf, g);
-        }
-        Msg::CoordBatch(b) => {
-            buf.put_u8(tag::COORD_BATCH);
-            put_coord_batch(&mut buf, b);
-        }
-        Msg::RumorBatch(b) => {
-            buf.put_u8(tag::RUMOR_BATCH);
-            put_gossip_batch(&mut buf, b);
-        }
-        Msg::MigrantBatch(b) => {
-            buf.put_u8(tag::MIGRANT_BATCH);
-            put_gossip_batch(&mut buf, b);
-        }
+        Msg::Coord(AntiEntropyMsg::Offer(g) | AntiEntropyMsg::Tell(g))
+        | Msg::RumorPush(g)
+        | Msg::Migrant(g)
+        | Msg::MasterReport(g)
+        | Msg::MasterUpdate(g) => put_best(&mut out, g),
+        Msg::Coord(AntiEntropyMsg::Ask) => {}
+        Msg::RumorFeedback(ack) => out.push(match ack {
+            RumorAck::New => 0,
+            RumorAck::Duplicate => 1,
+        }),
+        Msg::CoordBatch(b) => put_coord_batch(&mut out, b),
+        Msg::RumorBatch(b) | Msg::MigrantBatch(b) => put_gossip_batch(&mut out, b),
     }
-    buf.freeze()
+    Bytes::from(out)
 }
 
-fn need(buf: &impl Buf, n: usize) -> Result<(), WireError> {
-    if buf.remaining() < n {
-        Err(WireError::Truncated)
-    } else {
-        Ok(())
-    }
+/// Take the next `N` bytes off the front of `buf`.
+fn take<const N: usize>(buf: &mut &[u8]) -> Result<[u8; N], WireError> {
+    let (head, rest) = buf.split_first_chunk().ok_or(WireError::Truncated)?;
+    *buf = rest;
+    Ok(*head)
 }
 
-fn get_best(buf: &mut impl Buf) -> Result<GlobalBest, WireError> {
-    need(buf, 4)?;
-    let dim = buf.get_u32_le() as u64;
-    // Each coordinate is 8 bytes; reject impossible lengths before
-    // allocating.
-    if dim.saturating_mul(8) > buf.remaining() as u64 {
-        return Err(WireError::LengthOverflow(dim));
-    }
-    let mut x = Vec::with_capacity(dim as usize);
-    for _ in 0..dim {
-        x.push(buf.get_f64_le());
-    }
-    need(buf, 8)?;
-    let f = buf.get_f64_le();
-    Ok(GlobalBest { x: x.into(), f })
+fn get_u32(buf: &mut &[u8]) -> Result<u32, WireError> {
+    take(buf).map(u32::from_le_bytes)
+}
+
+fn get_u64(buf: &mut &[u8]) -> Result<u64, WireError> {
+    take(buf).map(u64::from_le_bytes)
+}
+
+fn get_f64(buf: &mut &[u8]) -> Result<f64, WireError> {
+    take(buf).map(f64::from_le_bytes)
 }
 
 /// Read a LEB128 varint off the front of `buf`. Truncated *and* overlong
@@ -314,6 +291,73 @@ fn get_f64_delta(buf: &mut &[u8], reference: f64) -> Result<f64, WireError> {
     Ok(v)
 }
 
+/// One payload of `dim` coordinates plus fitness: raw `f64`s, or
+/// bit-pattern deltas against `reference` (whose dimensionality is `dim`,
+/// which bounds the work). Payloads up to [`POS_INLINE_DIM`] coordinates
+/// are decoded on the stack.
+fn get_payload(
+    buf: &mut &[u8],
+    dim: usize,
+    reference: Option<&GlobalBest>,
+) -> Result<GlobalBest, WireError> {
+    // Each raw coordinate is 8 bytes; reject impossible lengths before
+    // allocating.
+    if reference.is_none() && (dim as u64).saturating_mul(8) > buf.len() as u64 {
+        return Err(WireError::LengthOverflow(dim as u64));
+    }
+    let mut stack = [0.0; POS_INLINE_DIM];
+    let mut heap = Vec::new();
+    let x = if dim <= POS_INLINE_DIM {
+        &mut stack[..dim]
+    } else {
+        heap.resize(dim, 0.0);
+        &mut heap[..]
+    };
+    let f = match reference {
+        Some(r) => {
+            for (v, &rx) in x.iter_mut().zip(r.x.as_slice()) {
+                *v = get_f64_delta(buf, rx)?;
+            }
+            get_f64_delta(buf, r.f)?
+        }
+        None => {
+            for v in x.iter_mut() {
+                *v = get_f64(buf)?;
+            }
+            get_f64(buf)?
+        }
+    };
+    Ok(GlobalBest {
+        x: Pos::from_slice(x),
+        f,
+    })
+}
+
+fn get_best(buf: &mut &[u8]) -> Result<GlobalBest, WireError> {
+    let dim = get_u32(buf)? as usize;
+    get_payload(buf, dim, None)
+}
+
+/// One batch item's payload under the first-payload reference rule:
+/// delta-coded when its dimensionality matches the reference (unless
+/// `force_raw`), raw otherwise — and the first raw payload becomes the
+/// reference.
+fn get_item(
+    buf: &mut &[u8],
+    dim: usize,
+    reference: &mut Option<GlobalBest>,
+    force_raw: bool,
+) -> Result<GlobalBest, WireError> {
+    match reference {
+        Some(r) if r.x.len() == dim && !force_raw => get_payload(buf, dim, Some(r)),
+        _ => {
+            let g = get_payload(buf, dim, None)?;
+            reference.get_or_insert_with(|| g.clone());
+            Ok(g)
+        }
+    }
+}
+
 fn get_coord_batch(buf: &mut &[u8]) -> Result<CoordBatch, WireError> {
     let count = get_varint(buf)?;
     // Every item costs at least a source varint + a kind byte; reject
@@ -322,51 +366,15 @@ fn get_coord_batch(buf: &mut &[u8]) -> Result<CoordBatch, WireError> {
         return Err(WireError::LengthOverflow(count));
     }
     let mut items = Vec::with_capacity(count as usize);
-    let mut reference: Option<GlobalBest> = None;
+    let mut reference = None;
     for _ in 0..count {
         let src = NodeId(get_varint(buf)?);
-        if buf.is_empty() {
-            return Err(WireError::Truncated);
-        }
-        let k = buf.get_u8();
+        let [k] = take(buf)?;
         let m = match k {
             kind::ASK => AntiEntropyMsg::Ask,
             kind::OFFER | kind::TELL => {
-                if buf.len() < 4 {
-                    return Err(WireError::Truncated);
-                }
-                let dim = buf.get_u32_le() as usize;
-                let g = match &reference {
-                    // Reference-dimension payloads are delta-coded;
-                    // capacity is bounded by the already-validated
-                    // reference.
-                    Some(r) if r.x.len() == dim => {
-                        let mut x = Vec::with_capacity(dim);
-                        for i in 0..dim {
-                            x.push(get_f64_delta(buf, r.x[i])?);
-                        }
-                        let f = get_f64_delta(buf, r.f)?;
-                        GlobalBest { x: x.into(), f }
-                    }
-                    _ => {
-                        if (dim as u64).saturating_mul(8) > buf.len() as u64 {
-                            return Err(WireError::LengthOverflow(dim as u64));
-                        }
-                        let mut x = Vec::with_capacity(dim);
-                        for _ in 0..dim {
-                            x.push(buf.get_f64_le());
-                        }
-                        if buf.len() < 8 {
-                            return Err(WireError::Truncated);
-                        }
-                        let f = buf.get_f64_le();
-                        let g = GlobalBest { x: x.into(), f };
-                        if reference.is_none() {
-                            reference = Some(g.clone());
-                        }
-                        g
-                    }
-                };
+                let dim = get_u32(buf)? as usize;
+                let g = get_item(buf, dim, &mut reference, false)?;
                 if k == kind::OFFER {
                     AntiEntropyMsg::Offer(g)
                 } else {
@@ -388,100 +396,61 @@ fn get_gossip_batch(buf: &mut &[u8]) -> Result<GossipBatch, WireError> {
         return Err(WireError::LengthOverflow(count));
     }
     let mut items = Vec::with_capacity(count as usize);
-    let mut reference: Option<GlobalBest> = None;
+    let mut reference = None;
     for _ in 0..count {
         let src = NodeId(get_varint(buf)?);
-        if buf.len() < 4 {
-            return Err(WireError::Truncated);
-        }
-        let dim_word = buf.get_u32_le();
-        let force_raw = dim_word & GOSSIP_RAW_FLAG != 0;
+        let dim_word = get_u32(buf)?;
         let dim = (dim_word & !GOSSIP_RAW_FLAG) as usize;
-        let g = match &reference {
-            // Reference-dimension payloads are delta-coded unless the
-            // encoder's raw-fallback flag is set; capacity is bounded by
-            // the already-validated reference.
-            Some(r) if r.x.len() == dim && !force_raw => {
-                let mut x = Vec::with_capacity(dim);
-                for i in 0..dim {
-                    x.push(get_f64_delta(buf, r.x[i])?);
-                }
-                let f = get_f64_delta(buf, r.f)?;
-                GlobalBest { x: x.into(), f }
-            }
-            _ => {
-                if (dim as u64).saturating_mul(8) > buf.len() as u64 {
-                    return Err(WireError::LengthOverflow(dim as u64));
-                }
-                let mut x = Vec::with_capacity(dim);
-                for _ in 0..dim {
-                    x.push(buf.get_f64_le());
-                }
-                if buf.len() < 8 {
-                    return Err(WireError::Truncated);
-                }
-                let f = buf.get_f64_le();
-                let g = GlobalBest { x: x.into(), f };
-                if reference.is_none() {
-                    reference = Some(g.clone());
-                }
-                g
-            }
-        };
-        items.push((src, g));
+        let force_raw = dim_word & GOSSIP_RAW_FLAG != 0;
+        items.push((src, get_item(buf, dim, &mut reference, force_raw)?));
     }
     Ok(GossipBatch { items })
 }
 
-fn get_descriptors(buf: &mut impl Buf) -> Result<Vec<Descriptor>, WireError> {
-    need(buf, 4)?;
-    let count = buf.get_u32_le() as u64;
-    if count.saturating_mul(16) > buf.remaining() as u64 {
+fn get_descriptors(buf: &mut &[u8]) -> Result<Vec<Descriptor>, WireError> {
+    let count = get_u32(buf)? as u64;
+    if count.saturating_mul(16) > buf.len() as u64 {
         return Err(WireError::LengthOverflow(count));
     }
-    let mut ds = Vec::with_capacity(count as usize);
-    for _ in 0..count {
-        let id = NodeId(buf.get_u64_le());
-        let stamp = buf.get_u64_le();
-        ds.push(Descriptor { id, stamp });
-    }
-    Ok(ds)
+    (0..count)
+        .map(|_| {
+            Ok(Descriptor {
+                id: NodeId(get_u64(buf)?),
+                stamp: get_u64(buf)?,
+            })
+        })
+        .collect()
 }
 
 /// Decode a datagram payload produced by [`encode`].
 pub fn decode(mut buf: &[u8]) -> Result<Msg, WireError> {
-    need(&buf, 2)?;
-    let version = buf.get_u8();
+    let [version, t] = take(&mut buf)?;
     if version != WIRE_VERSION {
         return Err(WireError::BadVersion(version));
     }
-    let t = buf.get_u8();
+    let buf = &mut buf;
     let msg = match t {
-        tag::NEWSCAST_REQUEST => Msg::Newscast(NewscastMsg::Request(get_descriptors(&mut buf)?)),
-        tag::NEWSCAST_REPLY => Msg::Newscast(NewscastMsg::Reply(get_descriptors(&mut buf)?)),
-        tag::COORD_OFFER => Msg::Coord(AntiEntropyMsg::Offer(get_best(&mut buf)?)),
+        tag::NEWSCAST_REQUEST => Msg::Newscast(NewscastMsg::Request(get_descriptors(buf)?)),
+        tag::NEWSCAST_REPLY => Msg::Newscast(NewscastMsg::Reply(get_descriptors(buf)?)),
+        tag::COORD_OFFER => Msg::Coord(AntiEntropyMsg::Offer(get_best(buf)?)),
         tag::COORD_ASK => Msg::Coord(AntiEntropyMsg::Ask),
-        tag::COORD_TELL => Msg::Coord(AntiEntropyMsg::Tell(get_best(&mut buf)?)),
-        tag::RUMOR_PUSH => Msg::RumorPush(get_best(&mut buf)?),
-        tag::RUMOR_FEEDBACK => {
-            need(&buf, 1)?;
-            let a = buf.get_u8();
-            Msg::RumorFeedback(if a == 0 {
-                RumorAck::New
-            } else {
-                RumorAck::Duplicate
-            })
-        }
-        tag::MIGRANT => Msg::Migrant(get_best(&mut buf)?),
-        tag::MASTER_REPORT => Msg::MasterReport(get_best(&mut buf)?),
-        tag::MASTER_UPDATE => Msg::MasterUpdate(get_best(&mut buf)?),
-        tag::COORD_BATCH => Msg::CoordBatch(get_coord_batch(&mut buf)?),
-        tag::RUMOR_BATCH => Msg::RumorBatch(get_gossip_batch(&mut buf)?),
-        tag::MIGRANT_BATCH => Msg::MigrantBatch(get_gossip_batch(&mut buf)?),
+        tag::COORD_TELL => Msg::Coord(AntiEntropyMsg::Tell(get_best(buf)?)),
+        tag::RUMOR_PUSH => Msg::RumorPush(get_best(buf)?),
+        tag::RUMOR_FEEDBACK => Msg::RumorFeedback(match take(buf)? {
+            [0] => RumorAck::New,
+            [1] => RumorAck::Duplicate,
+            [other] => return Err(WireError::BadTag(other)),
+        }),
+        tag::MIGRANT => Msg::Migrant(get_best(buf)?),
+        tag::MASTER_REPORT => Msg::MasterReport(get_best(buf)?),
+        tag::MASTER_UPDATE => Msg::MasterUpdate(get_best(buf)?),
+        tag::COORD_BATCH => Msg::CoordBatch(get_coord_batch(buf)?),
+        tag::RUMOR_BATCH => Msg::RumorBatch(get_gossip_batch(buf)?),
+        tag::MIGRANT_BATCH => Msg::MigrantBatch(get_gossip_batch(buf)?),
         other => return Err(WireError::BadTag(other)),
     };
-    if buf.remaining() > 0 {
-        return Err(WireError::TrailingBytes(buf.remaining()));
+    if !buf.is_empty() {
+        return Err(WireError::TrailingBytes(buf.len()));
     }
     Ok(msg)
 }
@@ -489,6 +458,8 @@ pub fn decode(mut buf: &[u8]) -> Result<Msg, WireError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bytes::{BufMut, BytesMut};
+    use gossipopt_util::{Rng64, Xoshiro256pp};
 
     fn best(dim: usize) -> GlobalBest {
         let x: Vec<f64> = (0..dim).map(|i| i as f64 * 1.25 - 3.0).collect();
@@ -799,6 +770,55 @@ mod tests {
         assert_eq!(bytes.len(), m.wire_bytes());
         let back = decode(&bytes).unwrap();
         assert!(msg_eq(&m, &back), "{m:?} != {back:?}");
+    }
+
+    /// `items` anti-entropy payloads of dimension 10, each within 1e-9 of
+    /// one optimum — the converged steady state that delta coding targets.
+    fn converged_batch(items: usize) -> Msg {
+        let mut rng = Xoshiro256pp::seeded(0x5eed);
+        let centre = best(10);
+        let items = (0..items as u64)
+            .map(|i| {
+                let x: Vec<f64> = centre
+                    .x
+                    .iter()
+                    .map(|v| v + rng.range_f64(-1e-9, 1e-9))
+                    .collect();
+                let g = GlobalBest::new(&x, centre.f);
+                let m = if i % 2 == 0 {
+                    AntiEntropyMsg::Offer(g)
+                } else {
+                    AntiEntropyMsg::Tell(g)
+                };
+                (NodeId(rng.below(1 << 20)), m)
+            })
+            .collect();
+        Msg::CoordBatch(CoordBatch { items })
+    }
+
+    #[test]
+    fn frame_format_is_pinned() {
+        // FNV-1a over every frame: any change to the bytes `encode` emits
+        // is a wire-format change and must bump `WIRE_VERSION`.
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        for m in all_variants().iter().chain([&converged_batch(136)]) {
+            for &b in encode(m).as_ref() {
+                h = (h ^ b as u64).wrapping_mul(0x0100_0000_01b3);
+            }
+        }
+        assert_eq!(h, 0x4bbe_4943_71a5_ee41, "wire format changed: {h:#018x}");
+    }
+
+    #[test]
+    fn rumor_feedback_flag_is_strict() {
+        assert!(matches!(
+            decode(&[WIRE_VERSION, tag::RUMOR_FEEDBACK, 2]),
+            Err(WireError::BadTag(2))
+        ));
+        for ack in [RumorAck::New, RumorAck::Duplicate] {
+            let bytes = encode(&Msg::RumorFeedback(ack));
+            assert_eq!(encode(&decode(&bytes).unwrap()), bytes);
+        }
     }
 
     #[test]

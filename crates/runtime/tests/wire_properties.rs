@@ -23,8 +23,10 @@ fn arb_bits_f64() -> impl Strategy<Value = f64> {
     any::<u64>().prop_map(f64::from_bits)
 }
 
+/// Dimensions straddle `POS_INLINE_DIM` (16), so both `Pos`
+/// representations go through a batch's delta and raw branches.
 fn arb_bits_best() -> impl Strategy<Value = GlobalBest> {
-    (prop::collection::vec(arb_bits_f64(), 0..16), arb_bits_f64())
+    (prop::collection::vec(arb_bits_f64(), 0..24), arb_bits_f64())
         .prop_map(|(x, f)| GlobalBest { x: x.into(), f })
 }
 

@@ -9,14 +9,42 @@
 //! byte instead of eight. Both the simulator's byte accounting
 //! (`Msg::wire_bytes`) and the real codec go through these helpers so
 //! the two can never drift.
+//!
+//! [`write_varint`] and [`read_varint`] work a `u64` word at a time for
+//! encodings of up to eight bytes (values below `2^56`): three
+//! mask-and-shift steps spread the 7-bit groups into bytes (or squeeze
+//! them back), and the terminator is the lowest clear continuation bit,
+//! found with one `trailing_zeros`. Nine- and ten-byte encodings, and
+//! reads with fewer than eight bytes left in the buffer, take the plain
+//! byte loop.
 
 /// Maximum encoded size of a `u64` varint (ten 7-bit groups).
 pub const MAX_VARINT_LEN: usize = 10;
 
+/// Continuation bit of every byte of a little-endian `u64` word.
+const CONT: u64 = 0x8080_8080_8080_8080;
+
 /// Append `v` to `out` as an LEB128 varint (7 bits per byte, low groups
 /// first, high bit = continuation).
 #[inline]
-pub fn write_varint(out: &mut Vec<u8>, mut v: u64) {
+pub fn write_varint(out: &mut Vec<u8>, v: u64) {
+    if v >> 56 != 0 {
+        return write_varint_bytes(out, v);
+    }
+    // Spread 28-bit halves to 32-bit lanes, 14-bit quarters to 16-bit
+    // lanes, 7-bit groups to bytes.
+    let mut w = (v & 0x0fff_ffff) | ((v & 0x00ff_ffff_f000_0000) << 4);
+    w = (w & 0x0000_3fff_0000_3fff) | ((w & 0x0fff_c000_0fff_c000) << 2);
+    w = (w & 0x007f_007f_007f_007f) | ((w & 0x3f80_3f80_3f80_3f80) << 1);
+    // Bytes up to the highest non-zero one, at least one.
+    let len = (71 - (w | 1).leading_zeros() as usize) / 8;
+    // Continuation bits on every byte before the last one.
+    w |= (CONT >> 8) >> (8 * (8 - len));
+    out.extend_from_slice(&w.to_le_bytes());
+    out.truncate(out.len() - 8 + len);
+}
+
+fn write_varint_bytes(out: &mut Vec<u8>, mut v: u64) {
     loop {
         let byte = (v & 0x7f) as u8;
         v >>= 7;
@@ -40,6 +68,25 @@ pub fn varint_len(v: u64) -> usize {
 /// encoding longer than [`MAX_VARINT_LEN`] / overflowing 64 bits.
 #[inline]
 pub fn read_varint(buf: &[u8]) -> Option<(u64, usize)> {
+    if let Some(word) = buf.first_chunk::<8>() {
+        let w = u64::from_le_bytes(*word);
+        let stops = !w & CONT;
+        if stops != 0 {
+            // Keep the bytes up to and including the first one whose
+            // continuation bit is clear, then squeeze out the flag bits:
+            // bytes to 14-bit groups, to 28-bit groups, to one value.
+            let len = stops.trailing_zeros() as usize / 8 + 1;
+            let mut w = w & (stops ^ (stops - 1)) & !CONT;
+            w = (w & 0x007f_007f_007f_007f) | ((w & 0x7f00_7f00_7f00_7f00) >> 1);
+            w = (w & 0x0000_3fff_0000_3fff) | ((w & 0x3fff_0000_3fff_0000) >> 2);
+            w = (w & 0x0fff_ffff) | ((w & 0x0fff_ffff_0000_0000) >> 4);
+            return Some((w, len));
+        }
+    }
+    read_varint_bytes(buf)
+}
+
+fn read_varint_bytes(buf: &[u8]) -> Option<(u64, usize)> {
     let mut v = 0u64;
     for (i, &byte) in buf.iter().enumerate().take(MAX_VARINT_LEN) {
         let group = (byte & 0x7f) as u64;

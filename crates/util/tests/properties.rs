@@ -1,7 +1,81 @@
-//! Property-based tests for the PRNG and statistics substrate.
+//! Property-based tests for the PRNG, statistics and varint substrate.
 
+use gossipopt_util::varint::{read_varint, write_varint, MAX_VARINT_LEN};
 use gossipopt_util::{mann_whitney, OnlineStats, Rng64, SplitMix64, StreamId, Xoshiro256pp};
 use proptest::prelude::*;
+
+/// The textbook byte-at-a-time LEB128 encoder, kept as the oracle for the
+/// word-at-a-time one.
+fn reference_varint(mut v: u64) -> Vec<u8> {
+    let mut out = Vec::new();
+    loop {
+        let byte = (v & 0x7f) as u8;
+        v >>= 7;
+        if v == 0 {
+            out.push(byte);
+            return out;
+        }
+        out.push(byte | 0x80);
+    }
+}
+
+/// The byte-at-a-time LEB128 decoder, the oracle for `read_varint` on
+/// arbitrary (including non-canonical and overlong) input.
+fn reference_read_varint(buf: &[u8]) -> Option<(u64, usize)> {
+    let mut v = 0u64;
+    for (i, &byte) in buf.iter().enumerate().take(MAX_VARINT_LEN) {
+        let group = (byte & 0x7f) as u64;
+        if i == MAX_VARINT_LEN - 1 && group > 1 {
+            return None;
+        }
+        v |= group << (7 * i);
+        if byte & 0x80 == 0 {
+            return Some((v, i + 1));
+        }
+    }
+    None
+}
+
+/// Check one value against the oracle: encoding, decoding with any
+/// trailing bytes, and rejection of every strict prefix.
+fn check_varint(v: u64, trailing: &[u8]) -> Result<(), TestCaseError> {
+    let mut enc = Vec::new();
+    write_varint(&mut enc, v);
+    let expect = reference_varint(v);
+    prop_assert_eq!(&enc, &expect);
+    let len = enc.len();
+    for cut in 0..len {
+        prop_assert_eq!(read_varint(&enc[..cut]), None);
+    }
+    enc.extend_from_slice(trailing);
+    prop_assert_eq!(read_varint(&enc), Some((v, len)));
+    Ok(())
+}
+
+#[test]
+fn varint_word_path_boundaries() {
+    for v in [
+        0,
+        (1 << 56) - 1,
+        1 << 56,
+        1 << 63,
+        u64::MAX,
+        (1 << 49) - 1,
+        1 << 49,
+    ] {
+        for trailing in [&[][..], &[0xff; 9], &[0; 9]] {
+            check_varint(v, trailing).unwrap();
+        }
+    }
+    // Eleven bytes, and a tenth byte carrying more than the top bit, are
+    // rejected whatever follows.
+    let mut eleven = vec![0x80; MAX_VARINT_LEN];
+    eleven.push(0);
+    assert_eq!(read_varint(&eleven), None);
+    let mut tenth = vec![0xff; MAX_VARINT_LEN - 1];
+    tenth.extend_from_slice(&[0x02, 0, 0, 0]);
+    assert_eq!(read_varint(&tenth), None);
+}
 
 proptest! {
     /// `below(n)` is always in range, for arbitrary seeds and moduli.
@@ -101,5 +175,26 @@ proptest! {
             let rev = mann_whitney(&ys, &xs).expect("same degeneracy class");
             prop_assert!((mw.a12 + rev.a12 - 1.0).abs() < 1e-9);
         }
+    }
+
+    /// `write_varint`/`read_varint` agree with the byte-loop oracle for
+    /// values of every bit width, with 0–9 arbitrary trailing bytes.
+    #[test]
+    fn varint_matches_byte_loop(
+        v in any::<u64>(),
+        shift in 0u32..64,
+        trailing in prop::collection::vec(any::<u8>(), 0..10),
+    ) {
+        check_varint(v >> shift, &trailing)?;
+    }
+
+    /// On arbitrary bytes — mostly continuation bytes, so long, overlong
+    /// and non-canonical encodings all occur — `read_varint` accepts and
+    /// rejects exactly what the byte-loop oracle does.
+    #[test]
+    fn read_varint_matches_byte_loop_on_any_bytes(
+        buf in prop::collection::vec(prop_oneof![0x80u8..=0xff, any::<u8>()], 0..14),
+    ) {
+        prop_assert_eq!(read_varint(&buf), reference_read_varint(&buf));
     }
 }
