@@ -107,8 +107,9 @@ fn bench_event_quiet(c: &mut Criterion) {
     group.finish();
 }
 
-/// One chatty event-kernel family: `threads = 0` is the sequential
-/// engine, `threads = 1` the sharded batches.
+/// One chatty event-kernel family: `threads = 0` runs each batch as one
+/// shard on the calling thread, `threads = 1` the same with frame
+/// coalescing on.
 fn chatty_events(c: &mut Criterion, family: &str, threads: usize, sizes: &[usize]) {
     let mut group = c.benchmark_group(family);
     for &n in sizes {

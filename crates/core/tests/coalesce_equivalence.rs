@@ -216,9 +216,9 @@ fn run_event(
 #[test]
 fn event_kernel_coalescing_is_bit_identical_to_sequential() {
     // The event kernel's contract is stronger than the cycle kernel's:
-    // sharded dispatch is bit-identical to the sequential engine, and the
-    // coalesce hook must preserve that — fused runs change nothing the
-    // sequential engine can observe except the frame_bytes_saved ledger.
+    // dispatch is bit-identical at every thread count, and the coalesce
+    // hook must preserve that — fused runs change nothing the uncoalesced
+    // threads = 0 run can observe except the frame_bytes_saved ledger.
     for (mode, coordination) in fusible_modes() {
         let (nodes_seq, delivered_seq, dropped_seq, saved_seq) = run_event(0, true, coordination);
         assert_eq!(saved_seq, 0, "{mode}: sequential dispatch never coalesces");

@@ -187,7 +187,7 @@ pub struct PhaseRow {
 pub struct WallSnapshot {
     /// Per-phase totals, in [`Phase::ALL`] order.
     pub phases: Vec<PhaseRow>,
-    /// Tasks the rayon shim ran inside their sticky home block.
+    /// Tasks the rayon shim ran inside their home block.
     pub rayon_home_runs: u64,
     /// Tasks the rayon shim ran via a steal sweep.
     pub rayon_steals: u64,

@@ -25,20 +25,21 @@
 //! still exactly `(time, seq)`: buckets hold a single timestamp's events in
 //! insertion (= seq) order, and every overflow event for a timestamp was
 //! necessarily scheduled before — so sequences below — any bucketed event
-//! for it. The per-event outbox is an engine-owned scratch buffer rather
-//! than a fresh `Vec` per callback, and equal-timestamp events dispatch
+//! for it. Callbacks send into a recycled per-shard outbox rather than
+//! a fresh `Vec` per callback, and equal-timestamp events dispatch
 //! back-to-back in one batch (the analogue of the cycle kernel's intra-tick
 //! drain): observation boundaries are checked once per distinct timestamp,
 //! which cannot change the trace because new events are always scheduled at
 //! least one time unit in the future.
 //!
-//! ## Sharded execution — `EventConfig::threads >= 1`
+//! ## Sharded execution — `EventConfig::threads`
 //!
-//! Setting `threads >= 1` runs each same-timestamp batch as parallel
-//! slot-range shards, and — unlike the cycle kernel's phased tick, which
-//! is a new discipline — the result is **bit-for-bit identical to the
-//! sequential engine** at every thread count. A batch is *partitioned*,
-//! never sorted:
+//! There is one dispatch path. Every same-timestamp batch runs as
+//! slot-range shards: up to `threads` of them in parallel, or one shard
+//! on the calling thread at `threads = 0`. Unlike the cycle kernel's
+//! phased tick, which is a new discipline, the result is **bit-for-bit
+//! identical to processing the events one at a time in `(time, seq)`
+//! order** at every thread count. A batch is *partitioned*, never sorted:
 //!
 //! * **Partition by slot range.** After triage (events for dead targets
 //!   drop out in place) a stable partition deals the batch to at most
@@ -51,13 +52,13 @@
 //!   `(time, seq)` interleaving only matters *per node* (a tick targets
 //!   its node, a delivery its destination). A node's events all land in
 //!   one shard, in an order that is a subsequence of seq order — the order
-//!   the sequential engine runs them in. Each shard appends what its
+//!   one-at-a-time processing runs them in. Each shard appends what its
 //!   callbacks send to one flat outbox and records, per event, the seq and
 //!   the number of messages sent.
 //! * **Replay by k-way merge.** Everything that consumes the kernel RNG or
 //!   allocates sequence numbers — transport loss/latency draws and
 //!   `schedule` calls — is *replayed sequentially in event-seq order*
-//!   after the callbacks, exactly as the sequential engine interleaves
+//!   after the callbacks, exactly as one-at-a-time processing interleaves
 //!   them (callbacks draw nothing from the kernel stream in between). The
 //!   shards' records are already seq-sorted, so the replay merges
 //!   `k <= threads` sorted lists; one shard is one straight walk.
@@ -69,23 +70,25 @@
 //!   nodes mid-batch.
 //!
 //! The committed event fingerprints therefore hold unchanged at
-//! `--threads 1/2/3/8`, and `tests/shard_equivalence.rs` asserts
-//! byte-identical delivery traces against the sequential engine under
-//! churn, loss and latency.
+//! `--threads 1/2/3/8`. `tests/event_equivalence.rs` carries an
+//! independent one-event-at-a-time reference engine and asserts
+//! byte-identical delivery traces against it at `threads ∈ {0, 1, 2, 3,
+//! 8}` under churn, loss and latency; `tests/shard_equivalence.rs` sweeps
+//! randomized configurations for thread-count invariance.
 //!
 //! ## Frame coalescing — `EventConfig::coalesce_frames`
 //!
-//! The sharded dispatch additionally offers the application the
+//! At `threads >= 1` the dispatch additionally offers the application the
 //! [`Application::coalesce_round`] hook: after triage, each maximal run of
 //! *seq-adjacent same-destination* deliveries in a same-timestamp segment
 //! may be fused into batch frames (e.g. `OptNode`'s delta-encoded
 //! coordination/rumor/migrant batches). Because the run's callbacks would
-//! execute back-to-back and route contiguously in the sequential engine
-//! anyway — and the application's batch contract preserves per-item state
-//! transitions, replies and RNG draws — fused dispatch stays bit-identical
-//! to the sequential engine; items merged away are still credited to the
-//! `delivered` counter. The only statistic that may differ from a
-//! sequential run is [`EventEngine::frame_bytes_saved`], which is always
+//! execute back-to-back and route contiguously unfused anyway — and the
+//! application's batch contract preserves per-item state transitions,
+//! replies and RNG draws — fused dispatch stays bit-identical to unfused
+//! dispatch; items merged away are still credited to the `delivered`
+//! counter. The only statistic that may differ between `threads = 0` and
+//! `threads >= 1` is [`EventEngine::frame_bytes_saved`], which is always
 //! zero at `threads == 0`.
 
 use crate::app::{Application, Ctx, FrameSavings, WireCounts};
@@ -118,18 +121,19 @@ pub struct EventConfig {
     pub churn: ChurnConfig,
     /// How many live contacts a joining node is bootstrapped with.
     pub bootstrap_sample: usize,
-    /// Execution mode. `0` (default): process events one at a time.
-    /// `>= 1`: shard each same-timestamp batch across this many worker
-    /// threads — results are bit-identical to the sequential engine at
-    /// every thread count (see the module docs).
+    /// Shard width. `0` (default): each same-timestamp batch runs as one
+    /// shard on the calling thread, without frame coalescing. `>= 1`:
+    /// shard each batch across this many worker threads and let
+    /// [`EventConfig::coalesce_frames`] apply. Results are bit-identical
+    /// at every value (see the module docs).
     pub threads: usize,
     /// Let the application fuse seq-adjacent same-destination deliveries
     /// of a same-timestamp batch into batch frames
     /// ([`Application::coalesce_round`]); wire savings accumulate in
-    /// [`EventEngine::frame_bytes_saved`]. Only the sharded dispatch path
-    /// (`threads >= 1`) coalesces — the sequential engine never does, and
-    /// the fused run is bit-identical to it either way (see the module
-    /// docs); `frame_bytes_saved` is the only stat that may differ.
+    /// [`EventEngine::frame_bytes_saved`]. Takes effect only at
+    /// `threads >= 1`; `threads = 0` never coalesces. The fused run is
+    /// bit-identical to the unfused one either way (see the module docs);
+    /// `frame_bytes_saved` is the only stat that may differ.
     pub coalesce_frames: bool,
 }
 
@@ -267,16 +271,13 @@ pub struct EventEngine<A: Application> {
     /// Nodes joined by the churn process.
     churn_joins: u64,
     // Scratch buffers reused across events to keep dispatch allocation-free.
-    /// Callback outbox reused by `process` (was a fresh `Vec` per event).
-    outbox_buf: Vec<(NodeId, A::Message)>,
-    /// Join-time outbox; separate from `outbox_buf` because churn joins run
-    /// while a churn event is being processed.
+    /// Join-time outbox (`on_join` sends), reused across `insert` calls.
     join_outbox_buf: Vec<(NodeId, A::Message)>,
     /// Bootstrap-contact scratch reused across `insert` calls.
     contacts_buf: Vec<NodeId>,
     /// Live-slot snapshot for the churn crash sweep.
     churn_buf: Vec<u32>,
-    /// Same-timestamp batch scratch of the sharded path.
+    /// Same-timestamp batch scratch.
     batch_buf: Vec<Event<A::Message>>,
     /// Recycled shard buffers, at most one per worker.
     shard_pool: Vec<ShardBufs<A::Message>>,
@@ -306,7 +307,6 @@ impl<A: Application> EventEngine<A> {
             retired: WireCounts::new(),
             churn_crashes: 0,
             churn_joins: 0,
-            outbox_buf: Vec::new(),
             join_outbox_buf: Vec::new(),
             contacts_buf: Vec::new(),
             churn_buf: Vec::new(),
@@ -407,8 +407,8 @@ impl<A: Application> EventEngine<A> {
     }
 
     /// Wire bytes saved by frame coalescing so far (see
-    /// [`EventConfig::coalesce_frames`]). Always `0` on the sequential
-    /// dispatch path (`threads == 0`), which never coalesces.
+    /// [`EventConfig::coalesce_frames`]). Always `0` at `threads == 0`,
+    /// which never coalesces.
     pub fn frame_bytes_saved(&self) -> u64 {
         self.frame_bytes_saved
     }
@@ -483,48 +483,20 @@ impl<A: Application> EventEngine<A> {
             // timestamp, so their sequence numbers all precede any bucketed
             // event's.
             self.now = batch_time;
-            if self.cfg.threads >= 1 {
-                // Sharded mode: collect the whole timestamp's events (still
-                // in seq order: overflow seqs all precede bucketed seqs)
-                // and process them as parallel shards with a sequential
-                // seq-order replay — bit-identical to the loop below.
-                let mut batch = std::mem::take(&mut self.batch_buf);
-                while let Some(Reverse(head)) = self.overflow.peek() {
-                    if head.time != batch_time {
-                        break;
-                    }
-                    let Reverse(ev) = self.overflow.pop().expect("peeked event vanished");
-                    batch.push(ev);
+            let mut batch = std::mem::take(&mut self.batch_buf);
+            while let Some(Reverse(head)) = self.overflow.peek() {
+                if head.time != batch_time {
+                    break;
                 }
-                let bucket = (batch_time & WHEEL_MASK) as usize;
-                debug_assert!(self.wheel[bucket].iter().all(|ev| ev.time == batch_time));
-                adopt_or_append(&mut batch, &mut self.wheel[bucket]);
-                self.pending -= batch.len();
-                self.process_batch_sharded(&mut batch);
-                self.batch_buf = batch;
-            } else {
-                while let Some(Reverse(head)) = self.overflow.peek() {
-                    if head.time != batch_time {
-                        break;
-                    }
-                    let Reverse(ev) = self.overflow.pop().expect("peeked event vanished");
-                    self.pending -= 1;
-                    self.process(ev.kind);
-                }
-                let bucket = (batch_time & WHEEL_MASK) as usize;
-                let mut batch = std::mem::take(&mut self.wheel[bucket]);
-                for ev in batch.drain(..) {
-                    debug_assert_eq!(ev.time, batch_time);
-                    self.pending -= 1;
-                    self.process(ev.kind);
-                }
-                // Nothing can have landed in this bucket meanwhile (that
-                // would need a delay that is a positive multiple of
-                // WHEEL_SLOTS, which goes to the overflow heap) — swap the
-                // grown buffer back so its capacity is reused.
-                debug_assert!(self.wheel[bucket].is_empty());
-                std::mem::swap(&mut self.wheel[bucket], &mut batch);
+                let Reverse(ev) = self.overflow.pop().expect("peeked event vanished");
+                batch.push(ev);
             }
+            let bucket = (batch_time & WHEEL_MASK) as usize;
+            debug_assert!(self.wheel[bucket].iter().all(|ev| ev.time == batch_time));
+            adopt_or_append(&mut batch, &mut self.wheel[bucket]);
+            self.pending -= batch.len();
+            self.process_batch(&mut batch);
+            self.batch_buf = batch;
         }
         // Trailing observations up to max_time.
         while next_observe <= max_time {
@@ -585,84 +557,37 @@ impl<A: Application> EventEngine<A> {
         self.pending += 1;
     }
 
-    fn process(&mut self, kind: EventKind<A::Message>) {
-        match kind {
-            EventKind::Tick { node } => {
-                let Some(i) = self.arena.slot_index(node) else {
-                    return;
-                };
-                if !self.arena.slots[i].alive {
-                    return; // timer of a crashed node: lapse silently
-                }
-                let mut outbox = std::mem::take(&mut self.outbox_buf);
-                outbox.clear();
-                {
-                    let slot = &mut self.arena.slots[i];
-                    let mut ctx = Ctx::new(node, self.now, &mut slot.rng, &mut outbox);
-                    slot.app.on_tick(&mut ctx);
-                }
-                self.route(node, &mut outbox);
-                self.outbox_buf = outbox;
-                let period = self.cfg.tick_period;
-                self.schedule(period, EventKind::Tick { node });
-            }
-            EventKind::Deliver { from, to, msg } => {
-                let Some(i) = self.arena.slot_index(to) else {
-                    self.dropped += 1;
-                    return;
-                };
-                if !self.arena.slots[i].alive {
-                    self.dropped += 1;
-                    return;
-                }
-                let mut outbox = std::mem::take(&mut self.outbox_buf);
-                outbox.clear();
-                {
-                    let slot = &mut self.arena.slots[i];
-                    let mut ctx = Ctx::new(to, self.now, &mut slot.rng, &mut outbox);
-                    slot.app.on_message(from, msg, &mut ctx);
-                }
-                self.delivered += 1;
-                self.route(to, &mut outbox);
-                self.outbox_buf = outbox;
-            }
-            EventKind::Churn => {
-                self.churn_step();
-                let period = self.cfg.tick_period;
-                self.schedule(period, EventKind::Churn);
-            }
-        }
-    }
-
-    /// Process one same-timestamp batch in sharded mode: split at churn
-    /// events (liveness barriers), run each sub-batch as parallel
-    /// slot-range shards, then replay routing/scheduling sequentially in
-    /// seq order. Bit-identical to processing the batch event by event;
-    /// leaves `batch` empty.
-    fn process_batch_sharded(&mut self, batch: &mut Vec<Event<A::Message>>) {
+    /// Process one same-timestamp batch: split at churn events (liveness
+    /// barriers), run each sub-batch as slot-range shards, then replay
+    /// routing/scheduling sequentially in seq order. Bit-identical to
+    /// processing the batch event by event; leaves `batch` empty.
+    fn process_batch(&mut self, batch: &mut Vec<Event<A::Message>>) {
         let is_churn = |ev: &Event<A::Message>| matches!(ev.kind, EventKind::Churn);
         if !batch.iter().any(is_churn) {
-            return self.process_segment_sharded(batch);
+            return self.process_segment(batch);
         }
         let mut segment = Vec::new();
         for ev in batch.drain(..) {
             if is_churn(&ev) {
-                self.process_segment_sharded(&mut segment);
-                self.process(EventKind::Churn);
+                self.process_segment(&mut segment);
+                self.churn_step();
+                let period = self.cfg.tick_period;
+                self.schedule(period, EventKind::Churn);
             } else {
                 segment.push(ev);
             }
         }
-        self.process_segment_sharded(&mut segment);
+        self.process_segment(&mut segment);
     }
 
     /// Sharded execution of a churn-free, same-timestamp event segment
-    /// (in seq order); leaves `events` empty.
-    fn process_segment_sharded(&mut self, events: &mut Vec<Event<A::Message>>) {
+    /// (in seq order); leaves `events` empty. `threads = 0` runs it as one
+    /// shard on the calling thread.
+    fn process_segment(&mut self, events: &mut Vec<Event<A::Message>>) {
         let threads = self.cfg.threads.max(1);
         // Triage, in place: drop events for dead/unknown targets now
         // (liveness is static within the segment, so this matches the
-        // per-event checks of the sequential engine) and count the
+        // per-event checks of one-at-a-time processing) and count the
         // survivors' targets for the shard cuts.
         let (arena, dropped, cuts) = (&self.arena, &mut self.dropped, &mut self.shard_cuts);
         cuts.reset(arena.slots.len(), threads);
@@ -685,8 +610,8 @@ impl<A: Application> EventEngine<A> {
         // Coalesce hook: fuse seq-adjacent same-destination deliveries of
         // the surviving events into batch frames (triaged events consumed
         // nothing, so adjacency among survivors is adjacency in the order
-        // the sequential engine interleaves routing in).
-        if self.cfg.coalesce_frames {
+        // one-at-a-time processing interleaves routing in).
+        if self.cfg.coalesce_frames && self.cfg.threads >= 1 {
             self.coalesce_segment(events);
         }
 
@@ -812,8 +737,8 @@ impl<A: Application> EventEngine<A> {
     /// [`Application::coalesce_round`].
     ///
     /// Why this is bit-identical to unfused dispatch: the run's events are
-    /// adjacent among the segment's survivors, so the sequential engine
-    /// would process their callbacks back-to-back (the receiver's state
+    /// adjacent among the segment's survivors, so unfused dispatch would
+    /// process their callbacks back-to-back (the receiver's state
     /// transitions and RNG draws match per-item unpacking by the
     /// application's batch contract) and route their replies contiguously
     /// in the same seq order — no other kernel-RNG consumer sits between
@@ -1140,7 +1065,7 @@ mod tests {
     type RunDigest = (u64, u64, u64, Vec<(u64, u64, u64)>, [u64; 4]);
 
     /// Full-behavior digest of a churny, lossy, jittered run at the given
-    /// shard thread count (0 = sequential engine).
+    /// shard thread count (0 = one shard on the calling thread).
     fn sharded_digest(threads: usize) -> RunDigest {
         let mut cfg = EventConfig::seeded(77);
         cfg.threads = threads;
@@ -1174,14 +1099,14 @@ mod tests {
 
     #[test]
     fn sharded_batches_are_bit_identical_to_sequential() {
-        // The strong contract of the module docs: sharding the event
-        // kernel changes nothing, down to the kernel RNG state.
+        // The strong contract of the module docs: the shard width changes
+        // nothing, down to the kernel RNG state.
         let sequential = sharded_digest(0);
         for threads in [1, 2, 3, 8] {
             assert_eq!(
                 sharded_digest(threads),
                 sequential,
-                "threads={threads} diverged from the sequential engine"
+                "threads={threads} diverged from threads=0"
             );
         }
     }
@@ -1269,11 +1194,11 @@ mod tests {
     #[test]
     fn coalesced_dispatch_is_bit_identical_to_sequential() {
         // The event-kernel coalesce hook: fused runs change nothing the
-        // sequential engine can observe — delivered/dropped counts, node
-        // states and the kernel RNG stream all match; only the
-        // frame_bytes_saved ledger moves (and stays zero sequentially).
+        // unfused threads=0 run can observe — delivered/dropped counts,
+        // node states and the kernel RNG stream all match; only the
+        // frame_bytes_saved ledger moves (and stays zero at threads=0).
         let (sd, sx, ss, srng, ssaved) = fusing_digest(0);
-        assert_eq!(ssaved, 0, "sequential dispatch never coalesces");
+        assert_eq!(ssaved, 0, "threads=0 never coalesces");
         for threads in [1, 2, 3, 8] {
             let (d, x, s, rng, saved) = fusing_digest(threads);
             assert_eq!(d, sd, "threads={threads} delivered diverged");

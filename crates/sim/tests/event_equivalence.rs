@@ -5,7 +5,9 @@
 //! file carries a faithful port of the seed engine as the reference —
 //! mirroring `soa_equivalence` on the solvers side — and compares full
 //! per-node delivery traces after interleaved runs, across latency models,
-//! loss, phase jitter and churn, for a spread of seeds.
+//! loss, phase jitter and churn, for a spread of seeds — at every shard
+//! width (`threads ∈ {0, 1, 2, 3, 8}`), since the ported engine has one
+//! dispatch path and the reference processes events one at a time.
 
 use gossipopt_sim::{
     Application, ChurnConfig, Ctx, EventConfig, EventEngine, Latency, NodeId, Transport,
@@ -362,8 +364,9 @@ fn spawn_recorder(_id: NodeId, rng: &mut Xoshiro256pp) -> Recorder {
 type Snapshot = Vec<(u64, u64, u64, Vec<(u64, u64, u64)>)>;
 
 /// Drive an engine through the shared script: populate, run, crash two
-/// nodes mid-flight, run to the horizon.
-fn drive_ported(cfg: EventConfig, n: usize, horizon: u64) -> (Snapshot, u64, u64, usize) {
+/// nodes mid-flight, run to the horizon. The ported engine also reports
+/// its frame-coalescing savings.
+fn drive_ported(cfg: EventConfig, n: usize, horizon: u64) -> ((Snapshot, u64, u64, usize), u64) {
     let mut e: EventEngine<Recorder> = EventEngine::new(cfg);
     e.set_spawner(spawn_recorder);
     e.populate(n);
@@ -375,7 +378,10 @@ fn drive_ported(cfg: EventConfig, n: usize, horizon: u64) -> (Snapshot, u64, u64
         .nodes()
         .map(|(id, a)| (id.raw(), a.ticks, a.acc, a.trace.clone()))
         .collect();
-    (snap, e.delivered(), e.dropped(), e.alive_count())
+    (
+        (snap, e.delivered(), e.dropped(), e.alive_count()),
+        e.frame_bytes_saved(),
+    )
 }
 
 fn drive_reference(cfg: EventConfig, n: usize, horizon: u64) -> (Snapshot, u64, u64, usize) {
@@ -393,19 +399,36 @@ fn drive_reference(cfg: EventConfig, n: usize, horizon: u64) -> (Snapshot, u64, 
     (snap, e.delivered(), e.dropped(), e.alive_count())
 }
 
+/// The ported engine at every shard width must match the reference; at
+/// `threads = 0` it must also never report coalescing savings.
 fn assert_equivalent(cfg: EventConfig, n: usize, horizon: u64, label: &str) {
-    let ported = drive_ported(cfg.clone(), n, horizon);
-    let reference = drive_reference(cfg, n, horizon);
-    assert_eq!(
-        ported.1, reference.1,
-        "[{label}] delivered counts must match"
-    );
-    assert_eq!(ported.2, reference.2, "[{label}] dropped counts must match");
-    assert_eq!(ported.3, reference.3, "[{label}] alive counts must match");
-    assert_eq!(
-        ported.0, reference.0,
-        "[{label}] per-node traces must match byte for byte"
-    );
+    let reference = drive_reference(cfg.clone(), n, horizon);
+    for threads in [0, 1, 2, 3, 8] {
+        let cfg = EventConfig {
+            threads,
+            ..cfg.clone()
+        };
+        let (ported, saved) = drive_ported(cfg, n, horizon);
+        if threads == 0 {
+            assert_eq!(saved, 0, "[{label}] threads=0 never coalesces");
+        }
+        assert_eq!(
+            ported.1, reference.1,
+            "[{label}] threads={threads}: delivered counts must match"
+        );
+        assert_eq!(
+            ported.2, reference.2,
+            "[{label}] threads={threads}: dropped counts must match"
+        );
+        assert_eq!(
+            ported.3, reference.3,
+            "[{label}] threads={threads}: alive counts must match"
+        );
+        assert_eq!(
+            ported.0, reference.0,
+            "[{label}] threads={threads}: per-node traces must match byte for byte"
+        );
+    }
 }
 
 #[test]

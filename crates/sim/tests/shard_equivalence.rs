@@ -3,13 +3,15 @@
 //! Two contracts, proven over randomized configurations (churn, loss,
 //! latency, deferred delivery, hop budgets):
 //!
-//! * **Event kernel** — `threads >= 1` shards each same-timestamp batch
-//!   but must reproduce the *sequential engine* (`threads = 0`)
-//!   bit-for-bit: every node's full receive trace, tick count, the kernel
-//!   counters, and the engine clock. Besides the randomized sweep, a star
+//! * **Event kernel** — `threads >= 1` deals each same-timestamp batch
+//!   to parallel shards but must reproduce one shard on the calling
+//!   thread (`threads = 0`) bit-for-bit: every node's full receive
+//!   trace, tick count, the kernel counters, and the engine clock. Besides the randomized sweep, a star
 //!   overlay pins the shapes the partition/merge machinery must get right:
 //!   one target owning a whole batch, events that send 0, 1 and 2
-//!   messages, and a churn event in the middle of a batch.
+//!   messages, and a churn event in the middle of a batch. The
+//!   one-event-at-a-time oracle is `event_equivalence.rs`'s reference
+//!   engine.
 //! * **Cycle kernel** — the phased tick (`threads >= 1`) is its own
 //!   scheduling discipline, so the reference is the same discipline run
 //!   on one thread: `threads ∈ {2, 3, 8}` must reproduce `threads = 1`
@@ -147,7 +149,7 @@ fn run_event(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(20))]
 
-    /// Event kernel: sharded batches reproduce the sequential engine
+    /// Event kernel: parallel shards reproduce one shard (`threads = 0`)
     /// byte-for-byte under churn, loss and latency, at every thread count.
     #[test]
     fn event_sharded_equals_sequential(

@@ -97,8 +97,8 @@ HOST_CORES="$(nproc)"
 PAR_THREADS="$(sed -n 's/^const PAR_THREADS: usize = \([0-9]\+\);$/\1/p' crates/bench/benches/dpso.rs)"
 PAR_THREADS="${PAR_THREADS:-0}"
 
-RAW="$(mktemp /tmp/gossipopt-bench.XXXXXX.jsonl)"
-RAW_BASE="$(mktemp /tmp/gossipopt-bench-base.XXXXXX.jsonl)"
+RAW="$(mktemp "${TMPDIR:-/tmp}/gossipopt-bench.XXXXXX.jsonl")"
+RAW_BASE="$(mktemp "${TMPDIR:-/tmp}/gossipopt-bench-base.XXXXXX.jsonl")"
 AB_WORKTREE="target/ab-base"
 cleanup() {
     rm -f "$RAW" "$RAW_BASE" "$RAW".t*
@@ -319,7 +319,7 @@ if sweep:
     doc["threads_sweep"] = sweep
 if int(wire_net):
     # scenarios/wire_event.toml payload bytes, coalesced vs the
-    # sequential engine's unbatched ledger (same trajectories).
+    # uncoalesced threads = 0 ledger (same trajectories).
     doc["wire_event"] = {
         "payload_bytes": int(wire_net),
         "unbatched_payload_bytes": int(wire_gross),

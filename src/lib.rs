@@ -73,8 +73,9 @@
 //! * **Sharded multi-core kernels** — `threads >= 1` on either kernel
 //!   config (or `DistributedPsoSpec::threads`, `--threads` on the
 //!   examples) runs one simulated network across worker threads with a
-//!   deterministic merge. The event kernel stays bit-identical to its
-//!   sequential engine at any thread count; the cycle kernel's *phased*
+//!   deterministic merge. The event kernel stays bit-identical to
+//!   one-at-a-time event processing at any thread count (`threads = 0`
+//!   runs the same sharded path as one shard); the cycle kernel's *phased*
 //!   tick is a thread-count-invariant discipline of its own (merge order:
 //!   destination slot, then source slot, then emission sequence). The 1M-
 //!   node raw-gossip scenario (`examples/scale.rs --nodes 1000000`) and
