@@ -737,11 +737,13 @@ pub struct Driven {
 /// through `wrap`) and installs the joiner spawner — unconditionally: it
 /// is only ever invoked on a join, so a static network never calls it.
 /// Then, per 1-based tick `t`: `before_tick(engine, t)` (scripted faults)
-/// → [`Engine::step`] → one observer pass → trace → stop check. The
-/// observer reads quality only on an unsampled tick; quality, the argmin
-/// node, ledger bytes and the live count in a single pass when the metrics
-/// ring wants `t`; evaluations only under [`Budget::Total`], whose cap it
-/// enforces. A run that was not stopped then drains the horizon's tail
+/// → [`Engine::step`] → at most one observer pass → trace → stop check.
+/// When the metrics ring wants `t`, one pass reads quality, the argmin
+/// node, ledger bytes and the live count. On any other tick the pass runs
+/// only if something consumes it: quality when `trace_every` hits `t` or
+/// `stop_at_quality` is set, evaluations under [`Budget::Total`], whose
+/// cap it enforces; otherwise the tick walks no node. A run that was not
+/// stopped then drains the horizon's tail
 /// ([`Engine::drain_tail`]: the `max_time % tick_period` of simulated time
 /// that is not a whole period) for every caller, before the final totals.
 pub fn drive<A, E>(
@@ -781,6 +783,9 @@ where
         before_tick(engine, t);
         engine.step();
 
+        let traced = spec
+            .trace_every
+            .is_some_and(|every| t.is_multiple_of(every));
         let mut quality = f64::INFINITY;
         let mut evals = 0u64;
         match ring.as_mut().filter(|ring| ring.wants(t)) {
@@ -821,6 +826,9 @@ where
                         .saturating_sub(traffic.frame_bytes_saved),
                 });
             }
+            // Nothing reads this tick's quality or evaluations: skip the
+            // scan.
+            None if !traced && spec.stop_at_quality.is_none() && total_cap.is_none() => {}
             None => {
                 for (_, app) in engine.nodes() {
                     let node: &OptNode = app.borrow();
@@ -831,10 +839,7 @@ where
                 }
             }
         }
-        if spec
-            .trace_every
-            .is_some_and(|every| t.is_multiple_of(every))
-        {
+        if traced {
             trace.push((engine.now(), quality));
         }
         if spec.stop_at_quality.is_some_and(|thr| quality <= thr) {

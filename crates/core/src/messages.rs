@@ -69,9 +69,17 @@ impl CoordBatch {
     /// dimensionality followed by either raw `f64`s or bit-pattern deltas
     /// against the frame's first payload.
     pub fn payload_wire_bytes(&self) -> usize {
-        let mut n = varint_len(self.items.len() as u64);
+        Self::payload_bytes_of(self.items.iter().map(|(src, m)| (*src, m)))
+    }
+
+    /// [`CoordBatch::payload_wire_bytes`] of a batch holding `items`,
+    /// sized from borrowed messages without building the batch.
+    pub(crate) fn payload_bytes_of<'a>(
+        items: impl ExactSizeIterator<Item = (NodeId, &'a AntiEntropyMsg<GlobalBest>)>,
+    ) -> usize {
+        let mut n = varint_len(items.len() as u64);
         let mut reference: Option<&GlobalBest> = None;
-        for (src, m) in &self.items {
+        for (src, m) in items {
             n += varint_len(src.raw()) + 1;
             let g = match m {
                 AntiEntropyMsg::Offer(g) | AntiEntropyMsg::Tell(g) => g,
@@ -126,9 +134,17 @@ impl GossipBatch {
     /// Serialized payload size in bytes under the runtime wire codec
     /// (header excluded); see the type docs for the layout.
     pub fn payload_wire_bytes(&self) -> usize {
-        let mut n = varint_len(self.items.len() as u64);
+        Self::payload_bytes_of(self.items.iter().map(|(src, g)| (*src, g)))
+    }
+
+    /// [`GossipBatch::payload_wire_bytes`] of a batch holding `items`,
+    /// sized from borrowed optima without building the batch.
+    pub(crate) fn payload_bytes_of<'a>(
+        items: impl ExactSizeIterator<Item = (NodeId, &'a GlobalBest)>,
+    ) -> usize {
+        let mut n = varint_len(items.len() as u64);
         let mut reference: Option<&GlobalBest> = None;
-        for (src, g) in &self.items {
+        for (src, g) in items {
             n += varint_len(src.raw()) + 4;
             let raw = 8 * g.x.len() + 8;
             match reference {
@@ -171,6 +187,10 @@ pub const KIND_NAMES: [&str; KIND_COUNT] = [
 ];
 
 impl Msg {
+    /// Frame header every message pays on the wire: version byte + tag
+    /// byte.
+    pub(crate) const HEADER_BYTES: usize = 2;
+
     /// Index of this message's wire kind in enum declaration order; the
     /// per-kind observability counters are arrays indexed by this.
     pub fn kind_index(&self) -> usize {
@@ -201,11 +221,9 @@ impl Msg {
     /// 20-descriptor NEWSCAST exchange honestly. Kept in lock-step with the
     /// codec by a test in `gossipopt_runtime::wire`.
     pub fn wire_bytes(&self) -> usize {
-        /// Version byte + tag byte.
-        const HEADER: usize = 2;
         /// A `Descriptor` is a `u64` id + `u64` timestamp.
         const DESCRIPTOR: usize = 16;
-        HEADER
+        Msg::HEADER_BYTES
             + match self {
                 Msg::Newscast(NewscastMsg::Request(ds)) | Msg::Newscast(NewscastMsg::Reply(ds)) => {
                     4 + DESCRIPTOR * ds.len()

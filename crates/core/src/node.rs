@@ -528,85 +528,99 @@ impl Application for OptNode {
                 _ => None,
             }
         }
-        // Cheap pre-scan: leave the round untouched unless some
-        // consecutive same-destination pair is fusible same-family
-        // traffic (random-peer topologies rarely produce runs).
-        let fusible = round.windows(2).any(|w| {
-            w[0].1 == w[1].1
-                && fuse_kind(&w[0].2).is_some()
-                && fuse_kind(&w[0].2) == fuse_kind(&w[1].2)
-        });
-        if !fusible {
-            return FrameSavings::default();
+        /// Wire size of the batch frame `run` (one family, one
+        /// destination) would fuse into, from the borrowed messages.
+        fn fused_wire_bytes(kind: Fuse, run: &[(NodeId, NodeId, Msg)]) -> usize {
+            let payload = match kind {
+                Fuse::Coord => {
+                    CoordBatch::payload_bytes_of(run.iter().map(|(src, _, m)| match m {
+                        Msg::Coord(c) => (*src, c),
+                        _ => unreachable!("a run holds one family"),
+                    }))
+                }
+                Fuse::Rumor | Fuse::Migrant => {
+                    GossipBatch::payload_bytes_of(run.iter().map(|(src, _, m)| match m {
+                        Msg::RumorPush(g) | Msg::Migrant(g) => (*src, g),
+                        _ => unreachable!("a run holds one family"),
+                    }))
+                }
+            };
+            Msg::HEADER_BYTES + payload
         }
+        // Pass 1, in place: a maximal run of consecutive same-destination,
+        // same-family messages whose batch frame would be smaller becomes
+        // that frame, in the run's first position; the messages after it
+        // leave payload-free placeholders, and their positions are noted.
         let mut saved = FrameSavings::default();
-        let taken = std::mem::take(round);
-        round.reserve(taken.len());
-        let mut it = taken.into_iter().peekable();
-        while let Some((from, to, msg)) = it.next() {
-            let kind = fuse_kind(&msg);
-            let run_continues = |next: Option<&(NodeId, NodeId, Msg)>| {
-                next.is_some_and(|(_, nto, nm)| *nto == to && fuse_kind(nm) == kind)
-            };
-            if kind.is_none() || !run_continues(it.peek()) {
-                round.push((from, to, msg));
+        let mut absorbed: Vec<std::ops::Range<usize>> = Vec::new();
+        let n = round.len();
+        let mut start = 0;
+        while start < n {
+            let (from, to) = (round[start].0, round[start].1);
+            let Some(kind) = fuse_kind(&round[start].2) else {
+                start += 1;
                 continue;
+            };
+            let mut end = start + 1;
+            while end < n && round[end].1 == to && fuse_kind(&round[end].2) == Some(kind) {
+                end += 1;
             }
-            let kind = kind.expect("checked above");
-            // Collect the maximal run of consecutive same-family messages
-            // for this destination. Coord items keep their anti-entropy
-            // message; the rumor/migrant families carry bare optima.
-            let mut unbatched = 0u64;
-            let mut coord_items = Vec::new();
-            let mut gossip_items = Vec::new();
-            let mut push_item = |m: Msg, src: NodeId| {
-                unbatched += m.wire_bytes() as u64;
-                match m {
-                    Msg::Coord(c) => coord_items.push((src, c)),
-                    Msg::RumorPush(g) | Msg::Migrant(g) => gossip_items.push((src, g)),
-                    _ => unreachable!("run collected over fusible kinds only"),
+            let run = &round[start..end];
+            let saving = match run.len() {
+                1 => 0,
+                _ => {
+                    let unbatched: usize = run.iter().map(|(_, _, m)| m.wire_bytes()).sum();
+                    unbatched.saturating_sub(fused_wire_bytes(kind, run))
                 }
             };
-            push_item(msg, from);
-            while run_continues(it.peek()) {
-                let (nfrom, _, nmsg) = it.next().expect("peeked");
-                push_item(nmsg, nfrom);
+            if saving > 0 {
+                saved.add(kind.class(), saving as u64);
+                let items = round[start..end].iter_mut().map(|(src, _, m)| {
+                    (*src, std::mem::replace(m, Msg::Coord(AntiEntropyMsg::Ask)))
+                });
+                let fused = match kind {
+                    Fuse::Coord => Msg::CoordBatch(CoordBatch {
+                        items: items
+                            .map(|(src, m)| match m {
+                                Msg::Coord(c) => (src, c),
+                                _ => unreachable!("a run holds one family"),
+                            })
+                            .collect(),
+                    }),
+                    Fuse::Rumor | Fuse::Migrant => {
+                        let batch = GossipBatch {
+                            items: items
+                                .map(|(src, m)| match m {
+                                    Msg::RumorPush(g) | Msg::Migrant(g) => (src, g),
+                                    _ => unreachable!("a run holds one family"),
+                                })
+                                .collect(),
+                        };
+                        if kind == Fuse::Rumor {
+                            Msg::RumorBatch(batch)
+                        } else {
+                            Msg::MigrantBatch(batch)
+                        }
+                    }
+                };
+                round[start] = (from, to, fused);
+                absorbed.push(start + 1..end);
             }
-            let fused = match kind {
-                Fuse::Coord => Msg::CoordBatch(CoordBatch { items: coord_items }),
-                Fuse::Rumor => Msg::RumorBatch(GossipBatch {
-                    items: gossip_items,
-                }),
-                Fuse::Migrant => Msg::MigrantBatch(GossipBatch {
-                    items: gossip_items,
-                }),
-            };
-            let batched = fused.wire_bytes() as u64;
-            if batched < unbatched {
-                saved.add(kind.class(), unbatched - batched);
-                round.push((from, to, fused));
-            } else {
-                // The frame would not shrink (payloads too dissimilar for
-                // the delta coding to win): keep the run unbatched.
-                match fused {
-                    Msg::CoordBatch(b) => {
-                        for (src, m) in b.items {
-                            round.push((src, to, Msg::Coord(m)));
-                        }
-                    }
-                    Msg::RumorBatch(b) => {
-                        for (src, g) in b.items {
-                            round.push((src, to, Msg::RumorPush(g)));
-                        }
-                    }
-                    Msg::MigrantBatch(b) => {
-                        for (src, g) in b.items {
-                            round.push((src, to, Msg::Migrant(g)));
-                        }
-                    }
-                    _ => unreachable!("fused is always a batch kind"),
+            start = end;
+        }
+        // Pass 2: drop the placeholders; `retain` moves every later message
+        // once, and none before the first batch.
+        if !absorbed.is_empty() {
+            let mut gaps = absorbed.iter().peekable();
+            let mut at = 0;
+            round.retain(|_| {
+                let keep = !gaps.peek().is_some_and(|gap| gap.contains(&at));
+                at += 1;
+                if gaps.peek().is_some_and(|gap| at >= gap.end) {
+                    gaps.next();
                 }
-            }
+                keep
+            });
         }
         saved
     }

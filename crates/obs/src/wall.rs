@@ -32,9 +32,13 @@ pub const BUCKET_COUNT: usize = 64;
 pub enum Phase {
     /// Cycle kernel: per-shard application callbacks (`on_tick`/`on_message`).
     CycleCallback,
-    /// Cycle kernel: canonical-order merge of shard outboxes.
+    /// Cycle kernel, phased delivery round: shard cuts, the per-shard
+    /// counting sort of the binned sends into canonical order, and the
+    /// sequential loss draw on a lossy transport.
     CycleMerge,
-    /// Cycle kernel: delivery of merged frames into inboxes.
+    /// Cycle kernel, phased delivery round: per shard, the liveness check,
+    /// frame coalescing and `on_message` dispatch, replies binned for the
+    /// next round.
     CycleDispatch,
     /// Event kernel: same-timestamp batch dispatch.
     EventDispatch,

@@ -281,3 +281,42 @@ fn paper_grid_covers_the_full_matrix() {
     let kernels: std::collections::BTreeSet<_> = seen.iter().map(|(_, k, _)| k.clone()).collect();
     assert_eq!(kernels.len(), 2);
 }
+
+/// Kernel-thread invariance at a realistic size: `scenarios/wire_dpso.toml`'s
+/// two hub-heavy cells (256 nodes, star and hier:4, frame coalescing
+/// engaged) must give the same `CellReport` and deterministic-plane bytes
+/// at cell `threads` 1, 2, 3 and 8 — the phased tick's shard cuts, lanes
+/// and per-shard merge all change with the worker count. The report echoes
+/// the cell it ran, so the echoed `threads` is the one field set back.
+#[test]
+fn wire_dpso_cells_are_kernel_thread_invariant() {
+    let text = std::fs::read_to_string(
+        std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../scenarios/wire_dpso.toml"),
+    )
+    .unwrap();
+    let spec = parse_campaign(&text).unwrap();
+    assert_eq!(spec.cells.len(), 2);
+    for cell in &spec.cells {
+        let run = |threads: usize| {
+            let mut cell = cell.clone();
+            cell.threads = threads;
+            let (mut report, snap) = gossipopt_scenarios::exec::run_cell_obs(&cell).unwrap();
+            report.cell.threads = 1;
+            (
+                serde_json::to_string(&report).unwrap(),
+                snap.det.to_canonical_json(),
+            )
+        };
+        let (json, det) = run(1);
+        assert!(
+            det.contains("coord_batch"),
+            "{}: coalescing must engage",
+            cell.topology
+        );
+        for threads in [2, 3, 8] {
+            let (json_t, det_t) = run(threads);
+            assert_eq!(json_t, json, "{} threads={threads}: report", cell.topology);
+            assert_eq!(det_t, det, "{} threads={threads}: obs_det", cell.topology);
+        }
+    }
+}

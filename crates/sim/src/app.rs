@@ -190,9 +190,11 @@ pub trait Application: Sized + Send {
 
     /// Frame-coalescing hook for batched delivery.
     ///
-    /// The phased cycle kernel hands each post-loss round — `(from, to,
-    /// msg)` in canonical order, stably sorted by destination — to this
-    /// hook before sharding it for dispatch; the event kernel's sharded
+    /// The phased cycle kernel hands it each dispatch shard's slice of a
+    /// delivery round — the shard's surviving `(from, to, msg)` after loss
+    /// and liveness, in canonical order, stably sorted by destination —
+    /// right before dispatching it (shards own whole destinations, so no
+    /// run crosses a slice boundary); the event kernel's sharded
     /// dispatch hands it each maximal run of seq-adjacent
     /// same-destination deliveries of a same-timestamp batch (see
     /// `EventConfig::coalesce_frames`). An application may rewrite

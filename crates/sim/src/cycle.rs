@@ -28,27 +28,32 @@
 //!    shard-private scratch outbox. Callbacks only touch their own node's
 //!    state and private RNG stream, so shard boundaries cannot influence
 //!    any node's behavior.
-//! 2. **Deterministic merge** — shard outboxes are concatenated in shard
-//!    order (= ascending source slot, then per-source emission order) and
-//!    stably sorted by destination: the canonical delivery order is
-//!    **destination slot, then source slot, then source emission
-//!    sequence**, independent of the shard count. Destinations are dense
-//!    slot indices, so the sort is a counting sort (per-slot histogram,
-//!    prefix sum, stable placement; engine-owned scratch). A round falls
-//!    back to the comparison sort — same order, by construction — on two
-//!    properties of the round itself: it is much smaller than the slot
-//!    table (`slots > 8 * messages`: clearing the histogram would
-//!    dominate), or it addresses an id that was never allocated
-//!    (`>= slots`), whose raw-id order is part of the canonical order
-//!    because loss draws are consumed along it.
-//! 3. **Delivery rounds** — transport loss and liveness are decided
-//!    *sequentially* in canonical order (so the kernel RNG stream is
-//!    consumed identically at any thread count), then surviving messages
-//!    are dispatched in parallel shards cut at destination boundaries;
-//!    each destination handles its messages in canonical order. Replies
-//!    form the next round (breadth-first, like the sequential drain),
-//!    bounded by [`CycleConfig::max_hops_per_tick`] *rounds* rather than
-//!    per-cascade hops.
+//! 2. **Binning at send time** — at tick start (after churn, the only
+//!    thing that allocates slots) the slot table is split into coarse
+//!    bins of power-of-two slot ranges (`ShardCuts`). Each lane — a
+//!    callback shard now, a dispatch shard in later rounds — drains every
+//!    callback's outbox into its own `bucket[lane][bin(to)]`; ids that
+//!    were never allocated go to a tail bin after every slot. A lane's
+//!    sources precede the next lane's, so a bin's buckets taken in lane
+//!    order hold its messages in (source slot, emission sequence) order.
+//! 3. **Delivery rounds, sharded by destination** — the bin
+//!    sizes choose the dispatch shards (`ShardCuts::cut`: shards balance
+//!    message counts, and a hub's bin closes its shard). Each shard, in
+//!    parallel, counting-sorts its own bins' buckets over its own slot
+//!    range into the canonical delivery order — **destination slot, then
+//!    source slot, then source emission sequence**, independent of the
+//!    shard count — checks liveness on its own slots, hands its slice to
+//!    [`Application::coalesce_round`], dispatches, and bins the replies
+//!    into its own lane of the next round (breadth-first, like the
+//!    sequential drain). The one sequential step is the transport's loss
+//!    draw, and only on a lossy transport: between sort and dispatch, one
+//!    pass over the shards in order, then the tail, draws loss per message
+//!    in canonical order, so the kernel RNG stream is consumed identically
+//!    at any thread count. Tail messages are dead letters. Rounds are
+//!    bounded by [`CycleConfig::max_hops_per_tick`] rather than per-cascade
+//!    hops. Messages deferred to the next tick (`intra_tick_delivery =
+//!    false`) are binned when they are delivered, because churn joins
+//!    in between can allocate their targets.
 //!
 //! The phased tick is a *different scheduling discipline* from the
 //! sequential one (no per-tick shuffle, level-order delivery), but it is
@@ -62,7 +67,7 @@
 use crate::app::{Application, Ctx, FrameSavings, WireCounts};
 use crate::churn::ChurnConfig;
 use crate::ids::{NodeId, Ticks};
-use crate::slots::{adopt_or_append, Slot, SlotArena};
+use crate::slots::{ShardCuts, Slot, SlotArena};
 use crate::transport::Transport;
 use crate::Control;
 use gossipopt_obs::wall::{self, Phase};
@@ -205,44 +210,181 @@ pub struct CycleEngine<A: Application> {
     drain_outbox_buf: Vec<(NodeId, A::Message)>,
     /// Bootstrap-contact scratch reused across `insert` calls.
     contacts_buf: Vec<NodeId>,
-    /// Phased-tick round buffer: the current round's `(from, to, msg)`
-    /// stream in canonical order.
-    par_round_buf: Vec<(NodeId, NodeId, A::Message)>,
-    /// Pool of `(from, to, msg)` scratch vectors for shard accumulators
-    /// and per-chunk message batches (phased tick only).
-    par_tri_pool: Vec<Vec<(NodeId, NodeId, A::Message)>>,
-    /// Pool of per-shard `Ctx` outboxes (phased tick only).
-    par_out_pool: Vec<Vec<(NodeId, A::Message)>>,
-    /// Counting-sort scratch of the phased merge: per-slot message counts,
-    /// then placement cursors.
-    sort_counts: Vec<u32>,
-    /// Counting-sort scratch: each message's position in canonical order.
-    sort_dest: Vec<u32>,
+    /// Phased tick: the slot bins of the current tick and, per round, the
+    /// dispatch shards cut from the bins' sizes.
+    cuts: ShardCuts,
+    /// Phased tick: the current round's messages, `inbound[lane][bin]`.
+    inbound: Vec<Vec<Bucket<A::Message>>>,
+    /// Phased tick: the replies of the round being dispatched, laid out
+    /// like `inbound` (lane = dispatch shard); the two swap every round.
+    outbound: Vec<Vec<Bucket<A::Message>>>,
+    /// Phased tick: one scratch set per worker, reused by every round.
+    works: Vec<ShardWork<A::Message>>,
 }
 
+/// One message of a phased round: `(from, to, msg)`.
+type Envelope<M> = (NodeId, NodeId, M);
+
+/// One lane's messages for one destination bin, in emission order. A
+/// shard moves each message out exactly once, straight into its dispatch
+/// order, leaving `None` behind.
+type Bucket<M> = Vec<Option<Envelope<M>>>;
+
 /// Callback-phase shard of a phased tick: exclusive slots of one
-/// contiguous range plus the live positions inside it.
+/// contiguous range plus the live positions inside it, binning its sends
+/// into its own lane of buckets.
 struct TickShard<'a, A: Application> {
     base: usize,
     slots: &'a mut [Slot<A>],
     live: &'a [u32],
-    now: Ticks,
-    /// Shard-private accumulator of `(from, to, msg)`.
-    acc: Vec<(NodeId, NodeId, A::Message)>,
+    lane: &'a mut [Bucket<A::Message>],
     /// Per-callback `Ctx` outbox.
-    tmp: Vec<(NodeId, A::Message)>,
+    tmp: &'a mut Vec<(NodeId, A::Message)>,
 }
 
-/// Delivery-phase shard: a canonical-order message batch whose
-/// destinations all fall inside this shard's exclusive slot range.
-struct DeliverShard<'a, A: Application> {
-    base: usize,
-    slots: &'a mut [Slot<A>],
-    now: Ticks,
-    msgs: Vec<(NodeId, NodeId, A::Message)>,
-    /// Replies produced by this shard, in canonical parent order.
-    replies: Vec<(NodeId, NodeId, A::Message)>,
-    tmp: Vec<(NodeId, A::Message)>,
+/// One dispatch shard's scratch and tallies for a delivery round of the
+/// phased tick. The engine keeps one per worker, so steady-state rounds
+/// allocate no message buffer.
+struct ShardWork<M> {
+    /// Destination slots `lo..hi` this shard owns in the current round.
+    lo: usize,
+    hi: usize,
+    /// This round's buckets for the shard's bins: every lane's, in lane
+    /// order, each lane's bins ascending. Lent by `inbound` for the round.
+    inbox: Vec<Bucket<M>>,
+    /// Counting-sort cursors, one per owned slot.
+    cursors: Vec<u32>,
+    /// Canonical order as `(inbox bucket, position)` handles: the sort
+    /// permutes these, never the messages.
+    order: Vec<(u32, u32)>,
+    /// Messages to live destinations in canonical order, handed to the
+    /// coalesce hook, then dispatched.
+    survivors: Vec<Envelope<M>>,
+    /// Per-callback `Ctx` outbox (also lent to the callback phase).
+    tmp: Vec<(NodeId, M)>,
+    /// Tallies of the last round: dead letters, deliveries, frame savings.
+    dead: u64,
+    delivered: u64,
+    saved: FrameSavings,
+}
+
+impl<M> ShardWork<M> {
+    fn new() -> Self {
+        ShardWork {
+            lo: 0,
+            hi: 0,
+            inbox: Vec::new(),
+            cursors: Vec::new(),
+            order: Vec::new(),
+            survivors: Vec::new(),
+            tmp: Vec::new(),
+            dead: 0,
+            delivered: 0,
+            saved: FrameSavings::default(),
+        }
+    }
+
+    /// Borrow this round's buckets for the bins of the slot `range` from
+    /// every lane, lane by lane.
+    fn lend(&mut self, lanes: &mut [Vec<Bucket<M>>], cuts: &ShardCuts, range: (usize, usize)) {
+        (self.lo, self.hi) = range;
+        let bins = cuts.bins_of(range);
+        for lane in lanes {
+            self.inbox
+                .extend(lane[bins.clone()].iter_mut().map(std::mem::take));
+        }
+    }
+
+    /// Put the buckets [`ShardWork::lend`] took, emptied, back where they
+    /// came from, capacity and all.
+    fn give_back(&mut self, lanes: &mut [Vec<Bucket<M>>], cuts: &ShardCuts) {
+        let mut lent = self.inbox.drain(..);
+        for lane in lanes {
+            for bucket in &mut lane[cuts.bins_of((self.lo, self.hi))] {
+                *bucket = lent.next().expect("every lent bucket comes back");
+                debug_assert!(bucket.is_empty(), "the shard emptied its buckets");
+            }
+        }
+    }
+
+    /// Stable counting sort of the inbox by destination slot, on handles:
+    /// one histogram pass, a prefix sum over the owned slots, one pass
+    /// placing each message's handle. Buckets arrive in lane (= source)
+    /// order and each is in emission order, so ties keep (source slot,
+    /// emission sequence).
+    fn sort(&mut self) {
+        let lo = self.lo;
+        let cursors = &mut self.cursors;
+        cursors.clear();
+        cursors.resize(self.hi - lo, 0);
+        let mut total = 0usize;
+        for (_, to, _) in self.inbox.iter().flatten().flatten() {
+            cursors[to.raw() as usize - lo] += 1;
+            total += 1;
+        }
+        assert!(
+            u32::try_from(total).is_ok() && u32::try_from(self.inbox.len()).is_ok(),
+            "a shard's round fits u32 handles"
+        );
+        // Counts -> each slot's first position.
+        let mut start = 0u32;
+        for c in cursors.iter_mut() {
+            start += std::mem::replace(c, start);
+        }
+        self.order.clear();
+        self.order.resize(total, (0, 0));
+        for (k, bucket) in self.inbox.iter().enumerate() {
+            for (i, m) in bucket.iter().enumerate() {
+                let (_, to, _) = m.as_ref().expect("a lent bucket is full");
+                let cursor = &mut cursors[to.raw() as usize - lo];
+                self.order[*cursor as usize] = (k as u32, i as u32);
+                *cursor += 1;
+            }
+        }
+    }
+
+    /// Deliver the sorted round to the shard's slots (`slots[0]` is slot
+    /// `lo`): move the messages the loss pass left into `survivors`,
+    /// dropping dead letters, coalesce, dispatch, and bin the replies into
+    /// `lane`.
+    fn deliver<A: Application<Message = M>>(
+        &mut self,
+        slots: &mut [Slot<A>],
+        now: Ticks,
+        coalesce: bool,
+        cuts: &ShardCuts,
+        lane: &mut [Bucket<M>],
+    ) {
+        let lo = self.lo;
+        let mut dead = 0u64;
+        for &(k, i) in &self.order {
+            let Some(m) = self.inbox[k as usize][i as usize].take() else {
+                continue; // lost
+            };
+            if slots[m.1.raw() as usize - lo].alive {
+                self.survivors.push(m);
+            } else {
+                dead += 1;
+            }
+        }
+        self.inbox.iter_mut().for_each(Vec::clear);
+        self.dead = dead;
+        self.delivered = self.survivors.len() as u64;
+        self.saved = if coalesce && !self.survivors.is_empty() {
+            A::coalesce_round(&mut self.survivors)
+        } else {
+            FrameSavings::default()
+        };
+        for (from, to, msg) in self.survivors.drain(..) {
+            let slot = &mut slots[to.raw() as usize - lo];
+            self.tmp.clear();
+            let mut ctx = Ctx::new(to, now, &mut slot.rng, &mut self.tmp);
+            slot.app.on_message(from, msg, &mut ctx);
+            for (nto, m) in self.tmp.drain(..) {
+                lane[cuts.bin_of(nto)].push(Some((to, nto, m)));
+            }
+        }
+    }
 }
 
 impl<A: Application> CycleEngine<A> {
@@ -265,11 +407,10 @@ impl<A: Application> CycleEngine<A> {
             queue_buf: VecDeque::new(),
             drain_outbox_buf: Vec::new(),
             contacts_buf: Vec::new(),
-            par_round_buf: Vec::new(),
-            par_tri_pool: Vec::new(),
-            par_out_pool: Vec::new(),
-            sort_counts: Vec::new(),
-            sort_dest: Vec::new(),
+            cuts: ShardCuts::new(),
+            inbound: Vec::new(),
+            outbound: Vec::new(),
+            works: Vec::new(),
         }
     }
 
@@ -523,51 +664,44 @@ impl<A: Application> CycleEngine<A> {
         report
     }
 
-    /// Check a `(from, to, msg)` scratch vector back into the bounded
-    /// pool. The cap keeps pooling O(shards): an unbounded pool would
-    /// retain one buffer per tick × round × shard over a long run (the
-    /// delivery loop checks two vectors in per shard-round but only one
-    /// out), growing memory linearly with simulated time.
-    fn return_tri_scratch(&mut self, mut buf: Vec<(NodeId, NodeId, A::Message)>) {
-        if self.par_tri_pool.len() < 2 * self.cfg.threads.max(1) + 2 {
-            buf.clear();
-            self.par_tri_pool.push(buf);
-        }
-    }
-
-    /// Check a `Ctx`-outbox scratch vector back into the bounded pool.
-    fn return_out_scratch(&mut self, mut buf: Vec<(NodeId, A::Message)>) {
-        if self.par_out_pool.len() < 2 * self.cfg.threads.max(1) + 2 {
-            buf.clear();
-            self.par_out_pool.push(buf);
-        }
-    }
-
     /// One tick of the sharded phased discipline (see the module docs):
-    /// parallel callback shards, canonical merge, breadth-first delivery
-    /// rounds. Thread-count invariant by construction — the callback phase
-    /// is per-node isolated and every cross-node effect (kernel RNG draws,
-    /// delivery order) happens in the canonical merge order.
+    /// parallel callback shards that bin their sends by destination, then
+    /// breadth-first delivery rounds. Thread-count invariant by
+    /// construction — the callback phase is per-node isolated and every
+    /// cross-node effect (kernel RNG draws, delivery order) follows the
+    /// canonical order.
     fn tick_phased(&mut self) -> StepReport {
         let mut report = StepReport::default();
         self.churn_step(&mut report);
         self.now += 1;
 
+        // Churn, the only thing that allocates slots, has run: the bins
+        // hold for the rest of the tick.
+        let threads = self.cfg.threads.max(1);
+        self.cuts.reset(self.arena.slots.len(), threads);
+        let buckets = self.cuts.bin_count() + 1;
+        for lanes in [&mut self.inbound, &mut self.outbound] {
+            lanes.resize_with(threads, Vec::new);
+            for lane in lanes.iter_mut() {
+                lane.resize_with(buckets, Vec::new);
+            }
+        }
+        self.works.resize_with(threads, ShardWork::new);
+
         // Messages deferred from the previous tick (`intra_tick_delivery =
-        // false`) are delivered first, as in the sequential tick.
+        // false`) are delivered first, as in the sequential tick. The queue
+        // is in source order, so it is one lane.
         if !self.deferred.is_empty() {
-            let mut round = std::mem::take(&mut self.par_round_buf);
-            round.clear();
-            round.extend(self.deferred.drain(..));
-            self.deliver_phased(&mut round, &mut report);
-            self.par_round_buf = round;
+            let lane = &mut self.inbound[0];
+            for m in self.deferred.drain(..) {
+                lane[self.cuts.bin_of(m.1)].push(Some(m));
+            }
+            self.deliver_phased(&mut report);
         }
 
         // Callback phase: every live node's on_tick, sharded over
-        // contiguous slot ranges, ascending slot order within a shard.
-        let threads = self.cfg.threads.max(1);
-        let mut merged = std::mem::take(&mut self.par_round_buf);
-        merged.clear();
+        // contiguous slot ranges, ascending slot order within a shard; each
+        // shard is a lane of the first round.
         if !self.arena.live.is_empty() {
             let chunks = crate::slots::even_chunks(self.arena.live.len(), threads);
             let ranges: Vec<(usize, usize)> = chunks
@@ -579,214 +713,150 @@ impl<A: Application> CycleEngine<A> {
                     )
                 })
                 .collect();
-            let live = &self.arena.live;
-            let now = self.now;
+            let (live, now, cuts) = (&self.arena.live, self.now, &self.cuts);
             let views = crate::slots::disjoint_slot_ranges(&mut self.arena.slots, &ranges);
             let tasks: Vec<TickShard<'_, A>> = views
                 .into_iter()
                 .zip(&chunks)
-                .map(|((base, slots), &(s, e))| TickShard {
+                .zip(self.inbound.iter_mut().zip(&mut self.works))
+                .map(|(((base, slots), &(s, e)), (lane, work))| TickShard {
                     base,
                     slots,
                     live: &live[s..e],
-                    now,
-                    acc: self.par_tri_pool.pop().unwrap_or_default(),
-                    tmp: self.par_out_pool.pop().unwrap_or_default(),
+                    lane,
+                    tmp: &mut work.tmp,
                 })
                 .collect();
             let callback_span = wall::start();
-            let outs = rayon::execute_indexed(tasks, threads, &|mut shard: TickShard<'_, A>| {
+            rayon::execute_indexed(tasks, threads, &|shard: TickShard<'_, A>| {
                 for &pos in shard.live {
                     let slot = &mut shard.slots[pos as usize - shard.base];
                     debug_assert!(slot.alive);
                     let id = slot.id;
                     shard.tmp.clear();
-                    {
-                        let mut ctx = Ctx::new(id, shard.now, &mut slot.rng, &mut shard.tmp);
-                        slot.app.on_tick(&mut ctx);
+                    let mut ctx = Ctx::new(id, now, &mut slot.rng, shard.tmp);
+                    slot.app.on_tick(&mut ctx);
+                    for (to, m) in shard.tmp.drain(..) {
+                        shard.lane[cuts.bin_of(to)].push(Some((id, to, m)));
                     }
-                    shard
-                        .acc
-                        .extend(shard.tmp.drain(..).map(|(to, m)| (id, to, m)));
                 }
-                (shard.acc, shard.tmp)
             });
             wall::finish(Phase::CycleCallback, callback_span);
-            // Shard order = ascending source slot, so this concatenation is
-            // already sorted by (source slot, emission seq) — the tiebreak
-            // the stable by-destination sort in `deliver_phased` preserves.
-            for (mut acc, tmp) in outs {
-                adopt_or_append(&mut merged, &mut acc);
-                self.return_tri_scratch(acc);
-                self.return_out_scratch(tmp);
-            }
         }
 
         if self.cfg.intra_tick_delivery {
-            self.deliver_phased(&mut merged, &mut report);
+            self.deliver_phased(&mut report);
         } else {
-            self.deferred.extend(merged.drain(..));
+            // Lane-major keeps each destination's messages in source
+            // order, which is all the next tick's binning needs.
+            for bucket in self.inbound.iter_mut().flatten() {
+                self.deferred.extend(bucket.drain(..).flatten());
+            }
         }
-        self.par_round_buf = merged;
         report
     }
 
-    /// Deliver `round` (and the reply rounds it spawns) under the phased
-    /// discipline. Each round: stable counting sort by destination slot
-    /// (canonical order), decide loss/liveness sequentially in that order,
-    /// dispatch survivors in parallel shards cut at destination boundaries,
-    /// then recurse on the collected replies. `max_hops_per_tick` bounds the
-    /// number of rounds; the remainder is discarded as hop overflow.
-    fn deliver_phased(
-        &mut self,
-        round: &mut Vec<(NodeId, NodeId, A::Message)>,
-        report: &mut StepReport,
-    ) {
+    /// Deliver the binned messages of `inbound` and the reply rounds they
+    /// spawn (module docs, step 3). Each round: cut dispatch shards from
+    /// the bin sizes, lend each shard its bins' buckets, sort per shard in
+    /// parallel, draw loss sequentially when the transport is lossy, then
+    /// dispatch per shard in parallel, replies binned into `outbound`,
+    /// which becomes the next round. `max_hops_per_tick` bounds the number
+    /// of rounds; the remainder is discarded as hop overflow.
+    fn deliver_phased(&mut self, report: &mut StepReport) {
         let threads = self.cfg.threads.max(1);
+        let tail = self.cuts.bin_count();
+        let transport = self.cfg.transport;
+        let lossy = transport.loss_prob > 0.0;
+        let (now, coalesce) = (self.now, self.cfg.coalesce_frames);
         let mut rounds = 0u32;
-        while !round.is_empty() {
+        loop {
+            let pending: u64 = self.inbound.iter().flatten().map(|b| b.len() as u64).sum();
+            if pending == 0 {
+                break;
+            }
+            self.stats.sent += pending;
             if rounds >= self.cfg.max_hops_per_tick {
-                let discarded = round.len() as u64;
-                self.stats.sent += discarded;
-                self.stats.hop_overflow += discarded;
-                report.dropped += discarded;
-                round.clear();
+                self.stats.hop_overflow += pending;
+                report.dropped += pending;
+                self.inbound.iter_mut().flatten().for_each(Vec::clear);
                 break;
             }
             rounds += 1;
 
             let merge_span = wall::start();
-            // Canonical order: destination slot; stable, so the incoming
-            // (source slot, seq) order is the tiebreak.
-            sort_by_destination(
-                round,
-                self.arena.slots.len(),
-                &mut self.sort_counts,
-                &mut self.sort_dest,
+            let inbound = &self.inbound;
+            self.cuts
+                .recount(|bin| inbound.iter().map(|lane| lane[bin].len()).sum());
+            let ranges = self.cuts.cut();
+            let works = &mut self.works[..ranges.len()];
+            for (work, &range) in works.iter_mut().zip(&ranges) {
+                work.lend(&mut self.inbound, &self.cuts, range);
+            }
+            // Never-allocated destinations: dead letters, last in canonical
+            // order. Each draws loss the same way, so their order is moot.
+            let mut strays = 0u64;
+            for lane in self.inbound.iter_mut() {
+                strays += lane[tail].len() as u64;
+                lane[tail].clear();
+            }
+
+            let cuts = &self.cuts;
+            rayon::execute_indexed(
+                works.iter_mut().collect(),
+                threads,
+                &|work: &mut ShardWork<A::Message>| work.sort(),
             );
-
-            // Sequential transport + liveness pre-pass in canonical order:
-            // the only kernel-RNG consumer of the delivery phase, so the
-            // stream is identical at any thread count. Mirrors the
-            // sequential `deliver_one` short-circuit: a reliable transport
-            // draws nothing.
-            let transport = self.cfg.transport;
-            let lossy = transport.loss_prob > 0.0;
-            let stats = &mut self.stats;
-            let arena = &self.arena;
-            let krng = &mut self.kernel_rng;
-            let mut dropped = 0u64;
-            round.retain(|&(_, to, _)| {
-                stats.sent += 1;
-                if lossy && transport.drops(krng) {
-                    stats.lost += 1;
-                    dropped += 1;
-                    return false;
-                }
-                match arena.slot_index(to) {
-                    Some(i) if arena.slots[i].alive => true,
-                    _ => {
-                        stats.dead_letter += 1;
-                        dropped += 1;
-                        false
+            // The one sequential pass, on a lossy transport only: loss in
+            // canonical order, shards ascending, then the tail.
+            let (mut lost, mut stray_lost) = (0u64, 0u64);
+            if lossy {
+                let krng = &mut self.kernel_rng;
+                for work in works.iter_mut() {
+                    for &(k, i) in &work.order {
+                        if transport.drops(krng) {
+                            work.inbox[k as usize][i as usize] = None;
+                            lost += 1;
+                        }
                     }
                 }
-            });
-            report.dropped += dropped;
-            let delivered = round.len() as u64;
-            self.stats.delivered += delivered;
-            report.delivered += delivered;
+                stray_lost = (0..strays).filter(|_| transport.drops(krng)).count() as u64;
+            }
             wall::finish(Phase::CycleMerge, merge_span);
-            if round.is_empty() {
-                break;
-            }
 
-            // Frame coalescing: after every message of the round has been
-            // counted as sent/delivered, let the application fuse runs of
-            // same-destination messages into batch frames. Run boundaries
-            // respect destination boundaries, so the shard cuts below and
-            // each receiver's processing order are unaffected.
-            if self.cfg.coalesce_frames {
-                let savings = A::coalesce_round(round);
-                self.stats.frame_bytes_saved += savings.total();
-                self.frame_saved
-                    .by_class
-                    .iter_mut()
-                    .zip(savings.by_class)
-                    .for_each(|(acc, got)| {
-                        *acc += got;
-                    });
-            }
-
-            // Cut the survivor stream into shard batches at destination
-            // boundaries (a destination's messages never split).
-            let n = round.len();
-            let cuts = crate::slots::cuts_at_group_boundaries(n, threads, |i| {
-                round[i].1 == round[i - 1].1
-            });
-            let ranges: Vec<(usize, usize)> = cuts
-                .windows(2)
-                .map(|w| {
-                    (
-                        self.arena.slot_of_live(round[w[0]].1),
-                        self.arena.slot_of_live(round[w[1] - 1].1) + 1,
-                    )
-                })
-                .collect();
-            // Move each batch out of the round buffer: a single batch is
-            // the buffer itself, several split off back to front (which
-            // keeps order).
-            let mut batches: Vec<Vec<(NodeId, NodeId, A::Message)>> =
-                Vec::with_capacity(ranges.len());
-            if ranges.len() == 1 {
-                batches.push(std::mem::take(round));
-            } else {
-                for w in cuts.windows(2).rev() {
-                    batches.push(round.split_off(w[0]));
-                }
-                batches.reverse();
-            }
-
-            let now = self.now;
-            let views = crate::slots::disjoint_slot_ranges(&mut self.arena.slots, &ranges);
-            let tasks: Vec<DeliverShard<'_, A>> = views
-                .into_iter()
-                .zip(batches)
-                .map(|((base, slots), msgs)| DeliverShard {
-                    base,
-                    slots,
-                    now,
-                    msgs,
-                    replies: self.par_tri_pool.pop().unwrap_or_default(),
-                    tmp: self.par_out_pool.pop().unwrap_or_default(),
-                })
-                .collect();
             let dispatch_span = wall::start();
-            let outs = rayon::execute_indexed(tasks, threads, &|mut shard: DeliverShard<'_, A>| {
-                for (from, to, msg) in shard.msgs.drain(..) {
-                    let slot = &mut shard.slots[to.raw() as usize - shard.base];
-                    debug_assert!(slot.alive, "liveness was decided in the pre-pass");
-                    shard.tmp.clear();
-                    {
-                        let mut ctx = Ctx::new(to, shard.now, &mut slot.rng, &mut shard.tmp);
-                        slot.app.on_message(from, msg, &mut ctx);
-                    }
-                    shard
-                        .replies
-                        .extend(shard.tmp.drain(..).map(|(nto, m)| (to, nto, m)));
-                }
-                (shard.msgs, shard.replies, shard.tmp)
+            let views = crate::slots::disjoint_slot_ranges(&mut self.arena.slots, &ranges);
+            let tasks: Vec<_> = works
+                .iter_mut()
+                .zip(views)
+                .zip(self.outbound.iter_mut())
+                .map(|((work, (_, slots)), lane)| (work, slots, lane))
+                .collect();
+            rayon::execute_indexed(tasks, threads, &|(work, slots, lane)| {
+                work.deliver(slots, now, coalesce, cuts, lane);
             });
             wall::finish(Phase::CycleDispatch, dispatch_span);
-            // Replies concatenate in shard order = canonical parent order;
-            // they are the next breadth-first round.
-            debug_assert!(round.is_empty());
-            for (batch, mut replies, tmp) in outs {
-                adopt_or_append(round, &mut replies);
-                self.return_tri_scratch(batch);
-                self.return_tri_scratch(replies);
-                self.return_out_scratch(tmp);
+
+            // Hand the lent (now empty) buckets back, tally, and make the
+            // replies the next round.
+            let mut dead = strays - stray_lost;
+            let mut delivered = 0u64;
+            for work in works.iter_mut() {
+                work.give_back(&mut self.inbound, cuts);
+                dead += work.dead;
+                delivered += work.delivered;
+                for (class, &bytes) in work.saved.by_class.iter().enumerate() {
+                    self.frame_saved.add(class, bytes);
+                }
+                self.stats.frame_bytes_saved += work.saved.total();
             }
+            lost += stray_lost;
+            self.stats.lost += lost;
+            self.stats.dead_letter += dead;
+            self.stats.delivered += delivered;
+            report.dropped += lost + dead;
+            report.delivered += delivered;
+            std::mem::swap(&mut self.inbound, &mut self.outbound);
         }
         self.merge_rounds += rounds as u64;
     }
@@ -990,56 +1060,6 @@ impl<A: Application> CycleEngine<A> {
             self.stats.sent += 1;
             *hops += 1;
             self.deliver_one(from, to, msg, queue, report);
-        }
-    }
-}
-
-/// Stable sort of a delivery round by destination id — the phased tick's
-/// canonical order (see the module docs, step 2). Destinations are dense
-/// slot indices, so this is a counting sort: histogram over the `nslots`
-/// slots, prefix sum, stable placement, then the permutation applied in
-/// place by following its cycles. Two properties of the round itself send
-/// it to the comparison sort instead: a round much smaller than the slot
-/// table (clearing and summing `nslots` counters would dominate), and any
-/// destination that was never allocated (`>= nslots`) — such ids have no
-/// counter, and their raw-id order is part of the canonical order.
-fn sort_by_destination<M>(
-    round: &mut [(NodeId, NodeId, M)],
-    nslots: usize,
-    counts: &mut Vec<u32>,
-    dest: &mut Vec<u32>,
-) {
-    let n = round.len();
-    let mut counted = nslots <= 8 * n && u32::try_from(n).is_ok();
-    if counted {
-        counts.clear();
-        counts.resize(nslots, 0);
-        counted = round.iter().all(|&(_, to, _)| {
-            let counter = counts.get_mut(to.raw() as usize);
-            counter.map(|c| *c += 1).is_some()
-        });
-    }
-    if !counted {
-        return round.sort_by_key(|&(_, to, _)| to.raw());
-    }
-    // Counts -> each slot's first position.
-    let mut start = 0u32;
-    for c in counts.iter_mut() {
-        start += std::mem::replace(c, start);
-    }
-    // Arrival order within a slot is kept: the sort is stable.
-    dest.clear();
-    dest.extend(round.iter().map(|&(_, to, _)| {
-        let cursor = &mut counts[to.raw() as usize];
-        *cursor += 1;
-        *cursor - 1
-    }));
-    // Every swap parks one message at its final position.
-    for i in 0..n {
-        while dest[i] as usize != i {
-            let j = dest[i] as usize;
-            round.swap(i, j);
-            dest.swap(i, j);
         }
     }
 }
@@ -1560,34 +1580,67 @@ mod tests {
     }
 
     proptest::proptest! {
-        /// Oracle: the canonical sort is `sort_by_key(to.raw())`, whichever
-        /// of its two paths a round takes — slot tables on both sides of
-        /// the sparse-round threshold, with and without never-allocated
-        /// destinations. The payload is the arrival index, so a stability
-        /// slip shows as a mismatch.
+        /// Oracle: the canonical order is `sort_by_key(to.raw())` over the
+        /// round in lane order. Under test, the merge as the engine runs
+        /// it: lanes bin their runs of the round (`ShardCuts::bin_of`),
+        /// the bin sizes cut the shards, each shard borrows its buckets
+        /// and counting-sorts them over its own slots; the shards in order,
+        /// then the tail in raw-id order, must give the oracle. Sparse and
+        /// dense rounds, one to eight lanes, with and without
+        /// never-allocated ids; the payload is the arrival index, so a
+        /// stability slip shows as a mismatch.
         #[test]
-        fn destination_sort_matches_the_comparison_sort(
+        fn sharded_sort_matches_the_comparison_sort(
             nslots in 1usize..600,
+            threads in 1usize..9,
             strays in proptest::prop_oneof![proptest::prelude::Just(0u64), 1u64..40],
             dests in proptest::collection::vec(0u64..1_000_000, 0..400),
         ) {
-            let mut round: Vec<(NodeId, NodeId, usize)> = dests
+            let round: Vec<Envelope<usize>> = dests
                 .iter()
                 .enumerate()
                 .map(|(i, d)| (NodeId(i as u64), NodeId(d % (nslots as u64 + strays)), i))
                 .collect();
             let mut oracle = round.clone();
             oracle.sort_by_key(|&(_, to, _)| to.raw());
-            let (mut counts, mut dest) = (vec![7; 3], vec![9; 5]); // dirty scratch
-            sort_by_destination(&mut round, nslots, &mut counts, &mut dest);
-            proptest::prop_assert_eq!(round, oracle);
+
+            let mut cuts = ShardCuts::new();
+            cuts.reset(nslots, threads);
+            let tail = cuts.bin_count();
+            let mut lanes: Vec<Vec<Bucket<usize>>> = vec![vec![Vec::new(); tail + 1]; threads];
+            let runs = crate::slots::even_chunks(round.len(), threads);
+            for (lane, &(s, e)) in lanes.iter_mut().zip(&runs) {
+                for &m in &round[s..e] {
+                    lane[cuts.bin_of(m.1)].push(Some(m));
+                }
+            }
+            cuts.recount(|bin| lanes.iter().map(|lane| lane[bin].len()).sum());
+            let mut work = ShardWork::new();
+            work.cursors = vec![7; 3]; // dirty scratch
+            let mut merged = Vec::new();
+            for range in cuts.cut() {
+                work.lend(&mut lanes, &cuts, range);
+                work.sort();
+                for &(k, i) in &work.order {
+                    let m = work.inbox[k as usize][i as usize].take();
+                    merged.push(m.expect("every handle is distinct"));
+                }
+                work.inbox.iter_mut().for_each(Vec::clear);
+                work.give_back(&mut lanes, &cuts);
+            }
+            let mut tail_msgs: Vec<Envelope<usize>> =
+                lanes.iter_mut().flat_map(|lane| lane[tail].drain(..).flatten()).collect();
+            tail_msgs.sort_by_key(|&(_, to, _)| to.raw());
+            merged.extend(tail_msgs);
+            proptest::prop_assert!(lanes.iter().flatten().all(Vec::is_empty));
+            proptest::prop_assert_eq!(merged, oracle);
         }
     }
 
     /// Sprays traffic at allocated ids (live and crashed) every tick, at
     /// never-allocated ids on some ticks, and thins out to a sixteenth of
-    /// the senders on others — so the rounds of one run land on both sides
-    /// of the counting sort's fallback rule, for both of its reasons.
+    /// the senders on others — dense and sparse rounds, with and without a
+    /// tail bin.
     #[derive(Debug, Clone, Default)]
     struct Stray {
         population: u64,
@@ -1629,7 +1682,7 @@ mod tests {
         let transport = Transport::lossy(0.25);
 
         // Reference model of the phased discipline, with the canonical
-        // order spelled as the comparison sort the kernel used to run:
+        // order spelled as a comparison sort:
         // loss draws, dead letters and deliveries in exactly that order.
         let mut apps: Vec<Stray> = (0..N)
             .map(|_| Stray {
@@ -1675,7 +1728,7 @@ mod tests {
         model.crashes = (0..N).filter(|&id| crashed(id)).count() as u64;
         assert!(model.lost > 0 && model.dead_letter > 0 && model.delivered > 0);
 
-        for threads in [1, 3] {
+        for threads in [1, 2, 3, 8] {
             let mut cfg = CycleConfig::seeded(SEED);
             cfg.threads = threads;
             cfg.transport = transport;

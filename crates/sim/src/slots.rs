@@ -290,33 +290,9 @@ pub(crate) fn disjoint_slot_ranges<'a, A>(
     out
 }
 
-/// Ascending cut positions (starting at 0, ending at `len`) slicing
-/// `0..len` into at most `parts` near-even contiguous chunks whose
-/// boundaries never split a group: while `joined(i)` says position `i`
-/// belongs with position `i - 1`, the boundary advances. The phased cycle
-/// tick cuts its delivery rounds with it (groups = one destination's
-/// messages).
-pub(crate) fn cuts_at_group_boundaries(
-    len: usize,
-    parts: usize,
-    joined: impl Fn(usize) -> bool,
-) -> Vec<usize> {
-    let mut cuts: Vec<usize> = vec![0];
-    for (_, mut e) in even_chunks(len, parts) {
-        while e < len && joined(e) {
-            e += 1;
-        }
-        if e > *cuts.last().expect("cuts starts non-empty") {
-            cuts.push(e);
-        }
-    }
-    debug_assert_eq!(*cuts.last().expect("non-empty"), len);
-    cuts
-}
-
 /// `dst.append(src)`, except that an empty `dst` takes over `src`'s buffer
-/// instead of copying it (the first — with one shard, the only — part of
-/// every concatenation in the sharded paths).
+/// instead of copying it (the event kernel's batch assembly, where the
+/// wheel bucket is usually the whole batch).
 pub(crate) fn adopt_or_append<T>(dst: &mut Vec<T>, src: &mut Vec<T>) {
     if dst.is_empty() {
         std::mem::swap(dst, src);
@@ -329,8 +305,12 @@ pub(crate) fn adopt_or_append<T>(dst: &mut Vec<T>, src: &mut Vec<T>) {
 /// overshoot its even share of a batch by less than one bin.
 const BINS_PER_SHARD: usize = 8;
 
-/// Slot-range shard cuts for one batch of the sharded event kernel, chosen
-/// from a coarse histogram of the batch's target slots.
+/// Slot-range shard cuts for one batch, chosen from a coarse histogram of
+/// the batch's target slots — the one cut rule of both kernels. The event
+/// kernel counts a same-timestamp segment target by target; the phased
+/// cycle tick bins its sends by destination when it makes them
+/// ([`ShardCuts::bin_of`]) and hands over the bins' sizes
+/// ([`ShardCuts::recount`]).
 ///
 /// The rule: walking the bins in slot order, a shard closes at the first
 /// bin edge where it holds an even share of the events that were left when
@@ -375,6 +355,38 @@ impl ShardCuts {
     #[inline]
     pub(crate) fn count(&mut self, slot: usize) {
         self.bins[slot >> self.shift] += 1;
+    }
+
+    /// Number of slot bins; the tail bin [`ShardCuts::bin_of`] uses for
+    /// never-allocated ids has this index.
+    pub(crate) fn bin_count(&self) -> usize {
+        self.bins.len()
+    }
+
+    /// The bin holding messages addressed to `id`: its slot's bin, or the
+    /// tail bin (after every slot bin) for an id `>= nslots`.
+    #[inline]
+    pub(crate) fn bin_of(&self, id: NodeId) -> usize {
+        let slot = id.raw() as usize;
+        if slot < self.nslots {
+            slot >> self.shift
+        } else {
+            self.bins.len()
+        }
+    }
+
+    /// Replace the histogram with `count(bin)` per slot bin — for a batch
+    /// already binned with [`ShardCuts::bin_of`].
+    pub(crate) fn recount(&mut self, count: impl Fn(usize) -> usize) {
+        for (b, bin) in self.bins.iter_mut().enumerate() {
+            *bin = u32::try_from(count(b)).expect("a bin's count fits a u32");
+        }
+    }
+
+    /// The bins covering one of the slot ranges [`ShardCuts::cut`]
+    /// returned (its edges are bin edges, except the last range's end).
+    pub(crate) fn bins_of(&self, (lo, hi): (usize, usize)) -> std::ops::Range<usize> {
+        lo >> self.shift..hi.div_ceil(1 << self.shift)
     }
 
     /// Close the histogram: at most `parts` half-open slot ranges —
@@ -497,27 +509,6 @@ mod tests {
         let (base2, s2) = &views[2];
         assert_eq!((*base2, s2.len()), (5, 4));
         assert_eq!(s2[3].id, NodeId(8));
-    }
-
-    #[test]
-    fn group_boundary_cuts_never_split_a_group() {
-        // Groups: [0,0,0,1,2,2,2,2,3] — cuts must land only at group edges.
-        let keys = [0, 0, 0, 1, 2, 2, 2, 2, 3];
-        for parts in [1, 2, 3, 8] {
-            let cuts = cuts_at_group_boundaries(keys.len(), parts, |i| keys[i] == keys[i - 1]);
-            assert_eq!(cuts[0], 0);
-            assert_eq!(*cuts.last().unwrap(), keys.len());
-            for w in cuts.windows(2) {
-                assert!(w[1] > w[0], "strictly ascending: {cuts:?}");
-                assert_ne!(
-                    keys[w[1] - 1],
-                    keys.get(w[1]).copied().unwrap_or(usize::MAX),
-                    "cut at {} splits a group (parts {parts}): {cuts:?}",
-                    w[1]
-                );
-            }
-        }
-        assert_eq!(cuts_at_group_boundaries(0, 4, |_| false), vec![0]);
     }
 
     #[test]

@@ -17,9 +17,10 @@
 //!   on one thread: `threads ∈ {2, 3, 8}` must reproduce `threads = 1`
 //!   byte-for-byte. On top of the trace comparison, a hand-rolled
 //!   sequential model of the phased discipline (independent code: visit
-//!   in slot order, merge by destination/source/sequence, breadth-first
-//!   rounds) pins the canonical merge order itself for the reliable,
-//!   churn-free case.
+//!   in slot order, merge by destination/source/sequence with a comparison
+//!   sort, draw loss and check liveness message by message, breadth-first
+//!   rounds, churn and deferred delivery replayed from the same streams)
+//!   pins the canonical merge order itself, at every thread count.
 
 use gossipopt_sim::{
     Application, ChurnConfig, Ctx, CycleConfig, CycleEngine, EventConfig, EventEngine, Latency,
@@ -296,68 +297,251 @@ fn event_sharded_equals_sequential_on_a_star() {
     }
 }
 
-/// Independent sequential model of one phased tick for a static, reliable
-/// network: visit every node in slot order collecting `(from, to, msg)`,
-/// then deliver in rounds sorted stably by destination (ties keep source
-/// order), replies forming the next round. Validates the engine's merge
-/// order — not just its self-consistency.
-#[test]
-fn phased_merge_order_matches_reference_model() {
-    const N: usize = 12;
-    const TICKS: u64 = 6;
+/// Merge-shaped traffic for the reference model: two sends of every tick
+/// go to a hub (node 0), one to a node just above the sender — sometimes
+/// a slot not yet allocated, which a churn join may allocate before a
+/// deferred delivery — and every fifth tick one to an id that is never
+/// allocated. Receivers answer payloads divisible by three with a third
+/// of them, so cascades run several rounds and die out.
+#[derive(Debug, Clone, Default)]
+struct Merger {
+    ticks: u64,
+    trace: Vec<(u64, u64, u64)>,
+}
 
-    // Engine run (threads = 4 to actually shard).
-    let mut cfg = CycleConfig::seeded(4242);
-    cfg.threads = 4;
-    let mut e: CycleEngine<Tracer> = CycleEngine::new(cfg);
-    e.set_spawner(|_, _| Tracer::default());
-    e.populate(N);
-    e.run(TICKS);
+/// Far above any id a test run allocates.
+const NEVER_ALLOCATED: u64 = 1 << 40;
 
-    // Reference model over hand-driven applications, replicating the
-    // kernel's RNG stream derivation. Join messages: nodes join one at a
-    // time with bootstrap samples; replicate by running the same engine
-    // population with zero ticks and harvesting the traces — the phased
-    // path does not alter joins, so seeding the model with the post-join
-    // state isolates the tick/merge machinery under test.
-    let mut seeded: CycleEngine<Tracer> = CycleEngine::new({
-        let mut cfg = CycleConfig::seeded(4242);
-        cfg.threads = 4;
-        cfg
-    });
-    seeded.set_spawner(|_, _| Tracer::default());
-    seeded.populate(N);
-    let mut apps: Vec<Tracer> = seeded.nodes().map(|(_, a)| a.clone()).collect();
-    let mut rngs: Vec<gossipopt_util::Xoshiro256pp> = (0..N as u64)
-        .map(|id| gossipopt_util::Xoshiro256pp::derive(4242, gossipopt_util::StreamId::node(0, id)))
-        .collect();
-    // Replay the join-time RNG usage the engine already performed: joins
-    // draw nothing from node streams in Tracer, so streams start fresh.
-    for now in 1..=TICKS {
-        // Callback phase, slot order.
-        let mut round: Vec<(NodeId, NodeId, u64)> = Vec::new();
-        for i in 0..N {
-            let mut outbox = Vec::new();
-            let mut ctx = Ctx::new(NodeId(i as u64), now, &mut rngs[i], &mut outbox);
-            apps[i].on_tick(&mut ctx);
-            round.extend(outbox.into_iter().map(|(to, m)| (NodeId(i as u64), to, m)));
+impl Application for Merger {
+    type Message = u64;
+
+    fn on_join(&mut self, _contacts: &[NodeId], _ctx: &mut Ctx<'_, u64>) {}
+
+    fn on_tick(&mut self, ctx: &mut Ctx<'_, u64>) {
+        use gossipopt_util::Rng64;
+        self.ticks += 1;
+        let r = ctx.rng().next_u64();
+        let me = ctx.self_id.raw();
+        ctx.send(NodeId(0), r % 1000);
+        ctx.send(NodeId(0), r % 999);
+        ctx.send(NodeId(me + 1 + r % 16), r % 997);
+        if self.ticks.is_multiple_of(5) {
+            ctx.send(NodeId(NEVER_ALLOCATED + r % 3), r % 7);
         }
-        // Delivery rounds.
+    }
+
+    fn on_message(&mut self, from: NodeId, msg: u64, ctx: &mut Ctx<'_, u64>) {
+        self.trace.push((ctx.now, from.raw(), msg));
+        if msg > 0 && msg.is_multiple_of(3) {
+            ctx.send(from, msg / 3);
+        }
+    }
+}
+
+/// One configuration of the reference-model comparison.
+#[derive(Debug, Clone, Copy)]
+struct ModelCase {
+    loss: f64,
+    churn: ChurnConfig,
+    intra: bool,
+}
+
+/// Independent sequential model of the phased discipline, written from
+/// its specification rather than from the kernel: churn (crash draws over
+/// the live slots in ascending order, then joins), the previous tick's
+/// deferred messages, then every live node's `on_tick` in slot order; each
+/// delivery round is sorted stably by destination id (ties keep the
+/// round's arrival order, i.e. source slot then emission sequence), and
+/// every message, in that order, draws loss from the kernel stream and
+/// then checks its destination's liveness. Replies form the next round.
+struct Model {
+    seed: u64,
+    case: ModelCase,
+    apps: Vec<Merger>,
+    rngs: Vec<gossipopt_util::Xoshiro256pp>,
+    alive: Vec<bool>,
+    krng: gossipopt_util::Xoshiro256pp,
+    stats: gossipopt_sim::cycle::KernelStats,
+    rounds: u64,
+    deferred: Vec<(NodeId, NodeId, u64)>,
+}
+
+impl Model {
+    fn new(seed: u64, case: ModelCase, n: usize) -> Model {
+        let mut model = Model {
+            seed,
+            case,
+            apps: Vec::new(),
+            rngs: Vec::new(),
+            alive: Vec::new(),
+            krng: gossipopt_util::Xoshiro256pp::derive(seed, gossipopt_util::StreamId::KERNEL),
+            stats: Default::default(),
+            rounds: 0,
+            deferred: Vec::new(),
+        };
+        (0..n).for_each(|_| model.insert());
+        model
+    }
+
+    /// A join: the next id, its own node stream, no bootstrap contacts.
+    fn insert(&mut self) {
+        let id = self.apps.len() as u64;
+        self.apps.push(Merger::default());
+        self.rngs.push(gossipopt_util::Xoshiro256pp::derive(
+            self.seed,
+            gossipopt_util::StreamId::node(0, id),
+        ));
+        self.alive.push(true);
+    }
+
+    fn alive_count(&self) -> usize {
+        self.alive.iter().filter(|&&a| a).count()
+    }
+
+    fn tick(&mut self, now: u64) {
+        use gossipopt_util::Rng64;
+        let churn = self.case.churn;
+        if churn.crash_prob_per_tick > 0.0 {
+            let live: Vec<usize> = (0..self.alive.len()).filter(|&i| self.alive[i]).collect();
+            for i in live {
+                if self.alive_count() <= churn.min_nodes {
+                    break;
+                }
+                if self.krng.chance(churn.crash_prob_per_tick) {
+                    self.alive[i] = false;
+                    self.stats.crashes += 1;
+                }
+            }
+        }
+        if !churn.is_static() {
+            for _ in 0..churn.sample_joins(&mut self.krng) {
+                if self.alive_count() >= churn.max_nodes {
+                    break;
+                }
+                self.insert();
+                self.stats.joins += 1;
+            }
+        }
+        let deferred = std::mem::take(&mut self.deferred);
+        self.deliver(deferred, now);
+        let mut round = Vec::new();
+        for i in (0..self.apps.len()).filter(|&i| self.alive[i]) {
+            let mut outbox = Vec::new();
+            let id = NodeId(i as u64);
+            self.apps[i].on_tick(&mut Ctx::new(id, now, &mut self.rngs[i], &mut outbox));
+            round.extend(outbox.into_iter().map(|(to, m)| (id, to, m)));
+        }
+        if self.case.intra {
+            self.deliver(round, now);
+        } else {
+            self.deferred = round;
+        }
+    }
+
+    fn deliver(&mut self, mut round: Vec<(NodeId, NodeId, u64)>, now: u64) {
+        let transport = Transport::lossy(self.case.loss);
+        let mut hops = 0u32;
         while !round.is_empty() {
+            self.stats.sent += round.len() as u64;
+            if hops >= CycleConfig::default().max_hops_per_tick {
+                self.stats.hop_overflow += round.len() as u64;
+                return;
+            }
+            hops += 1;
+            self.rounds += 1;
             round.sort_by_key(|&(_, to, _)| to.raw());
             let mut next = Vec::new();
             for (from, to, msg) in round {
+                if transport.drops(&mut self.krng) {
+                    self.stats.lost += 1;
+                    continue;
+                }
                 let t = to.raw() as usize;
+                if !self.alive.get(t).copied().unwrap_or(false) {
+                    self.stats.dead_letter += 1;
+                    continue;
+                }
+                self.stats.delivered += 1;
                 let mut outbox = Vec::new();
-                let mut ctx = Ctx::new(to, now, &mut rngs[t], &mut outbox);
-                apps[t].on_message(from, msg, &mut ctx);
+                self.apps[t].on_message(
+                    from,
+                    msg,
+                    &mut Ctx::new(to, now, &mut self.rngs[t], &mut outbox),
+                );
                 next.extend(outbox.into_iter().map(|(nto, m)| (to, nto, m)));
             }
             round = next;
         }
     }
+}
 
-    let engine_states: NodeStates = e.nodes().map(|(_, a)| (a.ticks, a.trace.clone())).collect();
-    let model_states: NodeStates = apps.iter().map(|a| (a.ticks, a.trace.clone())).collect();
-    assert_eq!(engine_states, model_states, "merge order departs the model");
+/// The phased tick against [`Model`]: a hub taking most sends, sends to
+/// never-allocated ids, a lossy transport, deferred delivery under churn,
+/// N = 240 (several slots per bin, shard cuts inside the range), at 1, 2,
+/// 3 and 8 threads. Every live node's receive trace, the kernel
+/// statistics and the round count must equal the model's.
+#[test]
+fn phased_merge_order_matches_reference_model() {
+    const N: usize = 240;
+    const TICKS: u64 = 8;
+    const SEED: u64 = 4242;
+    let churn = ChurnConfig {
+        crash_prob_per_tick: 0.02,
+        joins_per_tick: 4.5,
+        min_nodes: 100,
+        max_nodes: 400,
+    };
+    let cases = [
+        ModelCase {
+            loss: 0.0,
+            churn: ChurnConfig::none(),
+            intra: true,
+        },
+        ModelCase {
+            loss: 0.2,
+            churn: ChurnConfig::none(),
+            intra: true,
+        },
+        ModelCase {
+            loss: 0.15,
+            churn,
+            intra: false,
+        },
+        ModelCase {
+            loss: 0.0,
+            churn,
+            intra: true,
+        },
+    ];
+    for case in cases {
+        let mut model = Model::new(SEED, case, N);
+        (1..=TICKS).for_each(|now| model.tick(now));
+        let s = model.stats;
+        assert!(s.delivered > 0 && s.dead_letter > 0, "{case:?}: {s:?}");
+        assert_eq!(s.lost > 0, case.loss > 0.0, "{case:?}");
+        let expected: NodeStates = (0..model.apps.len())
+            .filter(|&i| model.alive[i])
+            .map(|i| (model.apps[i].ticks, model.apps[i].trace.clone()))
+            .collect();
+
+        for threads in [1usize, 2, 3, 8] {
+            let mut cfg = CycleConfig::seeded(SEED);
+            cfg.threads = threads;
+            cfg.transport = Transport::lossy(case.loss);
+            cfg.churn = case.churn;
+            cfg.intra_tick_delivery = case.intra;
+            cfg.bootstrap_sample = 0; // joins draw nothing from the kernel stream
+            let mut e: CycleEngine<Merger> = CycleEngine::new(cfg);
+            e.set_spawner(|_, _| Merger::default());
+            e.populate(N);
+            e.run(TICKS);
+            let got: NodeStates = e.nodes().map(|(_, a)| (a.ticks, a.trace.clone())).collect();
+            assert_eq!(
+                got, expected,
+                "{case:?} threads={threads}: traces depart the model"
+            );
+            assert_eq!(e.stats(), model.stats, "{case:?} threads={threads}");
+            assert_eq!(e.merge_rounds(), model.rounds, "{case:?} threads={threads}");
+        }
+    }
 }
