@@ -1,10 +1,12 @@
-//! Campaign entrypoint: run a declarative scenario file end to end, or
-//! render the paper's tables and figures from the result store.
+//! Campaign entrypoint: run a declarative scenario file end to end,
+//! render the paper's tables and figures from the result store, or deploy
+//! a scenario's cells on the threaded runtime.
 //!
 //! ```text
 //! cargo run --release -p gossipopt_bench --bin campaign -- scenarios/paper_grid.toml
 //! cargo run --release -p gossipopt_bench --bin campaign -- report
 //! cargo run --release -p gossipopt_bench --bin campaign -- figures
+//! cargo run --release -p gossipopt_bench --bin campaign -- deploy cell.toml
 //! ```
 //!
 //! Run mode — `campaign <spec.toml>` plus options:
@@ -33,6 +35,17 @@
 //! an `--obs-out` directory (pick a cell with `[cell]`, default 0), or a
 //! store hash directory.
 //!
+//! `campaign deploy <spec.toml>` (no options) runs every cell of the
+//! campaign on the real threaded runtime instead of a simulation kernel:
+//! one OS thread per node over the in-process channel transport, `budget`
+//! evaluations per node, the cell's resolved seed. It prints one JSON
+//! object per cell (`cell`, `label`, `best_quality`, `total_evals`,
+//! `messages_sent`, `messages_received`, `decode_errors`, `survivors`,
+//! `wall_time_ms`); thread scheduling makes the numbers vary run to run.
+//! The `kernel` and `threads` axes do not apply, and `[assert]` bounds are
+//! not checked. A cell setting `churn`, `fault` or `stop_at_quality`,
+//! which the runtime cannot honour, is refused before anything runs.
+//!
 //! All stderr narration routes through `gossipopt_obs::log`; set
 //! `GOSSIPOPT_LOG=error|warn|info|debug` to filter (default `info`).
 //!
@@ -50,14 +63,16 @@
 //! stores and `--threads`.
 //!
 //! Exit status: `0` when every cell ran and every `[assert]` bound held;
-//! `1` on assertion failures; `2` on usage/spec errors.
+//! `1` on assertion failures (and failed deployments); `2` on usage/spec
+//! errors, refused deploy cells included.
 
 use gossipopt_obs::snapshot::DetSnapshot;
 use gossipopt_obs::wall::WallSnapshot;
 use gossipopt_obs::{log, wall};
+use gossipopt_runtime::{run_cluster, ClusterConfig};
 use gossipopt_scenarios::{
     curves_csv, parse_campaign, render_paper_figures, render_paper_tables, run_campaign_observed,
-    CampaignOutcome, CampaignSpec, Store,
+    CampaignOutcome, CampaignSpec, CellSpec, Store,
 };
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -66,7 +81,8 @@ const USAGE: &str = "usage: campaign <spec.toml> [--out DIR] [--threads N] \
                      [--store DIR | --no-store] [--obs-out DIR] [--quiet]\n       \
                      campaign report [spec.toml ...] [same options]\n       \
                      campaign figures [spec.toml ...] [same options]\n       \
-                     campaign trace <dir> [cell]";
+                     campaign trace <dir> [cell]\n       \
+                     campaign deploy <spec.toml>";
 
 /// The campaigns `campaign report` and `campaign figures` render when
 /// none are listed.
@@ -179,7 +195,7 @@ fn parse_args() -> Result<Args, String> {
     })
 }
 
-fn load_spec(path: &PathBuf) -> Result<CampaignSpec, String> {
+fn load_spec(path: &Path) -> Result<CampaignSpec, String> {
     let text = std::fs::read_to_string(path)
         .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
     parse_campaign(&text).map_err(|e| format!("{}: {e}", path.display()))
@@ -293,6 +309,66 @@ fn run(args: &Args) -> Result<u8, String> {
         log::error(&format!("{} assertion failure(s)", failures.len()));
         Ok(1)
     }
+}
+
+/// The first cell field the threaded runtime cannot honour, if any.
+fn undeployable(cell: &CellSpec) -> Option<&'static str> {
+    if cell.churn > 0.0 {
+        Some("churn")
+    } else if !cell.fault.is_empty() {
+        Some("fault")
+    } else if cell.stop_at_quality.is_some() {
+        Some("stop_at_quality")
+    } else {
+        None
+    }
+}
+
+/// `campaign deploy <spec.toml>`: run every cell on the threaded runtime
+/// and print one JSON object per cell. Returns the exit code: `1` when a
+/// deployment fails; a refused cell is an `Err` (exit 2) before any runs.
+fn run_deploy(args: &[String]) -> Result<u8, String> {
+    let [path] = args else {
+        return Err("usage: campaign deploy <spec.toml>".to_string());
+    };
+    let spec = load_spec(Path::new(path))?;
+    let mut configs = Vec::with_capacity(spec.cells.len());
+    for (index, cell) in spec.cells.iter().enumerate() {
+        if let Some(field) = undeployable(cell) {
+            return Err(format!(
+                "{path}: cell {index} sets `{field}`, which the threaded runtime cannot honour"
+            ));
+        }
+        let dist = cell
+            .to_dist_spec()
+            .map_err(|e| format!("{path}: cell {index}: {e}"))?;
+        let mut cfg = ClusterConfig::new(dist, &cell.function);
+        cfg.budget_per_node = cell.budget;
+        cfg.seed = cell.resolved_seed();
+        configs.push(cfg);
+    }
+    for (index, (cell, cfg)) in spec.cells.iter().zip(&configs).enumerate() {
+        let report = match run_cluster(cfg) {
+            Ok(report) => report,
+            Err(e) => {
+                log::error(&format!("cell {index}: {e}"));
+                return Ok(1);
+            }
+        };
+        let out = serde_json::json!({
+            "cell": index,
+            "label": cell.name,
+            "best_quality": report.best_quality,
+            "total_evals": report.total_evals,
+            "messages_sent": report.messages_sent,
+            "messages_received": report.messages_received,
+            "decode_errors": report.decode_errors,
+            "survivors": report.survivors,
+            "wall_time_ms": report.wall_time.as_millis() as u64,
+        });
+        println!("{}", serde_json::to_string(&out).expect("serializes"));
+    }
+    Ok(0)
 }
 
 /// Resolve the directory holding `obs_det.json` for `campaign trace`:
@@ -432,11 +508,17 @@ fn render_trace(det: &DetSnapshot, wall: Option<&WallSnapshot>) -> String {
 }
 
 fn main() -> ExitCode {
-    // `campaign trace <dir> [cell]`: render a stored snapshot and exit.
-    if std::env::args().nth(1).as_deref() == Some("trace") {
-        let rest: Vec<String> = std::env::args().skip(2).collect();
-        return match run_trace(&rest) {
-            Ok(()) => ExitCode::SUCCESS,
+    // `campaign trace <dir> [cell]` and `campaign deploy <spec.toml>`
+    // take their own arguments.
+    let rest = || std::env::args().skip(2).collect::<Vec<String>>();
+    let sub = match std::env::args().nth(1).as_deref() {
+        Some("trace") => Some(run_trace(&rest()).map(|()| 0)),
+        Some("deploy") => Some(run_deploy(&rest())),
+        _ => None,
+    };
+    if let Some(result) = sub {
+        return match result {
+            Ok(code) => ExitCode::from(code),
             Err(msg) => {
                 log::error(&msg);
                 ExitCode::from(2)

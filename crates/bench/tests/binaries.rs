@@ -1,142 +1,60 @@
 //! Integration tests driving the user-facing binaries end to end.
 
-use std::io::Write;
-use std::process::{Command, Stdio};
-
-fn cli() -> Command {
-    Command::new(env!("CARGO_BIN_EXE_gossipopt-cli"))
-}
-
-#[test]
-fn cli_emit_spec_roundtrips_through_run() {
-    let out = cli().arg("--emit-spec").output().expect("cli runs");
-    assert!(out.status.success());
-    let template = String::from_utf8(out.stdout).unwrap();
-    assert!(template.contains("\"nodes\""));
-
-    // Feed the emitted spec back through stdin and run a tiny experiment.
-    let mut child = cli()
-        .args([
-            "--spec",
-            "-",
-            "--function",
-            "sphere",
-            "--budget-per-node",
-            "20",
-            "--reps",
-            "2",
-            "--seed",
-            "3",
-        ])
-        .stdin(Stdio::piped())
-        .stdout(Stdio::piped())
-        .stderr(Stdio::piped())
-        .spawn()
-        .expect("cli spawns");
-    child
-        .stdin
-        .as_mut()
-        .unwrap()
-        .write_all(template.as_bytes())
-        .unwrap();
-    let out = child.wait_with_output().unwrap();
-    assert!(
-        out.status.success(),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let report: serde_json::Value = serde_json::from_slice(&out.stdout).expect("JSON report");
-    assert_eq!(report["reps"], 2);
-    assert_eq!(report["runs"].as_array().unwrap().len(), 2);
-    assert!(report["quality"]["avg"].as_f64().unwrap().is_finite());
-}
-
-#[test]
-fn cli_rejects_bad_spec_and_function() {
-    let mut child = cli()
-        .args(["--spec", "-"])
-        .stdin(Stdio::piped())
-        .stdout(Stdio::null())
-        .stderr(Stdio::piped())
-        .spawn()
-        .unwrap();
-    child
-        .stdin
-        .as_mut()
-        .unwrap()
-        .write_all(b"{ this is not json }")
-        .unwrap();
-    let out = child.wait_with_output().unwrap();
-    assert!(!out.status.success());
-
-    let out2 = cli()
-        .args(["--function", "not-a-function", "--budget-per-node", "5"])
-        .output()
-        .unwrap();
-    assert!(!out2.status.success());
-    assert!(String::from_utf8_lossy(&out2.stderr).contains("unknown objective"));
-}
-
-#[test]
-fn cli_deploys_on_real_threads() {
-    let out = cli()
-        .args([
-            "--function",
-            "sphere",
-            "--budget-per-node",
-            "50",
-            "--deploy",
-            "channel",
-            "--seed",
-            "5",
-        ])
-        .output()
-        .unwrap();
-    assert!(
-        out.status.success(),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let v: serde_json::Value = serde_json::from_slice(&out.stdout).expect("JSON report");
-    assert_eq!(v["deployment"], "Channel");
-    assert_eq!(v["total_evals"], 16 * 50); // default spec: 16 nodes
-    assert_eq!(v["decode_errors"], 0);
-    assert!(v["best_quality"].as_f64().unwrap().is_finite());
-
-    // Total budgets are simulator-only.
-    let bad = cli()
-        .args(["--budget-total", "100", "--deploy", "channel"])
-        .output()
-        .unwrap();
-    assert!(!bad.status.success());
-    assert!(String::from_utf8_lossy(&bad.stderr).contains("per-node"));
-}
-
-#[test]
-fn cli_is_deterministic_per_seed() {
-    let run = || {
-        let out = cli()
-            .args([
-                "--function",
-                "griewank",
-                "--budget-per-node",
-                "30",
-                "--reps",
-                "1",
-                "--seed",
-                "99",
-            ])
-            .output()
-            .unwrap();
-        assert!(out.status.success());
-        let v: serde_json::Value = serde_json::from_slice(&out.stdout).unwrap();
-        v["quality"]["avg"].as_f64().unwrap()
-    };
-    assert_eq!(run().to_bits(), run().to_bits());
-}
+use std::process::Command;
 
 fn campaign() -> Command {
     Command::new(env!("CARGO_BIN_EXE_campaign"))
+}
+
+#[test]
+fn campaign_deploys_on_real_threads() {
+    let dir = std::env::temp_dir().join("gossipopt-bin-test-deploy");
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let spec_path = dir.join("cell.toml");
+    std::fs::write(
+        &spec_path,
+        "[campaign]\nseed = 5\n[cell]\nnodes = 16\nparticles = 4\nbudget = 50\n",
+    )
+    .unwrap();
+    let out = campaign().arg("deploy").arg(&spec_path).output().unwrap();
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let v: serde_json::Value = serde_json::from_slice(&out.stdout).expect("one JSON object");
+    assert_eq!(v["total_evals"], 16 * 50);
+    assert_eq!(v["decode_errors"], 0);
+    assert_eq!(v["survivors"], 16);
+    assert!(v["best_quality"].as_f64().unwrap().is_finite());
+
+    // Fields the runtime cannot honour are refused, never degraded.
+    for (field, line) in [
+        ("churn", "churn = 0.01"),
+        (
+            "fault",
+            "[[cell.fault]]\nkind = \"massacre\"\nat = 5\nkill_frac = 0.5",
+        ),
+        ("stop_at_quality", "stop_at_quality = 1.0"),
+    ] {
+        let bad = dir.join(format!("{field}.toml"));
+        std::fs::write(&bad, format!("[cell]\nnodes = 8\nbudget = 20\n{line}\n")).unwrap();
+        let res = campaign().arg("deploy").arg(&bad).output().unwrap();
+        assert_eq!(res.status.code(), Some(2), "{field}");
+        assert!(res.stdout.is_empty(), "{field}: refused before running");
+        let stderr = String::from_utf8_lossy(&res.stderr);
+        assert!(stderr.contains(&format!("`{field}`")), "{stderr}");
+    }
+
+    // Bad specs are refused the same way as in run mode.
+    let bad = dir.join("function.toml");
+    std::fs::write(&bad, "[cell]\nfunction = \"not-a-function\"\n").unwrap();
+    let res = campaign().arg("deploy").arg(&bad).output().unwrap();
+    assert_eq!(res.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&res.stderr);
+    assert!(stderr.contains("unknown objective"), "{stderr}");
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

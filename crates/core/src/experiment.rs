@@ -30,7 +30,7 @@ use std::borrow::Borrow;
 use std::sync::Arc;
 
 /// Which topology service the nodes run.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum TopologyKind {
     /// NEWSCAST peer sampling (the paper's choice).
     Newscast,
@@ -82,7 +82,7 @@ impl TopologyKind {
 }
 
 /// Which coordination service the nodes run.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum CoordinationKind {
     /// Anti-entropy diffusion of the global optimum (the paper's choice).
     GossipBest(ExchangeMode),
@@ -103,7 +103,7 @@ pub enum CoordinationKind {
 }
 
 /// Which solver runs in the function optimization service.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum SolverSpec {
     /// A PSO swarm with explicit parameters (size = `particles_per_node`).
     Pso(PsoParams),
@@ -134,7 +134,7 @@ impl SolverSpec {
 }
 
 /// Evaluation budget of a run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Budget {
     /// Each node performs this many local evaluations (the paper's first
     /// and third experiment sets: "1000 evaluations per node").
@@ -155,7 +155,7 @@ impl Budget {
 }
 
 /// Declarative description of a distributed optimization run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DistributedPsoSpec {
     /// Network size `n`.
     pub nodes: usize,
@@ -510,8 +510,7 @@ pub struct Traffic {
     pub dropped: u64,
     /// Wire bytes saved by frame coalescing (`0` at `threads == 0`).
     pub frame_bytes_saved: u64,
-    /// Nodes crashed by the churn process (the cycle kernel also counts
-    /// scripted [`Engine::crash`] calls here; the event kernel does not).
+    /// Nodes crashed by the churn process or by [`Engine::crash`].
     pub crashes: u64,
     /// Nodes joined by the churn process.
     pub joins: u64,
@@ -943,7 +942,7 @@ pub fn run_distributed_pso(
 }
 
 /// Aggregated outcome over repetitions.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct RepeatedReport {
     /// Quality aggregate over repetitions (the paper's `avg min max Var`).
     pub quality: Summary,

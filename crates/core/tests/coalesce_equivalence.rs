@@ -1,26 +1,102 @@
 //! A/B equivalence of frame coalescing, on both kernels and for every
 //! fusible message family.
 //!
-//! `CycleConfig::coalesce_frames` fuses same-destination runs of
+//! `OptNode::coalesce_round` fuses same-destination runs of
 //! `Msg::Coord` / `Msg::RumorPush` / `Msg::Migrant` into delta-encoded
-//! batch frames on the phased delivery path;
-//! `EventConfig::coalesce_frames` does the same for seq-adjacent
-//! same-destination delivery runs of the event kernel's sharded batch
-//! dispatch. The switch must be invisible to everything except byte
-//! accounting: per-node solver state, quality, evaluation counts, reply
-//! traffic and every kernel statistic other than `frame_bytes_saved` have
-//! to be bit-identical with the optimization on or off, at any thread
-//! count.
+//! batch frames on the phased delivery path, and does the same for
+//! seq-adjacent same-destination delivery runs of the event kernel's
+//! sharded batch dispatch. The fusion must be invisible to everything
+//! except byte accounting: per-node solver state, quality, evaluation
+//! counts, reply traffic and every kernel statistic other than
+//! `frame_bytes_saved` have to be bit-identical with the optimization on
+//! (`OptNode`) or off ([`Unfused`]), at any thread count.
 
 use gossipopt_core::experiment::{
     Budget, CoordinationKind, DistributedPsoSpec, NodeRecipe, TopologyKind,
 };
+use gossipopt_core::messages::Msg;
 use gossipopt_core::node::OptNode;
 use gossipopt_functions::{by_name, Objective};
 use gossipopt_gossip::RumorConfig;
 use gossipopt_sim::cycle::KernelStats;
-use gossipopt_sim::{CycleConfig, CycleEngine, EventConfig, EventEngine, Latency, Transport};
+use gossipopt_sim::{
+    Application, Ctx, CycleConfig, CycleEngine, EventConfig, EventEngine, Latency, NodeId,
+    Transport, WireCounts,
+};
 use std::sync::Arc;
+
+/// `OptNode` with [`Application::coalesce_round`] left at the trait's
+/// no-op default: the "off" side of every A/B below.
+struct Unfused(OptNode);
+
+impl Application for Unfused {
+    type Message = Msg;
+
+    fn on_join(&mut self, contacts: &[NodeId], ctx: &mut Ctx<'_, Msg>) {
+        self.0.on_join(contacts, ctx);
+    }
+
+    fn on_tick(&mut self, ctx: &mut Ctx<'_, Msg>) {
+        self.0.on_tick(ctx);
+    }
+
+    fn on_message(&mut self, from: NodeId, msg: Msg, ctx: &mut Ctx<'_, Msg>) {
+        self.0.on_message(from, msg, ctx);
+    }
+
+    fn quiet_tick(&self) -> bool {
+        self.0.quiet_tick()
+    }
+
+    fn prefetch(&self) {
+        self.0.prefetch();
+    }
+
+    fn wire_counts(&self) -> WireCounts {
+        self.0.wire_counts()
+    }
+}
+
+/// Both sides of the A/B: wrap a built node, and reach it again for the
+/// digest.
+trait Side: Application<Message = Msg> {
+    fn wrap(node: OptNode) -> Self;
+    fn node(&self) -> &OptNode;
+}
+
+impl Side for OptNode {
+    fn wrap(node: OptNode) -> Self {
+        node
+    }
+    fn node(&self) -> &OptNode {
+        self
+    }
+}
+
+impl Side for Unfused {
+    fn wrap(node: OptNode) -> Self {
+        Unfused(node)
+    }
+    fn node(&self) -> &OptNode {
+        &self.0
+    }
+}
+
+fn digest<'a, A: Side + 'a>(nodes: impl Iterator<Item = (NodeId, &'a A)>) -> NodeDigest {
+    let mut nodes: NodeDigest = nodes
+        .map(|(id, a)| {
+            let n = a.node();
+            (
+                id.raw(),
+                n.quality().to_bits(),
+                n.evals(),
+                n.payload_bytes_sent(),
+            )
+        })
+        .collect();
+    nodes.sort_unstable();
+    nodes
+}
 
 /// The three fusible coordination families.
 fn fusible_modes() -> [(&'static str, CoordinationKind); 3] {
@@ -63,32 +139,31 @@ fn run_mode(
     ticks: u64,
     coordination: CoordinationKind,
 ) -> (NodeDigest, KernelStats) {
+    if coalesce {
+        run_cycle::<OptNode>(threads, ticks, coordination)
+    } else {
+        run_cycle::<Unfused>(threads, ticks, coordination)
+    }
+}
+
+fn run_cycle<A: Side>(
+    threads: usize,
+    ticks: u64,
+    coordination: CoordinationKind,
+) -> (NodeDigest, KernelStats) {
     let spec = spec(threads, coordination);
     let objective: Arc<dyn Objective> = Arc::from(by_name("sphere", 8).expect("registry name"));
     let recipe = NodeRecipe::new(&spec, objective, Budget::PerNode(ticks), 9).expect("valid spec");
     let mut cfg = CycleConfig::seeded(9);
     cfg.threads = threads;
-    cfg.coalesce_frames = coalesce;
-    let mut engine: CycleEngine<OptNode> = CycleEngine::new(cfg);
+    let mut engine: CycleEngine<A> = CycleEngine::new(cfg);
     for i in 0..spec.nodes {
-        engine.insert(recipe.build(i).expect("valid recipe"));
+        engine.insert(A::wrap(recipe.build(i).expect("valid recipe")));
     }
     for _ in 0..ticks {
         engine.tick();
     }
-    let mut nodes: NodeDigest = engine
-        .nodes()
-        .map(|(id, n)| {
-            (
-                id.raw(),
-                n.quality().to_bits(),
-                n.evals(),
-                n.payload_bytes_sent(),
-            )
-        })
-        .collect();
-    nodes.sort_unstable();
-    (nodes, engine.stats())
+    (digest(engine.nodes()), engine.stats())
 }
 
 fn run(threads: usize, coalesce: bool, ticks: u64) -> (NodeDigest, KernelStats) {
@@ -176,37 +251,35 @@ fn run_event(
     coalesce: bool,
     coordination: CoordinationKind,
 ) -> (NodeDigest, u64, u64, u64) {
+    if coalesce {
+        run_event_as::<OptNode>(threads, coordination)
+    } else {
+        run_event_as::<Unfused>(threads, coordination)
+    }
+}
+
+fn run_event_as<A: Side>(
+    threads: usize,
+    coordination: CoordinationKind,
+) -> (NodeDigest, u64, u64, u64) {
     let spec = spec(threads, coordination);
     let objective: Arc<dyn Objective> = Arc::from(by_name("sphere", 8).expect("registry name"));
     let recipe = NodeRecipe::new(&spec, objective, Budget::PerNode(60), 9).expect("valid spec");
     let mut cfg = EventConfig::seeded(9);
     cfg.threads = threads;
-    cfg.coalesce_frames = coalesce;
     cfg.tick_period = 10;
     cfg.jitter_phase = false;
     cfg.transport = Transport {
         loss_prob: 0.0,
         latency: Latency::Constant(3),
     };
-    let mut engine: EventEngine<OptNode> = EventEngine::new(cfg);
+    let mut engine: EventEngine<A> = EventEngine::new(cfg);
     for i in 0..spec.nodes {
-        engine.insert(recipe.build(i).expect("valid recipe"));
+        engine.insert(A::wrap(recipe.build(i).expect("valid recipe")));
     }
     engine.run(600);
-    let mut nodes: NodeDigest = engine
-        .nodes()
-        .map(|(id, n)| {
-            (
-                id.raw(),
-                n.quality().to_bits(),
-                n.evals(),
-                n.payload_bytes_sent(),
-            )
-        })
-        .collect();
-    nodes.sort_unstable();
     (
-        nodes,
+        digest(engine.nodes()),
         engine.delivered(),
         engine.dropped(),
         engine.frame_bytes_saved(),

@@ -20,7 +20,7 @@ pub trait Rumor: Clone + std::fmt::Debug {
 }
 
 /// Demers exchange styles.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExchangeMode {
     /// Originator sends its value; the peer absorbs.
     Push,

@@ -14,9 +14,6 @@
 //!   the best-known optimum;
 //! * [`rumor`] — Demers rumor mongering ("Gossip" model: fan-out `k`, stop
 //!   probability `p`);
-//! * [`aggregation`] — push-pull gossip averaging (Jelasity, Montresor &
-//!   Babaoglu), included as the background's example epidemic service and
-//!   used in tests as a convergence yardstick;
 //! * [`sampler`] — the peer-sampler interface and its static
 //!   implementation;
 //! * [`topology`] — **the unified topology service**: every static overlay
@@ -34,7 +31,6 @@
 //! exactly how the paper's architecture composes its three services inside
 //! one node.
 
-pub mod aggregation;
 pub mod antientropy;
 pub mod graph;
 pub mod newscast;

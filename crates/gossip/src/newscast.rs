@@ -19,7 +19,7 @@ use gossipopt_util::Xoshiro256pp;
 use serde::{Deserialize, Serialize};
 
 /// NEWSCAST parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct NewscastConfig {
     /// View size `c`. The paper cites `c = 20` as "already sufficient for
     /// very stable and robust connectivity".

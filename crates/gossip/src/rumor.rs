@@ -11,7 +11,7 @@ use gossipopt_util::Xoshiro256pp;
 use serde::{Deserialize, Serialize};
 
 /// Rumor-mongering parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RumorConfig {
     /// Peers contacted per round while hot (`k`).
     pub fanout: usize,

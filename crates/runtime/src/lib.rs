@@ -19,7 +19,9 @@
 //! [`cluster::run_cluster`] deploys a whole network from the same
 //! [`gossipopt_core::experiment::DistributedPsoSpec`] the simulator uses,
 //! so simulated predictions can be validated against a live deployment
-//! (see `tests/runtime_vs_sim.rs` at the workspace root).
+//! (see `tests/runtime_vs_sim.rs` at the workspace root). The `campaign
+//! deploy <spec.toml>` command runs TOML campaign cells on it over the
+//! channel transport.
 //!
 //! ## What is intentionally different from the simulator
 //!

@@ -172,14 +172,12 @@ fn run_cell_inner(cell: &CellSpec) -> Result<(CellReport, RawObs)> {
     let faults = cell.compiled_faults()?;
 
     // `FaultSchedule` times are in the kernel's clock units: ticks on the
-    // cycle kernel, `tick_period` per tick on the event kernel. Scripted
-    // crashes land in the cycle kernel's crash counter but not in the
-    // event kernel's, which counts the churn process only.
+    // cycle kernel, `tick_period` per tick on the event kernel.
     let (report, blocked_messages, raw) = match cell.event_opts()? {
-        None => run_on(cycle_engine(&spec, seed), cell, &recipe, &faults, 1, true),
+        None => run_on(cycle_engine(&spec, seed), cell, &recipe, &faults, 1),
         Some(opts) => {
             let engine = event_engine(&spec, opts, seed);
-            run_on(engine, cell, &recipe, &faults, opts.tick_period, false)
+            run_on(engine, cell, &recipe, &faults, opts.tick_period)
         }
     };
     let poisoned = report.best_quality < POISON_EPSILON;
@@ -253,13 +251,11 @@ fn run_on<E: Engine<FaultApp<OptNode>>>(
     recipe: &NodeRecipe,
     faults: &[Fault],
     tick_scale: u64,
-    crash_counts_itself: bool,
 ) -> (RunReport, u64, RawObs) {
     let seed = cell.resolved_seed();
     let sched = Arc::new(FaultSchedule::new(faults, cell.dim, seed, tick_scale));
     let mut engine_faults = EngineFaults::new(faults, seed);
     let mut fault_events = 0u64;
-    let mut scripted_crashes = 0u64;
     let mut scripted_joins = 0u64;
 
     let driven = drive(
@@ -269,7 +265,6 @@ fn run_on<E: Engine<FaultApp<OptNode>>>(
         |engine: &mut E, t| {
             let (crash, join) =
                 engine_faults.at_tick(t, || engine.nodes().map(|(id, _)| id).collect());
-            scripted_crashes += crash.len() as u64;
             scripted_joins += join as u64;
             fault_events += crash.len() as u64 + join as u64 + engine_faults.window_events_at(t);
             for id in crash {
@@ -284,20 +279,15 @@ fn run_on<E: Engine<FaultApp<OptNode>>>(
 
     let blocked = engine.nodes().map(|(_, app)| app.blocked()).sum();
     let traffic = engine.traffic();
-    // Normalize both kernels to churn + scripted (joins are churn-only in
-    // either kernel's counter).
-    let uncounted_crashes = if crash_counts_itself {
-        0
-    } else {
-        scripted_crashes
-    };
+    // Both kernels count churn and scripted crashes; their join counters
+    // are churn-only.
     let raw = RawObs {
         wire: driven.wire,
         frame_saved: engine.frame_saved(),
         merge_rounds: traffic.merge_rounds,
         fault_events,
         churn_joins: traffic.joins + scripted_joins,
-        churn_crashes: traffic.crashes + uncounted_crashes,
+        churn_crashes: traffic.crashes,
         trace: driven.improvements,
     };
     (driven.report, blocked, raw)

@@ -195,12 +195,12 @@ pub trait Application: Sized + Send {
     /// and liveness, in canonical order, stably sorted by destination —
     /// right before dispatching it (shards own whole destinations, so no
     /// run crosses a slice boundary); the event kernel's sharded
-    /// dispatch hands it each maximal run of seq-adjacent
-    /// same-destination deliveries of a same-timestamp batch (see
-    /// `EventConfig::coalesce_frames`). An application may rewrite
-    /// *consecutive runs* of same-destination messages into batch frames
-    /// of its own message type (e.g. `OptNode` fuses coordination
-    /// messages into one delta-encoded `Msg::CoordBatch`), shrinking both
+    /// dispatch (`EventConfig::threads >= 1`) hands it each maximal run
+    /// of seq-adjacent same-destination deliveries of a same-timestamp
+    /// batch. An application may rewrite *consecutive runs* of
+    /// same-destination messages into batch frames of its own message
+    /// type (e.g. `OptNode` fuses coordination messages into one
+    /// delta-encoded `Msg::CoordBatch`), shrinking both
     /// the simulated wire traffic and, in a real deployment, the frames
     /// on the socket. Returns the wire bytes saved (the byte accounting
     /// delta between the replaced messages and their batch frames),

@@ -7,10 +7,9 @@
 //! catastrophic-failure experiments.
 
 use gossipopt_util::{Rng64, Xoshiro256pp};
-use serde::{Deserialize, Serialize};
 
 /// Declarative churn process, evaluated once per tick.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ChurnConfig {
     /// Probability that each live node crashes in a given tick.
     pub crash_prob_per_tick: f64,

@@ -102,13 +102,6 @@ pub struct CycleConfig {
     /// for every `threads >= 1` value, so `1` is the sequential reference
     /// of the same discipline.
     pub threads: usize,
-    /// Phased tick only: hand each delivery round to
-    /// [`Application::coalesce_round`] so same-destination message runs
-    /// can be fused into batch frames (default `true`). Trajectories and
-    /// message counts are unchanged either way — only byte accounting
-    /// (and real wire frames) shrink — so this switch exists for A/B
-    /// equivalence tests, not tuning.
-    pub coalesce_frames: bool,
 }
 
 impl Default for CycleConfig {
@@ -121,7 +114,6 @@ impl Default for CycleConfig {
             max_hops_per_tick: 64,
             bootstrap_sample: 8,
             threads: 0,
-            coalesce_frames: true,
         }
     }
 }
@@ -351,7 +343,6 @@ impl<M> ShardWork<M> {
         &mut self,
         slots: &mut [Slot<A>],
         now: Ticks,
-        coalesce: bool,
         cuts: &ShardCuts,
         lane: &mut [Bucket<M>],
     ) {
@@ -370,7 +361,7 @@ impl<M> ShardWork<M> {
         self.inbox.iter_mut().for_each(Vec::clear);
         self.dead = dead;
         self.delivered = self.survivors.len() as u64;
-        self.saved = if coalesce && !self.survivors.is_empty() {
+        self.saved = if !self.survivors.is_empty() {
             A::coalesce_round(&mut self.survivors)
         } else {
             FrameSavings::default()
@@ -768,7 +759,7 @@ impl<A: Application> CycleEngine<A> {
         let tail = self.cuts.bin_count();
         let transport = self.cfg.transport;
         let lossy = transport.loss_prob > 0.0;
-        let (now, coalesce) = (self.now, self.cfg.coalesce_frames);
+        let now = self.now;
         let mut rounds = 0u32;
         loop {
             let pending: u64 = self.inbound.iter().flatten().map(|b| b.len() as u64).sum();
@@ -833,7 +824,7 @@ impl<A: Application> CycleEngine<A> {
                 .map(|((work, (_, slots)), lane)| (work, slots, lane))
                 .collect();
             rayon::execute_indexed(tasks, threads, &|(work, slots, lane)| {
-                work.deliver(slots, now, coalesce, cuts, lane);
+                work.deliver(slots, now, cuts, lane);
             });
             wall::finish(Phase::CycleDispatch, dispatch_span);
 

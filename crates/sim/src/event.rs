@@ -76,7 +76,7 @@
 //! 8}` under churn, loss and latency; `tests/shard_equivalence.rs` sweeps
 //! randomized configurations for thread-count invariance.
 //!
-//! ## Frame coalescing — `EventConfig::coalesce_frames`
+//! ## Frame coalescing
 //!
 //! At `threads >= 1` the dispatch additionally offers the application the
 //! [`Application::coalesce_round`] hook: after triage, each maximal run of
@@ -123,18 +123,12 @@ pub struct EventConfig {
     pub bootstrap_sample: usize,
     /// Shard width. `0` (default): each same-timestamp batch runs as one
     /// shard on the calling thread, without frame coalescing. `>= 1`:
-    /// shard each batch across this many worker threads and let
-    /// [`EventConfig::coalesce_frames`] apply. Results are bit-identical
-    /// at every value (see the module docs).
+    /// shard each batch across this many worker threads and let the
+    /// application fuse seq-adjacent same-destination deliveries into
+    /// batch frames ([`Application::coalesce_round`]); wire savings
+    /// accumulate in [`EventEngine::frame_bytes_saved`]. Everything else
+    /// is bit-identical at every value (see the module docs).
     pub threads: usize,
-    /// Let the application fuse seq-adjacent same-destination deliveries
-    /// of a same-timestamp batch into batch frames
-    /// ([`Application::coalesce_round`]); wire savings accumulate in
-    /// [`EventEngine::frame_bytes_saved`]. Takes effect only at
-    /// `threads >= 1`; `threads = 0` never coalesces. The fused run is
-    /// bit-identical to the unfused one either way (see the module docs);
-    /// `frame_bytes_saved` is the only stat that may differ.
-    pub coalesce_frames: bool,
 }
 
 impl Default for EventConfig {
@@ -147,7 +141,6 @@ impl Default for EventConfig {
             churn: ChurnConfig::none(),
             bootstrap_sample: 8,
             threads: 0,
-            coalesce_frames: true,
         }
     }
 }
@@ -371,14 +364,20 @@ impl<A: Application> EventEngine<A> {
         id
     }
 
-    /// Crash a node immediately. In-flight messages to it will be dropped
-    /// at delivery time.
+    /// Crash a node immediately (scripted failure). In-flight messages to
+    /// it will be dropped at delivery time. Returns `false` if it was
+    /// already dead or unknown.
     pub fn crash(&mut self, id: NodeId) -> bool {
         if let Some(app) = self.arena.get(id) {
             let counts = app.wire_counts();
             self.retired.add(&counts);
         }
-        self.arena.kill(id)
+        if self.arena.kill(id) {
+            self.churn_crashes += 1;
+            true
+        } else {
+            false
+        }
     }
 
     /// Current simulated time.
@@ -407,8 +406,8 @@ impl<A: Application> EventEngine<A> {
     }
 
     /// Wire bytes saved by frame coalescing so far (see
-    /// [`EventConfig::coalesce_frames`]). Always `0` at `threads == 0`,
-    /// which never coalesces.
+    /// [`EventConfig::threads`]). Always `0` at `threads == 0`, which
+    /// never coalesces.
     pub fn frame_bytes_saved(&self) -> u64 {
         self.frame_bytes_saved
     }
@@ -425,7 +424,7 @@ impl<A: Application> EventEngine<A> {
         self.retired
     }
 
-    /// Nodes crashed by the churn process so far.
+    /// Nodes crashed so far, by the churn process or [`EventEngine::crash`].
     pub fn churn_crashes(&self) -> u64 {
         self.churn_crashes
     }
@@ -611,7 +610,7 @@ impl<A: Application> EventEngine<A> {
         // the surviving events into batch frames (triaged events consumed
         // nothing, so adjacency among survivors is adjacency in the order
         // one-at-a-time processing interleaves routing in).
-        if self.cfg.coalesce_frames && self.cfg.threads >= 1 {
+        if self.cfg.threads >= 1 {
             self.coalesce_segment(events);
         }
 
@@ -1002,6 +1001,19 @@ mod tests {
     }
 
     #[test]
+    fn scripted_crash_is_counted_once() {
+        let mut e: EventEngine<Echo> = EventEngine::new(EventConfig::seeded(5));
+        let a = e.insert(Echo::new());
+        e.insert(Echo::new());
+        assert_eq!(e.churn_crashes(), 0);
+        assert!(e.crash(a));
+        assert_eq!(e.churn_crashes(), 1);
+        assert!(!e.crash(a), "a dead node cannot crash again");
+        assert_eq!(e.churn_crashes(), 1);
+        assert_eq!(e.alive_count(), 1);
+    }
+
+    #[test]
     fn observer_cadence_and_stop() {
         let mut cfg = EventConfig::seeded(6);
         cfg.tick_period = 7;
@@ -1210,26 +1222,6 @@ mod tests {
                 "threads={threads}: synchronized ticks to shared contacts must fuse"
             );
         }
-    }
-
-    #[test]
-    fn coalescing_can_be_disabled() {
-        let mut cfg = EventConfig::seeded(21);
-        cfg.threads = 2;
-        cfg.jitter_phase = false;
-        cfg.coalesce_frames = false;
-        let mut e: EventEngine<Fusing> = EventEngine::new(cfg);
-        for _ in 0..32 {
-            e.insert(Fusing {
-                contact: None,
-                ticks: 0,
-                items: 0,
-                sum: 0,
-            });
-        }
-        e.run(400);
-        assert_eq!(e.frame_bytes_saved(), 0);
-        assert!(e.delivered() > 0);
     }
 
     #[test]

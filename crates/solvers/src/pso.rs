@@ -23,10 +23,9 @@
 use crate::{BestPoint, Solver};
 use gossipopt_functions::Objective;
 use gossipopt_util::{Rng64, Xoshiro256pp};
-use serde::{Deserialize, Serialize};
 
 /// Velocity-update discipline.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Inertia {
     /// The original 1995 rule (no inertia term) — the paper's choice.
     Vanilla,
@@ -38,7 +37,7 @@ pub enum Inertia {
 }
 
 /// What to do with particles that leave the box domain.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BoundPolicy {
     /// Let them fly (classic behaviour; the paper takes no provision).
     None,
@@ -50,7 +49,7 @@ pub enum BoundPolicy {
 }
 
 /// How neighborhood information enters the velocity update.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Influence {
     /// Classic PSO: one social attractor — the best point in the
     /// neighborhood (the swarm optimum under [`Topology::Gbest`]).
@@ -63,7 +62,7 @@ pub enum Influence {
 }
 
 /// Swarm neighborhood structure for the *social* term `g`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Topology {
     /// Fully-informed swarm: one global best (the paper's per-node swarms).
     Gbest,
@@ -78,7 +77,7 @@ pub enum Topology {
 }
 
 /// PSO hyper-parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PsoParams {
     /// Cognitive learning factor `c₁`.
     pub c1: f64,

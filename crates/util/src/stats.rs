@@ -131,7 +131,7 @@ impl FromIterator<f64> for OnlineStats {
 }
 
 /// Frozen aggregate in the paper's table format: `avg min max Var`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Summary {
     /// Number of repetitions aggregated.
     pub count: u64,

@@ -16,8 +16,8 @@
 //!   structured-logging facade;
 //! * [`functions`] — the benchmark objective suite (Sphere, Rosenbrock, …);
 //! * [`sim`] — a PeerSim-equivalent cycle- and event-driven P2P simulator;
-//! * [`gossip`] — Newscast peer sampling, anti-entropy, rumor mongering,
-//!   aggregation and overlay analysis;
+//! * [`gossip`] — Newscast peer sampling, anti-entropy, rumor mongering
+//!   and overlay analysis;
 //! * [`solvers`] — PSO (classic/inertia/constriction, gbest/lbest), DE, GA,
 //!   sep-CMA-ES, Nelder–Mead, SA, (1+1)-ES and random search;
 //! * [`core`] — the three-service framework (topology / optimization /

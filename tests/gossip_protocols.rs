@@ -3,10 +3,159 @@
 //! the full background-section stack, end to end — and the health of the
 //! NEWSCAST overlay itself.
 
-use gossipopt::gossip::aggregation::{AvgMsg, GossipAverage};
 use gossipopt::gossip::rumor::{RumorAck, RumorConfig, RumorMonger};
 use gossipopt::gossip::{graph, Newscast, NewscastConfig, NewscastMsg, PeerSampler};
 use gossipopt::sim::{Application, Control, Ctx, CycleConfig, CycleEngine, NodeId};
+use gossipopt::util::{OnlineStats, Rng64, Xoshiro256pp};
+use proptest::prelude::*;
+
+/// Gossip-based averaging (Jelasity, Montresor & Babaoglu, TOCS 2005),
+/// the background's example epidemic service and these tests'
+/// convergence yardstick.
+///
+/// Each node holds an estimate; a push-pull exchange replaces both nodes'
+/// estimates with their mean. The population mean is invariant and the
+/// empirical variance decays exponentially (by ~`1/(2√e)` per round), so
+/// after `O(log n + log 1/ε)` rounds every node knows the global average.
+/// Pushing `1` at one node and `0` elsewhere estimates `1/n`.
+#[derive(Debug, Clone, Copy)]
+struct GossipAverage {
+    estimate: f64,
+}
+
+/// Wire messages of an averaging session.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum AvgMsg {
+    /// Initiator's current estimate.
+    Offer(f64),
+    /// Responder's pre-update estimate.
+    Counter(f64),
+}
+
+impl GossipAverage {
+    fn new(initial: f64) -> Self {
+        GossipAverage { estimate: initial }
+    }
+
+    fn estimate(&self) -> f64 {
+        self.estimate
+    }
+
+    /// Begin an exchange: message for a random peer.
+    fn initiate(&self) -> AvgMsg {
+        AvgMsg::Offer(self.estimate)
+    }
+
+    /// Handle an incoming message, returning a reply when one is due.
+    fn handle(&mut self, msg: AvgMsg) -> Option<AvgMsg> {
+        match msg {
+            AvgMsg::Offer(theirs) => {
+                let mine = self.estimate;
+                self.estimate = 0.5 * (mine + theirs);
+                Some(AvgMsg::Counter(mine))
+            }
+            AvgMsg::Counter(theirs) => {
+                self.estimate = 0.5 * (self.estimate + theirs);
+                None
+            }
+        }
+    }
+}
+
+/// One averaging round over `nodes`: every node initiates with a uniform
+/// random other node.
+fn average_round(nodes: &mut [GossipAverage], rng: &mut Xoshiro256pp) {
+    let n = nodes.len();
+    for i in 0..n {
+        let mut j = rng.index(n - 1);
+        if j >= i {
+            j += 1;
+        }
+        let offer = nodes[i].initiate();
+        let counter = nodes[j].handle(offer).unwrap();
+        nodes[i].handle(counter);
+    }
+}
+
+#[test]
+fn single_exchange_averages_pairwise() {
+    let mut a = GossipAverage::new(10.0);
+    let mut b = GossipAverage::new(2.0);
+    let offer = a.initiate();
+    let counter = b.handle(offer).unwrap();
+    assert!(a.handle(counter).is_none());
+    assert_eq!(a.estimate(), 6.0);
+    assert_eq!(b.estimate(), 6.0);
+
+    let mut a = GossipAverage::new(10.0);
+    let mut b = GossipAverage::new(4.0);
+    let counter = b.handle(a.initiate()).unwrap();
+    a.handle(counter);
+    assert_eq!((a.estimate(), b.estimate()), (7.0, 7.0));
+}
+
+#[test]
+fn exchange_preserves_sum() {
+    let mut a = GossipAverage::new(3.0);
+    let mut b = GossipAverage::new(8.5);
+    let before = a.estimate() + b.estimate();
+    let offer = a.initiate();
+    let counter = b.handle(offer).unwrap();
+    a.handle(counter);
+    let after = a.estimate() + b.estimate();
+    assert!((before - after).abs() < 1e-12);
+}
+
+#[test]
+fn variance_decays_to_global_mean() {
+    let n = 128;
+    let mut rng = Xoshiro256pp::seeded(7);
+    let mut nodes: Vec<GossipAverage> = (0..n)
+        .map(|_| GossipAverage::new(rng.range_f64(-100.0, 100.0)))
+        .collect();
+    let true_mean = nodes.iter().map(|x| x.estimate()).sum::<f64>() / n as f64;
+    for _round in 0..40 {
+        average_round(&mut nodes, &mut rng);
+    }
+    let stats: OnlineStats = nodes.iter().map(|x| x.estimate()).collect();
+    assert!((stats.mean() - true_mean).abs() < 1e-9, "mean invariant");
+    assert!(
+        stats.std_dev() < 1e-6,
+        "estimates should have converged, std={}",
+        stats.std_dev()
+    );
+}
+
+#[test]
+fn size_estimation_trick() {
+    // One node starts at 1, the rest at 0; converged mean is 1/n.
+    let n = 64;
+    let mut nodes: Vec<GossipAverage> = (0..n).map(|_| GossipAverage::new(0.0)).collect();
+    nodes[0] = GossipAverage::new(1.0);
+    let mut rng = Xoshiro256pp::seeded(8);
+    for _ in 0..40 {
+        average_round(&mut nodes, &mut rng);
+    }
+    let est_n = 1.0 / nodes[13].estimate();
+    assert!((est_n - n as f64).abs() < 1.0, "estimated n = {est_n}");
+}
+
+proptest! {
+    /// Gossip averaging conserves the pairwise sum exactly for arbitrary
+    /// values (the invariant behind its correctness).
+    #[test]
+    fn averaging_conserves_mass(a in -1e12f64..1e12, b in -1e12f64..1e12) {
+        let mut x = GossipAverage::new(a);
+        let mut y = GossipAverage::new(b);
+        let before = x.estimate() + y.estimate();
+        let offer = x.initiate();
+        let counter = y.handle(offer).expect("offer gets counter");
+        prop_assert!(x.handle(counter).is_none());
+        let after = x.estimate() + y.estimate();
+        prop_assert!((before - after).abs() <= 1e-6 * before.abs().max(1.0));
+        prop_assert!((x.estimate() - y.estimate()).abs() < 1e-6 * before.abs().max(1.0));
+    }
+}
 
 /// Composite protocol: NEWSCAST for peer sampling + rumor mongering +
 /// averaging, multiplexed over one message enum — the same composition
