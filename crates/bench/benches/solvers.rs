@@ -2,9 +2,9 @@
 //! solver bookkeeping) for every registered solver and PSO variant.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use gossipopt_functions::{by_name, Sphere};
+use gossipopt_functions::Sphere;
 use gossipopt_solvers::{solver_by_name, Inertia, PsoParams, Solver, Swarm};
-use gossipopt_util::{AlignedBox, Rng64, Xoshiro256pp};
+use gossipopt_util::Xoshiro256pp;
 use std::hint::black_box;
 
 fn bench_solver_steps(c: &mut Criterion) {
@@ -80,47 +80,10 @@ fn bench_pso_variants(c: &mut Criterion) {
     group.finish();
 }
 
-/// Batch objective-evaluation throughput for the four-wide lane kernels:
-/// a 32-point batch through `eval_batch`, at a small and a large
-/// dimensionality. (`schwefel` is the suite's Schwefel problem 1.2.)
-fn bench_eval_batch(c: &mut Criterion) {
-    const POINTS: usize = 32;
-    for (label, registry_name) in [
-        ("sphere", "sphere"),
-        ("rastrigin", "rastrigin"),
-        ("schwefel", "schwefel12"),
-        ("griewank", "griewank"),
-    ] {
-        let mut group = c.benchmark_group(&format!("eval/{label}"));
-        for dim in [4usize, 32] {
-            let f = by_name(registry_name, dim).expect("registered");
-            let mut rng = Xoshiro256pp::seeded(11);
-            // 64-byte-aligned scratch, matching the arena's row layout.
-            let xs = AlignedBox::new_with(POINTS * dim, |i| {
-                let (lo, hi) = f.bounds(i % dim);
-                rng.range_f64(lo, hi)
-            });
-            let mut out = AlignedBox::new_with(POINTS, |_| 0.0f64);
-            group.bench_with_input(
-                BenchmarkId::from_parameter(format!("dim{dim}")),
-                &dim,
-                |b, &dim| {
-                    b.iter(|| {
-                        f.eval_batch(black_box(&xs), dim, &mut out);
-                        black_box(out[POINTS - 1])
-                    })
-                },
-            );
-        }
-        group.finish();
-    }
-}
-
 criterion_group!(
     benches,
     bench_solver_steps,
     bench_step_dims,
-    bench_pso_variants,
-    bench_eval_batch
+    bench_pso_variants
 );
 criterion_main!(benches);

@@ -119,7 +119,10 @@ impl SolverSpec {
     /// Build the solver for node `index`.
     pub fn build(&self, k: usize, index: usize) -> Result<Box<dyn Solver>, CoreError> {
         match self {
-            SolverSpec::Pso(params) => Ok(Box::new(Swarm::new(k, *params))),
+            SolverSpec::Pso(params) => match params.check(k) {
+                Ok(()) => Ok(Box::new(Swarm::new(k, *params))),
+                Err(e) => Err(CoreError::InvalidSpec(e.into())),
+            },
             SolverSpec::Named(name) => {
                 solver_by_name(name, k).ok_or_else(|| CoreError::UnknownSolver(name.clone()))
             }
@@ -304,14 +307,26 @@ impl NodeRecipe {
         if spec.nodes == 0 {
             return Err(CoreError::InvalidSpec("nodes must be positive".into()));
         }
+        if spec.particles_per_node == 0 {
+            return Err(CoreError::InvalidSpec(
+                "particles_per_node must be positive".into(),
+            ));
+        }
         if !(0.0..=1.0).contains(&spec.loss_prob) {
             return Err(CoreError::InvalidSpec(format!(
                 "loss_prob {} out of [0,1]",
                 spec.loss_prob
             )));
         }
-        // Probe the solver spec early so later builds cannot fail.
-        spec.solver.build(spec.particles_per_node, 0)?;
+        // Probe every solver the nodes will build, so later builds cannot
+        // fail.
+        let members = match &spec.solver {
+            SolverSpec::Mix(specs) => specs.len().max(1),
+            _ => 1,
+        };
+        for i in 0..members {
+            spec.solver.build(spec.particles_per_node, i)?;
+        }
         let n = spec.nodes;
         let zones = if spec.partition_zones > 0 {
             Some(Arc::new(crate::partition::grid_zones(
@@ -1050,6 +1065,41 @@ mod tests {
             run_distributed_pso(&s3, "sphere", Budget::PerNode(5), 0),
             Err(CoreError::UnknownSolver(_))
         ));
+    }
+
+    #[test]
+    fn bad_solver_specs_are_errors_not_panics() {
+        let objective: Arc<dyn Objective> = Arc::from(by_name("sphere", 4).unwrap());
+        let weak = PsoParams {
+            c1: 2.0,
+            c2: 2.0,
+            ..PsoParams::default()
+        };
+        let specs = [
+            DistributedPsoSpec {
+                particles_per_node: 0,
+                ..small_spec()
+            },
+            DistributedPsoSpec {
+                solver: SolverSpec::Pso(weak),
+                ..small_spec()
+            },
+            DistributedPsoSpec {
+                solver: SolverSpec::Mix(vec![
+                    SolverSpec::Named("de".into()),
+                    SolverSpec::Pso(weak),
+                ]),
+                ..small_spec()
+            },
+        ];
+        for spec in &specs {
+            let r = run_distributed(spec, Arc::clone(&objective), Budget::PerNode(5), 0);
+            assert!(
+                matches!(r, Err(CoreError::InvalidSpec(_))),
+                "{:?} must be rejected",
+                spec.solver
+            );
+        }
     }
 
     #[test]

@@ -15,7 +15,6 @@
 //! instead (and only admits the dimensionalities with published optima).
 
 use crate::Objective;
-use gossipopt_util::simd::V;
 use std::f64::consts::PI;
 
 macro_rules! extended_objective {
@@ -25,7 +24,6 @@ macro_rules! extended_objective {
         min_dim: $min_dim:expr,
         optimum: $opt:expr,
         eval($x:ident) $body:block
-        lanes($pts:ident, $dim:ident) $lanes_body:block
     ) => {
         $(#[$meta])*
         #[derive(Debug, Clone)]
@@ -42,32 +40,6 @@ macro_rules! extended_objective {
                 );
                 Self { dim }
             }
-
-            /// Per-point kernel shared by `eval` and `eval_batch`.
-            #[inline(always)]
-            fn eval_point($x: &[f64]) -> f64 $body
-
-            /// Four-points-at-once kernel (see [`crate::lanes`]); each lane
-            /// replays `eval_point`'s arithmetic in the same order (packed
-            /// expressions keep the scalar associativity, transcendentals
-            /// go through `map`), so results stay bit-identical to it.
-            #[allow(clippy::needless_range_loop)]
-            #[inline(always)]
-            fn eval_lanes($pts: [&[f64]; 4]) -> [f64; 4] {
-                let $dim = $pts[0].len();
-                $lanes_body
-            }
-        }
-
-        impl crate::lanes::LaneKernel for $name {
-            #[inline(always)]
-            fn lanes(&self, pts: [&[f64]; 4]) -> [f64; 4] {
-                Self::eval_lanes(pts)
-            }
-            #[inline(always)]
-            fn point(&self, x: &[f64]) -> f64 {
-                Self::eval_point(x)
-            }
         }
 
         impl Objective for $name {
@@ -80,13 +52,9 @@ macro_rules! extended_objective {
             fn bounds(&self, _dim: usize) -> (f64, f64) {
                 ($lo, $hi)
             }
-            fn eval(&self, x: &[f64]) -> f64 {
-                debug_assert_eq!(x.len(), self.dim);
-                Self::eval_point(x)
-            }
-            fn eval_batch(&self, xs: &[f64], k: usize, out: &mut [f64]) {
-                assert_eq!(k, self.dim, "stride must equal the dimensionality");
-                crate::lanes::eval_groups(xs, k, out, self);
+            fn eval(&self, $x: &[f64]) -> f64 {
+                debug_assert_eq!($x.len(), self.dim);
+                $body
             }
             fn optimum_position(&self) -> Option<Vec<f64>> {
                 ($opt)(self.dim)
@@ -111,10 +79,6 @@ macro_rules! fixed_2d_objective {
             pub fn new() -> Self {
                 $name
             }
-
-            /// Per-point kernel shared by `eval` and `eval_batch`.
-            #[inline(always)]
-            fn eval_point($a: f64, $b: f64) -> f64 $body
         }
 
         impl Objective for $name {
@@ -129,32 +93,11 @@ macro_rules! fixed_2d_objective {
             }
             fn eval(&self, x: &[f64]) -> f64 {
                 debug_assert_eq!(x.len(), 2);
-                Self::eval_point(x[0], x[1])
-            }
-            fn eval_batch(&self, xs: &[f64], k: usize, out: &mut [f64]) {
-                assert_eq!(k, 2, "stride must equal the dimensionality");
-                crate::lanes::eval_groups(xs, 2, out, self);
+                let ($a, $b) = (x[0], x[1]);
+                $body
             }
             fn optimum_position(&self) -> Option<Vec<f64>> {
                 Some($opt.to_vec())
-            }
-        }
-
-        impl crate::lanes::LaneKernel for $name {
-            // These 2-D kernels are transcendental-dominated; the lane win
-            // is the four independent chains, so each lane runs the scalar
-            // kernel (trivially bit-identical).
-            #[inline(always)]
-            fn lanes(&self, pts: [&[f64]; 4]) -> [f64; 4] {
-                let mut r = [0.0f64; 4];
-                for (l, p) in pts.iter().enumerate() {
-                    r[l] = Self::eval_point(p[0], p[1]);
-                }
-                r
-            }
-            #[inline(always)]
-            fn point(&self, x: &[f64]) -> f64 {
-                Self::eval_point(x[0], x[1])
             }
         }
     };
@@ -179,30 +122,6 @@ extended_objective! {
             })
             .sum();
         head + mid + tail
-    }
-    lanes(pts, k) {
-        let w = |v: f64| 1.0 + (v - 1.0) / 4.0;
-        // -0.0 is `Iterator::sum`'s additive identity for f64; seeding the
-        // lanes with it keeps signed zeros (and empty sums) bit-identical.
-        // The per-term sin²/powi factors are transcendental, so each whole
-        // term routes through `map` (identical scalar code per lane).
-        let mut mid = V::splat(-0.0);
-        for d in 0..k - 1 {
-            mid = mid + V::gather(&pts, d).map(|v| {
-                let wi = w(v);
-                (wi - 1.0).powi(2) * (1.0 + 10.0 * (PI * wi + 1.0).sin().powi(2))
-            });
-        }
-        let mid = mid.to_array();
-        let mut r = [0.0f64; 4];
-        for l in 0..4 {
-            let w1 = w(pts[l][0]);
-            let wd = w(pts[l][k - 1]);
-            let head = (PI * w1).sin().powi(2);
-            let tail = (wd - 1.0).powi(2) * (1.0 + (2.0 * PI * wd).sin().powi(2));
-            r[l] = head + mid[l] + tail;
-        }
-        r
     }
 }
 
@@ -233,18 +152,6 @@ extended_objective! {
             .sum();
         head + tail
     }
-    lanes(pts, k) {
-        let mut tail = V::splat(-0.0);
-        for d in 0..k - 1 {
-            let wgt = (d + 2) as f64;
-            let a = V::gather(&pts, d);
-            let b = V::gather(&pts, d + 1);
-            let t = 2.0 * b * b - a;
-            tail = tail + wgt * t * t;
-        }
-        let head = V::gather(&pts, 0).map(|v| (v - 1.0).powi(2));
-        (head + tail).to_array()
-    }
 }
 
 extended_objective! {
@@ -259,15 +166,6 @@ extended_objective! {
             .map(|(i, v)| (i + 1) as f64 * v * v)
             .sum()
     }
-    lanes(pts, k) {
-        let mut acc = V::splat(-0.0);
-        for d in 0..k {
-            let wgt = (d + 1) as f64;
-            let v = V::gather(&pts, d);
-            acc = acc + wgt * v * v;
-        }
-        acc.to_array()
-    }
 }
 
 extended_objective! {
@@ -278,15 +176,6 @@ extended_objective! {
     optimum: |d| Some(vec![0.0; d]),
     eval(x) {
         x[0] * x[0] + 1e6 * x[1..].iter().map(|v| v * v).sum::<f64>()
-    }
-    lanes(pts, k) {
-        let mut s = V::splat(-0.0);
-        for d in 1..k {
-            let v = V::gather(&pts, d);
-            s = s + v * v;
-        }
-        let x0 = V::gather(&pts, 0);
-        (x0 * x0 + 1e6 * s).to_array()
     }
 }
 
@@ -306,19 +195,6 @@ extended_objective! {
             .map(|(i, v)| 10f64.powf(6.0 * i as f64 / (d - 1) as f64) * v * v)
             .sum()
     }
-    lanes(pts, k) {
-        if k == 1 {
-            let v = V::gather(&pts, 0);
-            return (v * v).to_array();
-        }
-        let mut acc = V::splat(-0.0);
-        for d in 0..k {
-            let wgt = 10f64.powf(6.0 * d as f64 / (k - 1) as f64);
-            let v = V::gather(&pts, d);
-            acc = acc + wgt * v * v;
-        }
-        acc.to_array()
-    }
 }
 
 extended_objective! {
@@ -329,14 +205,6 @@ extended_objective! {
     optimum: |d| Some(vec![0.0; d]),
     eval(x) {
         x.iter().map(|v| (v * v.sin() + 0.1 * v).abs()).sum()
-    }
-    lanes(pts, k) {
-        let mut acc = V::splat(-0.0);
-        for d in 0..k {
-            // sin dominates the term; keep the whole thing per-lane scalar.
-            acc = acc + V::gather(&pts, d).map(|v| (v * v.sin() + 0.1 * v).abs());
-        }
-        acc.to_array()
     }
 }
 
@@ -350,20 +218,6 @@ extended_objective! {
     eval(x) {
         let r = x.iter().map(|v| v * v).sum::<f64>().sqrt();
         1.0 - (2.0 * PI * r).cos() + 0.1 * r
-    }
-    lanes(pts, k) {
-        let mut s = V::splat(-0.0);
-        for d in 0..k {
-            let v = V::gather(&pts, d);
-            s = s + v * v;
-        }
-        let s = s.to_array();
-        let mut out = [0.0f64; 4];
-        for l in 0..4 {
-            let r = s[l].sqrt();
-            out[l] = 1.0 - (2.0 * PI * r).cos() + 0.1 * r;
-        }
-        out
     }
 }
 
@@ -397,24 +251,6 @@ extended_objective! {
             penalty += excess * excess;
         }
         SCHWEFEL226_OFFSET * x.len() as f64 - raw + penalty
-    }
-    lanes(pts, k) {
-        let lo = V::splat(-500.0);
-        let hi = V::splat(500.0);
-        let mut raw = V::splat(0.0);
-        let mut penalty = V::splat(0.0);
-        for d in 0..k {
-            let v = V::gather(&pts, d);
-            // Packed clamp is bit-identical to f64::clamp for ordered
-            // bounds (see gossipopt_util::simd); the sin factor stays
-            // per-lane scalar.
-            let c = v.clamp(lo, hi);
-            raw = raw + c * c.map(|x| x.abs().sqrt().sin());
-            let excess = v - c;
-            penalty = penalty + excess * excess;
-        }
-        let base = SCHWEFEL226_OFFSET * k as f64;
-        (base - raw + penalty).to_array()
     }
 }
 

@@ -12,12 +12,12 @@
 //! registered by name in [`registry`] so experiments can be configured from
 //! strings.
 //!
-//! Wrappers in [`wrappers`] add evaluation counting, domain translation
-//! (shifting the optimum) and restriction to a sub-box (used by the
-//! search-space-partitioning coordination strategy).
+//! Every objective evaluates one point at a time through
+//! [`Objective::eval`], the unit of work a node spends per local step.
+//! [`wrappers::RestrictedObjective`] restricts a function to a sub-box
+//! (used by the search-space-partitioning coordination strategy).
 
 pub mod extended;
-pub(crate) mod lanes;
 pub mod registry;
 pub mod suite;
 pub mod wrappers;
@@ -25,7 +25,7 @@ pub mod wrappers;
 pub use extended::*;
 pub use registry::{by_name, names, paper_suite, FunctionSpec};
 pub use suite::*;
-pub use wrappers::{CountingObjective, RestrictedObjective, ShiftedObjective};
+pub use wrappers::RestrictedObjective;
 
 /// A continuous objective function to be minimized over a box domain.
 ///
@@ -50,13 +50,12 @@ pub trait Objective: Send + Sync {
     /// Evaluate `out.len()` points stored contiguously in `xs` with stride
     /// `k` (point `i` is `xs[i*k..(i+1)*k]`), writing values into `out`.
     ///
-    /// This is the batch entry of the evaluation hot path: solvers that
-    /// keep positions in flat structure-of-arrays buffers evaluate through
-    /// it, paying one virtual dispatch per *batch* instead of per point.
-    /// The suite functions override it with tight loops sharing the exact
-    /// per-point arithmetic of [`Objective::eval`], so values are
-    /// bit-identical to point-wise evaluation. The default falls back to
-    /// calling `eval` per chunk.
+    /// Calls [`Objective::eval`] once per point, so values are the
+    /// point-wise ones bit for bit. No objective overrides it and no solver
+    /// batches: solvers evaluate one point per step through `eval`.
+    ///
+    /// Panics if `k` is not the dimensionality or `xs` does not hold
+    /// exactly `out.len()` points.
     fn eval_batch(&self, xs: &[f64], k: usize, out: &mut [f64]) {
         assert_eq!(k, self.dim(), "stride must equal the dimensionality");
         assert_eq!(xs.len(), k * out.len(), "xs must hold out.len() points");
@@ -97,9 +96,6 @@ impl<T: Objective + ?Sized> Objective for &T {
     fn eval(&self, x: &[f64]) -> f64 {
         (**self).eval(x)
     }
-    fn eval_batch(&self, xs: &[f64], k: usize, out: &mut [f64]) {
-        (**self).eval_batch(xs, k, out)
-    }
     fn optimum_value(&self) -> f64 {
         (**self).optimum_value()
     }
@@ -121,9 +117,6 @@ impl<T: Objective + ?Sized> Objective for std::sync::Arc<T> {
     }
     fn eval(&self, x: &[f64]) -> f64 {
         (**self).eval(x)
-    }
-    fn eval_batch(&self, xs: &[f64], k: usize, out: &mut [f64]) {
-        (**self).eval_batch(xs, k, out)
     }
     fn optimum_value(&self) -> f64 {
         (**self).optimum_value()

@@ -21,7 +21,6 @@
 //! Styblinski–Tang) support the future-work experiments.
 
 use crate::Objective;
-use gossipopt_util::simd::V;
 use std::f64::consts::PI;
 
 macro_rules! simple_objective {
@@ -30,7 +29,6 @@ macro_rules! simple_objective {
         $name:ident, $str_name:expr, lo: $lo:expr, hi: $hi:expr,
         optimum: $opt:expr,
         eval($x:ident) $body:block
-        lanes($pts:ident, $dim:ident) $lanes_body:block
     ) => {
         $(#[$meta])*
         #[derive(Debug, Clone)]
@@ -44,33 +42,6 @@ macro_rules! simple_objective {
                 assert!(dim >= 1, concat!($str_name, " needs dim >= 1"));
                 Self { dim }
             }
-
-            /// Per-point kernel shared by `eval` and `eval_batch`, so the
-            /// batch path is bit-identical to point-wise evaluation.
-            #[inline(always)]
-            fn eval_point($x: &[f64]) -> f64 $body
-
-            /// Four-points-at-once kernel (see [`crate::lanes`]); each lane
-            /// replays `eval_point`'s arithmetic in the same order (packed
-            /// expressions keep the scalar associativity, transcendentals
-            /// go through `map`), so results stay bit-identical to it.
-            #[allow(clippy::needless_range_loop)]
-            #[inline(always)]
-            fn eval_lanes($pts: [&[f64]; 4]) -> [f64; 4] {
-                let $dim = $pts[0].len();
-                $lanes_body
-            }
-        }
-
-        impl crate::lanes::LaneKernel for $name {
-            #[inline(always)]
-            fn lanes(&self, pts: [&[f64]; 4]) -> [f64; 4] {
-                Self::eval_lanes(pts)
-            }
-            #[inline(always)]
-            fn point(&self, x: &[f64]) -> f64 {
-                Self::eval_point(x)
-            }
         }
 
         impl Objective for $name {
@@ -83,16 +54,9 @@ macro_rules! simple_objective {
             fn bounds(&self, _dim: usize) -> (f64, f64) {
                 ($lo, $hi)
             }
-            fn eval(&self, x: &[f64]) -> f64 {
-                debug_assert_eq!(x.len(), self.dim);
-                Self::eval_point(x)
-            }
-            fn eval_batch(&self, xs: &[f64], k: usize, out: &mut [f64]) {
-                assert_eq!(k, self.dim, "stride must equal the dimensionality");
-                // One virtual dispatch for the whole batch; groups of four
-                // points run the lane kernel, the tail the scalar one
-                // (length checked there).
-                crate::lanes::eval_groups(xs, k, out, self);
+            fn eval(&self, $x: &[f64]) -> f64 {
+                debug_assert_eq!($x.len(), self.dim);
+                $body
             }
             fn optimum_position(&self) -> Option<Vec<f64>> {
                 ($opt)(self.dim)
@@ -106,16 +70,6 @@ simple_objective! {
     Sphere, "sphere", lo: -100.0, hi: 100.0,
     optimum: |d| Some(vec![0.0; d]),
     eval(x) { x.iter().map(|v| v * v).sum() }
-    lanes(pts, k) {
-        // -0.0 is `Iterator::sum`'s additive identity for f64; seeding the
-        // lanes with it keeps signed zeros (and empty sums) bit-identical.
-        let mut acc = V::splat(-0.0);
-        for d in 0..k {
-            let v = V::gather(&pts, d);
-            acc = acc + v * v;
-        }
-        acc.to_array()
-    }
 }
 
 simple_objective! {
@@ -130,16 +84,6 @@ simple_objective! {
                 100.0 * t * t + (1.0 - w[0]) * (1.0 - w[0])
             })
             .sum()
-    }
-    lanes(pts, k) {
-        let mut acc = V::splat(-0.0);
-        for d in 0..k.saturating_sub(1) {
-            let a = V::gather(&pts, d);
-            let b = V::gather(&pts, d + 1);
-            let t = b - a * a;
-            acc = acc + (100.0 * t * t + (1.0 - a) * (1.0 - a));
-        }
-        acc.to_array()
     }
 }
 
@@ -157,17 +101,6 @@ simple_objective! {
             .sum();
         s1 + s2 * s2 + s2 * s2 * s2 * s2
     }
-    lanes(pts, k) {
-        let mut s1 = V::splat(-0.0);
-        let mut s2 = V::splat(-0.0);
-        for d in 0..k {
-            let w = 0.5 * (d + 1) as f64;
-            let v = V::gather(&pts, d);
-            s1 = s1 + v * v;
-            s2 = s2 + w * v;
-        }
-        (s1 + s2 * s2 + s2 * s2 * s2 * s2).to_array()
-    }
 }
 
 simple_objective! {
@@ -184,17 +117,6 @@ simple_objective! {
             .product();
         1.0 + s - p
     }
-    lanes(pts, k) {
-        let mut s = V::splat(-0.0);
-        let mut prod = V::splat(1.0);
-        for d in 0..k {
-            let root = ((d + 1) as f64).sqrt();
-            let v = V::gather(&pts, d);
-            s = s + v * v;
-            prod = prod * (v / root).map(f64::cos);
-        }
-        (1.0 + s / 4000.0 - prod).to_array()
-    }
 }
 
 simple_objective! {
@@ -208,15 +130,6 @@ simple_objective! {
                 .map(|v| v * v - 10.0 * (2.0 * PI * v).cos())
                 .sum::<f64>()
     }
-    lanes(pts, k) {
-        let mut acc = V::splat(-0.0);
-        for d in 0..k {
-            let v = V::gather(&pts, d);
-            acc = acc + (v * v - 10.0 * v.map(|x| (2.0 * PI * x).cos()));
-        }
-        let base = 10.0 * k as f64;
-        (base + acc).to_array()
-    }
 }
 
 simple_objective! {
@@ -228,26 +141,6 @@ simple_objective! {
         let sq = x.iter().map(|v| v * v).sum::<f64>() / d;
         let cs = x.iter().map(|v| (2.0 * PI * v).cos()).sum::<f64>() / d;
         -20.0 * (-0.2 * sq.sqrt()).exp() - cs.exp() + 20.0 + std::f64::consts::E
-    }
-    lanes(pts, k) {
-        let mut sq = V::splat(-0.0);
-        let mut cs = V::splat(-0.0);
-        for d in 0..k {
-            let v = V::gather(&pts, d);
-            sq = sq + v * v;
-            cs = cs + v.map(|x| (2.0 * PI * x).cos());
-        }
-        // The exponential combine is all transcendentals; finish each
-        // lane with the scalar kernel's exact expression.
-        let dd = k as f64;
-        let (sq, cs) = (sq.to_array(), cs.to_array());
-        let mut r = [0.0f64; 4];
-        for l in 0..4 {
-            let a = sq[l] / dd;
-            let b = cs[l] / dd;
-            r[l] = -20.0 * (-0.2 * a.sqrt()).exp() - b.exp() + 20.0 + std::f64::consts::E;
-        }
-        r
     }
 }
 
@@ -265,15 +158,6 @@ simple_objective! {
         }
         total
     }
-    lanes(pts, k) {
-        let mut total = V::splat(0.0);
-        let mut prefix = V::splat(0.0);
-        for d in 0..k {
-            prefix = prefix + V::gather(&pts, d);
-            total = total + prefix * prefix;
-        }
-        total.to_array()
-    }
 }
 
 simple_objective! {
@@ -289,14 +173,6 @@ simple_objective! {
             })
             .sum()
     }
-    lanes(pts, k) {
-        let mut acc = V::splat(-0.0);
-        for d in 0..k {
-            let t = (V::gather(&pts, d) + 0.5).floor();
-            acc = acc + t * t;
-        }
-        acc.to_array()
-    }
 }
 
 /// De Jong's F2 — the 2-dimensional Rosenbrock specialization on the classic
@@ -308,20 +184,6 @@ impl DeJongF2 {
     /// Create the (always 2-D) De Jong F2 instance.
     pub fn new() -> Self {
         DeJongF2
-    }
-}
-
-impl crate::lanes::LaneKernel for DeJongF2 {
-    #[inline(always)]
-    fn lanes(&self, pts: [&[f64]; 4]) -> [f64; 4] {
-        let x0 = V::gather(&pts, 0);
-        let x1 = V::gather(&pts, 1);
-        let t = x0 * x0 - x1;
-        (100.0 * t * t + (1.0 - x0) * (1.0 - x0)).to_array()
-    }
-    #[inline(always)]
-    fn point(&self, x: &[f64]) -> f64 {
-        self.eval(x)
     }
 }
 
@@ -339,10 +201,6 @@ impl Objective for DeJongF2 {
         debug_assert_eq!(x.len(), 2);
         let t = x[0] * x[0] - x[1];
         100.0 * t * t + (1.0 - x[0]) * (1.0 - x[0])
-    }
-    fn eval_batch(&self, xs: &[f64], k: usize, out: &mut [f64]) {
-        assert_eq!(k, 2);
-        crate::lanes::eval_groups(xs, 2, out, self);
     }
     fn optimum_position(&self) -> Option<Vec<f64>> {
         Some(vec![1.0, 1.0])
@@ -387,26 +245,8 @@ impl Objective for SchafferF6 {
         debug_assert_eq!(x.len(), 2);
         Self::ripple(x[0] * x[0] + x[1] * x[1])
     }
-    fn eval_batch(&self, xs: &[f64], k: usize, out: &mut [f64]) {
-        assert_eq!(k, 2);
-        crate::lanes::eval_groups(xs, 2, out, self);
-    }
     fn optimum_position(&self) -> Option<Vec<f64>> {
         Some(vec![0.0, 0.0])
-    }
-}
-
-impl crate::lanes::LaneKernel for SchafferF6 {
-    #[inline(always)]
-    fn lanes(&self, pts: [&[f64]; 4]) -> [f64; 4] {
-        let x0 = V::gather(&pts, 0);
-        let x1 = V::gather(&pts, 1);
-        // The ripple is sin/sqrt-heavy: packed radius, per-lane ripple.
-        (x0 * x0 + x1 * x1).map(Self::ripple).to_array()
-    }
-    #[inline(always)]
-    fn point(&self, x: &[f64]) -> f64 {
-        self.eval(x)
     }
 }
 
@@ -441,30 +281,8 @@ impl Objective for SchafferF6Nd {
             .map(|w| SchafferF6::ripple(w[0] * w[0] + w[1] * w[1]))
             .sum()
     }
-    fn eval_batch(&self, xs: &[f64], k: usize, out: &mut [f64]) {
-        assert_eq!(k, self.dim);
-        crate::lanes::eval_groups(xs, k, out, self);
-    }
     fn optimum_position(&self) -> Option<Vec<f64>> {
         Some(vec![0.0; self.dim])
-    }
-}
-
-impl crate::lanes::LaneKernel for SchafferF6Nd {
-    #[inline(always)]
-    fn lanes(&self, pts: [&[f64]; 4]) -> [f64; 4] {
-        let k = pts[0].len();
-        let mut acc = V::splat(-0.0);
-        for d in 0..k - 1 {
-            let a = V::gather(&pts, d);
-            let b = V::gather(&pts, d + 1);
-            acc = acc + (a * a + b * b).map(SchafferF6::ripple);
-        }
-        acc.to_array()
-    }
-    #[inline(always)]
-    fn point(&self, x: &[f64]) -> f64 {
-        self.eval(x)
     }
 }
 
@@ -507,32 +325,8 @@ impl Objective for StyblinskiTang {
             .sum();
         raw - STYBLINSKI_MIN_PER_DIM * self.dim as f64
     }
-    fn eval_batch(&self, xs: &[f64], k: usize, out: &mut [f64]) {
-        assert_eq!(k, self.dim);
-        crate::lanes::eval_groups(xs, k, out, self);
-    }
     fn optimum_position(&self) -> Option<Vec<f64>> {
         Some(vec![STYBLINSKI_ARGMIN; self.dim])
-    }
-}
-
-impl crate::lanes::LaneKernel for StyblinskiTang {
-    #[inline(always)]
-    fn lanes(&self, pts: [&[f64]; 4]) -> [f64; 4] {
-        let k = pts[0].len();
-        let offset = STYBLINSKI_MIN_PER_DIM * self.dim as f64;
-        let mut raw = V::splat(-0.0);
-        for d in 0..k {
-            // powi lowers to an intrinsic whose expansion we don't pin;
-            // route the whole polynomial term through `map` so each lane
-            // runs the identical scalar expression.
-            raw = raw + V::gather(&pts, d).map(|v| 0.5 * (v.powi(4) - 16.0 * v * v + 5.0 * v));
-        }
-        (raw - offset).to_array()
-    }
-    #[inline(always)]
-    fn point(&self, x: &[f64]) -> f64 {
-        self.eval(x)
     }
 }
 

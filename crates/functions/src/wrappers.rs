@@ -1,139 +1,6 @@
-//! Objective adapters: evaluation counting, optimum shifting, sub-box
-//! restriction.
+//! Objective adapters: sub-box restriction.
 
 use crate::Objective;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
-
-/// Counts evaluations of the wrapped objective (thread-safe).
-///
-/// The paper's budgets are expressed in function evaluations; the experiment
-/// runner wraps each objective in a `CountingObjective` and reads the counter
-/// to enforce `e` and to report "time" (local evaluations).
-pub struct CountingObjective<F> {
-    inner: F,
-    count: Arc<AtomicU64>,
-}
-
-impl<F: Objective> CountingObjective<F> {
-    /// Wrap `inner`, starting the counter at zero.
-    pub fn new(inner: F) -> Self {
-        CountingObjective {
-            inner,
-            count: Arc::new(AtomicU64::new(0)),
-        }
-    }
-
-    /// A handle that reads the evaluation count.
-    pub fn counter(&self) -> EvalCounter {
-        EvalCounter {
-            count: Arc::clone(&self.count),
-        }
-    }
-
-    /// Evaluations performed so far.
-    pub fn evals(&self) -> u64 {
-        self.count.load(Ordering::Relaxed)
-    }
-
-    /// Access the wrapped objective.
-    pub fn inner(&self) -> &F {
-        &self.inner
-    }
-}
-
-/// Shared read handle onto a [`CountingObjective`]'s counter.
-#[derive(Clone)]
-pub struct EvalCounter {
-    count: Arc<AtomicU64>,
-}
-
-impl EvalCounter {
-    /// Evaluations performed so far.
-    pub fn get(&self) -> u64 {
-        self.count.load(Ordering::Relaxed)
-    }
-}
-
-impl<F: Objective> Objective for CountingObjective<F> {
-    fn name(&self) -> &str {
-        self.inner.name()
-    }
-    fn dim(&self) -> usize {
-        self.inner.dim()
-    }
-    fn bounds(&self, dim: usize) -> (f64, f64) {
-        self.inner.bounds(dim)
-    }
-    fn eval(&self, x: &[f64]) -> f64 {
-        self.count.fetch_add(1, Ordering::Relaxed);
-        self.inner.eval(x)
-    }
-    fn eval_batch(&self, xs: &[f64], k: usize, out: &mut [f64]) {
-        self.count.fetch_add(out.len() as u64, Ordering::Relaxed);
-        self.inner.eval_batch(xs, k, out);
-    }
-    fn optimum_value(&self) -> f64 {
-        self.inner.optimum_value()
-    }
-    fn optimum_position(&self) -> Option<Vec<f64>> {
-        self.inner.optimum_position()
-    }
-}
-
-/// Translates the wrapped objective so its optimum moves to `shift`
-/// (evaluates `inner(x − shift)`). Useful to de-bias solvers that favour the
-/// domain centre.
-pub struct ShiftedObjective<F> {
-    inner: F,
-    shift: Vec<f64>,
-    name: String,
-}
-
-impl<F: Objective> ShiftedObjective<F> {
-    /// Shift `inner`'s landscape by `shift` (same length as `inner.dim()`).
-    pub fn new(inner: F, shift: Vec<f64>) -> Self {
-        assert_eq!(shift.len(), inner.dim(), "shift length must match dim");
-        let name = format!("{}+shift", inner.name());
-        ShiftedObjective { inner, shift, name }
-    }
-}
-
-impl<F: Objective> Objective for ShiftedObjective<F> {
-    fn name(&self) -> &str {
-        &self.name
-    }
-    fn dim(&self) -> usize {
-        self.inner.dim()
-    }
-    fn bounds(&self, dim: usize) -> (f64, f64) {
-        self.inner.bounds(dim)
-    }
-    fn eval(&self, x: &[f64]) -> f64 {
-        debug_assert_eq!(x.len(), self.shift.len());
-        let moved: Vec<f64> = x.iter().zip(&self.shift).map(|(a, s)| a - s).collect();
-        self.inner.eval(&moved)
-    }
-    fn eval_batch(&self, xs: &[f64], k: usize, out: &mut [f64]) {
-        assert_eq!(k, self.shift.len());
-        // Translate the whole batch once, then hand it to the inner batch
-        // path in a single call.
-        let moved: Vec<f64> = xs
-            .iter()
-            .enumerate()
-            .map(|(i, a)| a - self.shift[i % k])
-            .collect();
-        self.inner.eval_batch(&moved, k, out);
-    }
-    fn optimum_value(&self) -> f64 {
-        self.inner.optimum_value()
-    }
-    fn optimum_position(&self) -> Option<Vec<f64>> {
-        self.inner
-            .optimum_position()
-            .map(|p| p.iter().zip(&self.shift).map(|(a, s)| a + s).collect())
-    }
-}
 
 /// Restricts the search domain to a sub-box (used by the search-space
 /// partitioning coordination strategy, where each node owns a zone).
@@ -184,9 +51,6 @@ impl<F: Objective> Objective for RestrictedObjective<F> {
     fn eval(&self, x: &[f64]) -> f64 {
         self.inner.eval(x)
     }
-    fn eval_batch(&self, xs: &[f64], k: usize, out: &mut [f64]) {
-        self.inner.eval_batch(xs, k, out);
-    }
     fn optimum_value(&self) -> f64 {
         self.inner.optimum_value()
     }
@@ -199,45 +63,6 @@ impl<F: Objective> Objective for RestrictedObjective<F> {
 mod tests {
     use super::*;
     use crate::suite::Sphere;
-
-    #[test]
-    fn counting_counts() {
-        let f = CountingObjective::new(Sphere::new(3));
-        let c = f.counter();
-        assert_eq!(c.get(), 0);
-        f.eval(&[1.0, 2.0, 3.0]);
-        f.eval(&[0.0, 0.0, 0.0]);
-        assert_eq!(c.get(), 2);
-        assert_eq!(f.evals(), 2);
-        // quality() goes through eval and is counted too.
-        f.quality(&[1.0, 1.0, 1.0]);
-        assert_eq!(c.get(), 3);
-    }
-
-    #[test]
-    fn counting_preserves_semantics() {
-        let raw = Sphere::new(2);
-        let f = CountingObjective::new(Sphere::new(2));
-        assert_eq!(f.eval(&[3.0, 4.0]), raw.eval(&[3.0, 4.0]));
-        assert_eq!(f.name(), raw.name());
-        assert_eq!(f.dim(), raw.dim());
-        assert_eq!(f.bounds(0), raw.bounds(0));
-    }
-
-    #[test]
-    fn shifted_moves_optimum() {
-        let shift = vec![3.0, -2.0];
-        let f = ShiftedObjective::new(Sphere::new(2), shift.clone());
-        assert_eq!(f.eval(&shift), 0.0);
-        assert!(f.eval(&[0.0, 0.0]) > 0.0);
-        assert_eq!(f.optimum_position().unwrap(), shift);
-    }
-
-    #[test]
-    #[should_panic(expected = "shift length")]
-    fn shifted_rejects_bad_length() {
-        ShiftedObjective::new(Sphere::new(2), vec![1.0]);
-    }
 
     #[test]
     fn restricted_narrows_bounds_only() {

@@ -1,6 +1,6 @@
 //! Property-based tests for the objective suite.
 
-use gossipopt_functions::{by_name, names, Objective, ShiftedObjective, Sphere};
+use gossipopt_functions::{by_name, names, Objective, Sphere};
 use gossipopt_util::{Rng64, Xoshiro256pp};
 use proptest::prelude::*;
 
@@ -39,29 +39,5 @@ proptest! {
         let mut rotated = xs.clone();
         rotated.rotate_left(rot);
         prop_assert!((f.eval(&rotated) - v).abs() < 1e-9);
-    }
-
-    /// Shifting moves the landscape exactly: `shifted(x + s) == f(x)`.
-    #[test]
-    fn shift_translates_landscape(
-        xs in prop::collection::vec(-50.0f64..50.0, 4),
-        shift in prop::collection::vec(-20.0f64..20.0, 4),
-    ) {
-        let base = Sphere::new(4);
-        let shifted = ShiftedObjective::new(Sphere::new(4), shift.clone());
-        let moved: Vec<f64> = xs.iter().zip(&shift).map(|(x, s)| x + s).collect();
-        let a = base.eval(&xs);
-        let b = shifted.eval(&moved);
-        prop_assert!((a - b).abs() < 1e-9 * a.abs().max(1.0), "{a} vs {b}");
-    }
-
-    /// Quality is translation-invariant under the shift wrapper: the
-    /// optimum value (and hence quality at the optimum) is preserved.
-    #[test]
-    fn shift_preserves_optimum(shift in prop::collection::vec(-20.0f64..20.0, 3)) {
-        let shifted = ShiftedObjective::new(Sphere::new(3), shift);
-        let opt = shifted.optimum_position().expect("known optimum");
-        prop_assert!(shifted.eval(&opt).abs() < 1e-18);
-        prop_assert_eq!(shifted.optimum_value(), 0.0);
     }
 }

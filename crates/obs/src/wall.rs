@@ -1,7 +1,7 @@
 //! Wall-clock plane: log2-bucketed latency histograms around hot phases.
 //!
 //! This plane measures *where real time goes* — kernel shard/merge/
-//! dispatch phases, solver steps, objective `eval_batch` calls — and is
+//! dispatch phases, solver steps, objective evaluations — and is
 //! **excluded from every determinism diff**: its numbers depend on the
 //! machine, the scheduler, and the thread count.
 //!
@@ -44,7 +44,8 @@ pub enum Phase {
     EventDispatch,
     /// Solver `step` calls made from `OptNode::on_tick`.
     SolverStep,
-    /// Objective `eval_batch` calls via `solvers::eval_point`.
+    /// Objective evaluations via `solvers::eval_point`, one point each.
+    /// Named `eval_batch` because the benchmark harness reads that name.
     EvalBatch,
 }
 

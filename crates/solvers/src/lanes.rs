@@ -1,15 +1,13 @@
 //! Four-wide lane-group kernels for the solver update hot paths.
 //!
-//! Same discipline as the objective batch kernels in
-//! `gossipopt_functions::lanes`: process **four dimensions per lane
-//! group** ([`gossipopt_util::simd::V`]) with a scalar tail.
-//!
-//! The twist the solver loops add over `eval_batch` is the RNG: the
-//! scalar update loops interleave `rng` draws with arithmetic, which
-//! serializes the whole loop behind the RNG's dependency chain. The lane
-//! kernels split each group into a **pre-draw phase** (the group's RNG
-//! values, drawn in exactly the scalar loop's order) and a packed
-//! arithmetic phase over the four lanes.
+//! Each kernel processes **four dimensions per lane group**
+//! ([`gossipopt_util::simd::V`]) with a scalar tail. The scalar update
+//! loops interleave `rng` draws with arithmetic, which serializes the
+//! whole loop behind the RNG's dependency chain. The lane kernels split
+//! each group into a **pre-draw phase** (the group's RNG values, drawn in
+//! exactly the scalar loop's order) and a packed arithmetic phase over
+//! the four lanes. These are the workspace's only lane kernels:
+//! objectives evaluate one point at a time.
 //!
 //! **Bit-identity contract:** every lane evaluates the scalar loop's
 //! exact FP expressions (same associativity, no FMA), in the scalar
@@ -25,8 +23,8 @@ use gossipopt_util::{Rng64, Xoshiro256pp};
 
 /// Classic (gbest / best-of-neighborhood) PSO velocity + position update
 /// for one particle with no bound policy and a known social attractor —
-/// the innermost kernel of the network tick, shared by
-/// [`crate::Swarm`] and [`crate::ArenaPso`].
+/// the innermost kernel of the network tick, run by the shared PSO
+/// update (`crate::pso`) for [`crate::Swarm`] and [`crate::ArenaPso`].
 ///
 /// Per dimension `d`, replays exactly:
 ///
@@ -179,8 +177,8 @@ mod tests {
     use gossipopt_functions::registry;
 
     /// Verbatim copy of the scalar PSO update loop the lane kernel
-    /// replaced (`ArenaPso::move_particle`'s hot branch / the
-    /// `Swarm::move_particle` gbest expressions).
+    /// replaced (the general branch of the shared PSO update with no
+    /// bound policy).
     #[allow(clippy::too_many_arguments)]
     fn pso_move_reference(
         xs: &mut [f64],

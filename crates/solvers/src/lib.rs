@@ -137,20 +137,17 @@ pub trait Solver: Send {
     }
 }
 
-/// Evaluate a single point through [`Objective::eval_batch`].
+/// Evaluate a single point: [`Objective::eval`] between the wall-clock
+/// span pair of [`gossipopt_obs::wall::Phase::EvalBatch`].
 ///
-/// All solver evaluation sites route through this helper so every
-/// evaluation — single or batched — flows through the same batch entry
-/// point of the objective. The suite functions implement `eval_batch`
-/// with the exact per-point arithmetic of `eval`, so values are
-/// bit-identical to calling `eval` directly.
+/// All solver evaluation sites route through this helper, so every
+/// evaluation is timed in one place.
 #[inline]
 pub fn eval_point(f: &dyn Objective, x: &[f64]) -> f64 {
     let span = gossipopt_obs::wall::start();
-    let mut out = [0.0f64];
-    f.eval_batch(x, x.len(), &mut out);
+    let v = f.eval(x);
     gossipopt_obs::wall::finish(gossipopt_obs::wall::Phase::EvalBatch, span);
-    out[0]
+    v
 }
 
 /// Uniform random position inside `f`'s box domain.

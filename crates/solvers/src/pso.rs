@@ -145,67 +145,62 @@ impl PsoParams {
             influence: Influence::FullyInformed,
         }
     }
+
+    /// Can a swarm of `size` particles run these parameters? It needs at
+    /// least one particle, and constriction needs `c1 + c2 > 4`. The error
+    /// is the message [`Swarm::new`] panics with.
+    pub fn check(&self, size: usize) -> Result<(), &'static str> {
+        let phi = self.c1 + self.c2;
+        if size == 0 {
+            Err("swarm needs at least one particle")
+        } else if self.inertia == Inertia::Constriction && (phi.is_nan() || phi <= 4.0) {
+            Err("constriction requires c1 + c2 > 4")
+        } else {
+            Ok(())
+        }
+    }
 }
 
-/// A particle swarm implementing [`Solver`] (one evaluation per step).
-///
-/// ## Hot-path layout
-///
-/// Particle state is stored **structure-of-arrays**: positions,
-/// velocities and personal bests live in flat `Vec<f64>` buffers with
-/// stride `dim`, so the velocity/position update is one tight loop over
-/// contiguous memory and a step performs no heap allocation (the former
-/// per-particle `Vec<f64>` layout allocated a social-best snapshot and a
-/// `BestPoint` candidate on every single evaluation). The update rule,
-/// iteration order and RNG draws are unchanged, so trajectories are
-/// bit-identical to the per-particle implementation.
+/// Borrowed view of one swarm's particle columns: [`Swarm`]'s own
+/// buffers, or an [`crate::ArenaPso`]'s row of the shared arena. The
+/// `f64` columns hold `particles × dim` values, particle-major.
+pub(crate) struct Row<'a> {
+    /// Problem dimensionality (the stride of the `f64` columns).
+    pub(crate) dim: usize,
+    /// Positions.
+    pub(crate) x: &'a mut [f64],
+    /// Velocities.
+    pub(crate) v: &'a mut [f64],
+    /// Personal-best positions.
+    pub(crate) pbest_x: &'a mut [f64],
+    /// Personal-best values, one per particle.
+    pub(crate) pbest_f: &'a mut [f64],
+    /// Evaluated-at-least-once flags, one per particle.
+    pub(crate) evaluated: &'a mut [bool],
+}
+
+/// The PSO update rule shared by [`Swarm`] and [`crate::ArenaPso`]: the
+/// parameters and the constants they fix — χ and `w` at construction,
+/// the per-dimension bounds and velocity clamp once a domain is set.
 #[derive(Debug, Clone)]
-pub struct Swarm {
-    params: PsoParams,
-    size: usize,
-    /// Problem dimensionality (the SoA stride); fixed at initialization.
-    dim: usize,
-    /// Positions, `size × dim`, particle-major.
-    x: Vec<f64>,
-    /// Velocities, `size × dim`, particle-major.
-    v: Vec<f64>,
-    /// Personal-best positions, `size × dim`, particle-major.
-    pbest_x: Vec<f64>,
-    /// Personal-best values.
-    pbest_f: Vec<f64>,
-    /// Whether the particle has been evaluated at least once.
-    evaluated: Vec<bool>,
-    /// The swarm optimum `g` (possibly injected from remote swarms).
-    swarm_best: Option<BestPoint>,
-    /// Adjacency for lbest topologies (empty for gbest).
-    neighbors: Vec<Vec<usize>>,
-    /// FIPS informant scratch, reused across steps.
-    informant_buf: Vec<usize>,
-    /// Cached per-dimension domain bounds (from the objective at init).
-    bounds_lo: Vec<f64>,
-    bounds_hi: Vec<f64>,
-    /// Cached per-dimension velocity clamp `vmax_frac · (hi − lo)`.
-    vmax: Vec<f64>,
-    /// Cached constriction factor χ (params are immutable after
-    /// construction, so the per-move `sqrt` is hoisted here).
+pub(crate) struct Update {
+    pub(crate) params: PsoParams,
+    /// Constriction factor χ (hoisted out of every move).
     chi: f64,
-    /// Cached inertia weight `w`.
+    /// Inertia weight `w`.
     w: f64,
-    cursor: usize,
-    evals: u64,
-    initialized: bool,
+    lo: Vec<f64>,
+    hi: Vec<f64>,
+    /// `vmax_frac · (hi − lo)` per dimension.
+    vmax: Vec<f64>,
 }
 
-impl Swarm {
-    /// A swarm of `size` particles. Particles are lazily initialized on the
-    /// first [`Solver::step`] so that construction needs no RNG/objective.
-    pub fn new(size: usize, params: PsoParams) -> Self {
-        assert!(size >= 1, "swarm needs at least one particle");
-        if let Inertia::Constriction = params.inertia {
-            assert!(
-                params.c1 + params.c2 > 4.0,
-                "constriction requires c1 + c2 > 4"
-            );
+impl Update {
+    /// The rule for a swarm of `size` particles; panics with
+    /// [`PsoParams::check`]'s message when it fails.
+    pub(crate) fn new(size: usize, params: PsoParams) -> Self {
+        if let Err(e) = params.check(size) {
+            panic!("{e}");
         }
         let chi = match params.inertia {
             Inertia::Vanilla | Inertia::Constant(_) => 1.0,
@@ -218,26 +213,314 @@ impl Swarm {
             Inertia::Constant(w) => w,
             _ => 1.0,
         };
-        Swarm {
+        Update {
             params,
+            chi,
+            w,
+            lo: Vec::new(),
+            hi: Vec::new(),
+            vmax: Vec::new(),
+        }
+    }
+
+    /// Cache `f`'s per-dimension bounds and velocity clamp.
+    pub(crate) fn set_domain(&mut self, f: &dyn Objective) {
+        self.lo.clear();
+        self.hi.clear();
+        self.vmax.clear();
+        for d in 0..f.dim() {
+            let (lo, hi) = f.bounds(d);
+            self.lo.push(lo);
+            self.hi.push(hi);
+            self.vmax.push(self.params.vmax_frac * (hi - lo));
+        }
+    }
+
+    /// Dimensionality of the cached domain (0 before [`Update::set_domain`]).
+    pub(crate) fn dim(&self) -> usize {
+        self.vmax.len()
+    }
+
+    /// Draw a fresh swarm into `row`: for each particle, every position
+    /// coordinate, then every velocity component; personal bests start at
+    /// the positions with value `+inf`, no particle evaluated.
+    pub(crate) fn init(&self, row: &mut Row<'_>, rng: &mut Xoshiro256pp) {
+        let k = row.dim;
+        for p in 0..row.pbest_f.len() {
+            let at = p * k;
+            for d in 0..k {
+                row.x[at + d] = rng.range_f64(self.lo[d], self.hi[d]);
+            }
+            for d in 0..k {
+                let vmax = self.vmax[d];
+                row.v[at + d] = rng.range_f64(-vmax, vmax);
+            }
+        }
+        row.pbest_x.copy_from_slice(row.x);
+        row.pbest_f.fill(f64::INFINITY);
+        row.evaluated.fill(false);
+    }
+
+    /// Classic (best-of-neighbourhood) move of one particle: `x`, `v` and
+    /// `pb` are its position, velocity and personal best, `social` its
+    /// attractor if one is known. With no bound policy and a known
+    /// attractor — the default distributed-PSO configuration and the
+    /// innermost kernel of the network tick — the update runs through the
+    /// 4-wide lane kernel (see [`crate::lanes`]); the general loop draws
+    /// the same randoms in the same order.
+    #[inline]
+    pub(crate) fn classic_move(
+        &self,
+        x: &mut [f64],
+        v: &mut [f64],
+        pb: &[f64],
+        social: Option<&[f64]>,
+        rng: &mut Xoshiro256pp,
+    ) {
+        let (c1, c2) = (self.params.c1, self.params.c2);
+        let k = x.len();
+        if self.params.bounds == BoundPolicy::None {
+            if let Some(g) = social.filter(|g| g.len() == k) {
+                crate::lanes::pso_move_lanes(
+                    x,
+                    v,
+                    pb,
+                    g,
+                    &self.vmax[..k],
+                    c1,
+                    c2,
+                    self.chi,
+                    self.w,
+                    rng,
+                );
+                return;
+            }
+        }
+        for d in 0..k {
+            let xd = x[d];
+            // The attraction sums first, then joins the inertia term.
+            let cognitive = c1 * rng.next_f64() * (pb[d] - xd);
+            let social_term = match social {
+                Some(g) => c2 * rng.next_f64() * (g[d] - xd),
+                None => 0.0,
+            };
+            self.advance(d, &mut x[d], &mut v[d], cognitive + social_term);
+        }
+    }
+
+    /// Move coordinate `d` under `attraction`: the velocity update clamped
+    /// to `±vmax`, the position step, then the bound policy.
+    #[inline(always)]
+    pub(crate) fn advance(&self, d: usize, x: &mut f64, v: &mut f64, attraction: f64) {
+        let vmax = self.vmax[d];
+        let vel = (self.chi * (self.w * *v + attraction)).clamp(-vmax, vmax);
+        *v = vel;
+        *x += vel;
+        let (lo, hi) = (self.lo[d], self.hi[d]);
+        match self.params.bounds {
+            BoundPolicy::None => {}
+            BoundPolicy::Clamp => {
+                if *x < lo {
+                    *x = lo;
+                    *v = 0.0;
+                } else if *x > hi {
+                    *x = hi;
+                    *v = 0.0;
+                }
+            }
+            BoundPolicy::Reflect => {
+                if *x < lo {
+                    *x = lo + (lo - *x);
+                    *v = -*v;
+                } else if *x > hi {
+                    *x = hi - (*x - hi);
+                    *v = -*v;
+                }
+                // A huge overshoot can still escape after one fold;
+                // clamp as a backstop.
+                *x = x.clamp(lo, hi);
+            }
+        }
+    }
+}
+
+/// Per-swarm bookkeeping shared by [`Swarm`] and [`crate::ArenaPso`]: the
+/// swarm optimum `g`, the round-robin cursor and the evaluation count.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Progress {
+    /// The swarm optimum `g` (possibly injected from remote swarms).
+    pub(crate) best: Option<BestPoint>,
+    cursor: usize,
+    pub(crate) evals: u64,
+    /// Whether the particles have been drawn.
+    pub(crate) initialized: bool,
+}
+
+impl Progress {
+    /// The particle to step next; advances the cursor over `size`
+    /// particles (a compare instead of a divide per step).
+    #[inline]
+    pub(crate) fn next(&mut self, size: usize) -> usize {
+        let i = self.cursor;
+        self.cursor += 1;
+        if self.cursor == size {
+            self.cursor = 0;
+        }
+        i
+    }
+
+    /// The particle the next step will visit.
+    pub(crate) fn cursor(&self) -> usize {
+        self.cursor
+    }
+
+    /// Evaluate particle `i` and fold the value into its personal best and
+    /// `g`. Paper §3.3.2: the swarm optimum is re-selected after each
+    /// evaluation; the update reuses `g`'s allocation.
+    #[inline]
+    pub(crate) fn evaluate(&mut self, row: &mut Row<'_>, i: usize, f: &dyn Objective) {
+        let k = row.dim;
+        let at = i * k;
+        let value = crate::eval_point(f, &row.x[at..at + k]);
+        self.evals += 1;
+        row.evaluated[i] = true;
+        if value < row.pbest_f[i] {
+            row.pbest_f[i] = value;
+            row.pbest_x[at..at + k].copy_from_slice(&row.x[at..at + k]);
+        }
+        let (pb, pf) = (&row.pbest_x[at..at + k], row.pbest_f[i]);
+        match &mut self.best {
+            Some(b) if pf < b.f => {
+                if b.x.len() == k {
+                    b.x.copy_from_slice(pb);
+                } else {
+                    b.x = pb.to_vec();
+                }
+                b.f = pf;
+            }
+            Some(_) => {}
+            none => {
+                *none = Some(BestPoint {
+                    x: pb.to_vec(),
+                    f: pf,
+                });
+            }
+        }
+    }
+
+    /// [`Solver::tell_best`]: adopt `point` as `g` if it is better.
+    pub(crate) fn tell_best(&mut self, point: BestPoint) {
+        if self.best.as_ref().is_none_or(|b| point.f < b.f) {
+            self.best = Some(point);
+        }
+    }
+
+    /// [`Solver::tell_best_slice`]: as [`Progress::tell_best`], reusing
+    /// `g`'s allocation (gossiped optima arrive on every coordination
+    /// exchange).
+    pub(crate) fn tell_best_slice(&mut self, x: &[f64], f: f64) {
+        match &mut self.best {
+            Some(b) if f < b.f => {
+                b.x.clear();
+                b.x.extend_from_slice(x);
+                b.f = f;
+            }
+            Some(_) => {}
+            none => {
+                *none = Some(BestPoint { x: x.to_vec(), f });
+            }
+        }
+    }
+
+    /// Emigrate a uniformly random evaluated particle's personal best,
+    /// preserving swarm diversity (the swarm optimum would make every
+    /// island identical); `g` while no particle is evaluated.
+    pub(crate) fn emigrate(&self, row: &Row<'_>, rng: &mut Xoshiro256pp) -> Option<BestPoint> {
+        let evaluated: Vec<usize> = (0..row.pbest_f.len())
+            .filter(|&i| self.initialized && row.evaluated[i])
+            .collect();
+        if evaluated.is_empty() {
+            return self.best.clone();
+        }
+        let i = evaluated[rng.index(evaluated.len())];
+        let at = i * row.dim;
+        Some(BestPoint {
+            x: row.pbest_x[at..at + row.dim].to_vec(),
+            f: row.pbest_f[i],
+        })
+    }
+
+    /// The immigrant replaces the worst particle: it restarts there with
+    /// zero velocity and the received personal best, actively joining the
+    /// swarm rather than only moving `g`.
+    pub(crate) fn immigrate(&mut self, row: &mut Row<'_>, point: BestPoint) {
+        if self.initialized && point.x.len() == row.dim {
+            let worst = (0..row.pbest_f.len())
+                .max_by(|&a, &b| row.pbest_f[a].total_cmp(&row.pbest_f[b]))
+                .expect("non-empty swarm");
+            if point.f < row.pbest_f[worst] {
+                let k = row.dim;
+                let at = worst * k;
+                row.x[at..at + k].copy_from_slice(&point.x);
+                row.v[at..at + k].fill(0.0);
+                row.pbest_x[at..at + k].copy_from_slice(&point.x);
+                row.pbest_f[worst] = point.f;
+                row.evaluated[worst] = true;
+            }
+        }
+        self.tell_best(point);
+    }
+}
+
+/// A particle swarm implementing [`Solver`] (one evaluation per step).
+///
+/// ## Hot-path layout
+///
+/// Particle state is stored **structure-of-arrays**: positions,
+/// velocities and personal bests live in flat `Vec<f64>` buffers with
+/// stride `dim`, so the velocity/position update is one tight loop over
+/// contiguous memory and a step performs no heap allocation. The update
+/// rule and bookkeeping are the ones [`crate::ArenaPso`] runs over its
+/// arena row; this type adds the lbest neighbourhoods and FIPS.
+#[derive(Debug, Clone)]
+pub struct Swarm {
+    size: usize,
+    update: Update,
+    progress: Progress,
+    /// Positions, `size × dim`, particle-major.
+    x: Vec<f64>,
+    /// Velocities, `size × dim`, particle-major.
+    v: Vec<f64>,
+    /// Personal-best positions, `size × dim`, particle-major.
+    pbest_x: Vec<f64>,
+    /// Personal-best values.
+    pbest_f: Vec<f64>,
+    /// Whether the particle has been evaluated at least once.
+    evaluated: Vec<bool>,
+    /// Adjacency for lbest topologies (empty for gbest).
+    neighbors: Vec<Vec<usize>>,
+    /// FIPS informant scratch, reused across steps.
+    informant_buf: Vec<usize>,
+}
+
+impl Swarm {
+    /// A swarm of `size` particles. Particles are lazily initialized on the
+    /// first [`Solver::step`] so that construction needs no RNG/objective.
+    ///
+    /// Panics when [`PsoParams::check`] fails: `size == 0`, or
+    /// constriction with `c1 + c2 <= 4`.
+    pub fn new(size: usize, params: PsoParams) -> Self {
+        Swarm {
             size,
-            dim: 0,
+            update: Update::new(size, params),
+            progress: Progress::default(),
             x: Vec::new(),
             v: Vec::new(),
             pbest_x: Vec::new(),
             pbest_f: Vec::new(),
             evaluated: Vec::new(),
-            swarm_best: None,
             neighbors: Vec::new(),
             informant_buf: Vec::new(),
-            bounds_lo: Vec::new(),
-            bounds_hi: Vec::new(),
-            vmax: Vec::new(),
-            chi,
-            w,
-            cursor: 0,
-            evals: 0,
-            initialized: false,
         }
     }
 
@@ -248,32 +531,32 @@ impl Swarm {
 
     /// The parameters in use.
     pub fn params(&self) -> &PsoParams {
-        &self.params
+        &self.update.params
     }
 
     /// Problem dimensionality the swarm was initialized with (0 before the
     /// first step).
     pub fn dim(&self) -> usize {
-        self.dim
+        self.update.dim()
     }
 
     /// Particle `i`'s current position (panics before initialization).
     pub fn position(&self, i: usize) -> &[f64] {
-        &self.x[i * self.dim..(i + 1) * self.dim]
+        let k = self.dim();
+        &self.x[i * k..(i + 1) * k]
     }
 
     /// Particle `i`'s current velocity (panics before initialization).
     pub fn velocity(&self, i: usize) -> &[f64] {
-        &self.v[i * self.dim..(i + 1) * self.dim]
+        let k = self.dim();
+        &self.v[i * k..(i + 1) * k]
     }
 
     /// Particle `i`'s personal best `(position, value)`; the value is
     /// `+inf` until the particle's first evaluation.
     pub fn pbest(&self, i: usize) -> (&[f64], f64) {
-        (
-            &self.pbest_x[i * self.dim..(i + 1) * self.dim],
-            self.pbest_f[i],
-        )
+        let k = self.dim();
+        (&self.pbest_x[i * k..(i + 1) * k], self.pbest_f[i])
     }
 
     /// Whether particle `i` has been evaluated at least once.
@@ -281,43 +564,35 @@ impl Swarm {
         self.evaluated[i]
     }
 
+    /// The particle columns as a [`Row`], with the update rule and the
+    /// bookkeeping.
+    fn parts(&mut self) -> (Row<'_>, &Update, &mut Progress) {
+        let row = Row {
+            dim: self.update.dim(),
+            x: &mut self.x,
+            v: &mut self.v,
+            pbest_x: &mut self.pbest_x,
+            pbest_f: &mut self.pbest_f,
+            evaluated: &mut self.evaluated,
+        };
+        (row, &self.update, &mut self.progress)
+    }
+
     fn initialize(&mut self, f: &dyn Objective, rng: &mut Xoshiro256pp) {
-        let k = f.dim();
-        self.dim = k;
-        self.bounds_lo.clear();
-        self.bounds_hi.clear();
-        self.vmax.clear();
-        for d in 0..k {
-            let (lo, hi) = f.bounds(d);
-            self.bounds_lo.push(lo);
-            self.bounds_hi.push(hi);
-            self.vmax.push(self.params.vmax_frac * (hi - lo));
-        }
-        self.x.clear();
-        self.v.clear();
-        // Draw order matches the per-particle layout this replaces: for
-        // each particle, all position coordinates, then all velocities.
-        for _ in 0..self.size {
-            for d in 0..k {
-                self.x
-                    .push(rng.range_f64(self.bounds_lo[d], self.bounds_hi[d]));
-            }
-            for d in 0..k {
-                let vmax = self.vmax[d];
-                self.v.push(rng.range_f64(-vmax, vmax));
-            }
-        }
-        self.pbest_x.clear();
-        self.pbest_x.extend_from_slice(&self.x);
-        self.pbest_f.clear();
-        self.pbest_f.resize(self.size, f64::INFINITY);
-        self.evaluated.clear();
-        self.evaluated.resize(self.size, false);
-        self.neighbors = match self.params.topology {
+        self.update.set_domain(f);
+        let (n, k) = (self.size, f.dim());
+        self.x.resize(n * k, 0.0);
+        self.v.resize(n * k, 0.0);
+        self.pbest_x.resize(n * k, 0.0);
+        self.pbest_f.resize(n, f64::INFINITY);
+        self.evaluated.resize(n, false);
+        let (mut row, update, progress) = self.parts();
+        update.init(&mut row, rng);
+        progress.initialized = true;
+        self.neighbors = match self.params().topology {
             Topology::Gbest => Vec::new(),
             Topology::VonNeumann => {
                 // Near-square torus: cols = ceil(sqrt(n)), rows to cover.
-                let n = self.size;
                 let cols = (n as f64).sqrt().ceil() as usize;
                 let rows = n.div_ceil(cols);
                 (0..n)
@@ -339,12 +614,12 @@ impl Swarm {
                     })
                     .collect()
             }
-            Topology::Ring(k) => (0..self.size)
+            Topology::Ring(k) => (0..n)
                 .map(|i| {
                     let mut nbrs = Vec::with_capacity(2 * k);
                     for off in 1..=k {
-                        nbrs.push((i + off) % self.size);
-                        nbrs.push((i + self.size - off % self.size) % self.size);
+                        nbrs.push((i + off) % n);
+                        nbrs.push((i + n - off % n) % n);
                     }
                     nbrs.sort_unstable();
                     nbrs.dedup();
@@ -352,237 +627,118 @@ impl Swarm {
                     nbrs
                 })
                 .collect(),
-            Topology::Random(k) => (0..self.size)
+            Topology::Random(k) => (0..n)
                 .map(|i| {
-                    let others: Vec<usize> = (0..self.size).filter(|&j| j != i).collect();
-                    let mut o = others;
+                    let mut o: Vec<usize> = (0..n).filter(|&j| j != i).collect();
                     rng.shuffle(&mut o);
-                    o.truncate(k.min(self.size.saturating_sub(1)));
+                    o.truncate(k.min(n.saturating_sub(1)));
                     o
                 })
                 .collect(),
         };
-        self.initialized = true;
     }
 
     fn move_particle(&mut self, i: usize, rng: &mut Xoshiro256pp) {
-        let (c1, c2) = (self.params.c1, self.params.c2);
-        let k = self.dim;
-        let (chi, w) = (self.chi, self.w);
-        let phi_total = c1 + c2;
-
-        // FIPS informants (neighborhood plus self under lbest, the whole
-        // swarm under gbest), filtered to evaluated particles — collected
-        // into a reusable scratch buffer (untouched on the classic path).
-        let fips = self.params.influence == Influence::FullyInformed;
-        let mut informants = if fips {
-            std::mem::take(&mut self.informant_buf)
-        } else {
-            Vec::new()
-        };
-        if fips {
-            informants.clear();
-            match self.params.topology {
-                Topology::Gbest => {
-                    informants.extend((0..self.size).filter(|&j| self.evaluated[j]));
-                }
+        let k = self.dim();
+        let at = i * k;
+        let params = self.update.params;
+        if params.influence == Influence::BestOfNeighborhood {
+            // Social attractor: the swarm optimum under gbest, the best
+            // evaluated pbest in the neighborhood (own pbest included)
+            // under lbest topologies.
+            let social: Option<&[f64]> = match params.topology {
+                Topology::Gbest => self.progress.best.as_ref().map(|b| b.x.as_slice()),
                 Topology::Ring(_) | Topology::VonNeumann | Topology::Random(_) => {
-                    informants.extend(
-                        self.neighbors[i]
-                            .iter()
-                            .copied()
-                            .chain(std::iter::once(i))
-                            .filter(|&j| self.evaluated[j]),
-                    );
-                }
-            }
-        }
-
-        // Split borrows: the social attractor and informant pbests borrow
-        // `pbest_x`/`swarm_best` immutably while `x`/`v` are mutated —
-        // disjoint SoA buffers, so no snapshot clones are needed.
-        let x = &mut self.x;
-        let v = &mut self.v;
-        let pbest_x = &self.pbest_x;
-        let pbest_f = &self.pbest_f;
-        let evaluated = &self.evaluated;
-
-        // Social attractor for the classic update: the swarm optimum under
-        // gbest, the best evaluated pbest in the neighborhood (own pbest
-        // included) under lbest topologies.
-        let social: Option<&[f64]> = match self.params.topology {
-            Topology::Gbest => self.swarm_best.as_ref().map(|b| b.x.as_slice()),
-            Topology::Ring(_) | Topology::VonNeumann | Topology::Random(_) => {
-                let mut best: Option<(usize, f64)> = None;
-                if evaluated[i] {
-                    best = Some((i, pbest_f[i]));
-                }
-                for &j in &self.neighbors[i] {
-                    if evaluated[j] && best.is_none_or(|(_, bf)| pbest_f[j] < bf) {
-                        best = Some((j, pbest_f[j]));
+                    let (pbest_f, evaluated) = (&self.pbest_f, &self.evaluated);
+                    let mut best: Option<(usize, f64)> = None;
+                    if evaluated[i] {
+                        best = Some((i, pbest_f[i]));
                     }
-                }
-                best.map(|(j, _)| &pbest_x[j * k..(j + 1) * k])
-            }
-        };
-
-        let row = i * k;
-        // Hot specialization mirroring `ArenaPso`'s: classic influence, no
-        // bound policy and a known social attractor — the default
-        // distributed-PSO configuration. Same FP expressions and RNG draw
-        // order as the general loop below, run through the 4-wide lane
-        // kernel (see [`crate::lanes`]) so the per-dimension chains
-        // vectorize.
-        if self.params.influence == Influence::BestOfNeighborhood
-            && self.params.bounds == BoundPolicy::None
-        {
-            if let Some(g) = social.filter(|g| g.len() == k) {
-                let xs = &mut x[row..row + k];
-                let vs = &mut v[row..row + k];
-                let pb = &pbest_x[row..row + k];
-                crate::lanes::pso_move_lanes(xs, vs, pb, g, &self.vmax[..k], c1, c2, chi, w, rng);
-                return;
-            }
-        }
-        for d in 0..k {
-            let (lo, hi) = (self.bounds_lo[d], self.bounds_hi[d]);
-            let vmax = self.vmax[d];
-            let xd = x[row + d];
-            let attraction = match self.params.influence {
-                Influence::BestOfNeighborhood => {
-                    let cognitive = c1 * rng.next_f64() * (pbest_x[row + d] - xd);
-                    let social_term = match social {
-                        Some(g) => c2 * rng.next_f64() * (g[d] - xd),
-                        None => 0.0,
-                    };
-                    cognitive + social_term
-                }
-                Influence::FullyInformed => {
-                    if informants.is_empty() {
-                        0.0
-                    } else {
-                        let share = phi_total / informants.len() as f64;
-                        informants
-                            .iter()
-                            .map(|&j| share * rng.next_f64() * (pbest_x[j * k + d] - xd))
-                            .sum()
+                    for &j in &self.neighbors[i] {
+                        if evaluated[j] && best.is_none_or(|(_, bf)| pbest_f[j] < bf) {
+                            best = Some((j, pbest_f[j]));
+                        }
                     }
+                    best.map(|(j, _)| &self.pbest_x[j * k..(j + 1) * k])
                 }
             };
-            let mut vel = chi * (w * v[row + d] + attraction);
-            vel = vel.clamp(-vmax, vmax);
-            v[row + d] = vel;
-            x[row + d] += vel;
-            match self.params.bounds {
-                BoundPolicy::None => {}
-                BoundPolicy::Clamp => {
-                    if x[row + d] < lo {
-                        x[row + d] = lo;
-                        v[row + d] = 0.0;
-                    } else if x[row + d] > hi {
-                        x[row + d] = hi;
-                        v[row + d] = 0.0;
-                    }
-                }
-                BoundPolicy::Reflect => {
-                    if x[row + d] < lo {
-                        x[row + d] = lo + (lo - x[row + d]);
-                        v[row + d] = -v[row + d];
-                    } else if x[row + d] > hi {
-                        x[row + d] = hi - (x[row + d] - hi);
-                        v[row + d] = -v[row + d];
-                    }
-                    // A huge overshoot can still escape after one fold;
-                    // clamp as a backstop.
-                    x[row + d] = x[row + d].clamp(lo, hi);
-                }
-            }
+            self.update.classic_move(
+                &mut self.x[at..at + k],
+                &mut self.v[at..at + k],
+                &self.pbest_x[at..at + k],
+                social,
+                rng,
+            );
+            return;
         }
-        if fips {
-            informants.clear();
-            self.informant_buf = informants;
-        }
-    }
 
-    fn evaluate(&mut self, i: usize, f: &dyn Objective) {
-        let k = self.dim;
-        let row = i * k;
-        let value = crate::eval_point(f, &self.x[row..row + k]);
-        self.evals += 1;
-        self.evaluated[i] = true;
-        if value < self.pbest_f[i] {
-            self.pbest_f[i] = value;
-            self.pbest_x[row..row + k].copy_from_slice(&self.x[row..row + k]);
-        }
-        // Paper §3.3.2: select the best local optimum as the swarm optimum
-        // after each evaluation. The update reuses the existing allocation
-        // instead of building a candidate `BestPoint` per evaluation.
-        let pf = self.pbest_f[i];
-        match &mut self.swarm_best {
-            Some(b) if pf < b.f => {
-                if b.x.len() == k {
-                    b.x.copy_from_slice(&self.pbest_x[row..row + k]);
-                } else {
-                    b.x = self.pbest_x[row..row + k].to_vec();
-                }
-                b.f = pf;
+        // FIPS: every informant (neighborhood plus self under lbest, the
+        // whole swarm under gbest), filtered to evaluated particles,
+        // contributes `φ·r·(p_k − x)/|N|`.
+        let mut informants = std::mem::take(&mut self.informant_buf);
+        informants.clear();
+        match params.topology {
+            Topology::Gbest => {
+                informants.extend((0..self.size).filter(|&j| self.evaluated[j]));
             }
-            Some(_) => {}
-            none => {
-                *none = Some(BestPoint {
-                    x: self.pbest_x[row..row + k].to_vec(),
-                    f: pf,
-                });
+            Topology::Ring(_) | Topology::VonNeumann | Topology::Random(_) => {
+                informants.extend(
+                    self.neighbors[i]
+                        .iter()
+                        .copied()
+                        .chain(std::iter::once(i))
+                        .filter(|&j| self.evaluated[j]),
+                );
             }
         }
+        let phi_total = params.c1 + params.c2;
+        let (x, v) = (&mut self.x[at..at + k], &mut self.v[at..at + k]);
+        for d in 0..k {
+            let xd = x[d];
+            let attraction = if informants.is_empty() {
+                0.0
+            } else {
+                let share = phi_total / informants.len() as f64;
+                informants
+                    .iter()
+                    .map(|&j| share * rng.next_f64() * (self.pbest_x[j * k + d] - xd))
+                    .sum()
+            };
+            self.update.advance(d, &mut x[d], &mut v[d], attraction);
+        }
+        informants.clear();
+        self.informant_buf = informants;
     }
 }
 
 impl Solver for Swarm {
     fn step(&mut self, f: &dyn Objective, rng: &mut Xoshiro256pp) {
-        if !self.initialized {
+        if !self.progress.initialized {
             self.initialize(f, rng);
         }
-        let i = self.cursor;
-        // Equivalent to `(cursor + 1) % size` (cursor < size always) minus
-        // the hardware divide in every step.
-        self.cursor += 1;
-        if self.cursor == self.size {
-            self.cursor = 0;
-        }
+        let i = self.progress.next(self.size);
         if self.evaluated[i] {
             self.move_particle(i, rng);
         }
         // First visit evaluates the random initial position as-is.
-        self.evaluate(i, f);
+        let (mut row, _, progress) = self.parts();
+        progress.evaluate(&mut row, i, f);
     }
 
     fn best(&self) -> Option<&BestPoint> {
-        self.swarm_best.as_ref()
+        self.progress.best.as_ref()
     }
 
     fn tell_best(&mut self, point: BestPoint) {
-        if self.swarm_best.as_ref().is_none_or(|b| point.f < b.f) {
-            self.swarm_best = Some(point);
-        }
+        self.progress.tell_best(point);
     }
 
     fn tell_best_slice(&mut self, x: &[f64], f: f64) {
-        match &mut self.swarm_best {
-            Some(b) if f < b.f => {
-                b.x.clear();
-                b.x.extend_from_slice(x);
-                b.f = f;
-            }
-            Some(_) => {}
-            none => {
-                *none = Some(BestPoint { x: x.to_vec(), f });
-            }
-        }
+        self.progress.tell_best_slice(x, f);
     }
 
     fn evals(&self) -> u64 {
-        self.evals
+        self.progress.evals
     }
 
     fn name(&self) -> &str {
@@ -593,39 +749,16 @@ impl Solver for Swarm {
     /// swarm diversity (the swarm optimum would make every island
     /// identical).
     fn emigrate(&mut self, rng: &mut Xoshiro256pp) -> Option<BestPoint> {
-        let evaluated: Vec<usize> = (0..self.size)
-            .filter(|&i| self.initialized && self.evaluated[i])
-            .collect();
-        if evaluated.is_empty() {
-            return self.swarm_best.clone();
-        }
-        let i = evaluated[rng.index(evaluated.len())];
-        let (px, pf) = self.pbest(i);
-        Some(BestPoint {
-            x: px.to_vec(),
-            f: pf,
-        })
+        let (row, _, progress) = self.parts();
+        progress.emigrate(&row, rng)
     }
 
     /// The immigrant replaces the worst particle: it restarts there with
     /// zero velocity and the received personal best, actively joining the
     /// swarm rather than only moving the shared optimum `g`.
     fn immigrate(&mut self, point: BestPoint, _rng: &mut Xoshiro256pp) {
-        if self.initialized && point.x.len() == self.dim {
-            let worst = (0..self.size)
-                .max_by(|&a, &b| self.pbest_f[a].total_cmp(&self.pbest_f[b]))
-                .expect("non-empty swarm");
-            if point.f < self.pbest_f[worst] {
-                let k = self.dim;
-                let row = worst * k;
-                self.x[row..row + k].copy_from_slice(&point.x);
-                self.v[row..row + k].fill(0.0);
-                self.pbest_x[row..row + k].copy_from_slice(&point.x);
-                self.pbest_f[worst] = point.f;
-                self.evaluated[worst] = true;
-            }
-        }
-        self.tell_best(point);
+        let (mut row, _, progress) = self.parts();
+        progress.immigrate(&mut row, point);
     }
 }
 

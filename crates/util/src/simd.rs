@@ -1,32 +1,27 @@
-//! One explicit 4-wide f64 lane type for the objective and solver kernels.
+//! One explicit 4-wide f64 lane type for the solver update kernels.
 //!
-//! The objective lane kernels (`gossipopt_functions`) and the solver update
-//! kernels (`gossipopt_solvers`) process particles in groups of four. [`V`]
-//! is the one pack they are written against: a 32-byte-aligned `[f64; 4]`
-//! with ordinary operators, every operation applied per lane. **No FMA is
-//! used anywhere**, so every packed operation performs the same single
-//! IEEE-754 rounding as its scalar counterpart and a lane kernel that
-//! replays the scalar kernel's op order is bit-identical to it.
+//! The solver update kernels (`gossipopt_solvers`' `lanes` module) process
+//! four dimensions per group. [`V`] is the pack they are written against:
+//! a 32-byte-aligned `[f64; 4]` with ordinary operators, every operation
+//! applied per lane. **No FMA is used anywhere**, so every packed
+//! operation performs the same single IEEE-754 rounding as its scalar
+//! counterpart and a lane kernel that replays the scalar loop's op order
+//! is bit-identical to it.
 //!
 //! There is exactly one implementation and nothing to select; why is
-//! recorded in ARCHITECTURE.md, "Lane kernels".
+//! recorded in ARCHITECTURE.md, "Lane kernels". Objectives have no lane
+//! form: they evaluate one point at a time.
 //!
 //! ## Pinned semantics
 //!
-//! * `min(a, b)` is `if a < b { a } else { b }` (NaN or equal operands
-//!   return `b`). Likewise `max` with `>`. These are *not* IEEE `minNum`;
-//!   committed fingerprints depend on this select.
 //! * `clamp(v, lo, hi)` is the two-step select chain
 //!   `t = if v < lo { lo } else { v }; if t > hi { hi } else { t }`,
 //!   which reproduces `f64::clamp`'s result for every `lo <= hi`
 //!   (including NaN passthrough). Unlike `f64::clamp` it is total: it
 //!   does not panic when `lo > hi` (callers in this workspace always
 //!   pass ordered bounds).
-//! * `abs` clears the sign bit (matching `f64::abs`, even on NaN);
-//!   `neg` flips it; `sqrt` and `floor` are IEEE-exact.
-//! * Transcendentals (sin/cos/exp/powi/...) are **never** packed: kernels
-//!   route them through [`V::map`], which applies the scalar libm call
-//!   per lane.
+//! * `neg` flips the sign bit.
+//! * Transcendentals are never packed.
 
 /// Four `f64` lanes, 32-byte aligned. Operator expressions must keep the
 /// *same associativity* as the scalar kernel they mirror — bit-identity
@@ -54,13 +49,6 @@ impl V {
         V([xs[0], xs[1], xs[2], xs[3]])
     }
 
-    /// Gather coordinate `d` from four points (the lane-kernel access
-    /// pattern: one group = four particles, walked dimension-major).
-    #[inline(always)]
-    pub fn gather(pts: &[&[f64]; 4], d: usize) -> Self {
-        V([pts[0][d], pts[1][d], pts[2][d], pts[3][d]])
-    }
-
     /// Store the four lanes into the first four elements of `out`.
     #[inline(always)]
     pub fn store(self, out: &mut [f64]) {
@@ -73,14 +61,6 @@ impl V {
         self.0
     }
 
-    /// Apply a scalar function to every lane. This is the designated
-    /// route for transcendentals: each lane runs the same libm call the
-    /// scalar kernel does.
-    #[inline(always)]
-    pub fn map(self, mut f: impl FnMut(f64) -> f64) -> Self {
-        V([f(self.0[0]), f(self.0[1]), f(self.0[2]), f(self.0[3])])
-    }
-
     #[inline(always)]
     fn zip(self, rhs: Self, mut f: impl FnMut(f64, f64) -> f64) -> Self {
         V([
@@ -91,46 +71,14 @@ impl V {
         ])
     }
 
-    /// Lane-wise IEEE square root.
-    #[inline(always)]
-    pub fn sqrt(self) -> Self {
-        self.map(f64::sqrt)
-    }
-
-    /// Lane-wise clear of the sign bit (matches `f64::abs` on NaN too).
-    #[inline(always)]
-    pub fn abs(self) -> Self {
-        self.map(f64::abs)
-    }
-
-    /// Lane-wise round toward negative infinity.
-    #[inline(always)]
-    pub fn floor(self) -> Self {
-        self.map(f64::floor)
-    }
-
-    /// Lane-wise `if self < rhs { self } else { rhs }` (NaN or equal
-    /// operands return `rhs`).
-    #[inline(always)]
-    pub fn min(self, rhs: Self) -> Self {
-        self.zip(rhs, |x, y| if x < y { x } else { y })
-    }
-
-    /// Lane-wise `if self > rhs { self } else { rhs }` (NaN or equal
-    /// operands return `rhs`).
-    #[inline(always)]
-    pub fn max(self, rhs: Self) -> Self {
-        self.zip(rhs, |x, y| if x > y { x } else { y })
-    }
-
     /// Lane-wise `clamp` via the select chain documented at module level:
     /// bit-identical to `f64::clamp` for `lo <= hi`, total (non-panicking)
     /// otherwise.
     #[inline(always)]
     pub fn clamp(self, lo: Self, hi: Self) -> Self {
-        // Not expressible via min/max: those return the *second* operand
-        // on equal lanes (e.g. -0.0 vs +0.0), while f64::clamp keeps `v`
-        // unless strictly out of bounds.
+        // Not a min/max pair: a `<`/`>` select returning the second
+        // operand on equal lanes would turn -0.0 into +0.0, while
+        // f64::clamp keeps `v` unless strictly out of bounds.
         self.zip(lo, |x, l| if x < l { l } else { x })
             .zip(hi, |x, h| if x > h { h } else { x })
     }
@@ -171,7 +119,8 @@ impl std::ops::Neg for V {
     /// Lane-wise flip of the sign bit.
     #[inline(always)]
     fn neg(self) -> V {
-        self.map(|x| -x)
+        let [a, b, c, d] = self.0;
+        V([-a, -b, -c, -d])
     }
 }
 
@@ -208,25 +157,7 @@ mod tests {
         let b = V::from_array([0.5, 4.0, -0.0, 1.0e-300]);
         assert_eq!((a + b).to_array(), [2.0, 2.0, 0.0, 1.0e300 + 1.0e-300]);
         assert_eq!((a * b).to_array()[1], -8.0);
-        assert_eq!(a.abs().to_array()[1], 2.0);
         assert_eq!((-a).to_array()[0], -1.5);
-    }
-
-    #[test]
-    fn scalar_min_max_take_second_operand_on_nan() {
-        let nan = f64::NAN;
-        let a = V::from_array([nan, 1.0, nan, 2.0]);
-        let b = V::from_array([3.0, nan, nan, 2.0]);
-        let mn = a.min(b).to_array();
-        let mx = a.max(b).to_array();
-        // Select semantics: NaN (or equality) in the compare yields the
-        // second operand.
-        assert_eq!(mn[0], 3.0);
-        assert!(mn[1].is_nan());
-        assert!(mn[2].is_nan());
-        assert_eq!(mn[3], 2.0);
-        assert_eq!(mx[0], 3.0);
-        assert!(mx[1].is_nan());
     }
 
     #[test]

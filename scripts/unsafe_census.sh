@@ -9,7 +9,7 @@
 # Usage: scripts/unsafe_census.sh [root-dir]
 set -euo pipefail
 
-MAX_UNSAFE_LINES=20
+MAX_UNSAFE_LINES=13
 
 root="${1:-.}"
 total=0

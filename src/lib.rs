@@ -52,11 +52,10 @@
 //!   positions/velocities/pbests buffers with stride `dim`, so the
 //!   velocity/position update is a tight loop over contiguous memory and
 //!   one `Solver::step` performs no allocation.
-//! * **Batch evaluation** — `functions::Objective::eval_batch` evaluates
-//!   contiguous batches of points with one virtual dispatch per batch;
-//!   the suite functions specialize it with the exact per-point
-//!   arithmetic of `eval`, and all solver evaluation sites route through
-//!   it.
+//! * **One evaluation path** — every solver evaluation site routes
+//!   through `solvers::eval_point`, one `functions::Objective::eval` call
+//!   per point (a node evaluates one point per local step), timed in one
+//!   place.
 //! * **Pooled coordination payloads** — the gossiped optimum's position
 //!   (`core::rumor::Pos`) lives inline in the message up to 16 dimensions
 //!   (`Arc`-shared beyond), so the per-hop clones of coordination traffic
