@@ -19,14 +19,15 @@ use gossipopt_gossip::{
 };
 use gossipopt_obs::snapshot::TraceEvent;
 use gossipopt_sim::{
-    Application, ChurnConfig, Control, CycleConfig, CycleEngine, EventConfig, EventEngine,
-    FrameSavings, Latency, NodeId, Transport, WireCounts,
+    Application, ChurnConfig, Control, CycleConfig, CycleEngine, EventConfig, EventEngine, Latency,
+    Membership, NodeId, Transport, WireCounts,
 };
 use gossipopt_solvers::{solver_by_name, PsoParams, Solver, Swarm, SwarmArena};
-use gossipopt_util::{OnlineStats, Summary, Xoshiro256pp};
+use gossipopt_util::{OnlineStats, Summary};
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use std::borrow::Borrow;
+use std::ops::DerefMut;
 use std::sync::Arc;
 
 /// Which topology service the nodes run.
@@ -512,73 +513,39 @@ pub fn bootstrap_sample(spec: &DistributedPsoSpec, n: usize) -> usize {
     }
 }
 
-/// Kernel traffic and membership counters in one shape. The cycle kernel
-/// keeps them in [`gossipopt_sim::cycle::KernelStats`], the event kernel
-/// behind separate accessors; [`Engine::traffic`] hides the difference.
-#[derive(Debug, Clone, Copy)]
-pub struct Traffic {
-    /// Messages handed to the transport.
-    pub sent: u64,
-    /// Messages delivered to a live node.
-    pub delivered: u64,
-    /// Messages dropped (loss, dead destination, hop-budget overflow).
-    pub dropped: u64,
-    /// Wire bytes saved by frame coalescing (`0` at `threads == 0`).
-    pub frame_bytes_saved: u64,
-    /// Nodes crashed by the churn process or by [`Engine::crash`].
-    pub crashes: u64,
-    /// Nodes joined by the churn process.
-    pub joins: u64,
-    /// Phased merge rounds (`0` on the event kernel, which drains a queue).
-    pub merge_rounds: u64,
-}
-
-/// What [`drive`] needs from a simulation kernel: one observation period
-/// at a time, and the counters in one shape. A period is one `tick()` on
-/// the cycle kernel and `tick_period` units of simulated time on the event
-/// kernel; the implementations forward to the engines' inherent methods.
-pub trait Engine<A: Application> {
-    /// Add a node, running its join callback.
+/// What [`drive`] needs from a simulation kernel besides its
+/// [`Membership`], which both kernels dereference to (the spawner,
+/// crashes, live nodes, the counters): the schedule, one observation
+/// period at a time. A period is one `tick()` on the cycle kernel and
+/// `tick_period` units of simulated time on the event kernel; the
+/// implementations forward to the engines' inherent methods.
+pub trait Engine<A: Application>: DerefMut<Target = Membership<A>> {
+    /// Add a node, running its join callback and routing its sends.
     fn insert(&mut self, app: A);
-    /// Install the factory for churn and [`Engine::populate`] joiners.
-    fn set_spawner(&mut self, f: impl FnMut(NodeId, &mut Xoshiro256pp) -> A + 'static);
     /// Join `n` spawner-built nodes now.
     fn populate(&mut self, n: usize);
-    /// Crash a node now; `false` if it was already dead.
-    fn crash(&mut self, id: NodeId) -> bool;
     /// Observation periods a run with this per-node budget lasts.
     fn periods(&self, per_node_budget: u64) -> u64;
     /// Advance one observation period.
     fn step(&mut self);
     /// After the last period of an unstopped run: finish whatever part of
-    /// the horizon is not a whole period.
-    fn drain_tail(&mut self, per_node_budget: u64);
+    /// the horizon is not a whole period (nothing, by default).
+    fn drain_tail(&mut self, _per_node_budget: u64) {}
     /// The kernel's clock (ticks, or simulated time units).
     fn now(&self) -> u64;
-    /// `(id, application)` over live nodes.
-    fn nodes<'a>(&'a self) -> impl Iterator<Item = (NodeId, &'a A)>
-    where
-        A: 'a;
-    /// Cumulative counters.
-    fn traffic(&self) -> Traffic;
-    /// Per-class split of [`Traffic::frame_bytes_saved`].
-    fn frame_saved(&self) -> FrameSavings;
-    /// Per-kind wire counts harvested from dead nodes.
-    fn retired_wire_counts(&self) -> WireCounts;
+    /// Delivery rounds of the cycle kernel's phased tick; `0` on a
+    /// schedule without them.
+    fn merge_rounds(&self) -> u64 {
+        0
+    }
 }
 
 impl<A: Application> Engine<A> for CycleEngine<A> {
     fn insert(&mut self, app: A) {
         CycleEngine::insert(self, app);
     }
-    fn set_spawner(&mut self, f: impl FnMut(NodeId, &mut Xoshiro256pp) -> A + 'static) {
-        CycleEngine::set_spawner(self, f);
-    }
     fn populate(&mut self, n: usize) {
         CycleEngine::populate(self, n);
-    }
-    fn crash(&mut self, id: NodeId) -> bool {
-        CycleEngine::crash(self, id)
     }
     /// Every node evaluates once per tick until its local budget is
     /// exhausted, so `per_node_budget` ticks exhaust the run.
@@ -588,33 +555,11 @@ impl<A: Application> Engine<A> for CycleEngine<A> {
     fn step(&mut self) {
         self.tick();
     }
-    fn drain_tail(&mut self, _per_node_budget: u64) {}
     fn now(&self) -> u64 {
         CycleEngine::now(self)
     }
-    fn nodes<'a>(&'a self) -> impl Iterator<Item = (NodeId, &'a A)>
-    where
-        A: 'a,
-    {
-        CycleEngine::nodes(self)
-    }
-    fn traffic(&self) -> Traffic {
-        let stats = self.stats();
-        Traffic {
-            sent: stats.sent,
-            delivered: stats.delivered,
-            dropped: stats.lost + stats.dead_letter + stats.hop_overflow,
-            frame_bytes_saved: stats.frame_bytes_saved,
-            crashes: stats.crashes,
-            joins: stats.joins,
-            merge_rounds: self.merge_rounds(),
-        }
-    }
-    fn frame_saved(&self) -> FrameSavings {
-        CycleEngine::frame_saved(self)
-    }
-    fn retired_wire_counts(&self) -> WireCounts {
-        CycleEngine::retired_wire_counts(self)
+    fn merge_rounds(&self) -> u64 {
+        CycleEngine::merge_rounds(self)
     }
 }
 
@@ -628,14 +573,8 @@ impl<A: Application> Engine<A> for EventEngine<A> {
     fn insert(&mut self, app: A) {
         EventEngine::insert(self, app);
     }
-    fn set_spawner(&mut self, f: impl FnMut(NodeId, &mut Xoshiro256pp) -> A + 'static) {
-        EventEngine::set_spawner(self, f);
-    }
     fn populate(&mut self, n: usize) {
         EventEngine::populate(self, n);
-    }
-    fn crash(&mut self, id: NodeId) -> bool {
-        EventEngine::crash(self, id)
     }
     fn periods(&self, per_node_budget: u64) -> u64 {
         event_horizon(per_node_budget, self.tick_period()) / self.tick_period()
@@ -656,29 +595,6 @@ impl<A: Application> Engine<A> for EventEngine<A> {
     }
     fn now(&self) -> u64 {
         EventEngine::now(self)
-    }
-    fn nodes<'a>(&'a self) -> impl Iterator<Item = (NodeId, &'a A)>
-    where
-        A: 'a,
-    {
-        EventEngine::nodes(self)
-    }
-    fn traffic(&self) -> Traffic {
-        Traffic {
-            sent: self.delivered() + self.dropped(),
-            delivered: self.delivered(),
-            dropped: self.dropped(),
-            frame_bytes_saved: self.frame_bytes_saved(),
-            crashes: self.churn_crashes(),
-            joins: self.churn_joins(),
-            merge_rounds: 0,
-        }
-    }
-    fn frame_saved(&self) -> FrameSavings {
-        EventEngine::frame_saved(self)
-    }
-    fn retired_wire_counts(&self) -> WireCounts {
-        EventEngine::retired_wire_counts(self)
     }
 }
 
@@ -760,6 +676,9 @@ pub struct Driven {
 /// stopped then drains the horizon's tail
 /// ([`Engine::drain_tail`]: the `max_time % tick_period` of simulated time
 /// that is not a whole period) for every caller, before the final totals.
+/// Nodes, crashes, the spawner and the counters ([`Membership::stats`])
+/// are reached through the engine's [`Membership`], the schedule through
+/// [`Engine`].
 pub fn drive<A, E>(
     engine: &mut E,
     recipe: &NodeRecipe,
@@ -826,18 +745,18 @@ where
                         quality,
                     });
                 }
-                let traffic = engine.traffic();
+                let stats = engine.stats();
                 ring.record(MetricSample {
                     tick: t,
                     best_quality: quality,
                     alive,
-                    delivered: traffic.delivered,
+                    delivered: stats.delivered,
                     // Node ledgers charge unbatched sizes at send time:
                     // add back what crashed senders had on their ledgers
                     // at death, then net off what the kernel's frame
                     // coalescing saved later.
                     wire_bytes: (bytes + engine.retired_wire_counts().total_bytes())
-                        .saturating_sub(traffic.frame_bytes_saved),
+                        .saturating_sub(stats.frame_saved.total()),
                 });
             }
             // Nothing reads this tick's quality or evaluations: skip the
@@ -886,7 +805,7 @@ where
         wire.add(&node.wire_counts());
         alive += 1;
     }
-    let traffic = engine.traffic();
+    let stats = engine.stats();
     let report = RunReport {
         best_quality: quality,
         best_value: value,
@@ -896,10 +815,10 @@ where
         coordination_exchanges: exchanges,
         // Sender ledgers charge unbatched sizes; the kernel's frame
         // coalescing reports what it saved on the wire.
-        payload_bytes: wire.total_bytes().saturating_sub(traffic.frame_bytes_saved),
-        messages_sent: traffic.sent,
-        messages_delivered: traffic.delivered,
-        messages_dropped: traffic.dropped,
+        payload_bytes: wire.total_bytes().saturating_sub(stats.frame_saved.total()),
+        messages_sent: stats.sent,
+        messages_delivered: stats.delivered,
+        messages_dropped: stats.dropped(),
         final_population: alive,
         trace,
         samples: ring.map(|r| r.to_series()).unwrap_or_default(),

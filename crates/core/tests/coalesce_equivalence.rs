@@ -8,7 +8,7 @@
 //! sharded batch dispatch. The fusion must be invisible to everything
 //! except byte accounting: per-node solver state, quality, evaluation
 //! counts, reply traffic and every kernel statistic other than
-//! `frame_bytes_saved` have to be bit-identical with the optimization on
+//! `KernelStats::frame_saved` have to be bit-identical with the optimization on
 //! (`OptNode`) or off ([`Unfused`]), at any thread count.
 
 use gossipopt_core::experiment::{
@@ -18,7 +18,7 @@ use gossipopt_core::messages::Msg;
 use gossipopt_core::node::OptNode;
 use gossipopt_functions::{by_name, Objective};
 use gossipopt_gossip::RumorConfig;
-use gossipopt_sim::cycle::KernelStats;
+use gossipopt_sim::KernelStats;
 use gossipopt_sim::{
     Application, Ctx, CycleConfig, CycleEngine, EventConfig, EventEngine, Latency, NodeId,
     Transport, WireCounts,
@@ -196,9 +196,9 @@ fn coalescing_is_trajectory_invisible_at_any_thread_count() {
                 stats_on.hop_overflow, stats_off.hop_overflow,
                 "{mode} threads={threads}"
             );
-            assert_eq!(stats_off.frame_bytes_saved, 0, "{mode} threads={threads}");
+            assert_eq!(stats_off.frame_saved.total(), 0, "{mode} threads={threads}");
             assert!(
-                stats_on.frame_bytes_saved > 0,
+                stats_on.frame_saved.total() > 0,
                 "{mode} threads={threads}: a star topology must produce fusible runs"
             );
         }
@@ -212,9 +212,9 @@ fn coalescing_savings_are_thread_count_invariant() {
     let (_, s1) = run(1, true, 60);
     let (_, s2) = run(2, true, 60);
     let (_, s8) = run(8, true, 60);
-    assert!(s1.frame_bytes_saved > 0);
-    assert_eq!(s1.frame_bytes_saved, s2.frame_bytes_saved);
-    assert_eq!(s1.frame_bytes_saved, s8.frame_bytes_saved);
+    assert!(s1.frame_saved.total() > 0);
+    assert_eq!(s1.frame_saved.total(), s2.frame_saved.total());
+    assert_eq!(s1.frame_saved.total(), s8.frame_saved.total());
 }
 
 #[test]
@@ -224,7 +224,7 @@ fn star_batching_reduces_wire_volume() {
     // by at least 1.5x versus the unbatched ledger charge.
     let (nodes, stats) = run(2, true, 300);
     let ledger: u64 = nodes.iter().map(|n| n.3).sum();
-    let net = ledger - stats.frame_bytes_saved;
+    let net = ledger - stats.frame_saved.total();
     let reduction = ledger as f64 / net as f64;
     eprintln!("wire volume: {ledger} -> {net} bytes ({reduction:.2}x)");
     assert!(
@@ -237,7 +237,8 @@ fn star_batching_reduces_wire_volume() {
 fn sequential_path_never_coalesces() {
     let (_, stats) = run(0, true, 40);
     assert_eq!(
-        stats.frame_bytes_saved, 0,
+        stats.frame_saved.total(),
+        0,
         "threads=0 delivers immediately and must not batch"
     );
 }
@@ -281,8 +282,8 @@ fn run_event_as<A: Side>(
     (
         digest(engine.nodes()),
         engine.delivered(),
-        engine.dropped(),
-        engine.frame_bytes_saved(),
+        engine.stats().dropped(),
+        engine.stats().frame_saved.total(),
     )
 }
 
@@ -291,7 +292,7 @@ fn event_kernel_coalescing_is_bit_identical_to_sequential() {
     // The event kernel's contract is stronger than the cycle kernel's:
     // dispatch is bit-identical at every thread count, and the coalesce
     // hook must preserve that — fused runs change nothing the uncoalesced
-    // threads = 0 run can observe except the frame_bytes_saved ledger.
+    // threads = 0 run can observe except the frame_saved ledger.
     for (mode, coordination) in fusible_modes() {
         let (nodes_seq, delivered_seq, dropped_seq, saved_seq) = run_event(0, true, coordination);
         assert_eq!(saved_seq, 0, "{mode}: sequential dispatch never coalesces");

@@ -157,7 +157,7 @@ fn reference_cycle(
         (s.sent, s.delivered, s.lost + s.dead_letter + s.hop_overflow),
         engine.nodes(),
         engine.retired_wire_counts().total_bytes(),
-        s.frame_bytes_saved,
+        s.frame_saved.total(),
     )
 }
 
@@ -190,13 +190,13 @@ fn reference_event(
     let end = engine.run_until(max_time, period, |now, view| {
         obs.observe(now / period, view)
     });
-    let (delivered, dropped) = (engine.delivered(), engine.dropped());
+    let (delivered, dropped) = (engine.delivered(), engine.stats().dropped());
     obs.finish(
         end / period,
         (delivered + dropped, delivered, dropped),
         engine.nodes(),
         engine.retired_wire_counts().total_bytes(),
-        engine.frame_bytes_saved(),
+        engine.stats().frame_saved.total(),
     )
 }
 

@@ -278,16 +278,16 @@ fn run_on<E: Engine<FaultApp<OptNode>>>(
     .expect("recipe validated");
 
     let blocked = engine.nodes().map(|(_, app)| app.blocked()).sum();
-    let traffic = engine.traffic();
-    // Both kernels count churn and scripted crashes; their join counters
-    // are churn-only.
+    let stats = engine.stats();
+    // The kernel counts churn and scripted crashes alike, but only churn
+    // joins: a flash crowd joins through `populate`.
     let raw = RawObs {
         wire: driven.wire,
-        frame_saved: engine.frame_saved(),
-        merge_rounds: traffic.merge_rounds,
+        frame_saved: stats.frame_saved,
+        merge_rounds: engine.merge_rounds(),
         fault_events,
-        churn_joins: traffic.joins + scripted_joins,
-        churn_crashes: traffic.crashes,
+        churn_joins: stats.joins + scripted_joins,
+        churn_crashes: stats.crashes,
         trace: driven.improvements,
     };
     (driven.report, blocked, raw)

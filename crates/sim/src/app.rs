@@ -14,9 +14,10 @@ pub const MAX_WIRE_KINDS: usize = 16;
 ///
 /// Indexed by the application's own kind numbering (for `OptNode`,
 /// `Msg::kind_index`). Purely simulation-state-derived, so these feed the
-/// deterministic observability plane. The engines harvest a dying node's
-/// counts into an engine-owned `retired` accumulator before dropping the
-/// slot, which is what makes churn-era byte accounting exact.
+/// deterministic observability plane. The membership layer harvests a
+/// dying node's counts into its `retired` accumulator
+/// ([`crate::Membership::retired_wire_counts`]), which is what makes
+/// churn-era byte accounting exact.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WireCounts {
     /// Messages sent, by kind index.
@@ -107,8 +108,7 @@ pub struct FrameSavings {
 }
 
 impl FrameSavings {
-    /// Total bytes saved across classes (what the kernel's aggregate
-    /// `frame_bytes_saved` statistic accumulates).
+    /// Total bytes saved across classes.
     pub fn total(&self) -> u64 {
         self.by_class.iter().sum()
     }
@@ -126,6 +126,14 @@ impl FrameSavings {
         let mut s = FrameSavings::default();
         s.by_class[frame_class::OTHER] = bytes;
         s
+    }
+}
+
+impl std::ops::AddAssign for FrameSavings {
+    fn add_assign(&mut self, other: FrameSavings) {
+        for (acc, got) in self.by_class.iter_mut().zip(other.by_class) {
+            *acc += got;
+        }
     }
 }
 

@@ -63,16 +63,24 @@
 //! and the fingerprint CI job diffing `--threads 1/2/3/8`. Churn and
 //! explicit joins keep the sequential path (they run in the sequential
 //! churn phase of the tick).
+//!
+//! ## Membership and counters
+//!
+//! Churn, joins, crashes and the counters are the [`Membership`] layer the
+//! event kernel runs on too; this kernel owns only the rounds. A tick's
+//! [`StepReport`] is what the tick added to the layer's
+//! [`KernelStats`], join-time sends of churn joins included.
 
-use crate::app::{Application, Ctx, FrameSavings, WireCounts};
+use crate::app::{Application, Ctx, FrameSavings};
 use crate::churn::ChurnConfig;
 use crate::ids::{NodeId, Ticks};
-use crate::slots::{ShardCuts, Slot, SlotArena};
+use crate::slots::{Membership, ShardCuts, Slot};
 use crate::transport::Transport;
-use crate::Control;
+use crate::{Control, KernelStats};
 use gossipopt_obs::wall::{self, Phase};
-use gossipopt_util::{Rng64, StreamId, Xoshiro256pp};
+use gossipopt_util::{Rng64, StreamId};
 use std::collections::VecDeque;
+use std::ops::{Deref, DerefMut};
 
 pub use crate::slots::NodesView;
 
@@ -128,7 +136,8 @@ impl CycleConfig {
     }
 }
 
-/// Per-tick accounting returned by [`CycleEngine::tick`].
+/// Per-tick accounting returned by [`CycleEngine::tick`]: what the tick
+/// added to the [`KernelStats`], churn joins' sends included.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StepReport {
     /// Nodes crashed by churn this tick.
@@ -141,67 +150,45 @@ pub struct StepReport {
     pub dropped: u64,
 }
 
-/// Cumulative kernel statistics.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct KernelStats {
-    /// Total messages handed to the transport.
-    pub sent: u64,
-    /// Total messages delivered to a live node.
-    pub delivered: u64,
-    /// Total messages dropped by loss.
-    pub lost: u64,
-    /// Total messages addressed to dead nodes.
-    pub dead_letter: u64,
-    /// Total messages discarded by the hop budget.
-    pub hop_overflow: u64,
-    /// Total churn crashes.
-    pub crashes: u64,
-    /// Total churn joins.
-    pub joins: u64,
-    /// Wire bytes saved by application frame coalescing in the phased
-    /// delivery rounds (see [`Application::coalesce_round`]); `0` on the
-    /// sequential path, which never batches.
-    pub frame_bytes_saved: u64,
+impl StepReport {
+    fn between(before: &KernelStats, after: &KernelStats) -> Self {
+        StepReport {
+            crashes: (after.crashes - before.crashes) as usize,
+            joins: (after.joins - before.joins) as usize,
+            delivered: after.delivered - before.delivered,
+            dropped: after.dropped() - before.dropped(),
+        }
+    }
 }
 
-type Spawner<A> = Box<dyn FnMut(NodeId, &mut Xoshiro256pp) -> A>;
-
-/// The cycle-driven simulation kernel.
+/// The cycle-driven simulation kernel: the round schedule over a
+/// [`Membership`], which it dereferences to for everything that is not a
+/// schedule (crashes, the spawner, node access, the counters).
 ///
 /// ## Hot-path layout
 ///
-/// Node storage is a `SlotArena` (shared with the event kernel): a dense
-/// slot map resolved by arithmetic instead of a hash probe, plus a sorted
-/// `live` list maintained incrementally on insert/crash so per-tick
-/// scheduling is O(alive) rather than a re-filter of every slot ever
-/// allocated. Every per-tick/per-message allocation is hoisted into a
-/// reusable scratch buffer on the engine (or the arena, for sampling).
+/// Node storage is the membership's slots: a dense slot map resolved by
+/// arithmetic instead of a hash probe, plus a sorted `live` list
+/// maintained incrementally on insert/crash so per-tick scheduling is
+/// O(alive) rather than a re-filter of every slot ever allocated. Every
+/// per-tick/per-message allocation is hoisted into a reusable scratch
+/// buffer on the engine.
 pub struct CycleEngine<A: Application> {
     cfg: CycleConfig,
-    arena: SlotArena<A>,
-    kernel_rng: Xoshiro256pp,
+    /// Slots, joins, crashes, churn, counters and the kernel stream
+    /// (`StreamId::KERNEL`; node streams `node(0 | 1, id)`).
+    members: Membership<A>,
     now: Ticks,
     /// Messages deferred to the next tick (`intra_tick_delivery = false`).
     deferred: VecDeque<(NodeId, NodeId, A::Message)>,
-    spawner: Option<Spawner<A>>,
-    stats: KernelStats,
-    /// Per-class split of `stats.frame_bytes_saved` (deterministic
-    /// observability plane; kept outside `KernelStats`, which equality-
-    /// compared tests and fingerprints pin).
-    frame_saved: FrameSavings,
     /// Phased delivery rounds executed across the run.
     merge_rounds: u64,
-    /// Wire counts harvested from nodes at death, so churn never loses
-    /// traffic from the per-kind totals.
-    retired: WireCounts,
     // Scratch buffers reused across ticks to keep the hot loop allocation-free.
     order_buf: Vec<u32>,
     outbox_buf: Vec<(NodeId, A::Message)>,
     queue_buf: VecDeque<(NodeId, NodeId, A::Message)>,
     /// Reply outbox reused inside `drain_queue` (was a fresh `Vec` per call).
     drain_outbox_buf: Vec<(NodeId, A::Message)>,
-    /// Bootstrap-contact scratch reused across `insert` calls.
-    contacts_buf: Vec<NodeId>,
     /// Phased tick: the slot bins of the current tick and, per round, the
     /// dispatch shards cut from the bins' sizes.
     cuts: ShardCuts,
@@ -381,23 +368,23 @@ impl<M> ShardWork<M> {
 impl<A: Application> CycleEngine<A> {
     /// Create an empty network with the given configuration.
     pub fn new(cfg: CycleConfig) -> Self {
-        let kernel_rng = Xoshiro256pp::derive(cfg.seed, StreamId::KERNEL);
+        let members = Membership::new(
+            cfg.seed,
+            StreamId::KERNEL,
+            0,
+            cfg.bootstrap_sample,
+            cfg.churn,
+        );
         CycleEngine {
             cfg,
-            arena: SlotArena::new(),
-            kernel_rng,
+            members,
             now: 0,
             deferred: VecDeque::new(),
-            spawner: None,
-            stats: KernelStats::default(),
-            frame_saved: FrameSavings::default(),
             merge_rounds: 0,
-            retired: WireCounts::new(),
             order_buf: Vec::new(),
             outbox_buf: Vec::new(),
             queue_buf: VecDeque::new(),
             drain_outbox_buf: Vec::new(),
-            contacts_buf: Vec::new(),
             cuts: ShardCuts::new(),
             inbound: Vec::new(),
             outbound: Vec::new(),
@@ -405,125 +392,30 @@ impl<A: Application> CycleEngine<A> {
         }
     }
 
-    /// Install the factory used to construct applications for churn joins
-    /// and [`CycleEngine::populate`].
-    pub fn set_spawner(&mut self, f: impl FnMut(NodeId, &mut Xoshiro256pp) -> A + 'static) {
-        self.spawner = Some(Box::new(f));
-    }
-
     /// Add `n` nodes via the spawner. Panics if no spawner is installed.
     pub fn populate(&mut self, n: usize) {
         for _ in 0..n {
-            let id = self.arena.peek_next_id();
-            let mut spawner = self.spawner.take().expect("populate requires a spawner");
-            let mut node_rng = Xoshiro256pp::derive(self.cfg.seed, StreamId::node(1, id.raw()));
-            let app = spawner(id, &mut node_rng);
-            self.spawner = Some(spawner);
+            let app = self.members.spawn().expect("populate requires a spawner");
             self.insert(app);
         }
     }
 
     /// Add one node with an explicitly constructed application; returns its
     /// id. `on_join` runs immediately with a bootstrap contact sample;
-    /// any messages it sends are counted in the kernel statistics (and,
-    /// for churn joins, in the surrounding tick's [`StepReport`]).
+    /// any messages it sends are routed now and counted in the kernel
+    /// statistics (and, for churn joins, in the surrounding tick's
+    /// [`StepReport`]).
     pub fn insert(&mut self, app: A) -> NodeId {
-        let mut report = StepReport::default();
-        self.insert_with_report(app, &mut report)
-    }
-
-    fn insert_with_report(&mut self, app: A, report: &mut StepReport) -> NodeId {
-        let id = self.arena.peek_next_id();
-        let rng = Xoshiro256pp::derive(self.cfg.seed, StreamId::node(0, id.raw()));
-        let mut contacts = std::mem::take(&mut self.contacts_buf);
-        self.arena.sample_alive_into(
-            &mut self.kernel_rng,
-            self.cfg.bootstrap_sample,
-            Some(id),
-            &mut contacts,
-        );
-        let (id, slot_idx) = self.arena.insert(app, rng);
-
         let mut outbox = std::mem::take(&mut self.outbox_buf);
-        {
-            let slot = &mut self.arena.slots[slot_idx];
-            let mut ctx = Ctx::new(id, self.now, &mut slot.rng, &mut outbox);
-            slot.app.on_join(&contacts, &mut ctx);
-        }
-        self.route(id, &mut outbox, report);
+        let id = self.members.join(app, self.now, &mut outbox);
+        self.route(id, &mut outbox);
         self.outbox_buf = outbox;
-        self.contacts_buf = contacts;
         id
-    }
-
-    /// Crash a node (scripted failure). Returns `false` if it was already
-    /// dead or unknown. Crashed nodes never come back; a rejoin is a new id.
-    pub fn crash(&mut self, id: NodeId) -> bool {
-        if let Some(app) = self.arena.get(id) {
-            let counts = app.wire_counts();
-            self.retired.add(&counts);
-        }
-        if self.arena.kill(id) {
-            self.stats.crashes += 1;
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Crash a uniform random `fraction` of live nodes at once (the "large
-    /// portion of the network fails" scenario of the paper's §4).
-    pub fn crash_fraction(&mut self, fraction: f64) -> usize {
-        assert!((0.0..=1.0).contains(&fraction));
-        let mut alive = self.arena.take_id_scratch();
-        alive.extend(
-            self.arena
-                .live
-                .iter()
-                .map(|&i| self.arena.slots[i as usize].id),
-        );
-        let m = ((alive.len() as f64 * fraction).round() as usize).min(alive.len());
-        let mut idx = self.arena.take_index_scratch();
-        self.kernel_rng
-            .sample_indices_into(alive.len(), m, &mut idx);
-        for &pick in &idx {
-            let victim = alive[pick];
-            let slot = self.arena.slot_of[victim.raw() as usize] as usize;
-            debug_assert!(self.arena.slots[slot].alive, "sampled without replacement");
-            let counts = self.arena.slots[slot].app.wire_counts();
-            self.retired.add(&counts);
-            self.arena.kill_slot_deferred(slot);
-            self.stats.crashes += 1;
-        }
-        let n = idx.len();
-        if n > 0 {
-            self.arena.retain_live();
-        }
-        alive.clear();
-        self.arena.return_id_scratch(alive);
-        self.arena.return_index_scratch(idx);
-        n
     }
 
     /// Current simulated time (ticks elapsed).
     pub fn now(&self) -> Ticks {
         self.now
-    }
-
-    /// Number of live nodes.
-    pub fn alive_count(&self) -> usize {
-        self.arena.alive_count
-    }
-
-    /// Cumulative kernel statistics.
-    pub fn stats(&self) -> KernelStats {
-        self.stats
-    }
-
-    /// Per-class split of [`KernelStats::frame_bytes_saved`]
-    /// (`frame_saved().total() == stats().frame_bytes_saved`).
-    pub fn frame_saved(&self) -> FrameSavings {
-        self.frame_saved
     }
 
     /// Phased delivery rounds executed so far (`0` on the sequential
@@ -532,43 +424,28 @@ impl<A: Application> CycleEngine<A> {
         self.merge_rounds
     }
 
-    /// Per-kind wire counts harvested from nodes that have died. Add
-    /// these to the live nodes' counts for exact totals under churn.
-    pub fn retired_wire_counts(&self) -> WireCounts {
-        self.retired
-    }
-
-    /// Read a live node's application state.
-    pub fn node(&self, id: NodeId) -> Option<&A> {
-        self.arena.get(id)
-    }
-
-    /// Iterate `(id, application)` over live nodes.
-    pub fn nodes(&self) -> impl Iterator<Item = (NodeId, &A)> + '_ {
-        self.arena.nodes()
-    }
-
-    /// Observer view of the live network.
-    pub fn view(&self) -> NodesView<'_, A> {
-        self.arena.view()
-    }
-
     /// Run exactly one tick (sequential or phased, per
     /// [`CycleConfig::threads`]).
     pub fn tick(&mut self) -> StepReport {
-        if self.cfg.threads >= 1 {
-            return self.tick_phased();
-        }
-        let mut report = StepReport::default();
-        self.churn_step(&mut report);
+        let before = self.members.stats;
+        Membership::churn_step(self, Self::insert);
         self.now += 1;
+        if self.cfg.threads >= 1 {
+            self.tick_phased();
+        } else {
+            self.tick_sequential();
+        }
+        StepReport::between(&before, &self.members.stats)
+    }
 
+    /// The rest of one tick of the sequential discipline (module docs).
+    fn tick_sequential(&mut self) {
         // Deliver messages deferred from the previous tick.
         if !self.deferred.is_empty() {
             let mut queue = std::mem::take(&mut self.queue_buf);
             queue.extend(self.deferred.drain(..));
             let mut hops = 0u32;
-            self.drain_queue(&mut queue, &mut hops, &mut report);
+            self.drain_queue(&mut queue, &mut hops);
             self.queue_buf = queue;
         }
 
@@ -578,8 +455,8 @@ impl<A: Application> CycleEngine<A> {
         // replaces) — the shuffle therefore consumes the RNG identically.
         let mut order = std::mem::take(&mut self.order_buf);
         order.clear();
-        order.extend_from_slice(&self.arena.live);
-        self.kernel_rng.shuffle(&mut order);
+        order.extend_from_slice(&self.members.live);
+        self.members.rng.shuffle(&mut order);
 
         let mut outbox = std::mem::take(&mut self.outbox_buf);
         // Quiescent fast path: when every live node's scheduling hint
@@ -594,16 +471,16 @@ impl<A: Application> CycleEngine<A> {
         // panic if a declared-quiet node sends anyway, because silently
         // routing it would let the slot-order visit leak into trajectories.
         let quiet = self
-            .arena
+            .members
             .live
             .iter()
-            .all(|&i| self.arena.slots[i as usize].app.quiet_tick());
+            .all(|&i| self.members.slots[i as usize].app.quiet_tick());
         if quiet {
             outbox.clear();
-            for at in 0..self.arena.live.len() {
-                let i = self.arena.live[at] as usize;
-                debug_assert!(self.arena.slots[i].alive);
-                let slot = &mut self.arena.slots[i];
+            for at in 0..self.members.live.len() {
+                let i = self.members.live[at] as usize;
+                debug_assert!(self.members.slots[i].alive);
+                let slot = &mut self.members.slots[i];
                 let mut ctx = Ctx::new(slot.id, self.now, &mut slot.rng, &mut outbox);
                 slot.app.on_tick(&mut ctx);
                 assert!(
@@ -615,7 +492,7 @@ impl<A: Application> CycleEngine<A> {
             }
             self.outbox_buf = outbox;
             self.order_buf = order;
-            return report;
+            return;
         }
 
         // How far ahead of the sweep position to warm the cache: slot
@@ -626,7 +503,7 @@ impl<A: Application> CycleEngine<A> {
         const APP_AHEAD: usize = 6;
         for at in 0..order.len() {
             if let Some(&j) = order.get(at + SLOT_AHEAD) {
-                let slot = &self.arena.slots[j as usize];
+                let slot = &self.members.slots[j as usize];
                 let p = slot as *const _ as *const u8;
                 // A slot spans several lines (id/rng header plus the
                 // application state); pull the first four.
@@ -635,41 +512,36 @@ impl<A: Application> CycleEngine<A> {
                 }
             }
             if let Some(&j) = order.get(at + APP_AHEAD) {
-                self.arena.slots[j as usize].app.prefetch();
+                self.members.slots[j as usize].app.prefetch();
             }
             let i = order[at] as usize;
             // Nodes crash only in the churn phase before this loop, but a
             // stale order entry would be a logic error — guard in debug.
-            debug_assert!(self.arena.slots[i].alive);
-            let id = self.arena.slots[i].id;
+            debug_assert!(self.members.slots[i].alive);
+            let id = self.members.slots[i].id;
             outbox.clear();
             {
-                let slot = &mut self.arena.slots[i];
+                let slot = &mut self.members.slots[i];
                 let mut ctx = Ctx::new(id, self.now, &mut slot.rng, &mut outbox);
                 slot.app.on_tick(&mut ctx);
             }
-            self.route(id, &mut outbox, &mut report);
+            self.route(id, &mut outbox);
         }
         self.outbox_buf = outbox;
         self.order_buf = order;
-        report
     }
 
-    /// One tick of the sharded phased discipline (see the module docs):
-    /// parallel callback shards that bin their sends by destination, then
-    /// breadth-first delivery rounds. Thread-count invariant by
-    /// construction — the callback phase is per-node isolated and every
-    /// cross-node effect (kernel RNG draws, delivery order) follows the
-    /// canonical order.
-    fn tick_phased(&mut self) -> StepReport {
-        let mut report = StepReport::default();
-        self.churn_step(&mut report);
-        self.now += 1;
-
+    /// The rest of one tick of the sharded phased discipline (see the
+    /// module docs): parallel callback shards that bin their sends by
+    /// destination, then breadth-first delivery rounds. Thread-count
+    /// invariant by construction — the callback phase is per-node isolated
+    /// and every cross-node effect (kernel RNG draws, delivery order)
+    /// follows the canonical order.
+    fn tick_phased(&mut self) {
         // Churn, the only thing that allocates slots, has run: the bins
         // hold for the rest of the tick.
         let threads = self.cfg.threads.max(1);
-        self.cuts.reset(self.arena.slots.len(), threads);
+        self.cuts.reset(self.members.slots.len(), threads);
         let buckets = self.cuts.bin_count() + 1;
         for lanes in [&mut self.inbound, &mut self.outbound] {
             lanes.resize_with(threads, Vec::new);
@@ -687,25 +559,25 @@ impl<A: Application> CycleEngine<A> {
             for m in self.deferred.drain(..) {
                 lane[self.cuts.bin_of(m.1)].push(Some(m));
             }
-            self.deliver_phased(&mut report);
+            self.deliver_phased();
         }
 
         // Callback phase: every live node's on_tick, sharded over
         // contiguous slot ranges, ascending slot order within a shard; each
         // shard is a lane of the first round.
-        if !self.arena.live.is_empty() {
-            let chunks = crate::slots::even_chunks(self.arena.live.len(), threads);
+        if !self.members.live.is_empty() {
+            let chunks = crate::slots::even_chunks(self.members.live.len(), threads);
             let ranges: Vec<(usize, usize)> = chunks
                 .iter()
                 .map(|&(s, e)| {
                     (
-                        self.arena.live[s] as usize,
-                        self.arena.live[e - 1] as usize + 1,
+                        self.members.live[s] as usize,
+                        self.members.live[e - 1] as usize + 1,
                     )
                 })
                 .collect();
-            let (live, now, cuts) = (&self.arena.live, self.now, &self.cuts);
-            let views = crate::slots::disjoint_slot_ranges(&mut self.arena.slots, &ranges);
+            let (live, now, cuts) = (&self.members.live, self.now, &self.cuts);
+            let views = crate::slots::disjoint_slot_ranges(&mut self.members.slots, &ranges);
             let tasks: Vec<TickShard<'_, A>> = views
                 .into_iter()
                 .zip(&chunks)
@@ -736,7 +608,7 @@ impl<A: Application> CycleEngine<A> {
         }
 
         if self.cfg.intra_tick_delivery {
-            self.deliver_phased(&mut report);
+            self.deliver_phased();
         } else {
             // Lane-major keeps each destination's messages in source
             // order, which is all the next tick's binning needs.
@@ -744,7 +616,6 @@ impl<A: Application> CycleEngine<A> {
                 self.deferred.extend(bucket.drain(..).flatten());
             }
         }
-        report
     }
 
     /// Deliver the binned messages of `inbound` and the reply rounds they
@@ -754,7 +625,7 @@ impl<A: Application> CycleEngine<A> {
     /// dispatch per shard in parallel, replies binned into `outbound`,
     /// which becomes the next round. `max_hops_per_tick` bounds the number
     /// of rounds; the remainder is discarded as hop overflow.
-    fn deliver_phased(&mut self, report: &mut StepReport) {
+    fn deliver_phased(&mut self) {
         let threads = self.cfg.threads.max(1);
         let tail = self.cuts.bin_count();
         let transport = self.cfg.transport;
@@ -766,10 +637,9 @@ impl<A: Application> CycleEngine<A> {
             if pending == 0 {
                 break;
             }
-            self.stats.sent += pending;
+            self.members.stats.sent += pending;
             if rounds >= self.cfg.max_hops_per_tick {
-                self.stats.hop_overflow += pending;
-                report.dropped += pending;
+                self.members.stats.hop_overflow += pending;
                 self.inbound.iter_mut().flatten().for_each(Vec::clear);
                 break;
             }
@@ -802,7 +672,7 @@ impl<A: Application> CycleEngine<A> {
             // canonical order, shards ascending, then the tail.
             let (mut lost, mut stray_lost) = (0u64, 0u64);
             if lossy {
-                let krng = &mut self.kernel_rng;
+                let krng = &mut self.members.rng;
                 for work in works.iter_mut() {
                     for &(k, i) in &work.order {
                         if transport.drops(krng) {
@@ -816,7 +686,7 @@ impl<A: Application> CycleEngine<A> {
             wall::finish(Phase::CycleMerge, merge_span);
 
             let dispatch_span = wall::start();
-            let views = crate::slots::disjoint_slot_ranges(&mut self.arena.slots, &ranges);
+            let views = crate::slots::disjoint_slot_ranges(&mut self.members.slots, &ranges);
             let tasks: Vec<_> = works
                 .iter_mut()
                 .zip(views)
@@ -830,23 +700,15 @@ impl<A: Application> CycleEngine<A> {
 
             // Hand the lent (now empty) buckets back, tally, and make the
             // replies the next round.
-            let mut dead = strays - stray_lost;
-            let mut delivered = 0u64;
+            let stats = &mut self.members.stats;
+            stats.dead_letter += strays - stray_lost;
+            stats.lost += lost + stray_lost;
             for work in works.iter_mut() {
                 work.give_back(&mut self.inbound, cuts);
-                dead += work.dead;
-                delivered += work.delivered;
-                for (class, &bytes) in work.saved.by_class.iter().enumerate() {
-                    self.frame_saved.add(class, bytes);
-                }
-                self.stats.frame_bytes_saved += work.saved.total();
+                stats.dead_letter += work.dead;
+                stats.delivered += work.delivered;
+                stats.frame_saved += work.saved;
             }
-            lost += stray_lost;
-            self.stats.lost += lost;
-            self.stats.dead_letter += dead;
-            self.stats.delivered += delivered;
-            report.dropped += lost + dead;
-            report.delivered += delivered;
             std::mem::swap(&mut self.inbound, &mut self.outbound);
         }
         self.merge_rounds += rounds as u64;
@@ -869,72 +731,14 @@ impl<A: Application> CycleEngine<A> {
     ) -> Ticks {
         for t in 0..max_ticks {
             self.tick();
-            if observer(self.now, &self.arena.view()) == Control::Stop {
+            if observer(self.now, &self.members.view()) == Control::Stop {
                 return t + 1;
             }
         }
         max_ticks
     }
 
-    fn churn_step(&mut self, report: &mut StepReport) {
-        let churn = self.cfg.churn;
-        if churn.is_static() {
-            return;
-        }
-        // Crashes: walk a snapshot of the live list (ascending slot index —
-        // the same visit order, hence the same RNG draws, as scanning every
-        // slot and skipping dead ones).
-        if churn.crash_prob_per_tick > 0.0 {
-            let mut snapshot = std::mem::take(&mut self.order_buf);
-            snapshot.clear();
-            snapshot.extend_from_slice(&self.arena.live);
-            let mut crashed_any = false;
-            for &i in &snapshot {
-                if self.arena.alive_count <= churn.min_nodes {
-                    break;
-                }
-                if self.kernel_rng.chance(churn.crash_prob_per_tick) {
-                    let counts = self.arena.slots[i as usize].app.wire_counts();
-                    self.retired.add(&counts);
-                    self.arena.kill_slot_deferred(i as usize);
-                    self.stats.crashes += 1;
-                    report.crashes += 1;
-                    crashed_any = true;
-                }
-            }
-            self.order_buf = snapshot;
-            if crashed_any {
-                self.arena.retain_live();
-            }
-        }
-        // Joins.
-        let joins = churn.sample_joins(&mut self.kernel_rng);
-        for _ in 0..joins {
-            if self.arena.alive_count >= churn.max_nodes {
-                break;
-            }
-            let Some(mut spawner) = self.spawner.take() else {
-                break; // no spawner: churn joins disabled
-            };
-            let id = self.arena.peek_next_id();
-            let mut node_rng = Xoshiro256pp::derive(self.cfg.seed, StreamId::node(1, id.raw()));
-            let app = spawner(id, &mut node_rng);
-            self.spawner = Some(spawner);
-            // Join-time sends land in the tick's report (and KernelStats),
-            // keeping `sent == delivered + lost + dead_letter + hop_overflow`
-            // reconcilable against per-tick reports as well.
-            self.insert_with_report(app, report);
-            self.stats.joins += 1;
-            report.joins += 1;
-        }
-    }
-
-    fn route(
-        &mut self,
-        from: NodeId,
-        outbox: &mut Vec<(NodeId, A::Message)>,
-        report: &mut StepReport,
-    ) {
+    fn route(&mut self, from: NodeId, outbox: &mut Vec<(NodeId, A::Message)>) {
         if outbox.is_empty() {
             return;
         }
@@ -956,21 +760,20 @@ impl<A: Application> CycleEngine<A> {
                     // remainder (this message, the rest of the outbox, and
                     // any queued replies) in one pass.
                     let discarded = 1 + pending.len() as u64 + queue.len() as u64;
-                    self.stats.sent += discarded;
-                    self.stats.hop_overflow += discarded;
-                    report.dropped += discarded;
+                    self.members.stats.sent += discarded;
+                    self.members.stats.hop_overflow += discarded;
                     drop(pending);
                     queue.clear();
                     self.queue_buf = queue;
                     return;
                 }
-                self.stats.sent += 1;
+                self.members.stats.sent += 1;
                 hops += 1;
-                self.deliver_one(from, to, msg, &mut queue, report);
+                self.deliver_one(from, to, msg, &mut queue);
             }
             drop(pending);
             if !queue.is_empty() {
-                self.drain_queue(&mut queue, &mut hops, report);
+                self.drain_queue(&mut queue, &mut hops);
             }
             self.queue_buf = queue;
         } else {
@@ -991,35 +794,24 @@ impl<A: Application> CycleEngine<A> {
         to: NodeId,
         msg: A::Message,
         queue: &mut VecDeque<(NodeId, NodeId, A::Message)>,
-        report: &mut StepReport,
     ) {
-        if self.cfg.transport.loss_prob > 0.0 && {
-            let t = self.cfg.transport;
-            t.drops(&mut self.kernel_rng)
-        } {
-            self.stats.lost += 1;
-            report.dropped += 1;
+        let members = &mut self.members;
+        if self.cfg.transport.loss_prob > 0.0 && self.cfg.transport.drops(&mut members.rng) {
+            members.stats.lost += 1;
             return;
         }
-        let Some(i) = self.arena.slot_index(to) else {
-            self.stats.dead_letter += 1;
-            report.dropped += 1;
+        let Some(i) = members.slot_index(to).filter(|&i| members.slots[i].alive) else {
+            members.stats.dead_letter += 1;
             return;
         };
-        if !self.arena.slots[i].alive {
-            self.stats.dead_letter += 1;
-            report.dropped += 1;
-            return;
-        }
         let mut outbox = std::mem::take(&mut self.drain_outbox_buf);
         outbox.clear();
         {
-            let slot = &mut self.arena.slots[i];
+            let slot = &mut self.members.slots[i];
             let mut ctx = Ctx::new(to, self.now, &mut slot.rng, &mut outbox);
             slot.app.on_message(from, msg, &mut ctx);
         }
-        self.stats.delivered += 1;
-        report.delivered += 1;
+        self.members.stats.delivered += 1;
         for (nto, nmsg) in outbox.drain(..) {
             queue.push_back((to, nto, nmsg));
         }
@@ -1029,35 +821,43 @@ impl<A: Application> CycleEngine<A> {
     /// Deliver every message in `queue`, routing replies recursively until
     /// the queue empties or the hop budget (`hops`, shared with the caller)
     /// is exhausted.
-    fn drain_queue(
-        &mut self,
-        queue: &mut VecDeque<(NodeId, NodeId, A::Message)>,
-        hops: &mut u32,
-        report: &mut StepReport,
-    ) {
+    fn drain_queue(&mut self, queue: &mut VecDeque<(NodeId, NodeId, A::Message)>, hops: &mut u32) {
         while let Some((from, to, msg)) = queue.pop_front() {
             if *hops >= self.cfg.max_hops_per_tick {
                 // Budget exhausted: everything still queued this tick is
                 // discarded. Count the whole remainder in one pass rather
                 // than looping it through one message at a time.
                 let discarded = 1 + queue.len() as u64;
-                self.stats.sent += discarded;
-                self.stats.hop_overflow += discarded;
-                report.dropped += discarded;
+                self.members.stats.sent += discarded;
+                self.members.stats.hop_overflow += discarded;
                 queue.clear();
                 drop((from, to, msg));
                 break;
             }
-            self.stats.sent += 1;
+            self.members.stats.sent += 1;
             *hops += 1;
-            self.deliver_one(from, to, msg, queue, report);
+            self.deliver_one(from, to, msg, queue);
         }
+    }
+}
+
+impl<A: Application> Deref for CycleEngine<A> {
+    type Target = Membership<A>;
+    fn deref(&self) -> &Membership<A> {
+        &self.members
+    }
+}
+
+impl<A: Application> DerefMut for CycleEngine<A> {
+    fn deref_mut(&mut self) -> &mut Membership<A> {
+        &mut self.members
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gossipopt_util::Xoshiro256pp;
 
     /// Toy protocol: every tick send our counter to a fixed buddy; on
     /// receive, remember the largest value seen.
@@ -1218,7 +1018,7 @@ mod tests {
     }
 
     #[test]
-    fn churn_crashes_and_joins_with_spawner() {
+    fn spawner_churn_crashes_and_joins() {
         let mut cfg = CycleConfig::seeded(8);
         cfg.churn = ChurnConfig {
             crash_prob_per_tick: 0.05,
@@ -1241,12 +1041,16 @@ mod tests {
     #[test]
     fn crash_fraction_halves_network() {
         let mut e = engine(9);
+        let mut ev = crate::event::EventEngine::new(crate::event::EventConfig::seeded(9));
         for _ in 0..100 {
             e.insert(Counter::new());
+            ev.insert(Counter::new());
         }
-        let killed = e.crash_fraction(0.5);
-        assert_eq!(killed, 50);
-        assert_eq!(e.alive_count(), 50);
+        for net in [&mut *e, &mut *ev] {
+            assert_eq!(net.crash_fraction(0.5), 50);
+            assert_eq!(net.alive_count(), 50);
+            assert_eq!(net.stats().crashes, 50);
+        }
     }
 
     #[test]
@@ -1736,7 +1540,7 @@ mod tests {
             }
             e.run(TICKS);
             assert_eq!(e.stats(), model, "threads={threads}");
-            assert_eq!(e.kernel_rng.state(), krng.state(), "threads={threads}");
+            assert_eq!(e.members.rng.state(), krng.state(), "threads={threads}");
             let heard: Vec<u64> = e.nodes().map(|(_, a)| a.heard).collect();
             let expected: Vec<u64> = (0..N)
                 .filter(|&i| live(i))

@@ -13,10 +13,12 @@
 //!
 //! ## Hot-path layout
 //!
-//! Node storage is the same dense `SlotArena` the cycle kernel uses: the
-//! id → slot lookup is arithmetic (a bounds compare) instead of the hash
-//! map the first implementation paid on every delivery, and the live list
-//! makes observer iteration and bootstrap sampling O(alive). The event
+//! Joins, crashes, churn and the counters are the [`Membership`] layer the
+//! cycle kernel runs on too; this kernel owns only the schedule. Node
+//! storage is that layer's dense slots: the id → slot lookup is
+//! arithmetic (a bounds compare) instead of the hash map the first
+//! implementation paid on every delivery, and the live list makes
+//! observer iteration and bootstrap sampling O(alive). The event
 //! queue is an indexed timer wheel: a ring of `WHEEL_SLOTS` buckets where
 //! an event `delay < WHEEL_SLOTS` lands in bucket `time % WHEEL_SLOTS` (one
 //! `Vec` push, O(1), allocation-free once bucket capacities have grown),
@@ -88,19 +90,28 @@
 //! replies and RNG draws — fused dispatch stays bit-identical to unfused
 //! dispatch; items merged away are still credited to the `delivered`
 //! counter. The only statistic that may differ between `threads = 0` and
-//! `threads >= 1` is [`EventEngine::frame_bytes_saved`], which is always
-//! zero at `threads == 0`.
+//! `threads >= 1` is [`KernelStats::frame_saved`](crate::KernelStats),
+//! which is always zero at `threads == 0`.
+//!
+//! ## Counters
+//!
+//! The kernel counts into the membership's [`crate::KernelStats`]. A
+//! message counts as `sent` when it resolves: delivered, `lost` to the
+//! transport at send time, or a `dead_letter` at its arrival time. Messages
+//! still in flight are in none of the counters, so `sent == delivered +
+//! lost + dead_letter` always holds (there is no hop budget).
 
-use crate::app::{Application, Ctx, FrameSavings, WireCounts};
+use crate::app::{Application, Ctx};
 use crate::churn::ChurnConfig;
 use crate::ids::{NodeId, Ticks};
-use crate::slots::{adopt_or_append, ShardCuts, SlotArena};
+use crate::slots::{adopt_or_append, Membership, ShardCuts};
 use crate::transport::Transport;
 use crate::Control;
 use gossipopt_obs::wall::{self, Phase};
-use gossipopt_util::{Rng64, StreamId, Xoshiro256pp};
+use gossipopt_util::{Rng64, StreamId};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+use std::ops::{Deref, DerefMut};
 
 pub use crate::slots::NodesView;
 
@@ -126,7 +137,7 @@ pub struct EventConfig {
     /// shard each batch across this many worker threads and let the
     /// application fuse seq-adjacent same-destination deliveries into
     /// batch frames ([`Application::coalesce_round`]); wire savings
-    /// accumulate in [`EventEngine::frame_bytes_saved`]. Everything else
+    /// accumulate in [`crate::KernelStats::frame_saved`]. Everything else
     /// is bit-identical at every value (see the module docs).
     pub threads: usize,
 }
@@ -196,8 +207,6 @@ impl<M> Ord for Event<M> {
     }
 }
 
-type Spawner<A> = Box<dyn FnMut(NodeId, &mut Xoshiro256pp) -> A>;
-
 /// One shard of a sharded same-timestamp segment: exclusive slots of a
 /// contiguous range plus the buffers it works through.
 struct EventShard<'a, A: Application> {
@@ -234,12 +243,15 @@ struct Replay {
 const WHEEL_SLOTS: u64 = 512;
 const WHEEL_MASK: u64 = WHEEL_SLOTS - 1;
 
-/// The discrete-event simulation kernel.
+/// The discrete-event simulation kernel: the timer-wheel schedule over a
+/// [`Membership`], which it dereferences to for everything that is not a
+/// schedule (crashes, the spawner, node access, the counters).
 pub struct EventEngine<A: Application> {
     cfg: EventConfig,
-    arena: SlotArena<A>,
+    /// Slots, joins, crashes, churn, counters and the kernel stream
+    /// (`StreamId(1, 0)`; node streams `node(2 | 3, id)`).
+    members: Membership<A>,
     next_seq: u64,
-    kernel_rng: Xoshiro256pp,
     now: Ticks,
     /// Timer wheel: bucket `t & WHEEL_MASK` holds the pending events for
     /// time `t` (a bucket can only ever hold one timestamp's events at a
@@ -250,26 +262,9 @@ pub struct EventEngine<A: Application> {
     overflow: BinaryHeap<Reverse<Event<A::Message>>>,
     /// Total events in wheel + overflow.
     pending: usize,
-    spawner: Option<Spawner<A>>,
-    delivered: u64,
-    dropped: u64,
-    frame_bytes_saved: u64,
-    /// Per-class split of `frame_bytes_saved` (observability plane).
-    frame_saved: FrameSavings,
-    /// Wire counts harvested from nodes at death, so churn never loses
-    /// traffic from the per-kind totals.
-    retired: WireCounts,
-    /// Nodes crashed by the churn process.
-    churn_crashes: u64,
-    /// Nodes joined by the churn process.
-    churn_joins: u64,
     // Scratch buffers reused across events to keep dispatch allocation-free.
     /// Join-time outbox (`on_join` sends), reused across `insert` calls.
     join_outbox_buf: Vec<(NodeId, A::Message)>,
-    /// Bootstrap-contact scratch reused across `insert` calls.
-    contacts_buf: Vec<NodeId>,
-    /// Live-slot snapshot for the churn crash sweep.
-    churn_buf: Vec<u32>,
     /// Same-timestamp batch scratch.
     batch_buf: Vec<Event<A::Message>>,
     /// Recycled shard buffers, at most one per worker.
@@ -282,27 +277,16 @@ impl<A: Application> EventEngine<A> {
     /// Create an empty network with the given configuration.
     pub fn new(cfg: EventConfig) -> Self {
         assert!(cfg.tick_period > 0, "tick_period must be positive");
-        let kernel_rng = Xoshiro256pp::derive(cfg.seed, StreamId(1, 0));
+        let members = Membership::new(cfg.seed, StreamId(1, 0), 2, cfg.bootstrap_sample, cfg.churn);
         let mut engine = EventEngine {
             cfg,
-            arena: SlotArena::new(),
+            members,
             next_seq: 0,
-            kernel_rng,
             now: 0,
             wheel: (0..WHEEL_SLOTS).map(|_| Vec::new()).collect(),
             overflow: BinaryHeap::new(),
             pending: 0,
-            spawner: None,
-            delivered: 0,
-            dropped: 0,
-            frame_bytes_saved: 0,
-            frame_saved: FrameSavings::default(),
-            retired: WireCounts::new(),
-            churn_crashes: 0,
-            churn_joins: 0,
             join_outbox_buf: Vec::new(),
-            contacts_buf: Vec::new(),
-            churn_buf: Vec::new(),
             batch_buf: Vec::new(),
             shard_pool: Vec::new(),
             shard_cuts: ShardCuts::new(),
@@ -314,70 +298,31 @@ impl<A: Application> EventEngine<A> {
         engine
     }
 
-    /// Install the factory used for churn joins and [`EventEngine::populate`].
-    pub fn set_spawner(&mut self, f: impl FnMut(NodeId, &mut Xoshiro256pp) -> A + 'static) {
-        self.spawner = Some(Box::new(f));
-    }
-
-    /// Add `n` nodes via the spawner.
+    /// Add `n` nodes via the spawner. Panics if no spawner is installed.
     pub fn populate(&mut self, n: usize) {
         for _ in 0..n {
-            let id = self.arena.peek_next_id();
-            let mut spawner = self.spawner.take().expect("populate requires a spawner");
-            let mut node_rng = Xoshiro256pp::derive(self.cfg.seed, StreamId::node(3, id.raw()));
-            let app = spawner(id, &mut node_rng);
-            self.spawner = Some(spawner);
+            let app = self.members.spawn().expect("populate requires a spawner");
             self.insert(app);
         }
     }
 
-    /// Add one node; runs `on_join` now and schedules its tick timer.
+    /// Add one node; runs `on_join` now, hands its sends to the transport
+    /// and schedules its tick timer.
     pub fn insert(&mut self, app: A) -> NodeId {
-        let id = self.arena.peek_next_id();
-        let rng = Xoshiro256pp::derive(self.cfg.seed, StreamId::node(2, id.raw()));
-        let mut contacts = std::mem::take(&mut self.contacts_buf);
-        self.arena.sample_alive_into(
-            &mut self.kernel_rng,
-            self.cfg.bootstrap_sample,
-            Some(id),
-            &mut contacts,
-        );
-        let (id, slot_idx) = self.arena.insert(app, rng);
-
         let mut outbox = std::mem::take(&mut self.join_outbox_buf);
-        outbox.clear();
-        {
-            let slot = &mut self.arena.slots[slot_idx];
-            let mut ctx = Ctx::new(id, self.now, &mut slot.rng, &mut outbox);
-            slot.app.on_join(&contacts, &mut ctx);
+        let id = self.members.join(app, self.now, &mut outbox);
+        for (to, msg) in outbox.drain(..) {
+            self.transmit(id, to, msg);
         }
-        self.route(id, &mut outbox);
         self.join_outbox_buf = outbox;
-        self.contacts_buf = contacts;
 
         let phase = if self.cfg.jitter_phase {
-            self.kernel_rng.below(self.cfg.tick_period)
+            self.members.rng.below(self.cfg.tick_period)
         } else {
             0
         };
         self.schedule(phase + 1, EventKind::Tick { node: id });
         id
-    }
-
-    /// Crash a node immediately (scripted failure). In-flight messages to
-    /// it will be dropped at delivery time. Returns `false` if it was
-    /// already dead or unknown.
-    pub fn crash(&mut self, id: NodeId) -> bool {
-        if let Some(app) = self.arena.get(id) {
-            let counts = app.wire_counts();
-            self.retired.add(&counts);
-        }
-        if self.arena.kill(id) {
-            self.churn_crashes += 1;
-            true
-        } else {
-            false
-        }
     }
 
     /// Current simulated time.
@@ -388,65 +333,6 @@ impl<A: Application> EventEngine<A> {
     /// Period of each node's local clock ([`EventConfig::tick_period`]).
     pub fn tick_period(&self) -> Ticks {
         self.cfg.tick_period
-    }
-
-    /// Number of live nodes.
-    pub fn alive_count(&self) -> usize {
-        self.arena.alive_count
-    }
-
-    /// Messages delivered so far.
-    pub fn delivered(&self) -> u64 {
-        self.delivered
-    }
-
-    /// Messages dropped so far (loss or dead destination).
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
-
-    /// Wire bytes saved by frame coalescing so far (see
-    /// [`EventConfig::threads`]). Always `0` at `threads == 0`, which
-    /// never coalesces.
-    pub fn frame_bytes_saved(&self) -> u64 {
-        self.frame_bytes_saved
-    }
-
-    /// Per-class split of [`EventEngine::frame_bytes_saved`]
-    /// (`frame_saved().total() == frame_bytes_saved()`).
-    pub fn frame_saved(&self) -> FrameSavings {
-        self.frame_saved
-    }
-
-    /// Per-kind wire counts harvested from nodes that have died. Add
-    /// these to the live nodes' counts for exact totals under churn.
-    pub fn retired_wire_counts(&self) -> WireCounts {
-        self.retired
-    }
-
-    /// Nodes crashed so far, by the churn process or [`EventEngine::crash`].
-    pub fn churn_crashes(&self) -> u64 {
-        self.churn_crashes
-    }
-
-    /// Nodes joined by the churn process so far.
-    pub fn churn_joins(&self) -> u64 {
-        self.churn_joins
-    }
-
-    /// Read a live node's application state.
-    pub fn node(&self, id: NodeId) -> Option<&A> {
-        self.arena.get(id)
-    }
-
-    /// Iterate `(id, application)` over live nodes.
-    pub fn nodes(&self) -> impl Iterator<Item = (NodeId, &A)> + '_ {
-        self.arena.nodes()
-    }
-
-    /// Observer view of the live network.
-    pub fn view(&self) -> NodesView<'_, A> {
-        self.arena.view()
     }
 
     /// Run until `max_time`, invoking `observer` every `observe_every` time
@@ -468,7 +354,7 @@ impl<A: Application> EventEngine<A> {
             // all of them have been processed.
             while next_observe < batch_time {
                 self.now = next_observe;
-                if observer(self.now, &self.arena.view()) == Control::Stop {
+                if observer(self.now, &self.members.view()) == Control::Stop {
                     return self.now;
                 }
                 next_observe += observe_every;
@@ -500,7 +386,7 @@ impl<A: Application> EventEngine<A> {
         // Trailing observations up to max_time.
         while next_observe <= max_time {
             self.now = next_observe;
-            if observer(self.now, &self.arena.view()) == Control::Stop {
+            if observer(self.now, &self.members.view()) == Control::Stop {
                 return self.now;
             }
             next_observe += observe_every;
@@ -569,7 +455,7 @@ impl<A: Application> EventEngine<A> {
         for ev in batch.drain(..) {
             if is_churn(&ev) {
                 self.process_segment(&mut segment);
-                self.churn_step();
+                Membership::churn_step(self, Self::insert);
                 let period = self.cfg.tick_period;
                 self.schedule(period, EventKind::Churn);
             } else {
@@ -588,17 +474,18 @@ impl<A: Application> EventEngine<A> {
         // (liveness is static within the segment, so this matches the
         // per-event checks of one-at-a-time processing) and count the
         // survivors' targets for the shard cuts.
-        let (arena, dropped, cuts) = (&self.arena, &mut self.dropped, &mut self.shard_cuts);
-        cuts.reset(arena.slots.len(), threads);
-        events.retain(|ev| match arena.slot_index(ev.target()) {
-            Some(t) if arena.slots[t].alive => {
+        let (members, cuts) = (&mut self.members, &mut self.shard_cuts);
+        cuts.reset(members.slots.len(), threads);
+        events.retain(|ev| match members.slot_index(ev.target()) {
+            Some(t) if members.slots[t].alive => {
                 cuts.count(t);
                 true
             }
             _ => {
                 // Crashed-node timer lapses silently; message dead-letters.
                 if matches!(ev.kind, EventKind::Deliver { .. }) {
-                    *dropped += 1;
+                    members.stats.dead_letter += 1;
+                    members.stats.sent += 1;
                 }
                 false
             }
@@ -628,8 +515,8 @@ impl<A: Application> EventEngine<A> {
                 })
             })
             .collect();
-        let (arena, cuts) = (&self.arena, &self.shard_cuts);
-        let shard_of = |ev: &Event<A::Message>| cuts.shard_of(arena.slot_of_live(ev.target()));
+        let (members, cuts) = (&self.members, &self.shard_cuts);
+        let shard_of = |ev: &Event<A::Message>| cuts.shard_of(members.slot_of_live(ev.target()));
         for ev in events.extract_if(.., |ev| shard_of(ev) != 0) {
             bufs[shard_of(&ev)].events.push(ev);
         }
@@ -638,7 +525,7 @@ impl<A: Application> EventEngine<A> {
         // Callback phase: parallel shards, each running its events in seq
         // order against one flat outbox.
         let now = self.now;
-        let views = crate::slots::disjoint_slot_ranges(&mut self.arena.slots, &ranges);
+        let views = crate::slots::disjoint_slot_ranges(&mut self.members.slots, &ranges);
         let tasks: Vec<EventShard<'_, A>> = views
             .into_iter()
             .zip(bufs)
@@ -694,7 +581,9 @@ impl<A: Application> EventEngine<A> {
         // walk the shard with the smallest pending seq until it passes the
         // runner-up's. One shard is one straight walk.
         let period = self.cfg.tick_period;
-        self.delivered += outs.iter().map(|(_, delivered)| delivered).sum::<u64>();
+        let delivered = outs.iter().map(|(_, delivered)| delivered).sum::<u64>();
+        self.members.stats.delivered += delivered;
+        self.members.stats.sent += delivered;
         let mut heads: Vec<_> = outs
             .iter_mut()
             .map(|(bufs, _)| (bufs.replays.iter().peekable(), bufs.outbox.drain(..)))
@@ -795,18 +684,14 @@ impl<A: Application> EventEngine<A> {
                 seqs.push(nev.seq);
             }
             let before = frames.len();
-            let savings = A::coalesce_round(&mut frames);
-            self.frame_bytes_saved += savings.total();
-            self.frame_saved
-                .by_class
-                .iter_mut()
-                .zip(savings.by_class)
-                .for_each(|(acc, got)| *acc += got);
+            let stats = &mut self.members.stats;
+            stats.frame_saved += A::coalesce_round(&mut frames);
             debug_assert!(frames.len() <= before, "coalescing must not grow a run");
             // Frames merged away still arrive (inside a batch): credit
             // them to the delivery counter now so stats count per
             // original frame.
-            self.delivered += (before - frames.len()) as u64;
+            stats.delivered += (before - frames.len()) as u64;
+            stats.sent += (before - frames.len()) as u64;
             // Surviving frames keep the run's leading seqs — order within
             // the run is preserved, so replay ordering is unchanged.
             for ((from, to, msg), seq) in frames.drain(..).zip(seqs.iter().copied()) {
@@ -819,74 +704,41 @@ impl<A: Application> EventEngine<A> {
         }
     }
 
-    fn route(&mut self, from: NodeId, outbox: &mut Vec<(NodeId, A::Message)>) {
-        for (to, msg) in outbox.drain(..) {
-            self.transmit(from, to, msg);
-        }
-    }
-
     /// Hand one message to the transport: loss draw, latency draw, schedule.
     #[inline]
     fn transmit(&mut self, from: NodeId, to: NodeId, msg: A::Message) {
-        if self.cfg.transport.drops(&mut self.kernel_rng) {
-            self.dropped += 1;
+        if self.cfg.transport.drops(&mut self.members.rng) {
+            self.members.stats.lost += 1;
+            self.members.stats.sent += 1;
             return;
         }
         let delay = self
             .cfg
             .transport
             .latency
-            .sample(&mut self.kernel_rng)
+            .sample(&mut self.members.rng)
             .max(1);
         self.schedule(delay, EventKind::Deliver { from, to, msg });
     }
+}
 
-    fn churn_step(&mut self) {
-        let churn = self.cfg.churn;
-        // Crashes: walk a snapshot of the live list (ascending slot index —
-        // the same visit order, hence the same RNG draws, as scanning every
-        // slot and skipping dead ones).
-        if churn.crash_prob_per_tick > 0.0 {
-            let mut snapshot = std::mem::take(&mut self.churn_buf);
-            snapshot.clear();
-            snapshot.extend_from_slice(&self.arena.live);
-            let mut crashed_any = false;
-            for &i in &snapshot {
-                if self.arena.alive_count <= churn.min_nodes {
-                    break;
-                }
-                if self.kernel_rng.chance(churn.crash_prob_per_tick) {
-                    let counts = self.arena.slots[i as usize].app.wire_counts();
-                    self.retired.add(&counts);
-                    self.arena.kill_slot_deferred(i as usize);
-                    self.churn_crashes += 1;
-                    crashed_any = true;
-                }
-            }
-            self.churn_buf = snapshot;
-            if crashed_any {
-                self.arena.retain_live();
-            }
-        }
-        let joins = churn.sample_joins(&mut self.kernel_rng);
-        for _ in 0..joins {
-            if self.arena.alive_count >= churn.max_nodes || self.spawner.is_none() {
-                break;
-            }
-            let mut spawner = self.spawner.take().expect("checked above");
-            let id = self.arena.peek_next_id();
-            let mut node_rng = Xoshiro256pp::derive(self.cfg.seed, StreamId::node(3, id.raw()));
-            let app = spawner(id, &mut node_rng);
-            self.spawner = Some(spawner);
-            self.insert(app);
-            self.churn_joins += 1;
-        }
+impl<A: Application> Deref for EventEngine<A> {
+    type Target = Membership<A>;
+    fn deref(&self) -> &Membership<A> {
+        &self.members
+    }
+}
+
+impl<A: Application> DerefMut for EventEngine<A> {
+    fn deref_mut(&mut self) -> &mut Membership<A> {
+        &mut self.members
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::app::FrameSavings;
     use crate::transport::Latency;
 
     /// Echo protocol: tick sends a ping to a contact; receivers count.
@@ -981,7 +833,7 @@ mod tests {
         e.insert(Echo::new());
         e.run(200);
         assert_eq!(e.delivered(), 0);
-        assert!(e.dropped() > 0);
+        assert!(e.stats().dropped() > 0);
     }
 
     #[test]
@@ -1002,15 +854,20 @@ mod tests {
 
     #[test]
     fn scripted_crash_is_counted_once() {
-        let mut e: EventEngine<Echo> = EventEngine::new(EventConfig::seeded(5));
-        let a = e.insert(Echo::new());
-        e.insert(Echo::new());
-        assert_eq!(e.churn_crashes(), 0);
-        assert!(e.crash(a));
-        assert_eq!(e.churn_crashes(), 1);
-        assert!(!e.crash(a), "a dead node cannot crash again");
-        assert_eq!(e.churn_crashes(), 1);
-        assert_eq!(e.alive_count(), 1);
+        let mut cycle = crate::cycle::CycleEngine::new(crate::cycle::CycleConfig::seeded(5));
+        let mut event = EventEngine::new(EventConfig::seeded(5));
+        let a = cycle.insert(Echo::new());
+        cycle.insert(Echo::new());
+        assert_eq!(event.insert(Echo::new()), a);
+        event.insert(Echo::new());
+        for net in [&mut *cycle, &mut *event] {
+            assert_eq!(net.stats().crashes, 0);
+            assert!(net.crash(a));
+            assert_eq!(net.stats().crashes, 1);
+            assert!(!net.crash(a), "a dead node cannot crash again");
+            assert_eq!(net.stats().crashes, 1);
+            assert_eq!(net.alive_count(), 1);
+        }
     }
 
     #[test]
@@ -1048,7 +905,7 @@ mod tests {
             e.run(500);
             (
                 e.delivered(),
-                e.dropped(),
+                e.stats().dropped(),
                 e.nodes().map(|(_, a)| a.pings).collect::<Vec<_>>(),
             )
         };
@@ -1071,7 +928,10 @@ mod tests {
         e.populate(20);
         e.run(2000);
         assert!(e.alive_count() >= 2 && e.alive_count() <= 50);
-        assert!(e.arena.slots.len() > 20, "some joins should have happened");
+        assert!(
+            e.members.slots.len() > 20,
+            "some joins should have happened"
+        );
     }
 
     type RunDigest = (u64, u64, u64, Vec<(u64, u64, u64)>, [u64; 4]);
@@ -1102,10 +962,10 @@ mod tests {
             .collect();
         (
             e.delivered(),
-            e.dropped(),
+            e.stats().dropped(),
             e.now(),
             states,
-            e.kernel_rng.state(),
+            e.members.rng.state(),
         )
     }
 
@@ -1196,10 +1056,10 @@ mod tests {
             .collect();
         (
             e.delivered(),
-            e.dropped(),
+            e.stats().dropped(),
             states,
-            e.kernel_rng.state(),
-            e.frame_bytes_saved(),
+            e.members.rng.state(),
+            e.stats().frame_saved.total(),
         )
     }
 
@@ -1208,7 +1068,7 @@ mod tests {
         // The event-kernel coalesce hook: fused runs change nothing the
         // unfused threads=0 run can observe — delivered/dropped counts,
         // node states and the kernel RNG stream all match; only the
-        // frame_bytes_saved ledger moves (and stays zero at threads=0).
+        // frame_saved ledger moves (and stays zero at threads=0).
         let (sd, sx, ss, srng, ssaved) = fusing_digest(0);
         assert_eq!(ssaved, 0, "threads=0 never coalesces");
         for threads in [1, 2, 3, 8] {

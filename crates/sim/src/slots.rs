@@ -1,17 +1,28 @@
-//! Dense slot storage shared by both kernels.
+//! The membership layer both kernels run on.
 //!
-//! Both engines allocate `NodeId`s sequentially and never remove a slot, so
-//! the id → slot lookup is pure arithmetic (a bounds compare) instead of a
-//! hash-map probe, and the set of live nodes is an incrementally maintained
-//! sorted list of slot indices — iterating it is O(alive) and equals
-//! filtering every slot ever allocated by liveness, so visit order (and
-//! therefore RNG draw order) is identical to the re-filtering
-//! implementations it replaced. The arena also owns the scratch buffers for
-//! live-id sampling, keeping `sample_alive_into` allocation-free in steady
-//! state.
+//! A node's life-cycle — entry with a bootstrap sample, crash, churn — is
+//! one model, independent of how a kernel advances time. [`Membership`]
+//! owns it: the slots, the spawner, bootstrap sampling, the churn step,
+//! scripted crashes, the wire counts harvested from the dead and the one
+//! [`KernelStats`] both kernels count into. A kernel keeps only its
+//! schedule (rounds, or a timer wheel) and routes what a joining node
+//! sends; both dereference to their membership, so `e.crash(id)`,
+//! `e.stats()` or `e.set_spawner(..)` resolve on either kernel.
+//!
+//! Storage: ids are allocated sequentially and a slot is never removed,
+//! so the id → slot lookup is pure arithmetic (a bounds compare) instead
+//! of a hash-map probe, and the set of live nodes is an incrementally
+//! maintained sorted list of slot indices — iterating it is O(alive) and
+//! equals filtering every slot ever allocated by liveness, so visit order
+//! (and therefore RNG draw order) is identical to the re-filtering
+//! implementations it replaced.
 
-use crate::ids::NodeId;
-use gossipopt_util::{Rng64, Xoshiro256pp};
+use crate::app::{Application, Ctx, WireCounts};
+use crate::churn::ChurnConfig;
+use crate::ids::{NodeId, Ticks};
+use crate::KernelStats;
+use gossipopt_util::{Rng64, StreamId, Xoshiro256pp};
+use std::ops::DerefMut;
 
 /// One node's kernel-side record: identity, protocol state, private RNG
 /// stream and liveness flag. Slots are append-only; crashes only clear
@@ -50,8 +61,14 @@ impl<'a, A> NodesView<'a, A> {
     }
 }
 
-/// Append-only slot arena with a dense id map and sorted live list.
-pub(crate) struct SlotArena<A> {
+type Spawner<A> = Box<dyn FnMut(NodeId, &mut Xoshiro256pp) -> A>;
+
+/// A kernel's network and its life-cycle: append-only slots with a dense
+/// id map and a sorted live list, the joiner factory, bootstrap sampling,
+/// crashes and churn, and the counters. The kernel's RNG stream lives here
+/// too, because joins, churn and [`Membership::crash_fraction`] draw from
+/// it in between the kernel's own scheduling and transport draws.
+pub struct Membership<A> {
     pub(crate) slots: Vec<Slot<A>>,
     /// Dense slot map: `slot_of[id.raw()]` is the slot index for `id`.
     /// Redundant with the identity mapping today (checked in debug builds);
@@ -62,22 +79,51 @@ pub(crate) struct SlotArena<A> {
     /// remove in place).
     pub(crate) live: Vec<u32>,
     pub(crate) alive_count: usize,
-    pub(crate) next_id: u64,
-    /// Live-id scratch for `sample_alive_into` / bulk-crash helpers.
-    alive_ids_buf: Vec<NodeId>,
+    next_id: u64,
+    /// The kernel stream.
+    pub(crate) rng: Xoshiro256pp,
+    pub(crate) stats: KernelStats,
+    seed: u64,
+    /// A node's own stream is `node(component, id)`; the stream its
+    /// spawner call gets is `node(component + 1, id)`.
+    component: u64,
+    bootstrap_sample: usize,
+    churn: ChurnConfig,
+    spawner: Option<Spawner<A>>,
+    /// Wire counts harvested from nodes at death, so a crash never loses
+    /// traffic from the per-kind totals.
+    retired: WireCounts,
+    /// Bootstrap contacts of the node being joined.
+    contacts: Vec<NodeId>,
     /// Index scratch for `Rng64::sample_indices_into`.
     sample_buf: Vec<usize>,
 }
 
-impl<A> SlotArena<A> {
-    pub(crate) fn new() -> Self {
-        SlotArena {
+impl<A> Membership<A> {
+    /// An empty network drawing from the kernel stream `kernel` of `seed`;
+    /// see the `component` field for the node streams.
+    pub(crate) fn new(
+        seed: u64,
+        kernel: StreamId,
+        component: u64,
+        bootstrap_sample: usize,
+        churn: ChurnConfig,
+    ) -> Self {
+        Membership {
             slots: Vec::new(),
             slot_of: Vec::new(),
             live: Vec::new(),
             alive_count: 0,
             next_id: 0,
-            alive_ids_buf: Vec::new(),
+            rng: Xoshiro256pp::derive(seed, kernel),
+            stats: KernelStats::default(),
+            seed,
+            component,
+            bootstrap_sample,
+            churn,
+            spawner: None,
+            retired: WireCounts::new(),
+            contacts: Vec::new(),
             sample_buf: Vec::new(),
         }
     }
@@ -96,7 +142,7 @@ impl<A> SlotArena<A> {
 
     /// Slot index for an id already verified allocated **and live** (the
     /// sharded delivery paths pre-check liveness, then index repeatedly).
-    /// Arithmetic today; like [`SlotArena::slot_index`], this is the seam
+    /// Arithmetic today; like [`Membership::slot_index`], this is the seam
     /// a future slot compaction would reroute through `slot_of`.
     #[inline]
     pub(crate) fn slot_of_live(&self, id: NodeId) -> usize {
@@ -106,15 +152,9 @@ impl<A> SlotArena<A> {
         i
     }
 
-    /// Reserve the next sequential id without inserting (callers derive the
-    /// node's RNG streams from the id before constructing the app).
-    #[inline]
-    pub(crate) fn peek_next_id(&self) -> NodeId {
-        NodeId(self.next_id)
-    }
-
-    /// Append a live slot for `app`; returns `(id, slot index)`.
-    pub(crate) fn insert(&mut self, app: A, rng: Xoshiro256pp) -> (NodeId, usize) {
+    /// Append a live slot for `app` under the next sequential id; returns
+    /// the slot index.
+    fn push(&mut self, app: A, rng: Xoshiro256pp) -> usize {
         let id = NodeId(self.next_id);
         self.next_id += 1;
         let slot_idx = self.slots.len();
@@ -145,41 +185,55 @@ impl<A> SlotArena<A> {
         // New slots take the largest index, so appending keeps `live` sorted.
         self.live.push(slot_idx as u32);
         self.alive_count += 1;
-        (id, slot_idx)
+        slot_idx
     }
 
-    /// Crash `id`. Returns `false` if it was already dead or unknown.
-    pub(crate) fn kill(&mut self, id: NodeId) -> bool {
-        match self.slot_index(id) {
-            Some(i) if self.slots[i].alive => {
-                self.slots[i].alive = false;
-                self.alive_count -= 1;
-                if let Ok(pos) = self.live.binary_search(&(i as u32)) {
-                    self.live.remove(pos);
-                }
-                true
-            }
-            _ => false,
-        }
-    }
-
-    /// Mark slot `i` dead without touching the live list (bulk-crash path;
-    /// follow with [`SlotArena::retain_live`]).
-    #[inline]
-    pub(crate) fn kill_slot_deferred(&mut self, i: usize) {
-        debug_assert!(self.slots[i].alive);
-        self.slots[i].alive = false;
-        self.alive_count -= 1;
-    }
-
-    /// Re-filter the live list after deferred kills.
-    pub(crate) fn retain_live(&mut self) {
+    /// Re-filter the live list after slots were marked dead.
+    fn retain_live(&mut self) {
         let slots = &self.slots;
         self.live.retain(|&i| slots[i as usize].alive);
     }
 
+    /// Install the factory that builds the nodes of churn joins and of the
+    /// kernels' `populate`.
+    pub fn set_spawner(&mut self, f: impl FnMut(NodeId, &mut Xoshiro256pp) -> A + 'static) {
+        self.spawner = Some(Box::new(f));
+    }
+
+    /// Build the next joiner with the spawner, on the spawner stream of
+    /// the id it will get; `None` when no spawner is installed.
+    pub(crate) fn spawn(&mut self) -> Option<A> {
+        let id = NodeId(self.next_id);
+        let stream = StreamId::node(self.component + 1, id.raw());
+        let seed = self.seed;
+        self.spawner
+            .as_mut()
+            .map(|spawn| spawn(id, &mut Xoshiro256pp::derive(seed, stream)))
+    }
+
+    /// Number of live nodes.
+    pub fn alive_count(&self) -> usize {
+        self.alive_count
+    }
+
+    /// Cumulative kernel statistics.
+    pub fn stats(&self) -> KernelStats {
+        self.stats
+    }
+
+    /// Messages delivered so far (`stats().delivered`).
+    pub fn delivered(&self) -> u64 {
+        self.stats.delivered
+    }
+
+    /// Per-kind wire counts harvested from nodes that have died. Add
+    /// these to the live nodes' counts for exact totals under churn.
+    pub fn retired_wire_counts(&self) -> WireCounts {
+        self.retired
+    }
+
     /// Read a live node's application state.
-    pub(crate) fn get(&self, id: NodeId) -> Option<&A> {
+    pub fn node(&self, id: NodeId) -> Option<&A> {
         self.slot_index(id)
             .map(|i| &self.slots[i])
             .filter(|s| s.alive)
@@ -187,7 +241,7 @@ impl<A> SlotArena<A> {
     }
 
     /// Iterate `(id, application)` over live nodes in slot order.
-    pub(crate) fn nodes(&self) -> impl Iterator<Item = (NodeId, &A)> + '_ {
+    pub fn nodes(&self) -> impl Iterator<Item = (NodeId, &A)> + '_ {
         self.live.iter().map(|&i| {
             let s = &self.slots[i as usize];
             (s.id, &s.app)
@@ -195,72 +249,134 @@ impl<A> SlotArena<A> {
     }
 
     /// Observer view of the live network.
-    pub(crate) fn view(&self) -> NodesView<'_, A> {
+    pub fn view(&self) -> NodesView<'_, A> {
         NodesView {
             slots: &self.slots,
             live: &self.live,
         }
     }
+}
 
-    /// Uniform sample (without replacement) of up to `m` live node ids,
-    /// excluding `except`, into `out` (cleared first). Draws from `rng`
-    /// exactly as the allocating implementation did: no draws when the
-    /// candidate set is empty or `m == 0`.
-    pub(crate) fn sample_alive_into(
+impl<A: Application> Membership<A> {
+    /// Add `app` as a new live node: sample its bootstrap contacts from
+    /// the kernel stream, append its slot with its own stream, and run its
+    /// [`Application::on_join`], whose sends land in `outbox` (cleared
+    /// first) for the kernel to route.
+    pub(crate) fn join(
         &mut self,
-        rng: &mut Xoshiro256pp,
-        m: usize,
-        except: Option<NodeId>,
-        out: &mut Vec<NodeId>,
-    ) {
-        out.clear();
-        if m == 0 {
-            // No draws and no output either way; skip the O(alive)
-            // candidate build so `bootstrap_sample = 0` runs (100k-node
-            // scale scenarios with explicit topologies) insert in O(1).
+        app: A,
+        now: Ticks,
+        outbox: &mut Vec<(NodeId, A::Message)>,
+    ) -> NodeId {
+        let id = NodeId(self.next_id);
+        // A uniform sample without replacement of up to
+        // `bootstrap_sample` live nodes (the joiner is not one yet); no
+        // draws when there is nobody to sample or no sample is wanted.
+        self.contacts.clear();
+        let m = self.bootstrap_sample.min(self.live.len());
+        if m > 0 {
+            self.rng
+                .sample_indices_into(self.live.len(), m, &mut self.sample_buf);
+            let (slots, live) = (&self.slots, &self.live);
+            self.contacts
+                .extend(self.sample_buf.iter().map(|&k| slots[live[k] as usize].id));
+        }
+        let rng = Xoshiro256pp::derive(self.seed, StreamId::node(self.component, id.raw()));
+        let i = self.push(app, rng);
+        let slot = &mut self.slots[i];
+        outbox.clear();
+        let mut ctx = Ctx::new(id, now, &mut slot.rng, outbox);
+        slot.app.on_join(&self.contacts, &mut ctx);
+        id
+    }
+
+    /// Crash live slot `i`: harvest its wire counts and count the crash.
+    /// The caller updates the live list.
+    fn retire(&mut self, i: usize) {
+        let slot = &mut self.slots[i];
+        debug_assert!(slot.alive);
+        self.retired.add(&slot.app.wire_counts());
+        slot.alive = false;
+        self.alive_count -= 1;
+        self.stats.crashes += 1;
+    }
+
+    /// Crash a node now (scripted failure). Returns `false` if it was
+    /// already dead or unknown. Messages still addressed to it become dead
+    /// letters; a rejoin is a new id.
+    pub fn crash(&mut self, id: NodeId) -> bool {
+        let Some(i) = self.slot_index(id).filter(|&i| self.slots[i].alive) else {
+            return false;
+        };
+        self.retire(i);
+        if let Ok(pos) = self.live.binary_search(&(i as u32)) {
+            self.live.remove(pos);
+        }
+        true
+    }
+
+    /// Crash a uniform random `fraction` of live nodes at once (the "large
+    /// portion of the network fails" scenario of the paper's §4), drawn
+    /// from the kernel stream. Returns how many crashed.
+    pub fn crash_fraction(&mut self, fraction: f64) -> usize {
+        assert!((0.0..=1.0).contains(&fraction));
+        let n = self.live.len();
+        let m = ((n as f64 * fraction).round() as usize).min(n);
+        let mut picks = std::mem::take(&mut self.sample_buf);
+        self.rng.sample_indices_into(n, m, &mut picks);
+        // Picks index the live list, which stays intact until re-filtered.
+        for &k in &picks {
+            self.retire(self.live[k] as usize);
+        }
+        let crashed = picks.len();
+        if crashed > 0 {
+            self.retain_live();
+        }
+        self.sample_buf = picks;
+        crashed
+    }
+
+    /// One period of the churn process on `kernel`. Crashes first: one
+    /// `chance` draw per live slot in ascending slot order until the
+    /// population is down to `min_nodes`. Then `sample_joins`, and per
+    /// join, while below `max_nodes` and a spawner is installed, a spawned
+    /// node handed to the kernel's `insert`, which routes its join-time
+    /// sends. A static process draws nothing.
+    pub(crate) fn churn_step<K>(kernel: &mut K, mut insert: impl FnMut(&mut K, A) -> NodeId)
+    where
+        K: DerefMut<Target = Self>,
+    {
+        let m: &mut Self = kernel;
+        let churn = m.churn;
+        if churn.is_static() {
             return;
         }
-        let mut alive = std::mem::take(&mut self.alive_ids_buf);
-        alive.clear();
-        alive.extend(
-            self.live
-                .iter()
-                .map(|&i| self.slots[i as usize].id)
-                .filter(|&id| Some(id) != except),
-        );
-        if !alive.is_empty() && m > 0 {
-            let m = m.min(alive.len());
-            let mut idx = std::mem::take(&mut self.sample_buf);
-            rng.sample_indices_into(alive.len(), m, &mut idx);
-            out.extend(idx.iter().map(|&i| alive[i]));
-            self.sample_buf = idx;
+        if churn.crash_prob_per_tick > 0.0 {
+            let mut crashed = false;
+            // Kills only mark slots until the live list is re-filtered.
+            for k in 0..m.live.len() {
+                if m.alive_count <= churn.min_nodes {
+                    break;
+                }
+                if m.rng.chance(churn.crash_prob_per_tick) {
+                    m.retire(m.live[k] as usize);
+                    crashed = true;
+                }
+            }
+            if crashed {
+                m.retain_live();
+            }
         }
-        alive.clear();
-        self.alive_ids_buf = alive;
-    }
-
-    /// Borrow the live-id scratch (cleared) for callers that need a
-    /// temporary id list; return it with [`SlotArena::return_id_scratch`].
-    pub(crate) fn take_id_scratch(&mut self) -> Vec<NodeId> {
-        let mut buf = std::mem::take(&mut self.alive_ids_buf);
-        buf.clear();
-        buf
-    }
-
-    /// Give back the scratch taken with [`SlotArena::take_id_scratch`].
-    pub(crate) fn return_id_scratch(&mut self, buf: Vec<NodeId>) {
-        self.alive_ids_buf = buf;
-    }
-
-    /// Borrow the index scratch for `sample_indices_into`; return it with
-    /// [`SlotArena::return_index_scratch`].
-    pub(crate) fn take_index_scratch(&mut self) -> Vec<usize> {
-        std::mem::take(&mut self.sample_buf)
-    }
-
-    /// Give back the scratch taken with [`SlotArena::take_index_scratch`].
-    pub(crate) fn return_index_scratch(&mut self, buf: Vec<usize>) {
-        self.sample_buf = buf;
+        for _ in 0..churn.sample_joins(&mut m.rng) {
+            if kernel.alive_count >= churn.max_nodes {
+                break;
+            }
+            let Some(app) = kernel.spawn() else {
+                break; // no spawner: churn joins disabled
+            };
+            insert(kernel, app);
+            kernel.stats.joins += 1;
+        }
     }
 }
 
@@ -452,54 +568,64 @@ mod tests {
         Xoshiro256pp::seeded(7)
     }
 
-    #[test]
-    fn sequential_ids_and_arithmetic_lookup() {
-        let mut a: SlotArena<u32> = SlotArena::new();
-        for v in 0..5u32 {
-            let (id, slot) = a.insert(v, rng());
-            assert_eq!(id.raw() as usize, slot);
+    impl Application for u32 {
+        type Message = ();
+        fn on_join(&mut self, _contacts: &[NodeId], _ctx: &mut Ctx<'_, ()>) {}
+        fn on_tick(&mut self, _ctx: &mut Ctx<'_, ()>) {}
+        fn on_message(&mut self, _from: NodeId, _msg: (), _ctx: &mut Ctx<'_, ()>) {}
+    }
+
+    /// A network of `n` nodes whose apps are their ids.
+    fn net(seed: u64, n: u32, bootstrap_sample: usize) -> Membership<u32> {
+        let mut a = Membership::new(
+            seed,
+            StreamId::KERNEL,
+            0,
+            bootstrap_sample,
+            ChurnConfig::none(),
+        );
+        for v in 0..n {
+            a.join(v, 0, &mut Vec::new());
         }
-        assert_eq!(a.slot_index(NodeId(3)), Some(3));
-        assert_eq!(a.slot_index(NodeId(5)), None);
-        assert_eq!(a.get(NodeId(4)), Some(&4));
+        a
     }
 
     #[test]
-    fn kill_maintains_sorted_live_list() {
-        let mut a: SlotArena<u32> = SlotArena::new();
-        for v in 0..6u32 {
-            a.insert(v, rng());
+    fn sequential_ids_and_arithmetic_lookup() {
+        let a = net(7, 5, 0);
+        for (i, slot) in a.slots.iter().enumerate() {
+            assert_eq!(slot.id.raw() as usize, i);
         }
-        assert!(a.kill(NodeId(2)));
-        assert!(!a.kill(NodeId(2)), "double kill is a no-op");
-        assert!(!a.kill(NodeId(99)));
-        assert_eq!(a.alive_count, 5);
+        assert_eq!(a.slot_index(NodeId(3)), Some(3));
+        assert_eq!(a.slot_index(NodeId(5)), None);
+        assert_eq!(a.node(NodeId(4)), Some(&4));
+    }
+
+    #[test]
+    fn crash_maintains_sorted_live_list() {
+        let mut a = net(7, 6, 0);
+        assert!(a.crash(NodeId(2)));
+        assert!(!a.crash(NodeId(2)), "double crash is a no-op");
+        assert!(!a.crash(NodeId(99)));
+        assert_eq!((a.alive_count, a.stats.crashes), (5, 1));
         assert_eq!(a.live, vec![0, 1, 3, 4, 5]);
-        assert!(a.get(NodeId(2)).is_none());
+        assert!(a.node(NodeId(2)).is_none());
         let ids: Vec<u64> = a.nodes().map(|(id, _)| id.raw()).collect();
         assert_eq!(ids, vec![0, 1, 3, 4, 5]);
     }
 
     #[test]
-    fn deferred_kills_then_retain() {
-        let mut a: SlotArena<u32> = SlotArena::new();
-        for v in 0..4u32 {
-            a.insert(v, rng());
-        }
-        a.kill_slot_deferred(1);
-        a.kill_slot_deferred(3);
-        a.retain_live();
-        assert_eq!(a.live, vec![0, 2]);
-        assert_eq!(a.alive_count, 2);
+    fn crash_fraction_refilters_the_live_list() {
+        let mut a = net(7, 4, 0);
+        assert_eq!(a.crash_fraction(0.5), 2);
+        assert_eq!((a.alive_count, a.stats.crashes), (2, 2));
         assert_eq!(a.view().len(), 2);
+        assert!(a.live.iter().all(|&i| a.slots[i as usize].alive));
     }
 
     #[test]
     fn disjoint_ranges_cover_exactly_and_exclusively() {
-        let mut a: SlotArena<u32> = SlotArena::new();
-        for v in 0..10u32 {
-            a.insert(v, rng());
-        }
+        let mut a = net(7, 10, 0);
         let views = disjoint_slot_ranges(&mut a.slots, &[(0, 3), (4, 4), (5, 9)]);
         assert_eq!(views.len(), 3);
         let (base0, s0) = &views[0];
@@ -597,25 +723,25 @@ mod tests {
     }
 
     #[test]
-    fn sampling_excludes_and_is_deterministic() {
-        let mut a: SlotArena<u32> = SlotArena::new();
-        for v in 0..10u32 {
-            a.insert(v, rng());
-        }
-        let mut out = Vec::new();
-        let mut r1 = Xoshiro256pp::seeded(1);
-        a.sample_alive_into(&mut r1, 4, Some(NodeId(0)), &mut out);
-        assert_eq!(out.len(), 4);
-        assert!(!out.contains(&NodeId(0)));
-        let first = out.clone();
-        let mut r2 = Xoshiro256pp::seeded(1);
-        a.sample_alive_into(&mut r2, 4, Some(NodeId(0)), &mut out);
-        assert_eq!(out, first, "same seed, same sample");
-        // Empty candidate set: no draws, empty result.
-        let mut empty: SlotArena<u32> = SlotArena::new();
-        let before = r2.clone();
-        empty.sample_alive_into(&mut r2, 4, None, &mut out);
-        assert!(out.is_empty());
-        assert_eq!(r2, before, "no RNG draws on the empty path");
+    fn bootstrap_samples_are_live_distinct_and_deterministic() {
+        let contacts = |seed| {
+            let mut a = net(seed, 0, 4);
+            let before = a.rng.clone();
+            a.join(0, 0, &mut Vec::new());
+            assert_eq!(a.rng, before, "nobody to sample: no draws");
+            assert!(a.contacts.is_empty());
+            for v in 1..10 {
+                a.join(v, 0, &mut Vec::new());
+            }
+            a.crash(NodeId(3));
+            a.join(10, 0, &mut Vec::new());
+            a.contacts.clone()
+        };
+        let mut got = contacts(1);
+        assert_eq!(got, contacts(1), "same seed, same sample");
+        assert!(!got.contains(&NodeId(3)) && !got.contains(&NodeId(10)));
+        got.sort();
+        got.dedup();
+        assert_eq!(got.len(), 4);
     }
 }

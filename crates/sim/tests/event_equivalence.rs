@@ -379,8 +379,8 @@ fn drive_ported(cfg: EventConfig, n: usize, horizon: u64) -> ((Snapshot, u64, u6
         .map(|(id, a)| (id.raw(), a.ticks, a.acc, a.trace.clone()))
         .collect();
     (
-        (snap, e.delivered(), e.dropped(), e.alive_count()),
-        e.frame_bytes_saved(),
+        (snap, e.delivered(), e.stats().dropped(), e.alive_count()),
+        e.stats().frame_saved.total(),
     )
 }
 

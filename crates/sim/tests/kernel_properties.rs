@@ -73,8 +73,8 @@ proptest! {
         prop_assert_eq!(sa, sb);
     }
 
-    /// Message conservation in the cycle kernel: sent = delivered + lost +
-    /// dead-letter + hop-overflow.
+    /// Message conservation in both kernels: sent = delivered + lost +
+    /// dead-letter + hop-overflow, and every delivery reaches a node.
     #[test]
     fn cycle_engine_message_conservation(
         seed in any::<u64>(),
@@ -85,15 +85,30 @@ proptest! {
         let mut cfg = CycleConfig::seeded(seed);
         cfg.transport = Transport::lossy(loss);
         let mut e: CycleEngine<Probe> = CycleEngine::new(cfg);
-        for _ in 0..n {
+        let mut cfg = EventConfig::seeded(seed);
+        cfg.tick_period = 5;
+        cfg.transport = Transport {
+            loss_prob: loss,
+            latency: Latency::Uniform(1, 8),
+        };
+        let mut ev: EventEngine<Probe> = EventEngine::new(cfg);
+        for i in 0..n {
             e.insert(Probe::default());
+            ev.insert(Probe::default());
+            if i == n / 2 {
+                // Later joiners may pick it as their contact: dead letters.
+                e.crash(NodeId(0));
+                ev.crash(NodeId(0));
+            }
         }
         e.run(ticks);
-        let s = e.stats();
-        prop_assert_eq!(s.sent, s.delivered + s.lost + s.dead_letter + s.hop_overflow);
-        // Each node with a contact sends one message per tick.
-        let received_total: usize = e.nodes().map(|(_, a)| a.received.len()).sum();
-        prop_assert_eq!(received_total as u64, s.delivered);
+        ev.run(ticks * 5);
+        for net in [&*e, &*ev] {
+            let s = net.stats();
+            prop_assert_eq!(s.sent, s.delivered + s.lost + s.dead_letter + s.hop_overflow);
+            let received_total: usize = net.nodes().map(|(_, a)| a.received.len()).sum();
+            prop_assert_eq!(received_total as u64, s.delivered);
+        }
     }
 
     /// The event kernel conserves population under pure crash churn and

@@ -144,7 +144,7 @@ fn run_event(
         .nodes()
         .map(|(id, a)| (id.raw(), a.ticks, a.trace.clone()))
         .collect();
-    (nodes, e.delivered(), e.dropped())
+    (nodes, e.delivered(), e.stats().dropped())
 }
 
 proptest! {
@@ -265,7 +265,7 @@ fn run_star(threads: usize, latency: Latency, churny: bool) -> Digest {
         .nodes()
         .map(|(id, a)| (id.raw(), a.ticks, a.trace.clone()))
         .collect();
-    (nodes, e.delivered(), e.dropped())
+    (nodes, e.delivered(), e.stats().dropped())
 }
 
 #[test]
@@ -361,7 +361,7 @@ struct Model {
     rngs: Vec<gossipopt_util::Xoshiro256pp>,
     alive: Vec<bool>,
     krng: gossipopt_util::Xoshiro256pp,
-    stats: gossipopt_sim::cycle::KernelStats,
+    stats: gossipopt_sim::KernelStats,
     rounds: u64,
     deferred: Vec<(NodeId, NodeId, u64)>,
 }

@@ -105,19 +105,13 @@ impl Solver for DifferentialEvolution {
         let dim = f.dim();
         let forced = rng.index(dim); // at least one mutant coordinate survives
         let mut trial = self.population[i].clone();
-        // 4-wide lane kernel (see [`crate::lanes`]): bit-identical to the
-        // scalar crossover loop, including the short-circuited `chance`
-        // draw at the forced dimension.
-        crate::lanes::de_crossover_lanes(
-            &mut trial[..dim],
-            &self.population[a],
-            &self.population[b],
-            &self.population[c],
-            forced,
-            self.params.f_weight,
-            self.params.crossover,
-            rng,
-        );
+        let [a, b, c] = [a, b, c].map(|j| &self.population[j]);
+        let (f_weight, cr) = (self.params.f_weight, self.params.crossover);
+        for (d, gene) in trial[..dim].iter_mut().enumerate() {
+            if d == forced || rng.chance(cr) {
+                *gene = a[d] + f_weight * (b[d] - c[d]);
+            }
+        }
         let value = crate::eval_point(f, &trial);
         self.evals += 1;
         if value <= self.fitness[i] {

@@ -7,7 +7,7 @@
 
 use crate::{random_position, BestPoint, Solver};
 use gossipopt_functions::Objective;
-use gossipopt_util::Xoshiro256pp;
+use gossipopt_util::{Rng64, Xoshiro256pp};
 use serde::{Deserialize, Serialize};
 
 /// (1+1)-ES parameters.
@@ -86,9 +86,10 @@ impl Solver for EvolutionStrategy {
             }
             Some((x, fx)) => {
                 let mut child = x.clone();
-                // 4-wide lane kernel (see [`crate::lanes`]): bit-identical
-                // to the scalar mutation loop.
-                crate::lanes::es_mutate_lanes(&mut child, f, self.sigma_frac, rng);
+                for (d, coord) in child.iter_mut().enumerate() {
+                    let (lo, hi) = f.bounds(d);
+                    *coord += self.sigma_frac * (hi - lo) * rng.normal();
+                }
                 let value = crate::eval_point(f, &child);
                 self.evals += 1;
                 self.note_best(&child, value);

@@ -1,9 +1,9 @@
-//! One explicit 4-wide f64 lane type for the solver update kernels.
+//! One explicit 4-wide f64 lane type for the PSO update kernel.
 //!
-//! The solver update kernels (`gossipopt_solvers`' `lanes` module) process
-//! four dimensions per group. [`V`] is the pack they are written against:
-//! a 32-byte-aligned `[f64; 4]` with ordinary operators, every operation
-//! applied per lane. **No FMA is used anywhere**, so every packed
+//! The PSO update kernel (`gossipopt_solvers`' `lanes` module) processes
+//! four dimensions per group. [`V`] is the pack it is written against: a
+//! 32-byte-aligned `[f64; 4]` with the operators that kernel uses, every
+//! operation applied per lane. **No FMA is used anywhere**, so every packed
 //! operation performs the same single IEEE-754 rounding as its scalar
 //! counterpart and a lane kernel that replays the scalar loop's op order
 //! is bit-identical to it.
@@ -55,12 +55,6 @@ impl V {
         out[..4].copy_from_slice(&self.0);
     }
 
-    /// Unpack the lanes.
-    #[inline(always)]
-    pub fn to_array(self) -> [f64; 4] {
-        self.0
-    }
-
     #[inline(always)]
     fn zip(self, rhs: Self, mut f: impl FnMut(f64, f64) -> f64) -> Self {
         V([
@@ -93,26 +87,20 @@ macro_rules! v_binop {
                 self.zip(rhs, |x, y| x $op y)
             }
         }
-        impl std::ops::$trait<f64> for V {
-            type Output = V;
-            #[inline(always)]
-            fn $method(self, rhs: f64) -> V {
-                self.zip(V::splat(rhs), |x, y| x $op y)
-            }
-        }
-        impl std::ops::$trait<V> for f64 {
-            type Output = V;
-            #[inline(always)]
-            fn $method(self, rhs: V) -> V {
-                V::splat(self).zip(rhs, |x, y| x $op y)
-            }
-        }
     };
 }
 v_binop!(Add, add, +);
 v_binop!(Sub, sub, -);
 v_binop!(Mul, mul, *);
-v_binop!(Div, div, /);
+
+/// A scalar coefficient times every lane.
+impl std::ops::Mul<V> for f64 {
+    type Output = V;
+    #[inline(always)]
+    fn mul(self, rhs: V) -> V {
+        V::splat(self).zip(rhs, |x, y| x * y)
+    }
+}
 
 impl std::ops::Neg for V {
     type Output = V;
@@ -151,13 +139,20 @@ pub fn active() -> SimdPath {
 mod tests {
     use super::*;
 
+    fn lanes(v: V) -> [f64; 4] {
+        let mut out = [0.0; 4];
+        v.store(&mut out);
+        out
+    }
+
     #[test]
     fn scalar_ops_match_plain_arithmetic() {
         let a = V::from_array([1.5, -2.0, 0.0, 1.0e300]);
         let b = V::from_array([0.5, 4.0, -0.0, 1.0e-300]);
-        assert_eq!((a + b).to_array(), [2.0, 2.0, 0.0, 1.0e300 + 1.0e-300]);
-        assert_eq!((a * b).to_array()[1], -8.0);
-        assert_eq!((-a).to_array()[0], -1.5);
+        assert_eq!(lanes(a + b), [2.0, 2.0, 0.0, 1.0e300 + 1.0e-300]);
+        assert_eq!(lanes(a - b)[1], -6.0);
+        assert_eq!(lanes(a * b)[1], -8.0);
+        assert_eq!(lanes(-a)[0], -1.5);
     }
 
     #[test]
@@ -172,7 +167,7 @@ mod tests {
             (f64::INFINITY, -1.0, 1.0),
         ];
         for (v, lo, hi) in cases {
-            let got = V::splat(v).clamp(V::splat(lo), V::splat(hi)).to_array()[0];
+            let got = lanes(V::splat(v).clamp(V::splat(lo), V::splat(hi)))[0];
             let want = v.clamp(lo, hi);
             assert_eq!(
                 got.to_bits(),
@@ -185,16 +180,10 @@ mod tests {
     #[test]
     fn v_operators_preserve_associativity() {
         let x = V::splat(3.0);
-        let r = 2.0 * x * (x - 1.0) + 1.0;
-        assert_eq!(r.to_array()[0], 13.0);
-        assert_eq!((-x).to_array()[2], -3.0);
-        assert_eq!((x / 2.0).to_array()[3], 1.5);
-        let mut out = [0.0; 4];
-        r.store(&mut out);
-        assert_eq!(out, [13.0; 4]);
-        assert_eq!(
-            V::load(&[1.0, 2.0, 3.0, 4.0]).to_array(),
-            [1.0, 2.0, 3.0, 4.0]
-        );
+        let one = V::splat(1.0);
+        let r = 2.0 * x * (x - one) + one;
+        assert_eq!(lanes(r), [13.0; 4]);
+        assert_eq!(lanes(-x)[2], -3.0);
+        assert_eq!(lanes(V::load(&[1.0, 2.0, 3.0, 4.0])), [1.0, 2.0, 3.0, 4.0]);
     }
 }

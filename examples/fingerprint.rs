@@ -172,7 +172,12 @@ fn event_fingerprint(label: &str, mut cfg: EventConfig, churn: bool, until: u64)
         h.push(app.acc);
         h.push(app.ticks);
     }
-    for w in [e.delivered(), e.dropped(), e.alive_count() as u64, e.now()] {
+    for w in [
+        e.delivered(),
+        e.stats().dropped(),
+        e.alive_count() as u64,
+        e.now(),
+    ] {
         h.push(w);
     }
     println!("event {label}: {:016x}", h.0);

@@ -16,8 +16,6 @@
 //!   framework — pooled message payloads, O(n) network construction,
 //!   allocation-free steady-state coordination — at 100k nodes on both
 //!   kernels.
-//! * `--mode campaign --spec FILE` — run a declarative campaign file
-//!   (see `scenarios/README.md`) and print its summary table.
 //!
 //! ```text
 //! cargo run --release --example scale -- \
@@ -43,7 +41,7 @@
 //! `--curve` (gossip mode only: print the per-tick convergence curve).
 
 use gossipopt::gossip::topology::{k_out_regular, ring_lattice, two_level_auto};
-use gossipopt::scenarios::{parse_campaign, run_campaign, run_cell, CellSpec};
+use gossipopt::scenarios::{run_cell, CellSpec};
 use gossipopt::sim::{
     Application, Control, Ctx, CycleConfig, CycleEngine, EventConfig, EventEngine, NodeId,
 };
@@ -101,7 +99,6 @@ struct Args {
     seed: u64,
     threads: usize,
     curve: bool,
-    spec: Option<String>,
 }
 
 fn parse_args() -> Args {
@@ -115,7 +112,6 @@ fn parse_args() -> Args {
         seed: 1,
         threads: 0,
         curve: false,
-        spec: None,
     };
     let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
@@ -133,7 +129,6 @@ fn parse_args() -> Args {
             "--seed" => args.seed = value("--seed").parse().expect("--seed"),
             "--threads" => args.threads = value("--threads").parse().expect("--threads"),
             "--curve" => args.curve = true,
-            "--spec" => args.spec = Some(value("--spec")),
             other => panic!("unknown flag {other}"),
         }
     }
@@ -365,17 +360,6 @@ fn main() {
                 }
             }
         }
-        "campaign" => {
-            let path = args
-                .spec
-                .expect("--mode campaign requires --spec <file.toml>");
-            let text = std::fs::read_to_string(&path)
-                .unwrap_or_else(|e| panic!("cannot read {path}: {e}"));
-            let spec = parse_campaign(&text).unwrap_or_else(|e| panic!("{path}: {e}"));
-            let report = run_campaign(&spec, args.threads.max(1)).unwrap_or_else(|e| panic!("{e}"));
-            print!("{}", report.to_table());
-            assert!(report.failures().is_empty(), "campaign assertions failed");
-        }
-        other => panic!("unknown mode {other} (gossip|dpso|campaign)"),
+        other => panic!("unknown mode {other} (gossip|dpso)"),
     }
 }
