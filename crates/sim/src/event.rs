@@ -21,9 +21,15 @@
 //! observer iteration and bootstrap sampling O(alive). The event
 //! queue is an indexed timer wheel: a ring of `WHEEL_SLOTS` buckets where
 //! an event `delay < WHEEL_SLOTS` lands in bucket `time % WHEEL_SLOTS` (one
-//! `Vec` push, O(1), allocation-free once bucket capacities have grown),
-//! with a `BinaryHeap` overflow for the rare longer delay — replacing the
-//! per-event O(log n) sift of the original heap-only queue. Ordering is
+//! amortized O(1) `Vec` push), with a `BinaryHeap` overflow for the rare
+//! longer delay — replacing the per-event O(log n) sift of the original
+//! heap-only queue. The schedule's memory is proportional to what is
+//! pending: a drained bucket hands its buffer to the batch it becomes and
+//! owns no allocation until its next event, and the batch's buffer is
+//! freed once the batch is done, so the wheel never holds more than its
+//! pending events plus the one batch in flight (a bucket keeping its
+//! capacity instead would pin `WHEEL_SLOTS` times the largest batch, and
+//! every push would land in cold memory). Ordering is
 //! still exactly `(time, seq)`: buckets hold a single timestamp's events in
 //! insertion (= seq) order, and every overflow event for a timestamp was
 //! necessarily scheduled before — so sequences below — any bucketed event
@@ -104,7 +110,7 @@
 use crate::app::{Application, Ctx};
 use crate::churn::ChurnConfig;
 use crate::ids::{NodeId, Ticks};
-use crate::slots::{adopt_or_append, Membership, ShardCuts};
+use crate::slots::{Membership, ShardCuts};
 use crate::transport::Transport;
 use crate::Control;
 use gossipopt_obs::wall::{self, Phase};
@@ -262,11 +268,9 @@ pub struct EventEngine<A: Application> {
     overflow: BinaryHeap<Reverse<Event<A::Message>>>,
     /// Total events in wheel + overflow.
     pending: usize,
-    // Scratch buffers reused across events to keep dispatch allocation-free.
+    // Scratch buffers reused across batches.
     /// Join-time outbox (`on_join` sends), reused across `insert` calls.
     join_outbox_buf: Vec<(NodeId, A::Message)>,
-    /// Same-timestamp batch scratch.
-    batch_buf: Vec<Event<A::Message>>,
     /// Recycled shard buffers, at most one per worker.
     shard_pool: Vec<ShardBufs<A::Message>>,
     /// Per-segment target histogram and the shard cuts chosen from it.
@@ -287,7 +291,6 @@ impl<A: Application> EventEngine<A> {
             overflow: BinaryHeap::new(),
             pending: 0,
             join_outbox_buf: Vec::new(),
-            batch_buf: Vec::new(),
             shard_pool: Vec::new(),
             shard_cuts: ShardCuts::new(),
         };
@@ -363,25 +366,27 @@ impl<A: Application> EventEngine<A> {
             // for `batch_time` back-to-back in seq (FIFO) order — the
             // event-kernel analogue of the cycle kernel's intra-tick drain.
             // New events land at least one unit later, so the batch cannot
-            // grow under us and no boundary can fall inside it. Overflow
-            // events first: they were scheduled >= WHEEL_SLOTS before this
-            // timestamp, so their sequence numbers all precede any bucketed
-            // event's.
+            // grow under us and no boundary can fall inside it. The
+            // bucket's buffer becomes the batch, which leaves the bucket
+            // owning no allocation, and is freed once the batch is done.
             self.now = batch_time;
-            let mut batch = std::mem::take(&mut self.batch_buf);
-            while let Some(Reverse(head)) = self.overflow.peek() {
-                if head.time != batch_time {
-                    break;
-                }
-                let Reverse(ev) = self.overflow.pop().expect("peeked event vanished");
-                batch.push(ev);
-            }
             let bucket = (batch_time & WHEEL_MASK) as usize;
             debug_assert!(self.wheel[bucket].iter().all(|ev| ev.time == batch_time));
-            adopt_or_append(&mut batch, &mut self.wheel[bucket]);
+            let mut batch = std::mem::take(&mut self.wheel[bucket]);
+            // Overflow events go first: they were scheduled >= WHEEL_SLOTS
+            // before this timestamp, so their sequence numbers all precede
+            // any bucketed event's.
+            if self.overflow_due(batch_time) {
+                let mut early = Vec::new();
+                while self.overflow_due(batch_time) {
+                    let Reverse(ev) = self.overflow.pop().expect("peeked event vanished");
+                    early.push(ev);
+                }
+                early.append(&mut batch);
+                batch = early;
+            }
             self.pending -= batch.len();
             self.process_batch(&mut batch);
-            self.batch_buf = batch;
         }
         // Trailing observations up to max_time.
         while next_observe <= max_time {
@@ -398,6 +403,13 @@ impl<A: Application> EventEngine<A> {
     /// Run until `max_time` with no observation.
     pub fn run(&mut self, max_time: Ticks) {
         self.run_until(max_time, max_time.max(1), |_, _| Control::Continue);
+    }
+
+    /// Whether the overflow heap holds an event for `time`.
+    fn overflow_due(&self, time: Ticks) -> bool {
+        self.overflow
+            .peek()
+            .is_some_and(|Reverse(head)| head.time == time)
     }
 
     /// Earliest pending event time, if any: the first non-empty wheel
@@ -1080,6 +1092,46 @@ mod tests {
             assert!(
                 saved > 0,
                 "threads={threads}: synchronized ticks to shared contacts must fuse"
+            );
+        }
+    }
+
+    #[test]
+    fn drained_wheel_buckets_own_no_allocation() {
+        // The schedule's memory follows what is pending: a bucket hands
+        // its buffer to the batch it becomes, so after 30 tick periods of
+        // traffic through every bucket, an empty bucket holds no capacity.
+        for threads in [0, 1, 2] {
+            let mut cfg = EventConfig::seeded(11);
+            cfg.threads = threads;
+            cfg.tick_period = 10;
+            cfg.transport = Transport {
+                loss_prob: 0.0,
+                latency: Latency::Constant(1),
+            };
+            let mut e: EventEngine<Echo> = EventEngine::new(cfg);
+            for _ in 0..2000 {
+                e.insert(Echo::new());
+            }
+            e.run(300);
+            assert!(e.delivered() > 0);
+            let pending = e.wheel.iter().filter(|b| !b.is_empty()).count();
+            assert!(
+                pending > 0,
+                "threads={threads}: the run leaves timers armed"
+            );
+            let hoarding: Vec<(usize, usize)> = e
+                .wheel
+                .iter()
+                .enumerate()
+                .filter(|(_, b)| b.is_empty() && b.capacity() > 0)
+                .map(|(i, b)| (i, b.capacity()))
+                .collect();
+            assert!(
+                hoarding.is_empty(),
+                "threads={threads}: {} empty buckets keep capacity, first {:?}",
+                hoarding.len(),
+                &hoarding[..hoarding.len().min(4)]
             );
         }
     }

@@ -63,17 +63,13 @@ impl<'a, A> NodesView<'a, A> {
 
 type Spawner<A> = Box<dyn FnMut(NodeId, &mut Xoshiro256pp) -> A>;
 
-/// A kernel's network and its life-cycle: append-only slots with a dense
-/// id map and a sorted live list, the joiner factory, bootstrap sampling,
+/// A kernel's network and its life-cycle: append-only slots indexed by
+/// id and a sorted live list, the joiner factory, bootstrap sampling,
 /// crashes and churn, and the counters. The kernel's RNG stream lives here
 /// too, because joins, churn and [`Membership::crash_fraction`] draw from
 /// it in between the kernel's own scheduling and transport draws.
 pub struct Membership<A> {
     pub(crate) slots: Vec<Slot<A>>,
-    /// Dense slot map: `slot_of[id.raw()]` is the slot index for `id`.
-    /// Redundant with the identity mapping today (checked in debug builds);
-    /// kept so a future slot compaction only has to swap `slot_index`.
-    pub(crate) slot_of: Vec<u32>,
     /// Slot indices of live nodes, kept sorted ascending (insertions only
     /// ever append because new ids take the highest slot index; crashes
     /// remove in place).
@@ -111,7 +107,6 @@ impl<A> Membership<A> {
     ) -> Self {
         Membership {
             slots: Vec::new(),
-            slot_of: Vec::new(),
             live: Vec::new(),
             alive_count: 0,
             next_id: 0,
@@ -133,7 +128,6 @@ impl<A> Membership<A> {
     pub(crate) fn slot_index(&self, id: NodeId) -> Option<usize> {
         let i = id.raw() as usize;
         if i < self.slots.len() {
-            debug_assert_eq!(self.slot_of[i] as usize, i);
             Some(i)
         } else {
             None
@@ -142,12 +136,9 @@ impl<A> Membership<A> {
 
     /// Slot index for an id already verified allocated **and live** (the
     /// sharded delivery paths pre-check liveness, then index repeatedly).
-    /// Arithmetic today; like [`Membership::slot_index`], this is the seam
-    /// a future slot compaction would reroute through `slot_of`.
     #[inline]
     pub(crate) fn slot_of_live(&self, id: NodeId) -> usize {
         let i = id.raw() as usize;
-        debug_assert_eq!(self.slot_of[i] as usize, i);
         debug_assert!(self.slots[i].alive);
         i
     }
@@ -181,7 +172,6 @@ impl<A> Membership<A> {
             rng,
             alive: true,
         });
-        self.slot_of.push(slot_idx as u32);
         // New slots take the largest index, so appending keeps `live` sorted.
         self.live.push(slot_idx as u32);
         self.alive_count += 1;
@@ -404,17 +394,6 @@ pub(crate) fn disjoint_slot_ranges<'a, A>(
         consumed = hi;
     }
     out
-}
-
-/// `dst.append(src)`, except that an empty `dst` takes over `src`'s buffer
-/// instead of copying it (the event kernel's batch assembly, where the
-/// wheel bucket is usually the whole batch).
-pub(crate) fn adopt_or_append<T>(dst: &mut Vec<T>, src: &mut Vec<T>) {
-    if dst.is_empty() {
-        std::mem::swap(dst, src);
-    } else {
-        dst.append(src);
-    }
 }
 
 /// Histogram bins per worker behind [`ShardCuts`]: a shard boundary can

@@ -25,10 +25,11 @@
 //! # the 1M-node raw-gossip scenario (CI bench-smoke runs this):
 //! cargo run --release --example scale -- \
 //!     --nodes 1000000 --topology kregular --kernel both --ticks 30 --threads 4
-//! # the 10M-node scenario (CI runs the cycle kernel, time-boxed; the
-//! # event kernel clears it too in ~5x the wall time):
+//! # the 10M-node scenario (CI runs both kernels, time-boxed):
 //! cargo run --release --example scale -- \
 //!     --nodes 10000000 --topology kregular --kernel cycle --ticks 20 --threads 4
+//! cargo run --release --example scale -- \
+//!     --nodes 10000000 --topology kregular --kernel event --ticks 16 --threads 4
 //! ```
 //!
 //! Options: `--mode gossip|dpso`, `--nodes N` (default 2000), `--degree K`
