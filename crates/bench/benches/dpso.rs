@@ -14,9 +14,9 @@
 //! The `dpso-par/*` family runs the same network under sharded execution
 //! (`threads = 2`, pinned for reproducible baselines): the cycle kernel's
 //! phased tick and the event kernel's sharded same-timestamp batches,
-//! with per-node solver state in the cross-node `SwarmArena`. The 10k row
+//! with per-node particle state in the kernel's row table. The 10k row
 //! is directly comparable against `dpso/*/10000`; the 100k row covers the
-//! memory-bound regime the arena exists for.
+//! memory-bound regime the table exists for.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use gossipopt_core::experiment::{Budget, DistributedPsoSpec, NodeRecipe, TopologyKind};

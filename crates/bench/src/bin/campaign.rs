@@ -1,3 +1,4 @@
+#![forbid(unsafe_code)]
 //! Campaign entrypoint: run a declarative scenario file end to end,
 //! render the paper's tables and figures from the result store, or deploy
 //! a scenario's cells on the threaded runtime.

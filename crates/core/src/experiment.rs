@@ -11,7 +11,7 @@
 //! (rayon-parallel) and is the basis of every table row and figure series.
 
 use crate::metrics::{MetricSample, MetricsRing, MetricsSpec};
-use crate::node::{CoordComp, OptNode, Role, TopologyComp};
+use crate::node::{CoordComp, NodeSolver, OptNode, Role, TopologyComp};
 use crate::CoreError;
 use gossipopt_functions::{by_name, Objective};
 use gossipopt_gossip::{
@@ -22,7 +22,7 @@ use gossipopt_sim::{
     Application, ChurnConfig, Control, CycleConfig, CycleEngine, EventConfig, EventEngine, Latency,
     Membership, NodeId, Transport, WireCounts,
 };
-use gossipopt_solvers::{solver_by_name, PsoParams, Solver, Swarm, SwarmArena};
+use gossipopt_solvers::{solver_by_name, PsoParams, RowPso, Solver, Swarm};
 use gossipopt_util::{OnlineStats, Summary};
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
@@ -287,13 +287,13 @@ pub struct NodeRecipe {
     /// The network-wide evaluation cap of a [`Budget::Total`] run, which
     /// the run loop enforces (under churn the per-node split alone cannot).
     total_cap: Option<u64>,
-    /// Cross-node SoA store for the hot particle state when the solver
-    /// spec is the gbest/classic PSO the arena implements bit-identically
-    /// (see `gossipopt_solvers::arena`): one flat allocation for the whole
-    /// network instead of `n` boxed swarms, so a tick streams memory
-    /// instead of pointer-chasing. Sized for the initial population; churn
-    /// joiners beyond it fall back to boxed swarms (same trajectories).
-    solver_arena: Option<Arc<SwarmArena>>,
+    /// The swarm every node clones when the solver spec is the
+    /// gbest/classic PSO that [`RowPso`] runs bit-identically: its
+    /// particles then live in the row table of the kernel hosting the
+    /// node, one flat buffer for the whole network (churn joiners
+    /// included) instead of `n` boxed swarms, so a tick streams memory
+    /// instead of pointer-chasing. The clones share one update rule.
+    row_pso: Option<RowPso>,
 }
 
 impl NodeRecipe {
@@ -407,14 +407,14 @@ impl NodeRecipe {
                 ))
             }
         };
-        // Arena eligibility: one shared objective (no per-node zone
-        // wrappers, whose bounds differ) and the gbest/classic PSO. The
-        // arena is a pure storage change — `ArenaPso` is bit-identical to
-        // `Swarm` — so this engages for the default solver spec without
-        // shifting any seeded result.
-        let solver_arena = match (&spec.solver, &zones) {
-            (SolverSpec::Pso(params), None) if SwarmArena::supports(params) => Some(Arc::new(
-                SwarmArena::new(n, spec.particles_per_node, *params, objective.as_ref()),
+        // One shared objective (zone wrappers' bounds differ) and the
+        // gbest/classic PSO: `RowPso` is then bit-identical to `Swarm`, so
+        // the default solver spec engages it without moving any result.
+        let row_pso = match (&spec.solver, &zones) {
+            (SolverSpec::Pso(params), None) if RowPso::supports(params) => Some(RowPso::new(
+                spec.particles_per_node,
+                *params,
+                objective.as_ref(),
             )),
             _ => None,
         };
@@ -429,7 +429,7 @@ impl NodeRecipe {
                 Budget::Total(e) => Some(e),
                 Budget::PerNode(_) => None,
             },
-            solver_arena,
+            row_pso,
         })
     }
 
@@ -455,14 +455,12 @@ impl NodeRecipe {
     /// (churn joiners) fall back to hub-only static neighbors.
     pub fn build(&self, index: usize) -> Result<OptNode, CoreError> {
         let spec = &self.spec;
-        let solver: Box<dyn Solver> = match &self.solver_arena {
-            Some(arena) => match arena.alloc() {
-                Some(handle) => Box::new(handle),
-                // Arena exhausted (churn joiner beyond the initial
-                // population): a boxed swarm runs the identical search.
-                None => spec.solver.build(spec.particles_per_node, index)?,
+        let solver = match &self.row_pso {
+            Some(pso) => NodeSolver::Row {
+                pso: pso.clone(),
+                own: Vec::new(),
             },
-            None => spec.solver.build(spec.particles_per_node, index)?,
+            None => NodeSolver::Boxed(spec.solver.build(spec.particles_per_node, index)?),
         };
         let topology = match &self.static_neighbors {
             None => TopologyComp::Newscast(Newscast::new(spec.newscast)),
@@ -489,7 +487,7 @@ impl NodeRecipe {
             }
             CoordinationKind::None => (CoordComp::Isolated, Role::Peer),
         };
-        Ok(OptNode::new(
+        Ok(OptNode::compose(
             self.node_objective(index),
             solver,
             topology,
@@ -520,8 +518,6 @@ pub fn bootstrap_sample(spec: &DistributedPsoSpec, n: usize) -> usize {
 /// `tick_period` units of simulated time on the event kernel; the
 /// implementations forward to the engines' inherent methods.
 pub trait Engine<A: Application>: DerefMut<Target = Membership<A>> {
-    /// Add a node, running its join callback and routing its sends.
-    fn insert(&mut self, app: A);
     /// Join `n` spawner-built nodes now.
     fn populate(&mut self, n: usize);
     /// Observation periods a run with this per-node budget lasts.
@@ -541,9 +537,6 @@ pub trait Engine<A: Application>: DerefMut<Target = Membership<A>> {
 }
 
 impl<A: Application> Engine<A> for CycleEngine<A> {
-    fn insert(&mut self, app: A) {
-        CycleEngine::insert(self, app);
-    }
     fn populate(&mut self, n: usize) {
         CycleEngine::populate(self, n);
     }
@@ -570,9 +563,6 @@ fn event_horizon(per_node_budget: u64, tick_period: u64) -> u64 {
 }
 
 impl<A: Application> Engine<A> for EventEngine<A> {
-    fn insert(&mut self, app: A) {
-        EventEngine::insert(self, app);
-    }
     fn populate(&mut self, n: usize) {
         EventEngine::populate(self, n);
     }
@@ -663,9 +653,9 @@ pub struct Driven {
 
 /// The run loop, shared by every experiment driver on both kernels.
 ///
-/// Populates `engine` with `recipe`'s initial network (each node passed
-/// through `wrap`) and installs the joiner spawner — unconditionally: it
-/// is only ever invoked on a join, so a static network never calls it.
+/// Installs a spawner building `recipe`'s node for each id (passed
+/// through `wrap`) and populates `engine` with the initial network
+/// through it; churn joins use the same spawner.
 /// Then, per 1-based tick `t`: `before_tick(engine, t)` (scripted faults)
 /// → [`Engine::step`] → at most one observer pass → trace → stop check.
 /// When the metrics ring wants `t`, one pass reads quality, the argmin
@@ -690,10 +680,7 @@ where
     E: Engine<A>,
 {
     let spec = &recipe.spec;
-    for i in 0..spec.nodes {
-        engine.insert(wrap(recipe.build(i)?));
-    }
-    // Joiners: same recipe, indexed by their node id.
+    // The initial network and the joiners: same recipe, indexed by node id.
     let joiners = recipe.clone();
     engine.set_spawner(move |id, _rng| {
         wrap(
@@ -702,6 +689,7 @@ where
                 .expect("recipe was validated at construction"),
         )
     });
+    engine.populate(spec.nodes);
 
     let total_cap = recipe.total_cap;
     let mut ring = spec.metrics.map(MetricsRing::new);

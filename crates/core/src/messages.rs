@@ -208,11 +208,6 @@ impl Msg {
         }
     }
 
-    /// Stable snake_case name of this message's wire kind.
-    pub fn kind_name(&self) -> &'static str {
-        KIND_NAMES[self.kind_index()]
-    }
-
     /// Serialized size of this message in bytes under the runtime wire
     /// codec (`gossipopt_runtime::encode`), version + tag header included.
     ///

@@ -9,9 +9,85 @@ use gossipopt_gossip::{
 };
 use gossipopt_obs::wall::{self, Phase};
 use gossipopt_sim::{frame_class, Application, Ctx, FrameSavings, NodeId, WireCounts};
-use gossipopt_solvers::Solver;
+use gossipopt_solvers::{BestPoint, RowPso, Solver};
 use gossipopt_util::Xoshiro256pp;
 use std::sync::Arc;
+
+/// A node's solver: boxed, or the PSO on the row its host lends
+/// ([`Ctx::row`]), or on `own` when the host lends none (a wrapper that
+/// forwards only the callbacks, a unit test's bare `Ctx`).
+pub(crate) enum NodeSolver {
+    Boxed(Box<dyn Solver>),
+    Row { pso: RowPso, own: Vec<f64> },
+}
+
+/// `$body` on whichever solver `$solver` holds, bound as `$s`.
+macro_rules! either {
+    ($solver:expr, $s:ident => $body:expr) => {
+        match $solver {
+            NodeSolver::Boxed($s) => $body,
+            NodeSolver::Row { pso: $s, .. } => $body,
+        }
+    };
+}
+
+impl NodeSolver {
+    fn best(&self) -> Option<&BestPoint> {
+        either!(self, s => s.best())
+    }
+
+    fn evals(&self) -> u64 {
+        either!(self, s => s.evals())
+    }
+
+    fn tell_best(&mut self, point: BestPoint) {
+        either!(self, s => s.tell_best(point))
+    }
+
+    fn tell_best_slice(&mut self, x: &[f64], f: f64) {
+        either!(self, s => s.tell_best_slice(x, f))
+    }
+
+    fn row_len(&self) -> usize {
+        match self {
+            NodeSolver::Boxed(_) => 0,
+            NodeSolver::Row { pso, .. } => pso.row_len(),
+        }
+    }
+
+    /// The row-backed PSO's row: the lent one, or `own`.
+    fn row<'a>(pso: &RowPso, own: &'a mut Vec<f64>, lent: &'a mut [f64]) -> &'a mut [f64] {
+        if !lent.is_empty() {
+            return lent;
+        }
+        own.resize(pso.row_len(), 0.0);
+        own
+    }
+
+    fn step(&mut self, f: &dyn Objective, ctx: &mut Ctx<'_, Msg>) {
+        let (lent, rng) = ctx.row_and_rng();
+        match self {
+            NodeSolver::Boxed(s) => s.step(f, rng),
+            NodeSolver::Row { pso, own } => pso.step(Self::row(pso, own, lent), f, rng),
+        }
+    }
+
+    fn emigrate(&mut self, ctx: &mut Ctx<'_, Msg>) -> Option<BestPoint> {
+        let (lent, rng) = ctx.row_and_rng();
+        match self {
+            NodeSolver::Boxed(s) => s.emigrate(rng),
+            NodeSolver::Row { pso, own } => pso.emigrate(Self::row(pso, own, lent), rng),
+        }
+    }
+
+    fn immigrate(&mut self, point: BestPoint, ctx: &mut Ctx<'_, Msg>) {
+        let (lent, rng) = ctx.row_and_rng();
+        match self {
+            NodeSolver::Boxed(s) => s.immigrate(point, rng),
+            NodeSolver::Row { pso, own } => pso.immigrate(Self::row(pso, own, lent), point),
+        }
+    }
+}
 
 /// Topology-service component instance.
 #[derive(Debug, Clone)]
@@ -88,14 +164,15 @@ pub enum CoordComp {
 ///
 /// `OptNode` is `Send` (the [`Application`] contract), so the kernels can
 /// run disjoint shards of a network on worker threads. All callback state
-/// is per-node: the solver (possibly an `ArenaPso` handle into the shared
-/// cross-node `SwarmArena` — see `NodeRecipe` — whose row is exclusively
-/// this node's), the topology view, the coordination store and the byte
-/// ledger. Nothing here may reach for cross-node shared mutable state;
-/// that isolation is what makes sharded ticks deterministic.
+/// is per-node: the solver (possibly a `RowPso` whose particles live in
+/// the row the kernel lends this node alone — see `NodeRecipe` and
+/// [`Application::row_len`]), the topology view, the coordination store
+/// and the byte ledger. Nothing here may reach for cross-node shared
+/// mutable state; that isolation is what makes sharded ticks
+/// deterministic.
 pub struct OptNode {
     objective: Arc<dyn Objective>,
-    solver: Box<dyn Solver>,
+    solver: NodeSolver,
     topology: TopologyComp,
     coord: CoordComp,
     role: Role,
@@ -135,6 +212,27 @@ impl OptNode {
         gossip_every: u64,
         eval_budget: Option<u64>,
     ) -> Self {
+        Self::compose(
+            objective,
+            NodeSolver::Boxed(solver),
+            topology,
+            coord,
+            role,
+            gossip_every,
+            eval_budget,
+        )
+    }
+
+    /// [`OptNode::new`] for either kind of solver.
+    pub(crate) fn compose(
+        objective: Arc<dyn Objective>,
+        solver: NodeSolver,
+        topology: TopologyComp,
+        coord: CoordComp,
+        role: Role,
+        gossip_every: u64,
+        eval_budget: Option<u64>,
+    ) -> Self {
         assert!(gossip_every >= 1, "gossip_every must be at least 1");
         OptNode {
             objective,
@@ -150,7 +248,7 @@ impl OptNode {
     }
 
     /// The node's current best point (swarm optimum `g` for PSO).
-    pub fn best(&self) -> Option<gossipopt_solvers::BestPoint> {
+    pub fn best(&self) -> Option<BestPoint> {
         self.solver.best().cloned()
     }
 
@@ -190,11 +288,6 @@ impl OptNode {
     /// Total wire bytes this node has sent (see [`Msg::wire_bytes`]).
     pub fn payload_bytes_sent(&self) -> u64 {
         self.wire.total_bytes()
-    }
-
-    /// The solver's registry name.
-    pub fn solver_name(&self) -> &str {
-        self.solver.name()
     }
 
     /// Observer access to the topology component.
@@ -343,7 +436,7 @@ impl OptNode {
             (CoordComp::Migrate { migrants }, _) => {
                 let migrants = *migrants;
                 for _ in 0..migrants {
-                    let Some(e) = self.solver.emigrate(ctx.rng()) else {
+                    let Some(e) = self.solver.emigrate(ctx) else {
                         break;
                     };
                     if let Some(peer) = self.topology.sample(ctx.rng()) {
@@ -387,7 +480,7 @@ impl Application for OptNode {
         let may_evaluate = self.eval_budget.is_none_or(|b| self.solver.evals() < b);
         if may_evaluate {
             let span = wall::start();
-            self.solver.step(self.objective.as_ref(), ctx.rng());
+            self.solver.step(self.objective.as_ref(), ctx);
             wall::finish(Phase::SolverStep, span);
         }
 
@@ -434,8 +527,9 @@ impl Application for OptNode {
         !((coord_due && coord_may_send) || topology_may_send)
     }
 
-    fn prefetch(&self) {
-        self.solver.prefetch();
+    /// The row of a row-backed PSO (0 for a boxed solver).
+    fn row_len(&self) -> usize {
+        self.solver.row_len()
     }
 
     fn on_message(&mut self, from: NodeId, msg: Msg, ctx: &mut Ctx<'_, Msg>) {
@@ -473,14 +567,14 @@ impl Application for OptNode {
                 }
             }
             Msg::Migrant(g) => {
-                self.solver.immigrate(g.to_point(), ctx.rng());
+                self.solver.immigrate(g.to_point(), ctx);
             }
             Msg::MigrantBatch(b) => {
                 // Unpack in delivery order: `immigrate` draws from the
                 // node RNG, so per-item order must match unbatched
                 // delivery exactly.
                 for (_src, g) in b.items {
-                    self.solver.immigrate(g.to_point(), ctx.rng());
+                    self.solver.immigrate(g.to_point(), ctx);
                 }
             }
             Msg::MasterReport(g) => {

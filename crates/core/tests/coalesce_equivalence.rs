@@ -48,10 +48,6 @@ impl Application for Unfused {
         self.0.quiet_tick()
     }
 
-    fn prefetch(&self) {
-        self.0.prefetch();
-    }
-
     fn wire_counts(&self) -> WireCounts {
         self.0.wire_counts()
     }

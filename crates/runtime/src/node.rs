@@ -93,11 +93,14 @@ pub fn run_node<T: Transport>(
     let mut send_failures = 0u64;
     let mut interrupted = false;
     let mut outbox: Vec<(NodeId, Msg)> = Vec::new();
+    // The node's row (`Application::row_len`), kept here as a simulation
+    // kernel keeps it in its row table.
+    let mut row = vec![0.0; node.row_len()];
     let mut tick: u64 = 0;
 
     // Bootstrap the topology service from the provided contacts.
     {
-        let mut ctx = Ctx::new(id, tick, &mut rng, &mut outbox);
+        let mut ctx = Ctx::new(id, tick, &mut rng, &mut outbox).with_row(&mut row);
         node.on_join(contacts, &mut ctx);
     }
     flush(&transport, &mut outbox, &mut sent, &mut send_failures);
@@ -115,7 +118,7 @@ pub fn run_node<T: Transport>(
         let budget_left = node.evals() < cfg.eval_budget;
         if budget_left {
             tick += 1;
-            let mut ctx = Ctx::new(id, tick, &mut rng, &mut outbox);
+            let mut ctx = Ctx::new(id, tick, &mut rng, &mut outbox).with_row(&mut row);
             node.on_tick(&mut ctx);
             flush(&transport, &mut outbox, &mut sent, &mut send_failures);
             if !cfg.eval_pause.is_zero() {
@@ -139,7 +142,7 @@ pub fn run_node<T: Transport>(
             match wire::decode(&bytes) {
                 Ok(msg) => {
                     received += 1;
-                    let mut ctx = Ctx::new(id, tick, &mut rng, &mut outbox);
+                    let mut ctx = Ctx::new(id, tick, &mut rng, &mut outbox).with_row(&mut row);
                     node.on_message(from, msg, &mut ctx);
                     flush(&transport, &mut outbox, &mut sent, &mut send_failures);
                 }

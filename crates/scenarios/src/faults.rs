@@ -237,10 +237,11 @@ impl<A: FaultTarget> FaultApp<A> {
         let now = ctx.now;
         let mut scratch = std::mem::take(&mut self.scratch);
         scratch.clear();
-        {
-            let mut inner_ctx = Ctx::new(self_id, now, ctx.rng(), &mut scratch);
-            call(&mut self.inner, &mut inner_ctx);
-        }
+        let (row, rng) = ctx.row_and_rng();
+        call(
+            &mut self.inner,
+            &mut Ctx::new(self_id, now, rng, &mut scratch).with_row(row),
+        );
         for (to, msg) in scratch.drain(..) {
             if self.sched.blocks(now, self_id, to) {
                 self.blocked += 1;
@@ -308,6 +309,10 @@ impl<A: FaultTarget> Application for FaultApp<A> {
 
     fn coalesce_round(round: &mut Vec<(NodeId, NodeId, Self::Message)>) -> FrameSavings {
         A::coalesce_round(round)
+    }
+
+    fn row_len(&self) -> usize {
+        self.inner.row_len()
     }
 
     fn wire_counts(&self) -> WireCounts {

@@ -312,7 +312,7 @@ impl CellSpec {
     /// Resolve the solver name. `pso` and `pso-1995` lower to explicit
     /// parameters (`pso` is bit-identical to the registry's
     /// default-parameterized swarm) so `NodeRecipe` can engage the
-    /// cross-node solver arena.
+    /// kernel-hosted particle rows (`solvers::RowPso`).
     pub fn solver_spec(&self) -> Result<SolverSpec> {
         match self.solver.as_str() {
             "pso" => Ok(SolverSpec::Pso(PsoParams::default())),

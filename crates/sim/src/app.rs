@@ -64,16 +64,6 @@ impl WireCounts {
     pub fn total_bytes(&self) -> u64 {
         self.bytes.iter().sum()
     }
-
-    /// Total sent messages across kinds.
-    pub fn total_sent(&self) -> u64 {
-        self.sent.iter().sum()
-    }
-
-    /// Total delivered messages across kinds.
-    pub fn total_delivered(&self) -> u64 {
-        self.delivered.iter().sum()
-    }
 }
 
 impl Default for WireCounts {
@@ -158,6 +148,9 @@ impl std::ops::AddAssign for FrameSavings {
 /// execution paths); per-node state is still only ever touched by one
 /// thread at a time — the kernel hands each shard exclusive access to a
 /// disjoint slot range.
+/// A node may also have the kernel host a row of `f64`s for it
+/// ([`Application::row_len`], [`Ctx::row`]) whose meaning the kernel
+/// never sees.
 pub trait Application: Sized + Send {
     /// Message type exchanged between nodes of this application.
     type Message: Clone + std::fmt::Debug + Send;
@@ -190,11 +183,13 @@ pub trait Application: Sized + Send {
         false
     }
 
-    /// Cache-warming hint: the kernel is about to run this node's
-    /// callback within a few iterations; prefetch any out-of-line hot
-    /// state (e.g. an arena row) now. Must not mutate anything. Default:
-    /// no-op.
-    fn prefetch(&self) {}
+    /// Length of the zeroed `f64` row the kernel keeps for this node and
+    /// lends to every callback as [`Ctx::row`]; asked once, at join. Every
+    /// node of a network must ask for the same length (else the join
+    /// panics). The default 0 lends an empty row.
+    fn row_len(&self) -> usize {
+        0
+    }
 
     /// Frame-coalescing hook for batched delivery.
     ///
@@ -242,11 +237,12 @@ pub struct Ctx<'a, M> {
     pub now: Ticks,
     pub(crate) rng: &'a mut Xoshiro256pp,
     pub(crate) outbox: &'a mut Vec<(NodeId, M)>,
+    row: &'a mut [f64],
 }
 
 impl<'a, M> Ctx<'a, M> {
-    /// Construct a context (kernel-internal; public for engine reuse in
-    /// other crates' tests).
+    /// Construct a context lending an empty row (kernel-internal; public
+    /// for hosts in other crates and their tests).
     pub fn new(
         self_id: NodeId,
         now: Ticks,
@@ -258,7 +254,15 @@ impl<'a, M> Ctx<'a, M> {
             now,
             rng,
             outbox,
+            row: &mut [],
         }
+    }
+
+    /// Lend `row` to the callback as the node's row ([`Ctx::row`]).
+    #[inline]
+    pub fn with_row(mut self, row: &'a mut [f64]) -> Self {
+        self.row = row;
+        self
     }
 
     /// Queue `msg` for delivery to `to`. Delivery is asynchronous and
@@ -273,6 +277,18 @@ impl<'a, M> Ctx<'a, M> {
     #[inline]
     pub fn rng(&mut self) -> &mut Xoshiro256pp {
         self.rng
+    }
+
+    /// This node's row (empty when the host lends none).
+    #[inline]
+    pub fn row(&mut self) -> &mut [f64] {
+        self.row
+    }
+
+    /// [`Ctx::row`] and [`Ctx::rng`] at once.
+    #[inline]
+    pub fn row_and_rng(&mut self) -> (&mut [f64], &mut Xoshiro256pp) {
+        (self.row, self.rng)
     }
 }
 

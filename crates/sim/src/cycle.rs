@@ -20,7 +20,7 @@
 //! With `threads = 0` (the default) ticks run the sequential discipline
 //! above, byte-for-byte as they always have. Setting `threads >= 1`
 //! switches the engine to the *phased* tick, which processes one tick as
-//! parallel slot-range shards over the arena with a deterministic merge:
+//! parallel slot-range shards over the slots with a deterministic merge:
 //!
 //! 1. **Callback phase** — the live list is cut into contiguous slot
 //!    ranges, one shard per worker; each shard runs its nodes'
@@ -74,7 +74,7 @@
 use crate::app::{Application, Ctx, FrameSavings};
 use crate::churn::ChurnConfig;
 use crate::ids::{NodeId, Ticks};
-use crate::slots::{Membership, ShardCuts, Slot};
+use crate::slots::{Membership, ShardCuts, SlotRange};
 use crate::transport::Transport;
 use crate::{Control, KernelStats};
 use gossipopt_obs::wall::{self, Phase};
@@ -209,12 +209,11 @@ type Envelope<M> = (NodeId, NodeId, M);
 /// order, leaving `None` behind.
 type Bucket<M> = Vec<Option<Envelope<M>>>;
 
-/// Callback-phase shard of a phased tick: exclusive slots of one
-/// contiguous range plus the live positions inside it, binning its sends
-/// into its own lane of buckets.
+/// Callback-phase shard of a phased tick: exclusive slots (and rows) of
+/// one contiguous range plus the live positions inside it, binning its
+/// sends into its own lane of buckets.
 struct TickShard<'a, A: Application> {
-    base: usize,
-    slots: &'a mut [Slot<A>],
+    range: SlotRange<'a, A>,
     live: &'a [u32],
     lane: &'a mut [Bucket<A::Message>],
     /// Per-callback `Ctx` outbox.
@@ -322,13 +321,12 @@ impl<M> ShardWork<M> {
         }
     }
 
-    /// Deliver the sorted round to the shard's slots (`slots[0]` is slot
-    /// `lo`): move the messages the loss pass left into `survivors`,
-    /// dropping dead letters, coalesce, dispatch, and bin the replies into
-    /// `lane`.
+    /// Deliver the sorted round to the shard's slots (`lo..hi`): move the
+    /// messages the loss pass left into `survivors`, dropping dead
+    /// letters, coalesce, dispatch, and bin the replies into `lane`.
     fn deliver<A: Application<Message = M>>(
         &mut self,
-        slots: &mut [Slot<A>],
+        mut slots: SlotRange<'_, A>,
         now: Ticks,
         cuts: &ShardCuts,
         lane: &mut [Bucket<M>],
@@ -339,7 +337,7 @@ impl<M> ShardWork<M> {
             let Some(m) = self.inbox[k as usize][i as usize].take() else {
                 continue; // lost
             };
-            if slots[m.1.raw() as usize - lo].alive {
+            if slots.slots[m.1.raw() as usize - lo].alive {
                 self.survivors.push(m);
             } else {
                 dead += 1;
@@ -354,9 +352,9 @@ impl<M> ShardWork<M> {
             FrameSavings::default()
         };
         for (from, to, msg) in self.survivors.drain(..) {
-            let slot = &mut slots[to.raw() as usize - lo];
+            let (slot, row) = slots.get(to.raw() as usize);
             self.tmp.clear();
-            let mut ctx = Ctx::new(to, now, &mut slot.rng, &mut self.tmp);
+            let mut ctx = Ctx::new(to, now, &mut slot.rng, &mut self.tmp).with_row(row);
             slot.app.on_message(from, msg, &mut ctx);
             for (nto, m) in self.tmp.drain(..) {
                 lane[cuts.bin_of(nto)].push(Some((to, nto, m)));
@@ -394,10 +392,7 @@ impl<A: Application> CycleEngine<A> {
 
     /// Add `n` nodes via the spawner. Panics if no spawner is installed.
     pub fn populate(&mut self, n: usize) {
-        for _ in 0..n {
-            let app = self.members.spawn().expect("populate requires a spawner");
-            self.insert(app);
-        }
+        Membership::populate(self, n, Self::insert);
     }
 
     /// Add one node with an explicitly constructed application; returns its
@@ -479,9 +474,9 @@ impl<A: Application> CycleEngine<A> {
             outbox.clear();
             for at in 0..self.members.live.len() {
                 let i = self.members.live[at] as usize;
-                debug_assert!(self.members.slots[i].alive);
-                let slot = &mut self.members.slots[i];
-                let mut ctx = Ctx::new(slot.id, self.now, &mut slot.rng, &mut outbox);
+                let (slot, row) = self.members.slot_mut(i);
+                debug_assert!(slot.alive);
+                let mut ctx = Ctx::new(slot.id, self.now, &mut slot.rng, &mut outbox).with_row(row);
                 slot.app.on_tick(&mut ctx);
                 assert!(
                     outbox.is_empty(),
@@ -496,11 +491,10 @@ impl<A: Application> CycleEngine<A> {
         }
 
         // How far ahead of the sweep position to warm the cache: slot
-        // memory one full miss latency out, the node's own out-of-line
-        // state (`Application::prefetch`, e.g. an arena row — reachable
-        // only once the slot lines are in) at half that distance.
+        // memory one full miss latency out, the head of the node's row
+        // (its first four lines, as for the slot) at half that distance.
         const SLOT_AHEAD: usize = 12;
-        const APP_AHEAD: usize = 6;
+        const ROW_AHEAD: usize = 6;
         for at in 0..order.len() {
             if let Some(&j) = order.get(at + SLOT_AHEAD) {
                 let slot = &self.members.slots[j as usize];
@@ -511,18 +505,21 @@ impl<A: Application> CycleEngine<A> {
                     gossipopt_util::prefetch_read(p.wrapping_add(64 * line));
                 }
             }
-            if let Some(&j) = order.get(at + APP_AHEAD) {
-                self.members.slots[j as usize].app.prefetch();
+            if let Some(&j) = order.get(at + ROW_AHEAD) {
+                let row = self.members.rows.row_mut(j as usize);
+                for line in row.chunks(8).take(4) {
+                    gossipopt_util::prefetch_read(line.as_ptr());
+                }
             }
             let i = order[at] as usize;
+            let (slot, row) = self.members.slot_mut(i);
             // Nodes crash only in the churn phase before this loop, but a
             // stale order entry would be a logic error — guard in debug.
-            debug_assert!(self.members.slots[i].alive);
-            let id = self.members.slots[i].id;
+            debug_assert!(slot.alive);
+            let id = slot.id;
             outbox.clear();
             {
-                let slot = &mut self.members.slots[i];
-                let mut ctx = Ctx::new(id, self.now, &mut slot.rng, &mut outbox);
+                let mut ctx = Ctx::new(id, self.now, &mut slot.rng, &mut outbox).with_row(row);
                 slot.app.on_tick(&mut ctx);
             }
             self.route(id, &mut outbox);
@@ -577,27 +574,30 @@ impl<A: Application> CycleEngine<A> {
                 })
                 .collect();
             let (live, now, cuts) = (&self.members.live, self.now, &self.cuts);
-            let views = crate::slots::disjoint_slot_ranges(&mut self.members.slots, &ranges);
+            let views = crate::slots::disjoint_slot_ranges(
+                &mut self.members.slots,
+                &mut self.members.rows,
+                &ranges,
+            );
             let tasks: Vec<TickShard<'_, A>> = views
                 .into_iter()
                 .zip(&chunks)
                 .zip(self.inbound.iter_mut().zip(&mut self.works))
-                .map(|(((base, slots), &(s, e)), (lane, work))| TickShard {
-                    base,
-                    slots,
+                .map(|((range, &(s, e)), (lane, work))| TickShard {
+                    range,
                     live: &live[s..e],
                     lane,
                     tmp: &mut work.tmp,
                 })
                 .collect();
             let callback_span = wall::start();
-            rayon::execute_indexed(tasks, threads, &|shard: TickShard<'_, A>| {
+            rayon::execute_indexed(tasks, threads, &|mut shard: TickShard<'_, A>| {
                 for &pos in shard.live {
-                    let slot = &mut shard.slots[pos as usize - shard.base];
+                    let (slot, row) = shard.range.get(pos as usize);
                     debug_assert!(slot.alive);
                     let id = slot.id;
                     shard.tmp.clear();
-                    let mut ctx = Ctx::new(id, now, &mut slot.rng, shard.tmp);
+                    let mut ctx = Ctx::new(id, now, &mut slot.rng, shard.tmp).with_row(row);
                     slot.app.on_tick(&mut ctx);
                     for (to, m) in shard.tmp.drain(..) {
                         shard.lane[cuts.bin_of(to)].push(Some((id, to, m)));
@@ -686,12 +686,16 @@ impl<A: Application> CycleEngine<A> {
             wall::finish(Phase::CycleMerge, merge_span);
 
             let dispatch_span = wall::start();
-            let views = crate::slots::disjoint_slot_ranges(&mut self.members.slots, &ranges);
+            let views = crate::slots::disjoint_slot_ranges(
+                &mut self.members.slots,
+                &mut self.members.rows,
+                &ranges,
+            );
             let tasks: Vec<_> = works
                 .iter_mut()
                 .zip(views)
                 .zip(self.outbound.iter_mut())
-                .map(|((work, (_, slots)), lane)| (work, slots, lane))
+                .map(|((work, slots), lane)| (work, slots, lane))
                 .collect();
             rayon::execute_indexed(tasks, threads, &|(work, slots, lane)| {
                 work.deliver(slots, now, cuts, lane);
@@ -807,8 +811,8 @@ impl<A: Application> CycleEngine<A> {
         let mut outbox = std::mem::take(&mut self.drain_outbox_buf);
         outbox.clear();
         {
-            let slot = &mut self.members.slots[i];
-            let mut ctx = Ctx::new(to, self.now, &mut slot.rng, &mut outbox);
+            let (slot, row) = self.members.slot_mut(i);
+            let mut ctx = Ctx::new(to, self.now, &mut slot.rng, &mut outbox).with_row(row);
             slot.app.on_message(from, msg, &mut ctx);
         }
         self.members.stats.delivered += 1;

@@ -110,7 +110,7 @@
 use crate::app::{Application, Ctx};
 use crate::churn::ChurnConfig;
 use crate::ids::{NodeId, Ticks};
-use crate::slots::{Membership, ShardCuts};
+use crate::slots::{Membership, ShardCuts, SlotRange};
 use crate::transport::Transport;
 use crate::Control;
 use gossipopt_obs::wall::{self, Phase};
@@ -213,11 +213,10 @@ impl<M> Ord for Event<M> {
     }
 }
 
-/// One shard of a sharded same-timestamp segment: exclusive slots of a
-/// contiguous range plus the buffers it works through.
+/// One shard of a sharded same-timestamp segment: exclusive slots (and
+/// rows) of a contiguous range plus the buffers it works through.
 struct EventShard<'a, A: Application> {
-    base: usize,
-    slots: &'a mut [crate::slots::Slot<A>],
+    range: SlotRange<'a, A>,
     now: Ticks,
     bufs: ShardBufs<A::Message>,
 }
@@ -303,10 +302,7 @@ impl<A: Application> EventEngine<A> {
 
     /// Add `n` nodes via the spawner. Panics if no spawner is installed.
     pub fn populate(&mut self, n: usize) {
-        for _ in 0..n {
-            let app = self.members.spawn().expect("populate requires a spawner");
-            self.insert(app);
-        }
+        Membership::populate(self, n, Self::insert);
     }
 
     /// Add one node; runs `on_join` now, hands its sends to the transport
@@ -537,16 +533,15 @@ impl<A: Application> EventEngine<A> {
         // Callback phase: parallel shards, each running its events in seq
         // order against one flat outbox.
         let now = self.now;
-        let views = crate::slots::disjoint_slot_ranges(&mut self.members.slots, &ranges);
+        let views = crate::slots::disjoint_slot_ranges(
+            &mut self.members.slots,
+            &mut self.members.rows,
+            &ranges,
+        );
         let tasks: Vec<EventShard<'_, A>> = views
             .into_iter()
             .zip(bufs)
-            .map(|((base, slots), bufs)| EventShard {
-                base,
-                slots,
-                now,
-                bufs,
-            })
+            .map(|(range, bufs)| EventShard { range, now, bufs })
             .collect();
         let dispatch_span = wall::start();
         let mut outs = rayon::execute_indexed(tasks, threads, &|mut shard: EventShard<'_, A>| {
@@ -555,9 +550,9 @@ impl<A: Application> EventEngine<A> {
                 let outbox = &mut shard.bufs.outbox;
                 let before = outbox.len();
                 let node = ev.target();
-                let slot = &mut shard.slots[node.raw() as usize - shard.base];
+                let (slot, row) = shard.range.get(node.raw() as usize);
                 debug_assert!(slot.alive, "triage kept live targets only");
-                let mut ctx = Ctx::new(node, shard.now, &mut slot.rng, outbox);
+                let mut ctx = Ctx::new(node, shard.now, &mut slot.rng, outbox).with_row(row);
                 // Ticks always replay: the timer must be rescheduled.
                 let reschedule_tick = match ev.kind {
                     EventKind::Tick { .. } => {

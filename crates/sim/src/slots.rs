@@ -16,6 +16,8 @@
 //! equals filtering every slot ever allocated by liveness, so visit order
 //! (and therefore RNG draw order) is identical to the re-filtering
 //! implementations it replaced.
+//! Beside the slots sits the [`RowTable`], split together with them
+//! ([`disjoint_slot_ranges`]), so a row is as exclusive as its slot.
 
 use crate::app::{Application, Ctx, WireCounts};
 use crate::churn::ChurnConfig;
@@ -70,6 +72,8 @@ type Spawner<A> = Box<dyn FnMut(NodeId, &mut Xoshiro256pp) -> A>;
 /// it in between the kernel's own scheduling and transport draws.
 pub struct Membership<A> {
     pub(crate) slots: Vec<Slot<A>>,
+    /// Row `i` belongs to slot `i`.
+    pub(crate) rows: RowTable,
     /// Slot indices of live nodes, kept sorted ascending (insertions only
     /// ever append because new ids take the highest slot index; crashes
     /// remove in place).
@@ -107,6 +111,7 @@ impl<A> Membership<A> {
     ) -> Self {
         Membership {
             slots: Vec::new(),
+            rows: RowTable::default(),
             live: Vec::new(),
             alive_count: 0,
             next_id: 0,
@@ -176,6 +181,12 @@ impl<A> Membership<A> {
         self.live.push(slot_idx as u32);
         self.alive_count += 1;
         slot_idx
+    }
+
+    /// Slot `i` and its row.
+    #[inline]
+    pub(crate) fn slot_mut(&mut self, i: usize) -> (&mut Slot<A>, &mut [f64]) {
+        (&mut self.slots[i], self.rows.row_mut(i))
     }
 
     /// Re-filter the live list after slots were marked dead.
@@ -272,10 +283,11 @@ impl<A: Application> Membership<A> {
                 .extend(self.sample_buf.iter().map(|&k| slots[live[k] as usize].id));
         }
         let rng = Xoshiro256pp::derive(self.seed, StreamId::node(self.component, id.raw()));
+        self.rows.push(app.row_len(), self.slots.is_empty(), id);
         let i = self.push(app, rng);
-        let slot = &mut self.slots[i];
+        let (slot, row) = (&mut self.slots[i], self.rows.row_mut(i));
         outbox.clear();
-        let mut ctx = Ctx::new(id, now, &mut slot.rng, outbox);
+        let mut ctx = Ctx::new(id, now, &mut slot.rng, outbox).with_row(row);
         slot.app.on_join(&self.contacts, &mut ctx);
         id
     }
@@ -326,6 +338,24 @@ impl<A: Application> Membership<A> {
         crashed
     }
 
+    /// Join `n` spawner-built nodes through the kernel's `insert`. At the
+    /// first, the row table reserves rows for them and for `n` later
+    /// joiners: growing it a row at a time would fault it anew at every
+    /// doubling, and moving a huge-page buffer holds two copies of it at
+    /// once; reserved rows no join reaches are address space, not memory.
+    pub(crate) fn populate<K>(kernel: &mut K, n: usize, mut insert: impl FnMut(&mut K, A) -> NodeId)
+    where
+        K: DerefMut<Target = Self>,
+    {
+        for k in 0..n {
+            let app = kernel.spawn().expect("populate requires a spawner");
+            if k == 0 {
+                kernel.rows.reserve(2 * n * app.row_len());
+            }
+            insert(kernel, app);
+        }
+    }
+
     /// One period of the churn process on `kernel`. Crashes first: one
     /// `chance` draw per live slot in ascending slot order until the
     /// population is down to `min_nodes`. Then `sample_joins`, and per
@@ -370,27 +400,121 @@ impl<A: Application> Membership<A> {
     }
 }
 
-/// Split `slots` into disjoint mutable sub-slices covering the half-open,
-/// ascending, pairwise-disjoint slot `ranges`; returns `(base, slice)`
-/// pairs where `slice[i]` is the slot at absolute index `base + i`.
+/// One `stride`-float row per slot ([`Ctx::row`]), contiguous in slot
+/// order, row 0 on a cache line; the first node fixes the stride. Growth
+/// goes through the allocator's reserve, which moves a large buffer by
+/// remapping its pages, so two copies of the rows are never resident;
+/// huge pages are advised before new rows are first touched.
+/// [`Membership::populate`] reserves all its rows at once.
+#[derive(Default)]
+pub(crate) struct RowTable {
+    /// `start` pad floats, then the rows back to back.
+    buf: Vec<f64>,
+    /// Pad that puts row 0 on a 64-byte boundary of `buf`'s allocation.
+    start: usize,
+    stride: usize,
+}
+
+impl RowTable {
+    /// Append a zeroed row of `len` floats for node `id`, the network's
+    /// `first`.
+    fn push(&mut self, len: usize, first: bool, id: NodeId) {
+        if first {
+            self.stride = len;
+        }
+        assert!(
+            len == self.stride,
+            "node {id:?} asks for a row of {len} f64s, but this network's row table has \
+             stride {}: every node of a network must ask for the same row length",
+            self.stride
+        );
+        self.reserve(len);
+        self.buf.resize(self.buf.len() + len, 0.0);
+    }
+
+    /// Room for `floats` more floats (and a realigning pad of up to 7).
+    fn reserve(&mut self, floats: usize) {
+        if floats > 0 && self.buf.capacity() < self.buf.len() + floats + 7 {
+            self.buf.reserve(floats + 7);
+            gossipopt_util::mem::advise_hugepages(
+                self.buf.as_ptr(),
+                self.buf.capacity() * std::mem::size_of::<f64>(),
+            );
+            self.realign();
+        }
+    }
+
+    /// Move the rows so row 0 starts on a cache line of the (possibly
+    /// moved) allocation; with a whole-line stride every row then does.
+    fn realign(&mut self) {
+        let pad = self.buf.as_ptr().align_offset(64);
+        let rows = self.buf.len() - self.start;
+        if pad == self.start {
+            return;
+        }
+        self.buf.resize(pad.max(self.start) + rows, 0.0);
+        self.buf.copy_within(self.start..self.start + rows, pad);
+        self.buf.truncate(pad + rows);
+        self.start = pad;
+    }
+
+    /// Slot `i`'s row.
+    #[inline]
+    pub(crate) fn row_mut(&mut self, i: usize) -> &mut [f64] {
+        let at = self.start + i * self.stride;
+        &mut self.buf[at..at + self.stride]
+    }
+}
+
+/// One shard's exclusive part of the network: the slots `base..base + n`
+/// and their rows.
+pub(crate) struct SlotRange<'a, A> {
+    pub(crate) base: usize,
+    pub(crate) slots: &'a mut [Slot<A>],
+    rows: &'a mut [f64],
+    stride: usize,
+}
+
+impl<A> SlotRange<'_, A> {
+    /// The slot at absolute index `i`, with its row.
+    #[inline]
+    pub(crate) fn get(&mut self, i: usize) -> (&mut Slot<A>, &mut [f64]) {
+        let k = i - self.base;
+        let at = k * self.stride;
+        (&mut self.slots[k], &mut self.rows[at..at + self.stride])
+    }
+}
+
+/// Split `slots` and their `rows` into disjoint mutable ranges covering
+/// the half-open, ascending, pairwise-disjoint slot `ranges`.
 ///
 /// This is the aliasing-free foundation of the sharded execution paths:
-/// each shard gets exclusive `&mut` access to a contiguous slot range, so
-/// per-node callbacks can run concurrently without locks while the borrow
-/// checker rules out cross-shard access.
+/// each shard gets exclusive `&mut` access to a contiguous slot range and
+/// its rows, so per-node callbacks can run concurrently without locks
+/// while the borrow checker rules out cross-shard access.
 pub(crate) fn disjoint_slot_ranges<'a, A>(
     mut slots: &'a mut [Slot<A>],
+    rows: &'a mut RowTable,
     ranges: &[(usize, usize)],
-) -> Vec<(usize, &'a mut [Slot<A>])> {
+) -> Vec<SlotRange<'a, A>> {
+    let stride = rows.stride;
+    let mut floats = &mut rows.buf[rows.start..];
     let mut out = Vec::with_capacity(ranges.len());
     let mut consumed = 0usize;
     for &(lo, hi) in ranges {
         debug_assert!(lo >= consumed && hi >= lo, "ranges ascending + disjoint");
-        let rest = std::mem::take(&mut slots);
-        let (_skip, rest) = rest.split_at_mut(lo - consumed);
+        let (_skip, rest) = std::mem::take(&mut slots).split_at_mut(lo - consumed);
         let (mine, rest) = rest.split_at_mut(hi - lo);
-        out.push((lo, mine));
         slots = rest;
+        let (_skip, rest) = std::mem::take(&mut floats).split_at_mut((lo - consumed) * stride);
+        let (my_rows, rest) = rest.split_at_mut((hi - lo) * stride);
+        floats = rest;
+        out.push(SlotRange {
+            base: lo,
+            slots: mine,
+            rows: my_rows,
+            stride,
+        });
         consumed = hi;
     }
     out
@@ -605,15 +729,51 @@ mod tests {
     #[test]
     fn disjoint_ranges_cover_exactly_and_exclusively() {
         let mut a = net(7, 10, 0);
-        let views = disjoint_slot_ranges(&mut a.slots, &[(0, 3), (4, 4), (5, 9)]);
+        let views = disjoint_slot_ranges(&mut a.slots, &mut a.rows, &[(0, 3), (4, 4), (5, 9)]);
         assert_eq!(views.len(), 3);
-        let (base0, s0) = &views[0];
-        assert_eq!((*base0, s0.len()), (0, 3));
-        let (base1, s1) = &views[1];
-        assert_eq!((*base1, s1.len()), (4, 0));
-        let (base2, s2) = &views[2];
-        assert_eq!((*base2, s2.len()), (5, 4));
-        assert_eq!(s2[3].id, NodeId(8));
+        let lens: Vec<(usize, usize)> = views.iter().map(|v| (v.base, v.slots.len())).collect();
+        assert_eq!(lens, [(0, 3), (4, 0), (5, 4)]);
+        assert_eq!(views[2].slots[3].id, NodeId(8));
+    }
+
+    /// A node asking for a 3-float row whose first float is its app value.
+    struct Wide(u32);
+
+    impl Application for Wide {
+        type Message = ();
+        fn on_join(&mut self, _contacts: &[NodeId], ctx: &mut Ctx<'_, ()>) {
+            ctx.row()[0] = f64::from(self.0);
+        }
+        fn on_tick(&mut self, _ctx: &mut Ctx<'_, ()>) {}
+        fn on_message(&mut self, _from: NodeId, _msg: (), _ctx: &mut Ctx<'_, ()>) {}
+        fn row_len(&self) -> usize {
+            3
+        }
+    }
+
+    #[test]
+    fn rows_stay_aligned_and_intact_as_the_table_grows() {
+        let mut a: Membership<Wide> =
+            Membership::new(7, StreamId::KERNEL, 0, 0, ChurnConfig::none());
+        for v in 0..2000 {
+            a.join(Wide(v), 0, &mut Vec::new());
+            let row0 = a.rows.row_mut(0).as_ptr();
+            assert_eq!(row0.align_offset(64), 0, "row 0 on a cache line");
+        }
+        for v in 0..2000 {
+            assert_eq!(a.rows.row_mut(v as usize), [f64::from(v), 0.0, 0.0]);
+        }
+        let views = disjoint_slot_ranges(&mut a.slots, &mut a.rows, &[(3, 5), (1999, 2000)]);
+        let got: Vec<f64> = views
+            .into_iter()
+            .flat_map(|mut v| {
+                let base = v.base;
+                (base..base + v.slots.len())
+                    .map(|i| v.get(i).1[0])
+                    .collect::<Vec<_>>()
+            })
+            .collect();
+        assert_eq!(got, [3.0, 4.0, 1999.0]);
     }
 
     #[test]

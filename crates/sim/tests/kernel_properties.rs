@@ -169,3 +169,127 @@ proptest! {
         }
     }
 }
+
+/// A node that keeps `(id, visits)` in its lent row: every callback checks
+/// the row holds what its previous callback wrote, then writes the next
+/// pair. Any row lent to the wrong node, moved without its contents, or
+/// shared between two nodes breaks the check.
+struct RowKeeper {
+    visits: u64,
+    contacts: Vec<NodeId>,
+}
+
+impl RowKeeper {
+    fn new() -> Self {
+        RowKeeper {
+            visits: 0,
+            contacts: Vec::new(),
+        }
+    }
+
+    fn visit(&mut self, ctx: &mut Ctx<'_, u64>) {
+        let me = ctx.self_id;
+        let id = me.raw() as f64;
+        let row = ctx.row();
+        assert_eq!(row, [id, self.visits as f64], "row of {me:?}");
+        self.visits += 1;
+        row.copy_from_slice(&[id, self.visits as f64]);
+    }
+}
+
+impl Application for RowKeeper {
+    type Message = u64;
+
+    fn on_join(&mut self, contacts: &[NodeId], ctx: &mut Ctx<'_, u64>) {
+        // A fresh row is zeroed: the "previous write" is (0, 0).
+        let me = ctx.self_id;
+        assert_eq!(ctx.row(), [0.0, 0.0], "fresh row of {me:?}");
+        ctx.row()[0] = me.raw() as f64;
+        self.contacts = contacts.to_vec();
+        self.visit(ctx);
+    }
+
+    fn on_tick(&mut self, ctx: &mut Ctx<'_, u64>) {
+        self.visit(ctx);
+        for &c in self.contacts.iter().take(2) {
+            ctx.send(c, self.visits);
+        }
+    }
+
+    fn on_message(&mut self, _from: NodeId, _msg: u64, ctx: &mut Ctx<'_, u64>) {
+        self.visit(ctx);
+    }
+
+    fn row_len(&self) -> usize {
+        2
+    }
+}
+
+/// Joins past the initial population: the row table grows mid-run.
+fn growing_churn() -> ChurnConfig {
+    ChurnConfig {
+        crash_prob_per_tick: 0.0,
+        joins_per_tick: 2.0,
+        min_nodes: 1,
+        max_nodes: usize::MAX,
+    }
+}
+
+#[test]
+fn lent_rows_follow_their_node_on_both_kernels() {
+    const N: usize = 40;
+    for threads in [0usize, 1, 2] {
+        let mut cfg = CycleConfig::seeded(11);
+        cfg.threads = threads;
+        cfg.churn = growing_churn();
+        let mut e: CycleEngine<RowKeeper> = CycleEngine::new(cfg);
+        e.set_spawner(|_, _| RowKeeper::new());
+        e.populate(N);
+        e.run(10);
+        assert!(e.crash(NodeId(3)), "threads {threads}: scripted crash");
+        e.run(10);
+        let s = e.stats();
+        assert!(s.joins > 0 && s.delivered > 0, "threads {threads}: {s:?}");
+        assert!(e.nodes().all(|(_, a)| a.visits > 0));
+
+        let mut cfg = EventConfig::seeded(11);
+        cfg.threads = threads;
+        cfg.tick_period = 5;
+        cfg.churn = growing_churn();
+        cfg.transport = Transport {
+            loss_prob: 0.0,
+            latency: Latency::Uniform(1, 8),
+        };
+        let mut ev: EventEngine<RowKeeper> = EventEngine::new(cfg);
+        ev.set_spawner(|_, _| RowKeeper::new());
+        ev.populate(N);
+        ev.run(50);
+        assert!(ev.crash(NodeId(3)), "threads {threads}: scripted crash");
+        ev.run(100);
+        let s = ev.stats();
+        assert!(s.joins > 0 && s.delivered > 0, "threads {threads}: {s:?}");
+        assert!(ev.nodes().all(|(_, a)| a.visits > 0));
+    }
+}
+
+/// A node asking for `0` floats of row, or `1`.
+struct Ragged(usize);
+
+impl Application for Ragged {
+    type Message = ();
+    fn on_join(&mut self, _contacts: &[NodeId], _ctx: &mut Ctx<'_, ()>) {}
+    fn on_tick(&mut self, _ctx: &mut Ctx<'_, ()>) {}
+    fn on_message(&mut self, _from: NodeId, _msg: (), _ctx: &mut Ctx<'_, ()>) {}
+    fn row_len(&self) -> usize {
+        self.0
+    }
+}
+
+#[test]
+#[should_panic(expected = "every node of a network must ask for the same row length")]
+fn a_node_with_another_row_length_is_refused() {
+    let mut e: CycleEngine<Ragged> = CycleEngine::new(CycleConfig::seeded(1));
+    e.insert(Ragged(1));
+    e.insert(Ragged(1));
+    e.insert(Ragged(0));
+}

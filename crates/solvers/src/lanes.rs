@@ -25,7 +25,7 @@ use gossipopt_util::{Rng64, Xoshiro256pp};
 /// Classic (gbest / best-of-neighborhood) PSO velocity + position update
 /// for one particle with no bound policy and a known social attractor —
 /// the innermost kernel of the network tick, run by the shared PSO
-/// update (`crate::pso`) for [`crate::Swarm`] and [`crate::ArenaPso`].
+/// update (`crate::pso`) for [`crate::Swarm`] and [`crate::RowPso`].
 ///
 /// Per dimension `d`, replays exactly:
 ///

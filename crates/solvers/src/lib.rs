@@ -1,3 +1,4 @@
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 //! # gossipopt-solvers
@@ -25,7 +26,6 @@
 //! * **[`Solver::best`] extraction** — what the coordination service
 //!   gossips out.
 
-pub mod arena;
 pub mod cmaes;
 pub mod de;
 pub mod es;
@@ -34,12 +34,12 @@ mod lanes;
 pub mod nelder_mead;
 pub mod pso;
 pub mod random_search;
+pub mod row_pso;
 pub mod sa;
 
 use gossipopt_functions::Objective;
 use gossipopt_util::{Rng64, Xoshiro256pp};
 
-pub use arena::{ArenaPso, SwarmArena};
 pub use cmaes::{CmaesParams, SepCmaes};
 pub use de::{DeParams, DifferentialEvolution};
 pub use es::{EsParams, EvolutionStrategy};
@@ -47,6 +47,7 @@ pub use ga::{GaParams, GeneticAlgorithm};
 pub use nelder_mead::{NelderMead, NelderMeadParams};
 pub use pso::{BoundPolicy, Inertia, PsoParams, Swarm, Topology};
 pub use random_search::RandomSearch;
+pub use row_pso::RowPso;
 pub use sa::{SaParams, SimulatedAnnealing};
 
 /// A best-so-far point: position and its objective value.
@@ -105,11 +106,6 @@ pub trait Solver: Send {
     fn tell_best_slice(&mut self, x: &[f64], f: f64) {
         self.tell_best(BestPoint { x: x.to_vec(), f });
     }
-
-    /// Cache-warming hint: the host is about to call [`Solver::step`]
-    /// within a few iterations; prefetch any out-of-line hot state (e.g.
-    /// an arena row) now. Must not mutate anything. Default: no-op.
-    fn prefetch(&self) {}
 
     /// Evaluations performed by [`Solver::step`] so far.
     fn evals(&self) -> u64;

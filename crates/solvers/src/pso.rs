@@ -161,9 +161,13 @@ impl PsoParams {
     }
 }
 
+/// An `evaluated` flag that is set. Flags are floats (`1.0` set, `0.0`
+/// clear — lossless both ways) so that a lent row holds only `f64`s.
+pub(crate) const EVALUATED: f64 = 1.0;
+
 /// Borrowed view of one swarm's particle columns: [`Swarm`]'s own
-/// buffers, or an [`crate::ArenaPso`]'s row of the shared arena. The
-/// `f64` columns hold `particles × dim` values, particle-major.
+/// buffers, or the segments a [`crate::RowPso`] splits its lent row into.
+/// The position columns hold `particles × dim` values, particle-major.
 pub(crate) struct Row<'a> {
     /// Problem dimensionality (the stride of the `f64` columns).
     pub(crate) dim: usize,
@@ -175,11 +179,11 @@ pub(crate) struct Row<'a> {
     pub(crate) pbest_x: &'a mut [f64],
     /// Personal-best values, one per particle.
     pub(crate) pbest_f: &'a mut [f64],
-    /// Evaluated-at-least-once flags, one per particle.
-    pub(crate) evaluated: &'a mut [bool],
+    /// Evaluated-at-least-once flags, one per particle ([`EVALUATED`]).
+    pub(crate) evaluated: &'a mut [f64],
 }
 
-/// The PSO update rule shared by [`Swarm`] and [`crate::ArenaPso`]: the
+/// The PSO update rule shared by [`Swarm`] and [`crate::RowPso`]: the
 /// parameters and the constants they fix — χ and `w` at construction,
 /// the per-dimension bounds and velocity clamp once a domain is set.
 #[derive(Debug, Clone)]
@@ -258,7 +262,7 @@ impl Update {
         }
         row.pbest_x.copy_from_slice(row.x);
         row.pbest_f.fill(f64::INFINITY);
-        row.evaluated.fill(false);
+        row.evaluated.fill(0.0);
     }
 
     /// Classic (best-of-neighbourhood) move of one particle: `x`, `v` and
@@ -344,7 +348,7 @@ impl Update {
     }
 }
 
-/// Per-swarm bookkeeping shared by [`Swarm`] and [`crate::ArenaPso`]: the
+/// Per-swarm bookkeeping shared by [`Swarm`] and [`crate::RowPso`]: the
 /// swarm optimum `g`, the round-robin cursor and the evaluation count.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct Progress {
@@ -369,11 +373,6 @@ impl Progress {
         i
     }
 
-    /// The particle the next step will visit.
-    pub(crate) fn cursor(&self) -> usize {
-        self.cursor
-    }
-
     /// Evaluate particle `i` and fold the value into its personal best and
     /// `g`. Paper §3.3.2: the swarm optimum is re-selected after each
     /// evaluation; the update reuses `g`'s allocation.
@@ -383,7 +382,7 @@ impl Progress {
         let at = i * k;
         let value = crate::eval_point(f, &row.x[at..at + k]);
         self.evals += 1;
-        row.evaluated[i] = true;
+        row.evaluated[i] = EVALUATED;
         if value < row.pbest_f[i] {
             row.pbest_f[i] = value;
             row.pbest_x[at..at + k].copy_from_slice(&row.x[at..at + k]);
@@ -437,7 +436,7 @@ impl Progress {
     /// island identical); `g` while no particle is evaluated.
     pub(crate) fn emigrate(&self, row: &Row<'_>, rng: &mut Xoshiro256pp) -> Option<BestPoint> {
         let evaluated: Vec<usize> = (0..row.pbest_f.len())
-            .filter(|&i| self.initialized && row.evaluated[i])
+            .filter(|&i| self.initialized && row.evaluated[i] == EVALUATED)
             .collect();
         if evaluated.is_empty() {
             return self.best.clone();
@@ -465,7 +464,7 @@ impl Progress {
                 row.v[at..at + k].fill(0.0);
                 row.pbest_x[at..at + k].copy_from_slice(&point.x);
                 row.pbest_f[worst] = point.f;
-                row.evaluated[worst] = true;
+                row.evaluated[worst] = EVALUATED;
             }
         }
         self.tell_best(point);
@@ -480,8 +479,8 @@ impl Progress {
 /// velocities and personal bests live in flat `Vec<f64>` buffers with
 /// stride `dim`, so the velocity/position update is one tight loop over
 /// contiguous memory and a step performs no heap allocation. The update
-/// rule and bookkeeping are the ones [`crate::ArenaPso`] runs over its
-/// arena row; this type adds the lbest neighbourhoods and FIPS.
+/// rule and bookkeeping are the ones [`crate::RowPso`] runs over its
+/// lent row; this type adds the lbest neighbourhoods and FIPS.
 #[derive(Debug, Clone)]
 pub struct Swarm {
     size: usize,
@@ -495,8 +494,9 @@ pub struct Swarm {
     pbest_x: Vec<f64>,
     /// Personal-best values.
     pbest_f: Vec<f64>,
-    /// Whether the particle has been evaluated at least once.
-    evaluated: Vec<bool>,
+    /// Whether the particle has been evaluated at least once
+    /// ([`EVALUATED`]).
+    evaluated: Vec<f64>,
     /// Adjacency for lbest topologies (empty for gbest).
     neighbors: Vec<Vec<usize>>,
     /// FIPS informant scratch, reused across steps.
@@ -561,7 +561,7 @@ impl Swarm {
 
     /// Whether particle `i` has been evaluated at least once.
     pub fn is_evaluated(&self, i: usize) -> bool {
-        self.evaluated[i]
+        self.evaluated[i] == EVALUATED
     }
 
     /// The particle columns as a [`Row`], with the update rule and the
@@ -585,7 +585,7 @@ impl Swarm {
         self.v.resize(n * k, 0.0);
         self.pbest_x.resize(n * k, 0.0);
         self.pbest_f.resize(n, f64::INFINITY);
-        self.evaluated.resize(n, false);
+        self.evaluated.resize(n, 0.0);
         let (mut row, update, progress) = self.parts();
         update.init(&mut row, rng);
         progress.initialized = true;
@@ -651,11 +651,11 @@ impl Swarm {
                 Topology::Ring(_) | Topology::VonNeumann | Topology::Random(_) => {
                     let (pbest_f, evaluated) = (&self.pbest_f, &self.evaluated);
                     let mut best: Option<(usize, f64)> = None;
-                    if evaluated[i] {
+                    if evaluated[i] == EVALUATED {
                         best = Some((i, pbest_f[i]));
                     }
                     for &j in &self.neighbors[i] {
-                        if evaluated[j] && best.is_none_or(|(_, bf)| pbest_f[j] < bf) {
+                        if evaluated[j] == EVALUATED && best.is_none_or(|(_, bf)| pbest_f[j] < bf) {
                             best = Some((j, pbest_f[j]));
                         }
                     }
@@ -679,7 +679,7 @@ impl Swarm {
         informants.clear();
         match params.topology {
             Topology::Gbest => {
-                informants.extend((0..self.size).filter(|&j| self.evaluated[j]));
+                informants.extend((0..self.size).filter(|&j| self.evaluated[j] == EVALUATED));
             }
             Topology::Ring(_) | Topology::VonNeumann | Topology::Random(_) => {
                 informants.extend(
@@ -687,7 +687,7 @@ impl Swarm {
                         .iter()
                         .copied()
                         .chain(std::iter::once(i))
-                        .filter(|&j| self.evaluated[j]),
+                        .filter(|&j| self.evaluated[j] == EVALUATED),
                 );
             }
         }
@@ -717,7 +717,7 @@ impl Solver for Swarm {
             self.initialize(f, rng);
         }
         let i = self.progress.next(self.size);
-        if self.evaluated[i] {
+        if self.evaluated[i] == EVALUATED {
             self.move_particle(i, rng);
         }
         // First visit evaluates the random initial position as-is.

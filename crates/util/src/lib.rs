@@ -30,6 +30,6 @@ pub mod stats;
 pub mod varint;
 
 pub use hypothesis::{mann_whitney, MannWhitney};
-pub use mem::{prefetch_read, AlignedBox};
+pub use mem::prefetch_read;
 pub use rng::{Rng64, SplitMix64, StreamId, Xoshiro256pp};
 pub use stats::{OnlineStats, Summary};

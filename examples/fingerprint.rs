@@ -1,7 +1,7 @@
 //! Determinism fingerprint: hashes solver trajectories and kernel traces
 //! for a spread of configurations. Two builds that print identical lines
 //! produce bit-identical simulations — used to verify that hot-path
-//! refactors (SoA swarm, dense slot map, cross-node solver arena) preserve
+//! refactors (SoA swarm, dense slot map, kernel-hosted particle rows) preserve
 //! behavior exactly.
 //!
 //! Run with `cargo run --release --example fingerprint`.

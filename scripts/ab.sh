@@ -1,41 +1,46 @@
 #!/usr/bin/env bash
-# A/B one end-to-end benchmark workload: a reference commit against the
+# A/B end-to-end benchmark workloads: a reference commit against the
 # working tree, in alternating pairs.
 #
-#   scripts/ab.sh <ref> --workload W --pairs N --seed S [--seconds T] [--trace]
+#   scripts/ab.sh <ref> --workload W [--workload W2 ...] --pairs N --seed S [--seconds T] [--trace]
 #
-# Exports `ref` with `git archive` under target/ab/<sha>/src (as
-# bytediff.sh does; no worktree), builds each side's `e2e-bench` once with
-# its own target dir (target/ab/<sha>/target, target/ab/new-target), then
-# runs N pairs of `e2e-bench --workload W --seed S`, alternating which side
-# goes first. The reference target dir is keyed by commit because an
-# export stamps every file with the commit's time: a target dir built later
-# for another commit would look up to date and not be rebuilt. Each side
-# writes into its own --out dir, kept between its runs as benchmarks/run.sh
-# keeps benchmarks/out. Every run's last stdout line (the JSON result) is
-# kept as target/ab/<stamp>/{ref,new}-<i>.json.
+# `--workload all` runs every workload BENCHMARK.json lists. Exports `ref`
+# with `git archive` under target/ab/<sha>/src (as bytediff.sh does; no
+# worktree), builds each side's `e2e-bench` once with its own target dir
+# (target/ab/<sha>/target, target/ab/new-target), then, workload by
+# workload, runs N pairs of `e2e-bench --workload W --seed S`, alternating
+# which side goes first. The reference target dir is keyed by commit
+# because an export stamps every file with the commit's time: a target dir
+# built later for another commit would look up to date and not be
+# rebuilt. Each side writes into its own --out dir per workload, kept
+# between its runs as benchmarks/run.sh keeps benchmarks/out. Every run's
+# last stdout line (the JSON result) is kept as
+# target/ab/<stamp>/<workload>/{ref,new}-<i>.json.
 #
-# The summary prints, per metric the runs report (all-zero ones skipped),
-# each side's q1/median/q3, the ratio of medians (new / ref), the pairs
-# the working tree won in the metric's better direction (BENCHMARK.json)
-# and `clear` when it won >= 9 in 10 pairs and its median beats the
-# reference median by more than the reference's interquartile range.
-# --trace runs the traced form, which reports the per-layer metrics
-# instead of the end-to-end ones.
+# The summary prints, per workload and per metric the runs report
+# (all-zero ones skipped), each side's q1/median/q3, the ratio of medians
+# (new / ref), the pairs the working tree won in the metric's better
+# direction (BENCHMARK.json) and a verdict: `clear` when it won >= 9 in 10
+# pairs and its median beats the reference median by more than the
+# reference's interquartile range; `worse` when an end-to-end metric's
+# median is worse than the reference median by more than that metric's
+# `bound` (a share of the reference median). --trace runs the traced
+# form, which reports the per-layer metrics instead of the end-to-end
+# ones.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
 usage() {
-    echo "usage: scripts/ab.sh <ref> --workload W --pairs N --seed S [--seconds T] [--trace]" >&2
+    echo "usage: scripts/ab.sh <ref> --workload W|all [--workload W ...] --pairs N --seed S [--seconds T] [--trace]" >&2
     exit 2
 }
 [[ $# -ge 1 && "$1" != --* ]] || usage
 REF="$1"
 shift
-WORKLOAD="" PAIRS="" SEED="" SECONDS_ARG=() TRACE=0
+WORKLOADS=() PAIRS="" SEED="" SECONDS_ARG=() TRACE=0
 while [[ $# -gt 0 ]]; do
     case "$1" in
-        --workload) WORKLOAD="${2:?}"; shift 2 ;;
+        --workload) WORKLOADS+=("${2:?}"); shift 2 ;;
         --pairs) PAIRS="${2:?}"; shift 2 ;;
         --seed) SEED="${2:?}"; shift 2 ;;
         --seconds) SECONDS_ARG=(--seconds "${2:?}"); shift 2 ;;
@@ -43,11 +48,15 @@ while [[ $# -gt 0 ]]; do
         *) usage ;;
     esac
 done
-[[ -n "$WORKLOAD" && "$PAIRS" =~ ^[1-9][0-9]*$ && "$SEED" =~ ^[0-9]+$ ]] || usage
+[[ ${#WORKLOADS[@]} -gt 0 && "$PAIRS" =~ ^[1-9][0-9]*$ && "$SEED" =~ ^[0-9]+$ ]] || usage
+if [[ " ${WORKLOADS[*]} " == *" all "* ]]; then
+    mapfile -t WORKLOADS < <(python3 -c \
+        'import json; [print(w["name"]) for w in json.load(open("BENCHMARK.json"))["workloads"]]')
+fi
 
 WORK="$PWD/target/ab"
 SHA="$(git rev-parse --short "$REF^{commit}")"
-STAMP="$(date -u +%Y%m%dT%H%M%SZ)-$WORKLOAD-s$SEED"
+STAMP="$(date -u +%Y%m%dT%H%M%SZ)-s$SEED"
 RUNS="$WORK/$STAMP"
 REF_DIR="$WORK/$SHA"
 
@@ -73,25 +82,31 @@ mkdir -p "$RUNS/bin"
 cp "$REF_DIR/target/release/e2e-bench" "$RUNS/bin/ref"
 cp "$WORK/new-target/release/e2e-bench" "$RUNS/bin/new"
 
-run() { # run <side> <pair>
-    "$RUNS/bin/$1" --out "$RUNS/$1" --workload "$WORKLOAD" --seed "$SEED" "${SECONDS_ARG[@]}" \
-        --trace "$TRACE" 2>"$RUNS/$1-$2.stderr" | tail -n 1 >"$RUNS/$1-$2.json" ||
-        echo "ab: $1 run $2 exited non-zero; see $RUNS/$1-$2.stderr" >&2
+run() { # run <workload> <side> <pair>
+    local dir="$RUNS/$1"
+    "$RUNS/bin/$2" --out "$dir/$2" --workload "$1" --seed "$SEED" "${SECONDS_ARG[@]}" \
+        --trace "$TRACE" 2>"$dir/$2-$3.stderr" | tail -n 1 >"$dir/$2-$3.json" ||
+        echo "ab: $1 $2 run $3 exited non-zero; see $dir/$2-$3.stderr" >&2
 }
-for ((i = 0; i < PAIRS; i++)); do
-    if ((i % 2 == 0)); then order=(ref new); else order=(new ref); fi
-    for side in "${order[@]}"; do
-        echo "== pair $((i + 1))/$PAIRS: $side" >&2
-        run "$side" "$i"
+for workload in "${WORKLOADS[@]}"; do
+    mkdir -p "$RUNS/$workload"
+    for ((i = 0; i < PAIRS; i++)); do
+        if ((i % 2 == 0)); then order=(ref new); else order=(new ref); fi
+        for side in "${order[@]}"; do
+            echo "== $workload pair $((i + 1))/$PAIRS: $side" >&2
+            run "$workload" "$side" "$i"
+        done
     done
 done
 
-echo "ab: $WORKLOAD seed $SEED, $PAIRS pairs, ref $REF ($SHA) vs working tree; runs in $RUNS"
-python3 - "$RUNS" "$PAIRS" BENCHMARK.json <<'EOF'
+for workload in "${WORKLOADS[@]}"; do
+    echo "ab: $workload seed $SEED, $PAIRS pairs, ref $REF ($SHA) vs working tree; runs in $RUNS/$workload"
+    python3 - "$RUNS/$workload" "$PAIRS" BENCHMARK.json <<'EOF'
 import json, statistics, sys
 
 runs, pairs, manifest = sys.argv[1], int(sys.argv[2]), json.load(open(sys.argv[3]))
 better = {m["name"]: m["better"] for m in manifest["end_to_end"] + manifest["per_layer"]}
+bound = {m["name"]: m["bound"] for m in manifest["end_to_end"]}
 load = lambda side: [json.load(open(f"{runs}/{side}-{i}.json")) for i in range(pairs)]
 ref, new = load("ref"), load("new")
 
@@ -107,7 +122,7 @@ def quartiles(xs):
     q1, med, q3 = statistics.quantiles(xs, n=4, method="inclusive")
     return q1, med, q3
 
-print(f"{'metric':<40} {'ref q1 / median / q3':>32} {'new q1 / median / q3':>32} {'new/ref':>8} {'won':>7}")
+print(f"{'metric':<40} {'ref q1 / median / q3':>32} {'new q1 / median / q3':>32} {'new/ref':>8} {'won':>7}  verdict")
 for name, direction in better.items():
     a = [d["metrics"].get(name, {}).get("value", 0.0) for d in ref]
     b = [d["metrics"].get(name, {}).get("value", 0.0) for d in new]
@@ -117,7 +132,12 @@ for name, direction in better.items():
     beats = (lambda x, y: x < y) if direction == "lower" else (lambda x, y: x > y)
     won = sum(beats(y, x) for x, y in zip(a, b))
     ratio = f"{bm / am:.3f}" if am else "-"
-    clear = "  clear" if 10 * won >= 9 * pairs and beats(bm, am) and abs(bm - am) > a3 - a1 else ""
+    verdict = ""
+    if 10 * won >= 9 * pairs and beats(bm, am) and abs(bm - am) > a3 - a1:
+        verdict = "  clear"
+    elif name in bound and beats(am, bm) and abs(bm - am) > bound[name] * abs(am):
+        verdict = "  worse"
     fmt = lambda q: f"{q[0]:.4g} / {q[1]:.4g} / {q[2]:.4g}"
-    print(f"{name:<40} {fmt((a1, am, a3)):>32} {fmt((b1, bm, b3)):>32} {ratio:>8} {won:>3}/{pairs:<3}{clear}")
+    print(f"{name:<40} {fmt((a1, am, a3)):>32} {fmt((b1, bm, b3)):>32} {ratio:>8} {won:>3}/{pairs:<3}{verdict}")
 EOF
+done

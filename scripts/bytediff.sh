@@ -5,10 +5,13 @@
 #
 #   scripts/bytediff.sh [ref]     ref defaults to HEAD~1
 #
-# Builds `ref` from a `git archive` export under target/bytediff/ (own
-# target dir, kept between runs so the second build is incremental), builds
-# the working tree, then runs on both binaries, from the working tree so
-# both read the same scenario files:
+# Builds `ref` from a `git archive` export under target/bytediff/<sha>/
+# (own target dir, keyed by commit and kept between runs so the second
+# build is incremental: an export stamps every file with the commit's time,
+# so a target dir shared between commits would look up to date for an older
+# one and compare the newer build), builds the working tree, then runs on
+# both binaries, from the working tree so both read the same scenario
+# files:
 #
 #   * examples/fingerprint at default and --threads 1/2/3/8;
 #   * every scenarios/*.toml through
@@ -27,18 +30,19 @@ cd "$(dirname "$0")/.."
 REF="${1:-HEAD~1}"
 WORK="target/bytediff"
 SHA="$(git rev-parse --short "$REF^{commit}")"
+REF_DIR="$WORK/$SHA"
 
-echo "== exporting $REF ($SHA) to $WORK/src"
-rm -rf "$WORK/src" "$WORK/out"
-mkdir -p "$WORK/src" "$WORK/out"
-git archive "$REF" | tar -x -C "$WORK/src"
+echo "== exporting $REF ($SHA) to $REF_DIR/src"
+rm -rf "$REF_DIR/src" "$WORK/out"
+mkdir -p "$REF_DIR/src" "$WORK/out"
+git archive "$REF" | tar -x -C "$REF_DIR/src"
 
 build() { # build <source dir> <target dir>
     (cd "$1" && CARGO_TARGET_DIR="$2" cargo build --release -q \
         -p gossipopt --example fingerprint -p gossipopt_bench --bin campaign)
 }
 echo "== building $SHA"
-build "$WORK/src" "$PWD/$WORK/ref-target"
+build "$REF_DIR/src" "$PWD/$REF_DIR/target"
 echo "== building the working tree"
 build . "$PWD/target"
 
@@ -54,7 +58,7 @@ both() { # both <group> <binary under release/> <args...>; @OUT@ = output dir
     shift 2
     for side in ref new; do
         root="target"
-        [[ "$side" == ref ]] && root="$WORK/ref-target"
+        [[ "$side" == ref ]] && root="$REF_DIR/target"
         out="$WORK/out/$side/$group"
         mkdir -p "$out"
         status=0

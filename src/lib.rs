@@ -1,3 +1,4 @@
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 //! # gossipopt
@@ -62,13 +63,14 @@
 //!   never allocate, and the composed `core::OptNode` stack runs at 100k
 //!   nodes on both kernels (`examples/scale.rs --mode dpso`, measured by
 //!   the `dpso/*` bench family).
-//! * **Cross-node solver arena** — `solvers::SwarmArena` stores the hot
-//!   particle state of *every node's* swarm in one flat allocation
-//!   (stride-indexed rows); `core::NodeRecipe` hands each node an
-//!   `ArenaPso` handle that is bit-identical to a boxed `Swarm`, so a
+//! * **Particle rows the kernel lends** — the simulation kernels keep one
+//!   fixed-stride `f64` row per node in a table contiguous in slot order
+//!   (`sim::Membership`, `Application::row_len`, `Ctx::row`), and
+//!   `core::NodeRecipe` gives each node a `solvers::RowPso` whose
+//!   particles live in that row, bit-identical to a boxed `Swarm`, so a
 //!   network tick streams memory instead of chasing 100k boxed swarms
-//!   (`dpso/cycle/10000` dropped ~5x when this landed; see
-//!   `BENCH_kernel.json`).
+//!   (`dpso/cycle/10000` dropped ~5x when the first such layout landed;
+//!   see `BENCH_kernel.json`).
 //! * **Sharded multi-core kernels** — `threads >= 1` on either kernel
 //!   config (or `DistributedPsoSpec::threads`, `--threads` on the
 //!   examples) runs one simulated network across worker threads with a
