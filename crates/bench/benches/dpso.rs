@@ -51,7 +51,8 @@ fn par_threads() -> usize {
 
 /// The benchmark network: sphere(10), 4 particles per node, coordination
 /// every 4 evaluations over a degree-4 expander. The budget is effectively
-/// unbounded so the steady state never goes quiet mid-measurement.
+/// unbounded so every measured tick evaluates, and one tick in four
+/// coordinates; the others send nothing.
 fn recipe(n: usize) -> NodeRecipe {
     let spec = DistributedPsoSpec {
         nodes: n,

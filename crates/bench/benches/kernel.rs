@@ -43,7 +43,7 @@ impl Application for Chatty {
     }
 }
 
-fn bench_quiet_ticks(c: &mut Criterion) {
+fn bench_tick_quiet(c: &mut Criterion) {
     let mut group = c.benchmark_group("kernel/tick-quiet");
     for &n in &[64usize, 512, 4096, 10_000] {
         group.throughput(Throughput::Elements(n as u64));
@@ -167,7 +167,7 @@ fn bench_obs_overhead(c: &mut Criterion) {
 
 criterion_group!(
     benches,
-    bench_quiet_ticks,
+    bench_tick_quiet,
     bench_chatty_ticks,
     bench_event_quiet,
     bench_event_chatty,

@@ -456,10 +456,7 @@ impl NodeRecipe {
     pub fn build(&self, index: usize) -> Result<OptNode, CoreError> {
         let spec = &self.spec;
         let solver = match &self.row_pso {
-            Some(pso) => NodeSolver::Row {
-                pso: pso.clone(),
-                own: Vec::new(),
-            },
+            Some(pso) => NodeSolver::Row(pso.clone()),
             None => NodeSolver::Boxed(spec.solver.build(spec.particles_per_node, index)?),
         };
         let topology = match &self.static_neighbors {

@@ -14,11 +14,11 @@ use gossipopt_util::Xoshiro256pp;
 use std::sync::Arc;
 
 /// A node's solver: boxed, or the PSO on the row its host lends
-/// ([`Ctx::row`]), or on `own` when the host lends none (a wrapper that
-/// forwards only the callbacks, a unit test's bare `Ctx`).
+/// ([`Ctx::row`]). A host that lends no row (a wrapper that does not
+/// forward [`Application::row_len`]) fails `RowPso`'s row-length assert.
 pub(crate) enum NodeSolver {
     Boxed(Box<dyn Solver>),
-    Row { pso: RowPso, own: Vec<f64> },
+    Row(RowPso),
 }
 
 /// `$body` on whichever solver `$solver` holds, bound as `$s`.
@@ -26,7 +26,7 @@ macro_rules! either {
     ($solver:expr, $s:ident => $body:expr) => {
         match $solver {
             NodeSolver::Boxed($s) => $body,
-            NodeSolver::Row { pso: $s, .. } => $body,
+            NodeSolver::Row($s) => $body,
         }
     };
 }
@@ -51,40 +51,31 @@ impl NodeSolver {
     fn row_len(&self) -> usize {
         match self {
             NodeSolver::Boxed(_) => 0,
-            NodeSolver::Row { pso, .. } => pso.row_len(),
+            NodeSolver::Row(pso) => pso.row_len(),
         }
-    }
-
-    /// The row-backed PSO's row: the lent one, or `own`.
-    fn row<'a>(pso: &RowPso, own: &'a mut Vec<f64>, lent: &'a mut [f64]) -> &'a mut [f64] {
-        if !lent.is_empty() {
-            return lent;
-        }
-        own.resize(pso.row_len(), 0.0);
-        own
     }
 
     fn step(&mut self, f: &dyn Objective, ctx: &mut Ctx<'_, Msg>) {
-        let (lent, rng) = ctx.row_and_rng();
+        let (row, rng) = ctx.row_and_rng();
         match self {
             NodeSolver::Boxed(s) => s.step(f, rng),
-            NodeSolver::Row { pso, own } => pso.step(Self::row(pso, own, lent), f, rng),
+            NodeSolver::Row(pso) => pso.step(row, f, rng),
         }
     }
 
     fn emigrate(&mut self, ctx: &mut Ctx<'_, Msg>) -> Option<BestPoint> {
-        let (lent, rng) = ctx.row_and_rng();
+        let (row, rng) = ctx.row_and_rng();
         match self {
             NodeSolver::Boxed(s) => s.emigrate(rng),
-            NodeSolver::Row { pso, own } => pso.emigrate(Self::row(pso, own, lent), rng),
+            NodeSolver::Row(pso) => pso.emigrate(row, rng),
         }
     }
 
     fn immigrate(&mut self, point: BestPoint, ctx: &mut Ctx<'_, Msg>) {
-        let (lent, rng) = ctx.row_and_rng();
+        let (row, rng) = ctx.row_and_rng();
         match self {
             NodeSolver::Boxed(s) => s.immigrate(point, rng),
-            NodeSolver::Row { pso, own } => pso.immigrate(Self::row(pso, own, lent), point),
+            NodeSolver::Row(pso) => pso.immigrate(row, point),
         }
     }
 }
@@ -255,8 +246,7 @@ impl OptNode {
     /// Is `evals` on the coordination cadence? Same predicate as
     /// `evals.is_multiple_of(self.gossip_every)`, but the experiments all
     /// use small power-of-two periods, where a mask beats the hardware
-    /// divide this check would otherwise pay twice per tick (once in the
-    /// kernel's quiet scan, once in `on_tick`).
+    /// divide `on_tick` would otherwise pay every tick.
     #[inline]
     fn coord_due(&self, evals: u64) -> bool {
         let g = self.gossip_every;
@@ -499,34 +489,6 @@ impl Application for OptNode {
         }
     }
 
-    /// Exact one-tick-ahead mirror of [`OptNode::on_tick`]'s send
-    /// conditions (conservative where a send depends on runtime state the
-    /// hint cannot cheaply see, e.g. a master–slave hub's pending reply —
-    /// replies happen in `on_message`, which the kernel never treats as
-    /// quiet). Returning `true` lets the sequential cycle kernel visit
-    /// nodes in slot order instead of the shuffled sweep; the kernel
-    /// panics if a declared-quiet node sends anyway, so this must stay in
-    /// lock-step with `on_tick`.
-    fn quiet_tick(&self) -> bool {
-        // Step 1 sends nothing; step 3 fires when the (possibly advanced)
-        // evaluation counter hits the coordination cadence.
-        let may_evaluate = self.eval_budget.is_none_or(|b| self.solver.evals() < b);
-        let evals_after = self.solver.evals() + u64::from(may_evaluate);
-        let coord_due = may_evaluate && self.coord_due(evals_after);
-        let coord_may_send = match (&self.coord, self.role) {
-            (CoordComp::Isolated, _) => false,
-            // The master is purely reactive; only slaves report.
-            (CoordComp::MasterSlave, role) => matches!(role, Role::Slave(_)),
-            _ => true,
-        };
-        // Step 2: periodic NEWSCAST exchange on its own cadence.
-        let topology_may_send = match &self.topology {
-            TopologyComp::Newscast(nc) => nc.exchange_due_next_tick(),
-            TopologyComp::Static(_) => false,
-        };
-        !((coord_due && coord_may_send) || topology_may_send)
-    }
-
     /// The row of a row-backed PSO (0 for a boxed solver).
     fn row_len(&self) -> usize {
         self.solver.row_len()
@@ -754,6 +716,20 @@ mod tests {
         assert_eq!(n.quality(), f64::INFINITY);
         assert!(n.best().is_none());
         assert_eq!(n.evals(), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "RowPso was lent a row of the wrong length")]
+    fn a_row_backed_node_without_a_lent_row_panics() {
+        use crate::experiment::{Budget, DistributedPsoSpec, NodeRecipe};
+        let spec = DistributedPsoSpec::default();
+        let objective: Arc<dyn Objective> = Arc::new(Sphere::new(spec.function_dim));
+        let recipe = NodeRecipe::new(&spec, objective, Budget::PerNode(10), 1).unwrap();
+        let mut n = recipe.build(0).unwrap();
+        assert!(n.row_len() > 0, "the default spec is row-backed");
+        let mut rng = Xoshiro256pp::derive(1, StreamId::node(0, 0));
+        let mut outbox = Vec::new();
+        n.on_tick(&mut Ctx::new(NodeId(0), 1, &mut rng, &mut outbox));
     }
 
     #[test]

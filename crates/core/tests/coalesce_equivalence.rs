@@ -44,8 +44,8 @@ impl Application for Unfused {
         self.0.on_message(from, msg, ctx);
     }
 
-    fn quiet_tick(&self) -> bool {
-        self.0.quiet_tick()
+    fn row_len(&self) -> usize {
+        self.0.row_len()
     }
 
     fn wire_counts(&self) -> WireCounts {

@@ -73,14 +73,6 @@ impl Newscast {
         );
     }
 
-    /// Will the *next* [`Newscast::on_tick`] initiate an exchange? True
-    /// exactly when the cadence will be due and a peer is known (a
-    /// non-empty view always yields a sample). Scheduling hint for hosts
-    /// that want to predict sends; `on_tick` remains the source of truth.
-    pub fn exchange_due_next_tick(&self) -> bool {
-        self.ticks_since_exchange + 1 >= self.cfg.exchange_every && !self.view.is_empty()
-    }
-
     /// Advance one host tick; if an exchange is due and a peer is known,
     /// returns `(peer, request)` for the host to send.
     pub fn on_tick(

@@ -88,26 +88,7 @@ pub fn run_campaign_observed(
     let jobs: Vec<usize> = (0..spec.cells.len()).collect();
     // Per cell: (outcome, executed?, recovery diagnostic).
     let outs = rayon::execute_indexed(jobs, threads.max(1), &|i: usize| {
-        let cell = &spec.cells[i];
-        if let Some(obs_dir) = obs_dir {
-            return run_one_observed(spec, i, store, obs_dir);
-        }
-        let Some(store) = store else {
-            return (run_cell(cell), true, None);
-        };
-        let key = cell_key(cell);
-        let recovered = match store.load(&key) {
-            Ok(Some(entry)) => return (Ok(entry.into_cell_report(cell)), false, None),
-            Ok(None) => None,
-            Err(e) => Some(e.to_string()),
-        };
-        let out = run_cell(cell).and_then(|report| {
-            store.save(&key, &report).map_err(|e| {
-                Error::Run(format!("store save {}: {e}", store.dir(&key).display()))
-            })?;
-            Ok(report)
-        });
-        (out, true, recovered)
+        run_one(spec, i, store, obs_dir)
     });
     let mut cells = Vec::with_capacity(outs.len());
     let (mut executed, mut loaded) = (0usize, 0usize);
@@ -157,14 +138,16 @@ pub fn run_campaign_observed(
     })
 }
 
-/// The observed-path body of one campaign cell: serve the deterministic
-/// snapshot from the store's sidecar when possible, otherwise execute
-/// with [`run_cell_obs`], persist, and export under `obs_dir/cell_<i>/`.
-fn run_one_observed(
+/// One campaign cell: load it from the store when its entry is there
+/// (and, when exporting to `obs_dir`, its deterministic-snapshot sidecar
+/// too), otherwise execute, persist, and export under
+/// `obs_dir/cell_<i>/`. Returns the outcome, whether the cell executed,
+/// and the diagnostic of an unusable store entry.
+fn run_one(
     spec: &CampaignSpec,
     i: usize,
     store: Option<&Store>,
-    obs_dir: &Path,
+    obs_dir: Option<&Path>,
 ) -> (Result<CellReport>, bool, Option<String>) {
     let cell = &spec.cells[i];
     let keyed = store.map(|s| (s, cell_key(cell)));
@@ -172,6 +155,9 @@ fn run_one_observed(
     if let Some((store, key)) = &keyed {
         match store.load(key) {
             Ok(Some(entry)) => {
+                let Some(obs_dir) = obs_dir else {
+                    return (Ok(entry.into_cell_report(cell)), false, None);
+                };
                 if let Some(mut det) = store.load_obs(key) {
                     det.campaign = spec.name.clone();
                     det.cell = i as u64;
@@ -187,19 +173,31 @@ fn run_one_observed(
             Err(e) => recovered = Some(e.to_string()),
         }
     }
-    let out = run_cell_obs(cell).and_then(|(report, mut snap)| {
-        snap.det.campaign = spec.name.clone();
-        snap.det.cell = i as u64;
+    let run = || -> Result<CellReport> {
+        let (report, snap) = match obs_dir {
+            None => (run_cell(cell)?, None),
+            Some(_) => {
+                let (report, mut snap) = run_cell_obs(cell)?;
+                snap.det.campaign = spec.name.clone();
+                snap.det.cell = i as u64;
+                (report, Some(snap))
+            }
+        };
         if let Some((store, key)) = &keyed {
             store
                 .save(key, &report)
-                .and_then(|()| store.save_obs(key, &snap.det))
+                .and_then(|()| match &snap {
+                    Some(snap) => store.save_obs(key, &snap.det),
+                    None => Ok(()),
+                })
                 .map_err(|e| Error::Run(format!("store save {}: {e}", store.dir(key).display())))?;
         }
-        write_cell_obs(obs_dir, i, &snap)?;
+        if let (Some(obs_dir), Some(snap)) = (obs_dir, &snap) {
+            write_cell_obs(obs_dir, i, snap)?;
+        }
         Ok(report)
-    });
-    (out, true, recovered)
+    };
+    (run(), true, recovered)
 }
 
 /// Write one cell's observability exports under `dir/cell_<index>/`.

@@ -131,7 +131,7 @@ impl EngineFaults {
     }
 }
 
-/// Run one cell (validates first). Deterministic per cell: all randomness
+/// Run one cell (validated first, by [`CellSpec::to_dist_spec`]). Deterministic per cell: all randomness
 /// derives from the cell's resolved seed.
 pub fn run_cell(cell: &CellSpec) -> Result<CellReport> {
     Ok(run_cell_inner(cell)?.0)
@@ -162,7 +162,6 @@ pub fn run_cell_obs(cell: &CellSpec) -> Result<(CellReport, RunSnapshot)> {
 }
 
 fn run_cell_inner(cell: &CellSpec) -> Result<(CellReport, RawObs)> {
-    cell.validate()?;
     let spec = cell.to_dist_spec()?;
     let seed = cell.resolved_seed();
     let objective: Arc<dyn Objective> =

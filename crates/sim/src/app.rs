@@ -165,24 +165,6 @@ pub trait Application: Sized + Send {
     /// A message from `from` has been delivered.
     fn on_message(&mut self, from: NodeId, msg: Self::Message, ctx: &mut Ctx<'_, Self::Message>);
 
-    /// Scheduling hint: is the *upcoming* [`Application::on_tick`]
-    /// guaranteed to send no messages?
-    ///
-    /// When every live node answers `true`, callbacks of that tick cannot
-    /// interact (nodes communicate only through messages), so the
-    /// sequential cycle kernel may visit slots in storage order —
-    /// sequential memory access — instead of the shuffled sweep, without
-    /// changing any trajectory. The kernel still advances its RNG exactly
-    /// as if it had shuffled, so the random stream is unaffected.
-    ///
-    /// The default `false` always keeps the canonical shuffled sweep.
-    /// Returning `true` is a *contract*: if the next `on_tick` then sends
-    /// anyway, the kernel panics (a silent fallback would let the
-    /// declared-quiet visit order leak into trajectories).
-    fn quiet_tick(&self) -> bool {
-        false
-    }
-
     /// Length of the zeroed `f64` row the kernel keeps for this node and
     /// lends to every callback as [`Ctx::row`]; asked once, at join. Every
     /// node of a network must ask for the same length (else the join

@@ -3,13 +3,11 @@
 //! Time advances in discrete *ticks*. Each tick the kernel:
 //!
 //! 1. applies churn (crashes, then joins);
-//! 2. delivers messages deferred from the previous tick (when intra-tick
-//!    delivery is disabled);
-//! 3. visits every live node in a freshly shuffled order, running its
-//!    [`Application::on_tick`]; with intra-tick delivery enabled (the
-//!    default, matching PeerSim cycle-based protocols that call peers
-//!    directly) the node's outgoing messages — and any replies they
-//!    trigger — are routed immediately, bounded by a hop budget.
+//! 2. visits every live node in a freshly shuffled order, running its
+//!    [`Application::on_tick`]; the node's outgoing messages — and any
+//!    replies they trigger — are routed immediately, within the tick,
+//!    bounded by a hop budget (PeerSim's cycle-based protocols call
+//!    peers directly).
 //!
 //! All scheduling randomness comes from a kernel stream derived from the
 //! root seed; every node owns an independent derived stream, so runs are
@@ -51,9 +49,7 @@
 //!    in canonical order, so the kernel RNG stream is consumed identically
 //!    at any thread count. Tail messages are dead letters. Rounds are
 //!    bounded by [`CycleConfig::max_hops_per_tick`] rather than per-cascade
-//!    hops. Messages deferred to the next tick (`intra_tick_delivery =
-//!    false`) are binned when they are delivered, because churn joins
-//!    in between can allocate their targets.
+//!    hops.
 //!
 //! The phased tick is a *different scheduling discipline* from the
 //! sequential one (no per-tick shuffle, level-order delivery), but it is
@@ -89,16 +85,13 @@ pub use crate::slots::NodesView;
 pub struct CycleConfig {
     /// Root seed; all randomness in the run derives from it.
     pub seed: u64,
-    /// Loss model (latency is a cycle-engine discipline, see
-    /// [`CycleConfig::intra_tick_delivery`]).
+    /// Loss model. The cycle kernel has no latency: messages are routed
+    /// as soon as the sending callback returns, so request/reply
+    /// exchanges complete within the tick (PeerSim's cycle-based
+    /// semantics).
     pub transport: Transport,
     /// Churn process applied at the start of every tick.
     pub churn: ChurnConfig,
-    /// When `true` (default), messages are routed as soon as the sending
-    /// callback returns, so request/reply exchanges complete within the
-    /// tick — PeerSim's cycle-based semantics. When `false`, messages
-    /// queue for the start of the next tick (a crude 1-tick latency).
-    pub intra_tick_delivery: bool,
     /// Bound on chained message deliveries triggered by one callback
     /// (guards against protocols that ping-pong forever inside a tick).
     pub max_hops_per_tick: u32,
@@ -118,7 +111,6 @@ impl Default for CycleConfig {
             seed: 0,
             transport: Transport::reliable(),
             churn: ChurnConfig::none(),
-            intra_tick_delivery: true,
             max_hops_per_tick: 64,
             bootstrap_sample: 8,
             threads: 0,
@@ -179,16 +171,14 @@ pub struct CycleEngine<A: Application> {
     /// (`StreamId::KERNEL`; node streams `node(0 | 1, id)`).
     members: Membership<A>,
     now: Ticks,
-    /// Messages deferred to the next tick (`intra_tick_delivery = false`).
-    deferred: VecDeque<(NodeId, NodeId, A::Message)>,
     /// Phased delivery rounds executed across the run.
     merge_rounds: u64,
     // Scratch buffers reused across ticks to keep the hot loop allocation-free.
     order_buf: Vec<u32>,
     outbox_buf: Vec<(NodeId, A::Message)>,
     queue_buf: VecDeque<(NodeId, NodeId, A::Message)>,
-    /// Reply outbox reused inside `drain_queue` (was a fresh `Vec` per call).
-    drain_outbox_buf: Vec<(NodeId, A::Message)>,
+    /// Reply outbox reused inside `deliver_one`.
+    reply_outbox_buf: Vec<(NodeId, A::Message)>,
     /// Phased tick: the slot bins of the current tick and, per round, the
     /// dispatch shards cut from the bins' sizes.
     cuts: ShardCuts,
@@ -377,12 +367,11 @@ impl<A: Application> CycleEngine<A> {
             cfg,
             members,
             now: 0,
-            deferred: VecDeque::new(),
             merge_rounds: 0,
             order_buf: Vec::new(),
             outbox_buf: Vec::new(),
             queue_buf: VecDeque::new(),
-            drain_outbox_buf: Vec::new(),
+            reply_outbox_buf: Vec::new(),
             cuts: ShardCuts::new(),
             inbound: Vec::new(),
             outbound: Vec::new(),
@@ -435,15 +424,6 @@ impl<A: Application> CycleEngine<A> {
 
     /// The rest of one tick of the sequential discipline (module docs).
     fn tick_sequential(&mut self) {
-        // Deliver messages deferred from the previous tick.
-        if !self.deferred.is_empty() {
-            let mut queue = std::mem::take(&mut self.queue_buf);
-            queue.extend(self.deferred.drain(..));
-            let mut hops = 0u32;
-            self.drain_queue(&mut queue, &mut hops);
-            self.queue_buf = queue;
-        }
-
         // Visit live nodes in a fresh random order. The live list is
         // maintained sorted by slot index, so copying it here yields the
         // same pre-shuffle sequence as filtering every slot (which this
@@ -454,42 +434,6 @@ impl<A: Application> CycleEngine<A> {
         self.members.rng.shuffle(&mut order);
 
         let mut outbox = std::mem::take(&mut self.outbox_buf);
-        // Quiescent fast path: when every live node's scheduling hint
-        // declares its upcoming callback send-free, callbacks cannot
-        // interact this tick (nodes communicate only through messages), so
-        // the visit order is unobservable — walk the slots in storage
-        // order for sequential memory access instead of the shuffle's
-        // random pointer chase. The shuffle above still ran, so the kernel
-        // RNG stream is bit-identical either way; on ticks where any node
-        // may send (`all` short-circuits at the first one) the canonical
-        // shuffled sweep below runs unchanged. The hint is a contract:
-        // panic if a declared-quiet node sends anyway, because silently
-        // routing it would let the slot-order visit leak into trajectories.
-        let quiet = self
-            .members
-            .live
-            .iter()
-            .all(|&i| self.members.slots[i as usize].app.quiet_tick());
-        if quiet {
-            outbox.clear();
-            for at in 0..self.members.live.len() {
-                let i = self.members.live[at] as usize;
-                let (slot, row) = self.members.slot_mut(i);
-                debug_assert!(slot.alive);
-                let mut ctx = Ctx::new(slot.id, self.now, &mut slot.rng, &mut outbox).with_row(row);
-                slot.app.on_tick(&mut ctx);
-                assert!(
-                    outbox.is_empty(),
-                    "Application::quiet_tick contract violated: node {:?} sent \
-                     during a tick it declared quiet",
-                    slot.id
-                );
-            }
-            self.outbox_buf = outbox;
-            self.order_buf = order;
-            return;
-        }
-
         // How far ahead of the sweep position to warm the cache: slot
         // memory one full miss latency out, the head of the node's row
         // (its first four lines, as for the slot) at half that distance.
@@ -548,17 +492,6 @@ impl<A: Application> CycleEngine<A> {
         }
         self.works.resize_with(threads, ShardWork::new);
 
-        // Messages deferred from the previous tick (`intra_tick_delivery =
-        // false`) are delivered first, as in the sequential tick. The queue
-        // is in source order, so it is one lane.
-        if !self.deferred.is_empty() {
-            let lane = &mut self.inbound[0];
-            for m in self.deferred.drain(..) {
-                lane[self.cuts.bin_of(m.1)].push(Some(m));
-            }
-            self.deliver_phased();
-        }
-
         // Callback phase: every live node's on_tick, sharded over
         // contiguous slot ranges, ascending slot order within a shard; each
         // shard is a lane of the first round.
@@ -607,15 +540,7 @@ impl<A: Application> CycleEngine<A> {
             wall::finish(Phase::CycleCallback, callback_span);
         }
 
-        if self.cfg.intra_tick_delivery {
-            self.deliver_phased();
-        } else {
-            // Lane-major keeps each destination's messages in source
-            // order, which is all the next tick's binning needs.
-            for bucket in self.inbound.iter_mut().flatten() {
-                self.deferred.extend(bucket.drain(..).flatten());
-            }
-        }
+        self.deliver_phased();
     }
 
     /// Deliver the binned messages of `inbound` and the reply rounds they
@@ -742,50 +667,52 @@ impl<A: Application> CycleEngine<A> {
         max_ticks
     }
 
+    /// Deliver `from`'s outbox and every reply it triggers, breadth-first
+    /// in level order: the outbox messages first, straight from the
+    /// outbox, then their replies in arrival order — only *replies* ever
+    /// touch the queue, so a reply-free exchange never pays for queue
+    /// traffic. Each delivery spends one hop of the
+    /// [`CycleConfig::max_hops_per_tick`] budget; once it is spent, the
+    /// remainder is discarded and counted as hop overflow.
     fn route(&mut self, from: NodeId, outbox: &mut Vec<(NodeId, A::Message)>) {
         if outbox.is_empty() {
             return;
         }
-        if self.cfg.intra_tick_delivery {
-            // Direct delivery: the node's own messages are handed to
-            // `deliver_one` straight from the outbox — only *replies* ever
-            // touch the queue. Delivery remains breadth-first level order
-            // (outbox messages first, then their replies in arrival order),
-            // exactly as if everything had been queued up front, and the
-            // hop budget and RNG draws advance identically; the common
-            // reply-free exchange just never pays for queue traffic.
-            let mut queue = std::mem::take(&mut self.queue_buf);
-            debug_assert!(queue.is_empty());
-            let mut hops = 0u32;
-            let mut pending = outbox.drain(..);
-            while let Some((to, msg)) = pending.next() {
-                if hops >= self.cfg.max_hops_per_tick {
-                    // Budget exhausted: discard and count the whole
-                    // remainder (this message, the rest of the outbox, and
-                    // any queued replies) in one pass.
-                    let discarded = 1 + pending.len() as u64 + queue.len() as u64;
-                    self.members.stats.sent += discarded;
-                    self.members.stats.hop_overflow += discarded;
-                    drop(pending);
-                    queue.clear();
-                    self.queue_buf = queue;
-                    return;
-                }
-                self.members.stats.sent += 1;
-                hops += 1;
-                self.deliver_one(from, to, msg, &mut queue);
+        let mut queue = std::mem::take(&mut self.queue_buf);
+        debug_assert!(queue.is_empty());
+        let budget = self.cfg.max_hops_per_tick;
+        let mut hops = 0u32;
+        let mut pending = outbox.drain(..);
+        while let Some((to, msg)) = pending.next() {
+            if hops >= budget {
+                // Budget exhausted: discard and count the whole remainder
+                // (this message, the rest of the outbox, and any queued
+                // replies) in one pass.
+                let discarded = 1 + pending.len() as u64 + queue.len() as u64;
+                self.members.stats.sent += discarded;
+                self.members.stats.hop_overflow += discarded;
+                queue.clear();
+                self.queue_buf = queue;
+                return;
             }
-            drop(pending);
-            if !queue.is_empty() {
-                self.drain_queue(&mut queue, &mut hops);
-            }
-            self.queue_buf = queue;
-        } else {
-            // `sent` is counted at delivery time in `drain_queue`.
-            for (to, msg) in outbox.drain(..) {
-                self.deferred.push_back((from, to, msg));
-            }
+            self.members.stats.sent += 1;
+            hops += 1;
+            self.deliver_one(from, to, msg, &mut queue);
         }
+        drop(pending);
+        while let Some((from, to, msg)) = queue.pop_front() {
+            if hops >= budget {
+                let discarded = 1 + queue.len() as u64;
+                self.members.stats.sent += discarded;
+                self.members.stats.hop_overflow += discarded;
+                queue.clear();
+                break;
+            }
+            self.members.stats.sent += 1;
+            hops += 1;
+            self.deliver_one(from, to, msg, &mut queue);
+        }
+        self.queue_buf = queue;
     }
 
     /// Attempt delivery of one message (loss, liveness, dispatch); replies
@@ -808,7 +735,7 @@ impl<A: Application> CycleEngine<A> {
             members.stats.dead_letter += 1;
             return;
         };
-        let mut outbox = std::mem::take(&mut self.drain_outbox_buf);
+        let mut outbox = std::mem::take(&mut self.reply_outbox_buf);
         outbox.clear();
         {
             let (slot, row) = self.members.slot_mut(i);
@@ -819,29 +746,7 @@ impl<A: Application> CycleEngine<A> {
         for (nto, nmsg) in outbox.drain(..) {
             queue.push_back((to, nto, nmsg));
         }
-        self.drain_outbox_buf = outbox;
-    }
-
-    /// Deliver every message in `queue`, routing replies recursively until
-    /// the queue empties or the hop budget (`hops`, shared with the caller)
-    /// is exhausted.
-    fn drain_queue(&mut self, queue: &mut VecDeque<(NodeId, NodeId, A::Message)>, hops: &mut u32) {
-        while let Some((from, to, msg)) = queue.pop_front() {
-            if *hops >= self.cfg.max_hops_per_tick {
-                // Budget exhausted: everything still queued this tick is
-                // discarded. Count the whole remainder in one pass rather
-                // than looping it through one message at a time.
-                let discarded = 1 + queue.len() as u64;
-                self.members.stats.sent += discarded;
-                self.members.stats.hop_overflow += discarded;
-                queue.clear();
-                drop((from, to, msg));
-                break;
-            }
-            self.members.stats.sent += 1;
-            *hops += 1;
-            self.deliver_one(from, to, msg, queue);
-        }
+        self.reply_outbox_buf = outbox;
     }
 }
 
@@ -941,7 +846,7 @@ mod tests {
     }
 
     #[test]
-    fn intra_tick_delivery_is_same_tick() {
+    fn delivery_is_within_the_send_tick() {
         let mut e = engine(3);
         let a = e.insert(Counter::new());
         let b = e.insert(Counter::new());
@@ -952,21 +857,6 @@ mod tests {
         let max_seen: u64 = e.nodes().map(|(_, x)| x.max_seen).max().unwrap();
         assert_eq!(max_seen, 1);
         let _ = b;
-    }
-
-    #[test]
-    fn deferred_delivery_waits_a_tick() {
-        let mut cfg = CycleConfig::seeded(4);
-        cfg.intra_tick_delivery = false;
-        let mut e: CycleEngine<Counter> = CycleEngine::new(cfg);
-        e.insert(Counter::new());
-        e.insert(Counter::new());
-        e.tick();
-        let seen_after_1: u64 = e.nodes().map(|(_, x)| x.max_seen).max().unwrap();
-        assert_eq!(seen_after_1, 0, "nothing delivered within the send tick");
-        e.tick();
-        let seen_after_2: u64 = e.nodes().map(|(_, x)| x.max_seen).max().unwrap();
-        assert!(seen_after_2 > 0, "deferred messages arrive next tick");
     }
 
     #[test]
@@ -1296,10 +1186,9 @@ mod tests {
 
     /// Run a churny, lossy, reply-heavy phased network and return a full
     /// behavioral digest (per-node state + stats).
-    fn phased_digest(threads: usize, intra: bool) -> (Vec<(u64, u64, u64)>, KernelStats) {
+    fn phased_digest(threads: usize) -> (Vec<(u64, u64, u64)>, KernelStats) {
         let mut cfg = CycleConfig::seeded(97);
         cfg.threads = threads;
-        cfg.intra_tick_delivery = intra;
         cfg.transport = Transport::lossy(0.2);
         cfg.churn = ChurnConfig {
             crash_prob_per_tick: 0.03,
@@ -1320,21 +1209,19 @@ mod tests {
 
     #[test]
     fn phased_tick_is_thread_count_invariant() {
-        for intra in [true, false] {
-            let reference = phased_digest(1, intra);
-            for threads in [2, 3, 8] {
-                assert_eq!(
-                    phased_digest(threads, intra),
-                    reference,
-                    "threads={threads} intra={intra} must match the 1-thread phased run"
-                );
-            }
+        let reference = phased_digest(1);
+        for threads in [2, 3, 8] {
+            assert_eq!(
+                phased_digest(threads),
+                reference,
+                "threads={threads} must match the 1-thread phased run"
+            );
         }
     }
 
     #[test]
     fn phased_tick_conserves_message_accounting() {
-        let (_, s) = phased_digest(4, true);
+        let (_, s) = phased_digest(4);
         assert_eq!(
             s.sent,
             s.delivered + s.lost + s.dead_letter + s.hop_overflow,

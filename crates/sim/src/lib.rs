@@ -12,9 +12,10 @@
 //!
 //! * [`cycle::CycleEngine`] — synchronous rounds. Every *tick* each live
 //!   node, in a freshly shuffled order, runs its periodic action and the
-//!   kernel routes any resulting messages. Intra-tick request/reply is
-//!   supported (PeerSim's cycle-based protocols call peers directly; we
-//!   model this as an immediately drained message queue with a hop budget).
+//!   kernel routes any resulting messages within the tick, replies
+//!   included (PeerSim's cycle-based protocols call peers directly; we
+//!   model this as an immediately drained message queue with a hop
+//!   budget). Latency is the event kernel's; the cycle kernel has none.
 //! * [`event::EventEngine`] — a discrete-event kernel with per-message
 //!   latency models, per-node periodic timers with jittered phases, and the
 //!   same [`Application`] protocol interface.

@@ -1,7 +1,7 @@
 //! Sharded-vs-sequential equivalence: byte-identical delivery traces.
 //!
 //! Two contracts, proven over randomized configurations (churn, loss,
-//! latency, deferred delivery, hop budgets):
+//! latency, hop budgets):
 //!
 //! * **Event kernel** — `threads >= 1` deals each same-timestamp batch
 //!   to parallel shards but must reproduce one shard on the calling
@@ -19,7 +19,7 @@
 //!   sequential model of the phased discipline (independent code: visit
 //!   in slot order, merge by destination/source/sequence with a comparison
 //!   sort, draw loss and check liveness message by message, breadth-first
-//!   rounds, churn and deferred delivery replayed from the same streams)
+//!   rounds, churn replayed from the same streams)
 //!   pins the canonical merge order itself, at every thread count.
 
 use gossipopt_sim::{
@@ -78,7 +78,6 @@ struct CycleCase {
     n: usize,
     loss: f64,
     churny: bool,
-    intra: bool,
     max_hops: u32,
     ticks: u64,
 }
@@ -96,7 +95,6 @@ fn run_cycle(threads: usize, case: CycleCase) -> Digest {
     let mut cfg = CycleConfig::seeded(case.seed);
     cfg.threads = threads;
     cfg.transport = Transport::lossy(case.loss);
-    cfg.intra_tick_delivery = case.intra;
     cfg.max_hops_per_tick = case.max_hops;
     if case.churny {
         cfg.churn = ChurnConfig {
@@ -178,18 +176,17 @@ proptest! {
 
     /// Cycle kernel: the phased tick is thread-count invariant — any
     /// worker count reproduces the 1-thread phased run byte-for-byte,
-    /// under churn, loss, both delivery disciplines and tight hop budgets.
+    /// under churn, loss and tight hop budgets.
     #[test]
     fn cycle_phased_is_thread_count_invariant(
         seed in any::<u64>(),
         n in 2usize..24,
         loss in 0.0f64..0.5,
         churny in any::<bool>(),
-        intra in any::<bool>(),
         max_hops in 2u32..64,
         ticks in 1u64..40,
     ) {
-        let case = CycleCase { seed, n, loss, churny, intra, max_hops, ticks };
+        let case = CycleCase { seed, n, loss, churny, max_hops, ticks };
         let reference = run_cycle(1, case);
         for threads in [2usize, 3, 8] {
             let sharded = run_cycle(threads, case);
@@ -299,8 +296,7 @@ fn event_sharded_equals_sequential_on_a_star() {
 
 /// Merge-shaped traffic for the reference model: two sends of every tick
 /// go to a hub (node 0), one to a node just above the sender — sometimes
-/// a slot not yet allocated, which a churn join may allocate before a
-/// deferred delivery — and every fifth tick one to an id that is never
+/// a slot not yet allocated — and every fifth tick one to an id that is never
 /// allocated. Receivers answer payloads divisible by three with a third
 /// of them, so cascades run several rounds and die out.
 #[derive(Debug, Clone, Default)]
@@ -343,13 +339,12 @@ impl Application for Merger {
 struct ModelCase {
     loss: f64,
     churn: ChurnConfig,
-    intra: bool,
 }
 
 /// Independent sequential model of the phased discipline, written from
 /// its specification rather than from the kernel: churn (crash draws over
-/// the live slots in ascending order, then joins), the previous tick's
-/// deferred messages, then every live node's `on_tick` in slot order; each
+/// the live slots in ascending order, then joins), then every live
+/// node's `on_tick` in slot order; each
 /// delivery round is sorted stably by destination id (ties keep the
 /// round's arrival order, i.e. source slot then emission sequence), and
 /// every message, in that order, draws loss from the kernel stream and
@@ -363,7 +358,6 @@ struct Model {
     krng: gossipopt_util::Xoshiro256pp,
     stats: gossipopt_sim::KernelStats,
     rounds: u64,
-    deferred: Vec<(NodeId, NodeId, u64)>,
 }
 
 impl Model {
@@ -377,7 +371,6 @@ impl Model {
             krng: gossipopt_util::Xoshiro256pp::derive(seed, gossipopt_util::StreamId::KERNEL),
             stats: Default::default(),
             rounds: 0,
-            deferred: Vec::new(),
         };
         (0..n).for_each(|_| model.insert());
         model
@@ -422,8 +415,6 @@ impl Model {
                 self.stats.joins += 1;
             }
         }
-        let deferred = std::mem::take(&mut self.deferred);
-        self.deliver(deferred, now);
         let mut round = Vec::new();
         for i in (0..self.apps.len()).filter(|&i| self.alive[i]) {
             let mut outbox = Vec::new();
@@ -431,11 +422,7 @@ impl Model {
             self.apps[i].on_tick(&mut Ctx::new(id, now, &mut self.rngs[i], &mut outbox));
             round.extend(outbox.into_iter().map(|(to, m)| (id, to, m)));
         }
-        if self.case.intra {
-            self.deliver(round, now);
-        } else {
-            self.deferred = round;
-        }
+        self.deliver(round, now);
     }
 
     fn deliver(&mut self, mut round: Vec<(NodeId, NodeId, u64)>, now: u64) {
@@ -476,7 +463,7 @@ impl Model {
 }
 
 /// The phased tick against [`Model`]: a hub taking most sends, sends to
-/// never-allocated ids, a lossy transport, deferred delivery under churn,
+/// never-allocated ids, a lossy transport under churn,
 /// N = 240 (several slots per bin, shard cuts inside the range), at 1, 2,
 /// 3 and 8 threads. Every live node's receive trace, the kernel
 /// statistics and the round count must equal the model's.
@@ -495,23 +482,13 @@ fn phased_merge_order_matches_reference_model() {
         ModelCase {
             loss: 0.0,
             churn: ChurnConfig::none(),
-            intra: true,
         },
         ModelCase {
             loss: 0.2,
             churn: ChurnConfig::none(),
-            intra: true,
         },
-        ModelCase {
-            loss: 0.15,
-            churn,
-            intra: false,
-        },
-        ModelCase {
-            loss: 0.0,
-            churn,
-            intra: true,
-        },
+        ModelCase { loss: 0.15, churn },
+        ModelCase { loss: 0.0, churn },
     ];
     for case in cases {
         let mut model = Model::new(SEED, case, N);
@@ -529,7 +506,6 @@ fn phased_merge_order_matches_reference_model() {
             cfg.threads = threads;
             cfg.transport = Transport::lossy(case.loss);
             cfg.churn = case.churn;
-            cfg.intra_tick_delivery = case.intra;
             cfg.bootstrap_sample = 0; // joins draw nothing from the kernel stream
             let mut e: CycleEngine<Merger> = CycleEngine::new(cfg);
             e.set_spawner(|_, _| Merger::default());

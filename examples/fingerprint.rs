@@ -278,17 +278,6 @@ fn main() {
         60,
     );
     kernel_fingerprint("churny", CycleConfig::seeded(23), true, 80);
-    kernel_fingerprint(
-        "deferred-tiny-hops",
-        {
-            let mut c = CycleConfig::seeded(24);
-            c.intra_tick_delivery = false;
-            c.max_hops_per_tick = 4;
-            c
-        },
-        true,
-        80,
-    );
 
     event_fingerprint("reliable", EventConfig::seeded(41), false, 400);
     event_fingerprint(

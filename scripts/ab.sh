@@ -18,15 +18,21 @@
 # target/ab/<stamp>/<workload>/{ref,new}-<i>.json.
 #
 # The summary prints, per workload and per metric the runs report
-# (all-zero ones skipped), each side's q1/median/q3, the ratio of medians
-# (new / ref), the pairs the working tree won in the metric's better
-# direction (BENCHMARK.json) and a verdict: `clear` when it won >= 9 in 10
-# pairs and its median beats the reference median by more than the
-# reference's interquartile range; `worse` when an end-to-end metric's
-# median is worse than the reference median by more than that metric's
-# `bound` (a share of the reference median). --trace runs the traced
-# form, which reports the per-layer metrics instead of the end-to-end
-# ones.
+# (all-zero ones skipped), each side's q1/median/q3, the reference's
+# interquartile range (IQR), the ratio of medians (new / ref), the pairs
+# the working tree won in the metric's better direction (BENCHMARK.json)
+# and one verdict, the first rule that holds:
+#   `clear`       it won >= 9 in 10 pairs and its median beats the
+#                 reference median by more than the reference's IQR;
+#   `worse`       an end-to-end metric's median is worse than the
+#                 reference median by more than that metric's `bound`
+#                 (a share of the reference median);
+#   `unresolved`  an end-to-end metric whose IQR on either side exceeds
+#                 its `bound` times the reference median: these pairs
+#                 cannot tell a change of that size from noise;
+#   `flat`        anything else.
+# --trace runs the traced form, which reports the per-layer metrics
+# instead of the end-to-end ones.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -122,7 +128,7 @@ def quartiles(xs):
     q1, med, q3 = statistics.quantiles(xs, n=4, method="inclusive")
     return q1, med, q3
 
-print(f"{'metric':<40} {'ref q1 / median / q3':>32} {'new q1 / median / q3':>32} {'new/ref':>8} {'won':>7}  verdict")
+print(f"{'metric':<40} {'ref q1 / median / q3':>32} {'ref IQR':>9} {'new q1 / median / q3':>32} {'new/ref':>8} {'won':>7}  verdict")
 for name, direction in better.items():
     a = [d["metrics"].get(name, {}).get("value", 0.0) for d in ref]
     b = [d["metrics"].get(name, {}).get("value", 0.0) for d in new]
@@ -132,12 +138,15 @@ for name, direction in better.items():
     beats = (lambda x, y: x < y) if direction == "lower" else (lambda x, y: x > y)
     won = sum(beats(y, x) for x, y in zip(a, b))
     ratio = f"{bm / am:.3f}" if am else "-"
-    verdict = ""
     if 10 * won >= 9 * pairs and beats(bm, am) and abs(bm - am) > a3 - a1:
-        verdict = "  clear"
+        verdict = "clear"
     elif name in bound and beats(am, bm) and abs(bm - am) > bound[name] * abs(am):
-        verdict = "  worse"
+        verdict = "worse"
+    elif name in bound and max(a3 - a1, b3 - b1) > bound[name] * abs(am):
+        verdict = "unresolved"
+    else:
+        verdict = "flat"
     fmt = lambda q: f"{q[0]:.4g} / {q[1]:.4g} / {q[2]:.4g}"
-    print(f"{name:<40} {fmt((a1, am, a3)):>32} {fmt((b1, bm, b3)):>32} {ratio:>8} {won:>3}/{pairs:<3}{verdict}")
+    print(f"{name:<40} {fmt((a1, am, a3)):>32} {a3 - a1:>9.4g} {fmt((b1, bm, b3)):>32} {ratio:>8} {won:>3}/{pairs:<3}  {verdict}")
 EOF
 done

@@ -47,8 +47,9 @@
 //! * **Scratch buffers** — every per-tick and per-message buffer
 //!   (scheduling order, outboxes, delivery queue, bootstrap samples) is
 //!   reused across calls; steady-state ticks perform no heap allocation.
-//!   Intra-tick messages are delivered straight from the sender's outbox;
-//!   only chained replies ever touch the queue.
+//!   The cycle kernel delivers every message within its send tick,
+//!   straight from the sender's outbox; only chained replies ever touch
+//!   the queue.
 //! * **SoA swarm** — PSO particle state lives in flat
 //!   positions/velocities/pbests buffers with stride `dim`, so the
 //!   velocity/position update is a tight loop over contiguous memory and
