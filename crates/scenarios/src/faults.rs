@@ -189,9 +189,9 @@ impl FaultSchedule {
 /// Fault-injecting wrapper around a protocol node.
 ///
 /// Transparent when the schedule has no wrapper-visible faults: callbacks
-/// are forwarded with the node's own RNG stream and a reused scratch
-/// outbox (no per-callback allocation in steady state), so wrapping does
-/// not shift seeded trajectories.
+/// are forwarded with the kernel's own context, so wrapping does not shift
+/// seeded trajectories. Its state is what it models: whether the lie was
+/// injected and how many messages the faults ate.
 pub struct FaultApp<A: FaultTarget> {
     inner: A,
     sched: Arc<FaultSchedule>,
@@ -199,8 +199,6 @@ pub struct FaultApp<A: FaultTarget> {
     corrupted: bool,
     /// Messages eaten by partition windows (send + receive side).
     blocked: u64,
-    /// Reused inner outbox; drained through the partition filter.
-    scratch: Vec<(NodeId, <A as Application>::Message)>,
 }
 
 impl<A: FaultTarget> FaultApp<A> {
@@ -211,7 +209,6 @@ impl<A: FaultTarget> FaultApp<A> {
             sched,
             corrupted: false,
             blocked: 0,
-            scratch: Vec::new(),
         }
     }
 
@@ -225,31 +222,20 @@ impl<A: FaultTarget> FaultApp<A> {
         self.blocked
     }
 
-    /// Run `call` against the inner node with a filtered outbox: sends
-    /// crossing an open partition are counted and dropped, everything
-    /// else is forwarded to the kernel.
+    /// Run `call` against the inner node on the kernel's context, then
+    /// drop and count the sends it made that cross an open partition.
+    /// Sends already queued before the call are left alone.
     fn forward(
         &mut self,
         ctx: &mut Ctx<'_, <A as Application>::Message>,
         call: impl FnOnce(&mut A, &mut Ctx<'_, <A as Application>::Message>),
     ) {
-        let self_id = ctx.self_id;
-        let now = ctx.now;
-        let mut scratch = std::mem::take(&mut self.scratch);
-        scratch.clear();
-        let (row, rng) = ctx.row_and_rng();
-        call(
-            &mut self.inner,
-            &mut Ctx::new(self_id, now, rng, &mut scratch).with_row(row),
-        );
-        for (to, msg) in scratch.drain(..) {
-            if self.sched.blocks(now, self_id, to) {
-                self.blocked += 1;
-            } else {
-                ctx.send(to, msg);
-            }
-        }
-        self.scratch = scratch;
+        let (self_id, now) = (ctx.self_id, ctx.now);
+        let mark = ctx.mark();
+        call(&mut self.inner, ctx);
+        let sched = &self.sched;
+        let dropped = ctx.retain_since(mark, |&(to, _)| !sched.blocks(now, self_id, to));
+        self.blocked += dropped as u64;
     }
 }
 
@@ -405,6 +391,32 @@ mod tests {
         // Healed.
         let after = ctx_run(&mut app, NodeId(2), 20, |a, c| a.on_tick(c));
         assert_eq!(after, vec![(NodeId(9), 7)], "healed at heal_at");
+    }
+
+    #[test]
+    fn partition_filters_only_this_callbacks_sends() {
+        let mut app = FaultApp::new(
+            Echo {
+                received: Vec::new(),
+                lie: None,
+            },
+            partition_sched(0, 100),
+        );
+        let mut rng = Xoshiro256pp::seeded(4);
+        // Sends of an earlier callback in a flat shard outbox; both cross
+        // the partition as seen from node 2.
+        let earlier = vec![(NodeId(8), 100), (NodeId(6), 101)];
+        let mut outbox = earlier.clone();
+        let mut ctx = Ctx::new(NodeId(2), 50, &mut rng, &mut outbox);
+        let contacts = [NodeId(1), NodeId(7), NodeId(3), NodeId(9), NodeId(4)];
+        app.on_join(&contacts, &mut ctx);
+        assert_eq!(app.blocked(), 2, "7 and 9 are across the cut");
+        assert_eq!(outbox[..2], earlier, "earlier sends unchanged");
+        assert_eq!(
+            outbox[2..],
+            [(NodeId(1), 1), (NodeId(3), 1), (NodeId(4), 1)],
+            "kept sends in send order"
+        );
     }
 
     #[test]

@@ -255,6 +255,38 @@ impl<'a, M> Ctx<'a, M> {
         self.outbox.push((to, msg));
     }
 
+    /// A mark of the sends queued so far, for [`Ctx::retain_since`]. The
+    /// outbox may already hold sends of earlier callbacks; the mark sits
+    /// after them.
+    #[inline]
+    pub fn mark(&self) -> usize {
+        self.outbox.len()
+    }
+
+    /// Keep only the sends queued since `mark` for which `keep` holds,
+    /// in their order, and return how many were dropped. Sends queued
+    /// before `mark` are neither passed to `keep` nor moved. Panics if
+    /// `mark` is past the sends queued.
+    pub fn retain_since(
+        &mut self,
+        mark: usize,
+        mut keep: impl FnMut(&(NodeId, M)) -> bool,
+    ) -> usize {
+        let tail = &mut self.outbox[mark..];
+        let mut kept = 0;
+        for i in 0..tail.len() {
+            if keep(&tail[i]) {
+                if kept != i {
+                    tail.swap(kept, i);
+                }
+                kept += 1;
+            }
+        }
+        let dropped = tail.len() - kept;
+        self.outbox.truncate(mark + kept);
+        dropped
+    }
+
     /// This node's deterministic private random stream.
     #[inline]
     pub fn rng(&mut self) -> &mut Xoshiro256pp {
@@ -289,5 +321,29 @@ mod tests {
         assert_eq!(ctx.now, 5);
         let _ = ctx.rng().next_u64();
         assert_eq!(outbox, vec![(NodeId(1), 10), (NodeId(2), 20)]);
+    }
+
+    #[test]
+    fn retain_since_filters_only_the_sends_after_the_mark() {
+        let mut rng = Xoshiro256pp::seeded(1);
+        // Two sends of an earlier callback, one of them odd.
+        let mut outbox: Vec<(NodeId, u32)> = vec![(NodeId(7), 1), (NodeId(8), 2)];
+        let mut ctx = Ctx::new(NodeId(0), 0, &mut rng, &mut outbox);
+        let mark = ctx.mark();
+        assert_eq!(mark, 2);
+        for v in [3, 4, 5, 6, 8, 9] {
+            ctx.send(NodeId(u64::from(v)), v);
+        }
+        let mut seen = Vec::new();
+        let dropped = ctx.retain_since(mark, |&(_, v)| {
+            seen.push(v);
+            v % 2 == 0
+        });
+        assert_eq!(dropped, 3);
+        assert_eq!(seen, [3, 4, 5, 6, 8, 9], "only the sends since the mark");
+        assert_eq!(ctx.mark(), 5);
+        assert_eq!(ctx.retain_since(5, |_| false), 0, "nothing since the end");
+        let kept: Vec<u32> = outbox.iter().map(|&(_, v)| v).collect();
+        assert_eq!(kept, [1, 2, 4, 6, 8], "earlier sends untouched, order kept");
     }
 }

@@ -155,21 +155,8 @@ impl<A> Membership<A> {
         self.next_id += 1;
         let slot_idx = self.slots.len();
         debug_assert_eq!(slot_idx as u64, id.raw(), "ids are slot-sequential");
-        // The tick loops visit slots in shuffled order; at large networks
-        // the buffer spans more 4 KiB pages than the TLB covers, which also
-        // makes hardware drop the sweep's prefetches. THP in `madvise` mode
-        // only installs 2 MiB pages at fault time for pre-advised ranges,
-        // so on growth (O(log n) times total) allocate the new buffer
-        // ourselves, advise it while still untouched, then move the slots.
         if self.slots.len() == self.slots.capacity() {
-            let grown = self.slots.capacity().max(4).saturating_mul(2);
-            let mut moved: Vec<Slot<A>> = Vec::with_capacity(grown);
-            gossipopt_util::mem::advise_hugepages(
-                moved.as_ptr(),
-                grown * std::mem::size_of::<Slot<A>>(),
-            );
-            moved.append(&mut self.slots);
-            self.slots = moved;
+            grow_advised(&mut self.slots, 1);
         }
         self.slots.push(Slot {
             id,
@@ -339,10 +326,13 @@ impl<A: Application> Membership<A> {
     }
 
     /// Join `n` spawner-built nodes through the kernel's `insert`. At the
-    /// first, the row table reserves rows for them and for `n` later
-    /// joiners: growing it a row at a time would fault it anew at every
-    /// doubling, and moving a huge-page buffer holds two copies of it at
-    /// once; reserved rows no join reaches are address space, not memory.
+    /// first, the slot table and the row table each reserve
+    /// [`headroom`]`(n)` entries in one advised allocation. Grown a node at
+    /// a time, each table would be faulted anew at every doubling and
+    /// leave a trail of freed buffers (half, a quarter, … of its size);
+    /// glibc raises its mmap threshold to the size of such a freed chunk,
+    /// up to 32 MiB, and then keeps the heap the next cell allocates from.
+    /// Reserved entries no join reaches are address space, not memory.
     pub(crate) fn populate<K>(kernel: &mut K, n: usize, mut insert: impl FnMut(&mut K, A) -> NodeId)
     where
         K: DerefMut<Target = Self>,
@@ -350,7 +340,11 @@ impl<A: Application> Membership<A> {
         for k in 0..n {
             let app = kernel.spawn().expect("populate requires a spawner");
             if k == 0 {
-                kernel.rows.reserve(2 * n * app.row_len());
+                let room = headroom(n);
+                if kernel.slots.capacity() < kernel.slots.len() + room {
+                    grow_advised(&mut kernel.slots, room);
+                }
+                kernel.rows.reserve(room * app.row_len());
             }
             insert(kernel, app);
         }
@@ -400,12 +394,34 @@ impl<A: Application> Membership<A> {
     }
 }
 
+/// Room [`Membership::populate`]`(n)` reserves in each table: its `n`
+/// nodes and `n / 8` later joiners, so the first churn joins of a cell do
+/// not double a full table.
+fn headroom(n: usize) -> usize {
+    n + n / 8
+}
+
+/// Grow `v` to room for `additional` more elements, at least doubling its
+/// capacity: allocate the new buffer, advise it onto huge pages while it
+/// is still untouched, then move the contents in. The tick loops visit
+/// slots and rows in shuffled order, and a large table spans more 4 KiB
+/// pages than the TLB covers; THP in `madvise` mode only installs 2 MiB
+/// pages at fault time for ranges advised before. Until the old buffer is
+/// freed both are resident, so a growth costs about twice the table for
+/// that moment.
+fn grow_advised<T>(v: &mut Vec<T>, additional: usize) {
+    let cap = (v.len() + additional).max(2 * v.capacity());
+    let mut moved = Vec::with_capacity(cap);
+    gossipopt_util::mem::advise_hugepages(moved.as_ptr(), cap * std::mem::size_of::<T>());
+    moved.append(v);
+    *v = moved;
+}
+
 /// One `stride`-float row per slot ([`Ctx::row`]), contiguous in slot
-/// order, row 0 on a cache line; the first node fixes the stride. Growth
-/// goes through the allocator's reserve, which moves a large buffer by
-/// remapping its pages, so two copies of the rows are never resident;
-/// huge pages are advised before new rows are first touched.
-/// [`Membership::populate`] reserves all its rows at once.
+/// order, row 0 on a cache line; the first node fixes the stride.
+/// [`Membership::populate`] reserves its rows at once; a join past them
+/// grows the table as the slot table grows ([`grow_advised`]), then
+/// realigns row 0.
 #[derive(Default)]
 pub(crate) struct RowTable {
     /// `start` pad floats, then the rows back to back.
@@ -432,14 +448,11 @@ impl RowTable {
         self.buf.resize(self.buf.len() + len, 0.0);
     }
 
-    /// Room for `floats` more floats (and a realigning pad of up to 7).
+    /// Room for `floats` more floats. A grown buffer also has room for
+    /// the up to 7 pad floats that realigning it may add.
     fn reserve(&mut self, floats: usize) {
-        if floats > 0 && self.buf.capacity() < self.buf.len() + floats + 7 {
-            self.buf.reserve(floats + 7);
-            gossipopt_util::mem::advise_hugepages(
-                self.buf.as_ptr(),
-                self.buf.capacity() * std::mem::size_of::<f64>(),
-            );
+        if floats > 0 && self.buf.capacity() < self.buf.len() + floats {
+            grow_advised(&mut self.buf, floats + 7);
             self.realign();
         }
     }
@@ -774,6 +787,46 @@ mod tests {
             })
             .collect();
         assert_eq!(got, [3.0, 4.0, 1999.0]);
+    }
+
+    #[test]
+    fn populate_allocates_each_table_once() {
+        const N: usize = 1000;
+        let mut m: Box<Membership<Wide>> = Box::new(Membership::new(
+            7,
+            StreamId::KERNEL,
+            0,
+            0,
+            ChurnConfig::none(),
+        ));
+        m.set_spawner(|id, _| Wide(id.raw() as u32));
+        let tables = |m: &Membership<Wide>| (m.slots.as_ptr(), m.rows.buf.as_ptr());
+        let mut seen = Vec::new();
+        let mut outbox = Vec::new();
+        Membership::populate(&mut m, N, |m, app| {
+            let id = m.join(app, 0, &mut outbox);
+            seen.push(tables(m));
+            id
+        });
+        // Churn-style joins up to the headroom.
+        for _ in 0..N / 8 {
+            let app = m.spawn().unwrap();
+            m.join(app, 0, &mut outbox);
+            seen.push(tables(&m));
+        }
+        assert_eq!(seen.len(), headroom(N));
+        assert!(
+            seen.iter().all(|&t| t == seen[0]),
+            "a table moved during populate or its headroom"
+        );
+        // The next join grows the slot table (the rows keep the slack of
+        // their alignment pad, up to 7 floats).
+        let app = m.spawn().unwrap();
+        m.join(app, 0, &mut outbox);
+        assert_ne!(tables(&m).0, seen[0].0, "the headroom is exact");
+        for v in 0..=headroom(N) {
+            assert_eq!(m.rows.row_mut(v)[0], v as f64, "rows moved intact");
+        }
     }
 
     #[test]
