@@ -30,13 +30,14 @@
 //! `bench-smoke` proves it every push). Three design points make that
 //! work:
 //!
-//! * **Pooled message payloads** — the gossiped optimum's position
-//!   ([`rumor::Pos`]) is stored inline up to [`rumor::POS_INLINE_DIM`]
-//!   dimensions (beyond that, behind a shared `Arc`), so the per-hop
-//!   clones in `Msg::RumorPush` / `Coord` / `Migrant` / `Master*` never
-//!   allocate; hosts additionally gate payload construction on
-//!   [`rumor::GlobalBest::improves`], so steady-state coordination
-//!   traffic is allocation-free at any dimension.
+//! * **Shared message payloads** — the gossiped optimum's position
+//!   ([`rumor::Pos`]) is an immutable view of a shared `Arc` buffer, so
+//!   the per-hop clones in `Msg::RumorPush` / `Coord` / `Migrant` /
+//!   `Master*` are refcount bumps and a message is 40 bytes at any
+//!   dimension; hosts gate payload construction on
+//!   [`rumor::GlobalBest::improves`], so a node allocates a position once
+//!   per improvement and steady-state coordination traffic is
+//!   allocation-free.
 //! * **O(n) network construction** — static topologies skip kernel
 //!   bootstrap sampling entirely (their samplers ignore join contacts),
 //!   neighbor lists are built once in index space and shared via `Arc`

@@ -43,6 +43,12 @@ pub enum Msg {
     MasterUpdate(GlobalBest),
 }
 
+// The phased tick moves every message at least once, from its bucket into
+// dispatch order, and an enum is as large as its largest variant: keep a
+// message near the 32 bytes a NEWSCAST exchange needs. Optima ride as
+// shared [`crate::rumor::Pos`] views, so no dimensionality grows it.
+const _: () = assert!(std::mem::size_of::<Msg>() <= 48);
+
 /// Several same-tick coordination messages for one destination, fused
 /// into a single frame.
 ///

@@ -294,8 +294,9 @@ impl OptNode {
     /// next exchange carries fresh information. The payload is only built
     /// when the local best would actually improve the stored optimum
     /// ([`GlobalBest::improves`] is the exact predicate `offer_local`
-    /// applies), keeping the steady state allocation-free even beyond the
-    /// [`crate::rumor::POS_INLINE_DIM`] inline cap.
+    /// applies): a node allocates one shared position per improvement, and
+    /// every send of it after that clones a pointer, so the steady state is
+    /// allocation-free.
     fn sync_gossip_value(&mut self) {
         match &mut self.coord {
             CoordComp::Gossip(ae) => {

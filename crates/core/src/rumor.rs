@@ -7,58 +7,57 @@ use gossipopt_solvers::BestPoint;
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
-/// Inline capacity of [`Pos`]: positions up to this many dimensions live
-/// directly inside the message (no heap), which covers every paper
-/// experiment (`dim ≤ 10`) and the default scale scenarios.
-pub const POS_INLINE_DIM: usize = 16;
-
-#[derive(Clone)]
-enum PosRepr {
-    /// Up to [`POS_INLINE_DIM`] coordinates stored in place.
-    Inline { len: u8, buf: [f64; POS_INLINE_DIM] },
-    /// Higher-dimensional positions share one immutable allocation.
-    Shared(Arc<[f64]>),
-}
-
-/// A search-space position with allocation-free `clone`.
+/// A search-space position: an immutable window onto a shared buffer of
+/// coordinates, with allocation-free `clone`.
 ///
 /// Coordination messages carry the best-known position on every hop, and
 /// every hop clones it (fan-out pushes, push-pull replies, migration). A
-/// `Vec<f64>` payload therefore allocated once per delivered message; `Pos`
-/// clones by memcpy (inline, `dim ≤ POS_INLINE_DIM`) or by refcount bump
-/// (shared spill), so steady-state coordination traffic never touches the
-/// allocator. Positions are immutable once built — exactly the lifecycle
-/// of a gossiped optimum.
+/// `Vec<f64>` payload would allocate once per delivered message; a `Pos`
+/// clone is a refcount bump, so a position is allocated once, where it is
+/// built (a node's improvement, or a decoded frame), and then shared by
+/// every message that carries it. Positions are immutable once built —
+/// exactly the lifecycle of a gossiped optimum — so sharing changes no
+/// value, only the size of the message: 24 bytes whatever the
+/// dimensionality.
+///
+/// A window need not cover its buffer: every payload of one decoded batch
+/// frame is a view of that frame's one slab ([`Pos::view`]).
 #[derive(Clone)]
-pub struct Pos(PosRepr);
+pub struct Pos {
+    buf: Arc<[f64]>,
+    at: u32,
+    len: u32,
+}
 
 impl Pos {
-    /// Build from a coordinate slice (allocates only beyond the inline cap).
+    /// Build from a coordinate slice (one allocation).
     pub fn from_slice(x: &[f64]) -> Self {
-        if x.len() <= POS_INLINE_DIM {
-            let mut buf = [0.0; POS_INLINE_DIM];
-            buf[..x.len()].copy_from_slice(x);
-            Pos(PosRepr::Inline {
-                len: x.len() as u8,
-                buf,
-            })
-        } else {
-            Pos(PosRepr::Shared(x.into()))
+        Pos::view(&x.into(), 0, x.len())
+    }
+
+    /// The window `slab[at..at + len]`, sharing `slab`.
+    ///
+    /// # Panics
+    ///
+    /// When the window does not lie inside `slab`.
+    pub fn view(slab: &Arc<[f64]>, at: usize, len: usize) -> Self {
+        assert!(
+            at.checked_add(len).is_some_and(|end| end <= slab.len()),
+            "window {at}..{at}+{len} outside a slab of {}",
+            slab.len()
+        );
+        let narrow = |v: usize| u32::try_from(v).expect("a slab window fits u32 offsets");
+        Pos {
+            buf: Arc::clone(slab),
+            at: narrow(at),
+            len: narrow(len),
         }
     }
 
     /// The coordinates.
     #[inline]
     pub fn as_slice(&self) -> &[f64] {
-        match &self.0 {
-            PosRepr::Inline { len, buf } => &buf[..*len as usize],
-            PosRepr::Shared(xs) => xs,
-        }
-    }
-
-    /// True when the position is stored inline (clone is a pure memcpy).
-    pub fn is_inline(&self) -> bool {
-        matches!(self.0, PosRepr::Inline { .. })
+        &self.buf[self.at as usize..][..self.len as usize]
     }
 
     /// Copy out as an owned vector (allocates).
@@ -329,26 +328,47 @@ mod tests {
     }
 
     #[test]
-    fn pos_is_inline_through_the_cap_and_shared_beyond() {
-        // Paper-scale payloads (dim <= POS_INLINE_DIM) must stay inline —
-        // cloning them on the per-hop path is a memcpy, not an allocation.
-        for dim in [0, 1, 10, POS_INLINE_DIM] {
+    fn pos_clones_share_one_buffer_at_every_dimension() {
+        // Cloning a payload on the per-hop path bumps a refcount: the
+        // clone aliases the same coordinates, whatever the dimension.
+        for dim in [0, 1, 10, 16, 17, 100] {
             let g = GlobalBest::new(&vec![1.5; dim], 2.0);
-            assert!(g.x.is_inline(), "dim {dim} must be inline");
-            assert!(g.clone().x.is_inline());
+            let c = g.clone();
             assert_eq!(g.x.as_slice(), &vec![1.5; dim][..]);
+            assert_eq!(
+                g.x.as_slice().as_ptr(),
+                c.x.as_slice().as_ptr(),
+                "dim {dim}: a clone must alias, not copy"
+            );
+            assert_eq!(c, g);
         }
-        // Beyond the cap the spill is one shared allocation: clones bump a
-        // refcount and alias the same coordinates.
-        let big = GlobalBest::new(&[0.25; POS_INLINE_DIM + 1], 3.0);
-        assert!(!big.x.is_inline());
-        let c = big.clone();
+    }
+
+    #[test]
+    fn a_view_equals_the_position_of_its_values() {
+        let slab: Arc<[f64]> = (0..12).map(f64::from).collect::<Vec<_>>().into();
+        let v = Pos::view(&slab, 3, 4);
+        assert_eq!(v, Pos::from_slice(&[3.0, 4.0, 5.0, 6.0]));
+        assert_eq!(v.to_vec(), vec![3.0, 4.0, 5.0, 6.0]);
+        assert_eq!(format!("{v:?}"), "[3.0, 4.0, 5.0, 6.0]");
+        assert_ne!(v, Pos::view(&slab, 4, 4), "equality is by value");
+        assert_eq!(Pos::view(&slab, 12, 0), Pos::from_slice(&[]));
         assert_eq!(
-            big.x.as_slice().as_ptr(),
-            c.x.as_slice().as_ptr(),
-            "shared spill must alias, not copy"
+            v.as_slice().as_ptr(),
+            slab[3..].as_ptr(),
+            "a view shares its slab"
         );
-        assert_eq!(c.x.len(), POS_INLINE_DIM + 1);
+        let back: Pos = serde::Deserialize::from_value(&v.to_value()).unwrap();
+        assert_eq!(back, v, "serde sees the window, not the slab");
+    }
+
+    #[test]
+    fn view_refuses_an_out_of_range_window() {
+        let slab: Arc<[f64]> = vec![0.0; 4].into();
+        for (at, len) in [(0, 5), (4, 1), (5, 0), (usize::MAX, 2)] {
+            let r = std::panic::catch_unwind(|| Pos::view(&slab, at, len));
+            assert!(r.is_err(), "window {at}+{len} of 4 must be refused");
+        }
     }
 
     #[test]

@@ -39,19 +39,21 @@
 //! Overlong varints are rejected as truncation.
 //!
 //! Cost: [`encode`] writes a frame in one pass into one buffer sized by a
-//! cheap estimate — no pre-pass to measure it, no intermediate copy — and
-//! [`decode`] builds every payload of up to
-//! [`POS_INLINE_DIM`] dimensions on the stack, so neither side touches the
-//! allocator per payload below 17 dimensions. Batch varints go through
-//! the word-at-a-time LEB128 path of [`gossipopt_util::varint`].
+//! cheap estimate — no pre-pass to measure it, no intermediate copy.
+//! [`decode`] allocates per frame, not per payload: a single optimum's
+//! coordinates are read straight into their shared buffer, and a batch
+//! decodes every item's coordinates and fitness into one slab that each
+//! item's [`Pos`] then views. Batch varints go through the word-at-a-time
+//! LEB128 path of [`gossipopt_util::varint`].
 
 use bytes::Bytes;
 use gossipopt_core::messages::{CoordBatch, GossipBatch, Msg};
-use gossipopt_core::rumor::{GlobalBest, Pos, POS_INLINE_DIM};
+use gossipopt_core::rumor::{GlobalBest, Pos};
 use gossipopt_gossip::view::Descriptor;
 use gossipopt_gossip::{AntiEntropyMsg, NewscastMsg, RumorAck};
 use gossipopt_sim::NodeId;
 use gossipopt_util::varint::{read_f64_delta, read_varint, write_f64_delta, write_varint};
+use std::sync::Arc;
 
 /// Wire format version accepted by this build.
 pub const WIRE_VERSION: u8 = 1;
@@ -291,69 +293,93 @@ fn get_f64_delta(buf: &mut &[u8], reference: f64) -> Result<f64, WireError> {
     Ok(v)
 }
 
-/// One payload of `dim` coordinates plus fitness: raw `f64`s, or
-/// bit-pattern deltas against `reference` (whose dimensionality is `dim`,
-/// which bounds the work). Payloads up to [`POS_INLINE_DIM`] coordinates
-/// are decoded on the stack.
-fn get_payload(
-    buf: &mut &[u8],
-    dim: usize,
-    reference: Option<&GlobalBest>,
-) -> Result<GlobalBest, WireError> {
-    // Each raw coordinate is 8 bytes; reject impossible lengths before
+/// A single optimum: a `u32` dimension, raw coordinates read straight
+/// into their shared buffer (one allocation), then the fitness.
+fn get_best(buf: &mut &[u8]) -> Result<GlobalBest, WireError> {
+    let dim = get_u32(buf)? as usize;
+    // Each coordinate is 8 bytes; reject impossible lengths before
     // allocating.
-    if reference.is_none() && (dim as u64).saturating_mul(8) > buf.len() as u64 {
-        return Err(WireError::LengthOverflow(dim as u64));
-    }
-    let mut stack = [0.0; POS_INLINE_DIM];
-    let mut heap = Vec::new();
-    let x = if dim <= POS_INLINE_DIM {
-        &mut stack[..dim]
-    } else {
-        heap.resize(dim, 0.0);
-        &mut heap[..]
-    };
-    let f = match reference {
-        Some(r) => {
-            for (v, &rx) in x.iter_mut().zip(r.x.as_slice()) {
-                *v = get_f64_delta(buf, rx)?;
-            }
-            get_f64_delta(buf, r.f)?
-        }
-        None => {
-            for v in x.iter_mut() {
-                *v = get_f64(buf)?;
-            }
-            get_f64(buf)?
-        }
-    };
+    let (coords, rest) = dim
+        .checked_mul(8)
+        .and_then(|n| buf.split_at_checked(n))
+        .ok_or(WireError::LengthOverflow(dim as u64))?;
+    *buf = rest;
+    let x: Arc<[f64]> = coords
+        .chunks_exact(8)
+        .map(|c| f64::from_le_bytes(c.try_into().expect("8-byte chunk")))
+        .collect();
+    let f = get_f64(buf)?;
     Ok(GlobalBest {
-        x: Pos::from_slice(x),
+        x: Pos::view(&x, 0, dim),
         f,
     })
 }
 
-fn get_best(buf: &mut &[u8]) -> Result<GlobalBest, WireError> {
-    let dim = get_u32(buf)? as usize;
-    get_payload(buf, dim, None)
+/// Every payload of one batch frame, decoded back to back — coordinates,
+/// then fitness — into one buffer that [`Slab::freeze`] turns into the
+/// frame's one shared allocation.
+struct Slab {
+    floats: Vec<f64>,
+    /// Offset and dimensionality of the frame's reference payload: its
+    /// first, which is always raw.
+    reference: Option<(usize, usize)>,
 }
 
-/// One batch item's payload under the first-payload reference rule:
-/// delta-coded when its dimensionality matches the reference (unless
-/// `force_raw`), raw otherwise — and the first raw payload becomes the
-/// reference.
-fn get_item(
-    buf: &mut &[u8],
-    dim: usize,
-    reference: &mut Option<GlobalBest>,
-    force_raw: bool,
-) -> Result<GlobalBest, WireError> {
-    match reference {
-        Some(r) if r.x.len() == dim && !force_raw => get_payload(buf, dim, Some(r)),
-        _ => {
-            let g = get_payload(buf, dim, None)?;
-            reference.get_or_insert_with(|| g.clone());
-            Ok(g)
+impl Slab {
+    /// Room for the payloads of a frame whose remaining bytes are `buf`:
+    /// every float costs the frame at least one byte, so the buffer never
+    /// grows.
+    fn for_frame(buf: &[u8]) -> Self {
+        Slab {
+            floats: Vec::with_capacity(buf.len()),
+            reference: None,
+        }
+    }
+
+    /// Decode one item's payload of `dim` coordinates plus fitness under
+    /// the first-payload reference rule: bit-pattern deltas against the
+    /// reference when its dimensionality matches (unless `force_raw`),
+    /// raw `f64`s otherwise — and the first raw payload becomes the
+    /// reference.
+    fn push(&mut self, buf: &mut &[u8], dim: usize, force_raw: bool) -> Result<(), WireError> {
+        let at = self.floats.len();
+        match self.reference {
+            // `dim` matches a payload already decoded, which bounds the
+            // work.
+            Some((r, rdim)) if rdim == dim && !force_raw => {
+                for k in r..=r + dim {
+                    let v = get_f64_delta(buf, self.floats[k])?;
+                    self.floats.push(v);
+                }
+            }
+            _ => {
+                // Each raw coordinate is 8 bytes; reject impossible
+                // lengths before reading.
+                if (dim as u64).saturating_mul(8) > buf.len() as u64 {
+                    return Err(WireError::LengthOverflow(dim as u64));
+                }
+                for _ in 0..=dim {
+                    let v = get_f64(buf)?;
+                    self.floats.push(v);
+                }
+                self.reference.get_or_insert((at, dim));
+            }
+        }
+        Ok(())
+    }
+
+    /// Freeze the decoded payloads into one shared buffer, handed out
+    /// again in decode order as views of it, `dim` coordinates at a time.
+    fn freeze(self) -> impl FnMut(usize) -> GlobalBest {
+        let slab: Arc<[f64]> = self.floats.into();
+        let mut at = 0;
+        move |dim| {
+            let g = GlobalBest {
+                x: Pos::view(&slab, at, dim),
+                f: slab[at + dim],
+            };
+            at += dim + 1;
+            g
         }
     }
 }
@@ -365,26 +391,36 @@ fn get_coord_batch(buf: &mut &[u8]) -> Result<CoordBatch, WireError> {
     if count.saturating_mul(2) > buf.len() as u64 {
         return Err(WireError::LengthOverflow(count));
     }
-    let mut items = Vec::with_capacity(count as usize);
-    let mut reference = None;
+    // Per item: source, kind and, for payload kinds, the dimension of its
+    // payload in the slab.
+    let mut heads = Vec::with_capacity(count as usize);
+    let mut slab = Slab::for_frame(buf);
     for _ in 0..count {
         let src = NodeId(get_varint(buf)?);
         let [k] = take(buf)?;
-        let m = match k {
-            kind::ASK => AntiEntropyMsg::Ask,
+        let dim = match k {
+            kind::ASK => 0,
             kind::OFFER | kind::TELL => {
                 let dim = get_u32(buf)? as usize;
-                let g = get_item(buf, dim, &mut reference, false)?;
-                if k == kind::OFFER {
-                    AntiEntropyMsg::Offer(g)
-                } else {
-                    AntiEntropyMsg::Tell(g)
-                }
+                slab.push(buf, dim, false)?;
+                dim
             }
             other => return Err(WireError::BadTag(other)),
         };
-        items.push((src, m));
+        heads.push((src, k, dim));
     }
+    let mut next = slab.freeze();
+    let items = heads
+        .into_iter()
+        .map(|(src, k, dim)| {
+            let m = match k {
+                kind::ASK => AntiEntropyMsg::Ask,
+                kind::OFFER => AntiEntropyMsg::Offer(next(dim)),
+                _ => AntiEntropyMsg::Tell(next(dim)),
+            };
+            (src, m)
+        })
+        .collect();
     Ok(CoordBatch { items })
 }
 
@@ -395,15 +431,21 @@ fn get_gossip_batch(buf: &mut &[u8]) -> Result<GossipBatch, WireError> {
     if count.saturating_mul(5) > buf.len() as u64 {
         return Err(WireError::LengthOverflow(count));
     }
-    let mut items = Vec::with_capacity(count as usize);
-    let mut reference = None;
+    // Per item: source and the dimension of its payload in the slab.
+    let mut heads = Vec::with_capacity(count as usize);
+    let mut slab = Slab::for_frame(buf);
     for _ in 0..count {
         let src = NodeId(get_varint(buf)?);
         let dim_word = get_u32(buf)?;
         let dim = (dim_word & !GOSSIP_RAW_FLAG) as usize;
-        let force_raw = dim_word & GOSSIP_RAW_FLAG != 0;
-        items.push((src, get_item(buf, dim, &mut reference, force_raw)?));
+        slab.push(buf, dim, dim_word & GOSSIP_RAW_FLAG != 0)?;
+        heads.push((src, dim));
     }
+    let mut next = slab.freeze();
+    let items = heads
+        .into_iter()
+        .map(|(src, dim)| (src, next(dim)))
+        .collect();
     Ok(GossipBatch { items })
 }
 
@@ -807,6 +849,38 @@ mod tests {
             }
         }
         assert_eq!(h, 0x4bbe_4943_71a5_ee41, "wire format changed: {h:#018x}");
+    }
+
+    /// Assert that `xs`, in decode order, are back-to-back windows of one
+    /// buffer: each starts one float (the previous payload's fitness)
+    /// past the previous one's end, so they share it and never overlap.
+    fn assert_one_slab<'a>(xs: impl IntoIterator<Item = &'a Pos>) {
+        let mut next: Option<*const f64> = None;
+        for x in xs {
+            let at = x.as_slice().as_ptr();
+            if let Some(expected) = next {
+                assert_eq!(at, expected, "payload is not the next window of the slab");
+            }
+            next = Some(at.wrapping_add(x.len() + 1));
+        }
+    }
+
+    #[test]
+    fn a_decoded_batch_is_one_slab_of_disjoint_views() {
+        for m in all_variants().into_iter().chain([converged_batch(136)]) {
+            match decode(&encode(&m)).unwrap() {
+                Msg::CoordBatch(b) => {
+                    assert_one_slab(b.items.iter().filter_map(|(_, m)| match m {
+                        AntiEntropyMsg::Offer(g) | AntiEntropyMsg::Tell(g) => Some(&g.x),
+                        AntiEntropyMsg::Ask => None,
+                    }))
+                }
+                Msg::RumorBatch(b) | Msg::MigrantBatch(b) => {
+                    assert_one_slab(b.items.iter().map(|(_, g)| &g.x))
+                }
+                _ => {}
+            }
+        }
     }
 
     #[test]

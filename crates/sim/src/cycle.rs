@@ -189,6 +189,10 @@ pub struct CycleEngine<A: Application> {
     outbound: Vec<Vec<Bucket<A::Message>>>,
     /// Phased tick: one scratch set per worker, reused by every round.
     works: Vec<ShardWork<A::Message>>,
+    /// Phased tick: the callback shards' positions in the live list.
+    chunks: Vec<(usize, usize)>,
+    /// Phased tick: the current phase's shards as slot ranges.
+    ranges: Vec<(usize, usize)>,
 }
 
 /// One message of a phased round: `(from, to, msg)`.
@@ -376,6 +380,8 @@ impl<A: Application> CycleEngine<A> {
             inbound: Vec::new(),
             outbound: Vec::new(),
             works: Vec::new(),
+            chunks: Vec::new(),
+            ranges: Vec::new(),
         }
     }
 
@@ -496,25 +502,23 @@ impl<A: Application> CycleEngine<A> {
         // contiguous slot ranges, ascending slot order within a shard; each
         // shard is a lane of the first round.
         if !self.members.live.is_empty() {
-            let chunks = crate::slots::even_chunks(self.members.live.len(), threads);
-            let ranges: Vec<(usize, usize)> = chunks
-                .iter()
-                .map(|&(s, e)| {
-                    (
-                        self.members.live[s] as usize,
-                        self.members.live[e - 1] as usize + 1,
-                    )
-                })
-                .collect();
-            let (live, now, cuts) = (&self.members.live, self.now, &self.cuts);
+            let live = &self.members.live;
+            crate::slots::even_chunks(live.len(), threads, &mut self.chunks);
+            self.ranges.clear();
+            self.ranges.extend(
+                self.chunks
+                    .iter()
+                    .map(|&(s, e)| (live[s] as usize, live[e - 1] as usize + 1)),
+            );
+            let (now, cuts) = (self.now, &self.cuts);
             let views = crate::slots::disjoint_slot_ranges(
                 &mut self.members.slots,
                 &mut self.members.rows,
-                &ranges,
+                &self.ranges,
             );
             let tasks: Vec<TickShard<'_, A>> = views
                 .into_iter()
-                .zip(&chunks)
+                .zip(&self.chunks)
                 .zip(self.inbound.iter_mut().zip(&mut self.works))
                 .map(|((range, &(s, e)), (lane, work))| TickShard {
                     range,
@@ -574,9 +578,10 @@ impl<A: Application> CycleEngine<A> {
             let inbound = &self.inbound;
             self.cuts
                 .recount(|bin| inbound.iter().map(|lane| lane[bin].len()).sum());
-            let ranges = self.cuts.cut();
+            self.cuts.cut(&mut self.ranges);
+            let ranges = &self.ranges;
             let works = &mut self.works[..ranges.len()];
-            for (work, &range) in works.iter_mut().zip(&ranges) {
+            for (work, &range) in works.iter_mut().zip(ranges) {
                 work.lend(&mut self.inbound, &self.cuts, range);
             }
             // Never-allocated destinations: dead letters, last in canonical
@@ -614,7 +619,7 @@ impl<A: Application> CycleEngine<A> {
             let views = crate::slots::disjoint_slot_ranges(
                 &mut self.members.slots,
                 &mut self.members.rows,
-                &ranges,
+                ranges,
             );
             let tasks: Vec<_> = works
                 .iter_mut()
@@ -1294,7 +1299,8 @@ mod tests {
             cuts.reset(nslots, threads);
             let tail = cuts.bin_count();
             let mut lanes: Vec<Vec<Bucket<usize>>> = vec![vec![Vec::new(); tail + 1]; threads];
-            let runs = crate::slots::even_chunks(round.len(), threads);
+            let mut runs = Vec::new();
+            crate::slots::even_chunks(round.len(), threads, &mut runs);
             for (lane, &(s, e)) in lanes.iter_mut().zip(&runs) {
                 for &m in &round[s..e] {
                     lane[cuts.bin_of(m.1)].push(Some(m));
@@ -1304,7 +1310,9 @@ mod tests {
             let mut work = ShardWork::new();
             work.cursors = vec![7; 3]; // dirty scratch
             let mut merged = Vec::new();
-            for range in cuts.cut() {
+            let mut ranges = Vec::new();
+            cuts.cut(&mut ranges);
+            for range in ranges {
                 work.lend(&mut lanes, &cuts, range);
                 work.sort();
                 for &(k, i) in &work.order {

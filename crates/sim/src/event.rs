@@ -274,6 +274,8 @@ pub struct EventEngine<A: Application> {
     shard_pool: Vec<ShardBufs<A::Message>>,
     /// Per-segment target histogram and the shard cuts chosen from it.
     shard_cuts: ShardCuts,
+    /// The current segment's shards as slot ranges.
+    ranges: Vec<(usize, usize)>,
 }
 
 impl<A: Application> EventEngine<A> {
@@ -292,6 +294,7 @@ impl<A: Application> EventEngine<A> {
             join_outbox_buf: Vec::new(),
             shard_pool: Vec::new(),
             shard_cuts: ShardCuts::new(),
+            ranges: Vec::new(),
         };
         if !engine.cfg.churn.is_static() {
             let period = engine.cfg.tick_period;
@@ -512,8 +515,9 @@ impl<A: Application> EventEngine<A> {
         // Stable partition by slot range: the first shard keeps the batch
         // buffer, compacted in place; later shards' events move out to
         // their own buffers. Every shard holds its events in seq order.
-        let ranges = self.shard_cuts.cut();
-        let mut bufs: Vec<ShardBufs<A::Message>> = ranges
+        self.shard_cuts.cut(&mut self.ranges);
+        let mut bufs: Vec<ShardBufs<A::Message>> = self
+            .ranges
             .iter()
             .map(|_| {
                 self.shard_pool.pop().unwrap_or_else(|| ShardBufs {
@@ -536,7 +540,7 @@ impl<A: Application> EventEngine<A> {
         let views = crate::slots::disjoint_slot_ranges(
             &mut self.members.slots,
             &mut self.members.rows,
-            &ranges,
+            &self.ranges,
         );
         let tasks: Vec<EventShard<'_, A>> = views
             .into_iter()

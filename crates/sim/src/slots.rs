@@ -327,11 +327,10 @@ impl<A: Application> Membership<A> {
 
     /// Join `n` spawner-built nodes through the kernel's `insert`. At the
     /// first, the slot table and the row table each reserve
-    /// [`headroom`]`(n)` entries in one advised allocation. Grown a node at
-    /// a time, each table would be faulted anew at every doubling and
-    /// leave a trail of freed buffers (half, a quarter, … of its size);
-    /// glibc raises its mmap threshold to the size of such a freed chunk,
-    /// up to 32 MiB, and then keeps the heap the next cell allocates from.
+    /// [`headroom`]`(n)` entries in one advised allocation, sized by
+    /// [`table_capacity`]. Grown a node at a time, each table would be
+    /// faulted anew at every doubling and leave a trail of freed buffers
+    /// (half, a quarter, … of its size) that raise glibc's mmap threshold.
     /// Reserved entries no join reaches are address space, not memory.
     pub(crate) fn populate<K>(kernel: &mut K, n: usize, mut insert: impl FnMut(&mut K, A) -> NodeId)
     where
@@ -401,16 +400,48 @@ fn headroom(n: usize) -> usize {
     n + n / 8
 }
 
+/// glibc's `DEFAULT_MMAP_THRESHOLD_MAX` on 64-bit targets.
+const MMAP_THRESHOLD_MAX: usize = 32 << 20;
+
+/// One transparent huge page.
+const HUGE_PAGE: usize = 2 << 20;
+
+/// The capacity to allocate for a table of at least `want` elements of
+/// `elem` bytes: `want`, unless the table would land in glibc's threshold
+/// band, in which case just enough more to leave it.
+///
+/// glibc serves an allocation of at least its mmap threshold (initially
+/// 128 KiB) with its own `mmap`. Freeing such a chunk of at most
+/// [`MMAP_THRESHOLD_MAX`] raises the threshold to the chunk's size and
+/// the heap's trim threshold to twice that, for the rest of the process:
+/// every later allocation below it comes from a heap that keeps what is
+/// freed. A table freed at each cell's end therefore sets how much the
+/// next cell's buffers can leave behind — `scale_dpso`'s 30.6 MiB slot
+/// table made its peak bimodal on a 2-core VM, ≈88 or ≈114 MB by which
+/// cell's frees came first. A chunk larger than the maximum leaves the threshold as
+/// it is, so a table in the band, `HUGE_PAGE..=MMAP_THRESHOLD_MAX`
+/// bytes, is rounded up past it; the untouched tail is address space, not
+/// memory (the used part's last huge page at most). Tables under one huge
+/// page keep their size: rounding them would fault a whole 2 MiB page
+/// for them, and they raise the threshold by less than that.
+fn table_capacity(want: usize, elem: usize) -> usize {
+    match want.saturating_mul(elem) {
+        HUGE_PAGE..=MMAP_THRESHOLD_MAX => MMAP_THRESHOLD_MAX / elem + 1,
+        _ => want,
+    }
+}
+
 /// Grow `v` to room for `additional` more elements, at least doubling its
-/// capacity: allocate the new buffer, advise it onto huge pages while it
-/// is still untouched, then move the contents in. The tick loops visit
-/// slots and rows in shuffled order, and a large table spans more 4 KiB
-/// pages than the TLB covers; THP in `madvise` mode only installs 2 MiB
-/// pages at fault time for ranges advised before. Until the old buffer is
-/// freed both are resident, so a growth costs about twice the table for
-/// that moment.
+/// capacity ([`table_capacity`] sizes the result): allocate the new
+/// buffer, advise it onto huge pages while it is still untouched, then
+/// move the contents in. The tick loops visit slots and rows in shuffled
+/// order, and a large table spans more 4 KiB pages than the TLB covers;
+/// THP in `madvise` mode only installs 2 MiB pages at fault time for
+/// ranges advised before. Until the old buffer is freed both are
+/// resident, so a growth costs about twice the table for that moment.
 fn grow_advised<T>(v: &mut Vec<T>, additional: usize) {
-    let cap = (v.len() + additional).max(2 * v.capacity());
+    let want = (v.len() + additional).max(2 * v.capacity());
+    let cap = table_capacity(want, std::mem::size_of::<T>());
     let mut moved = Vec::with_capacity(cap);
     gossipopt_util::mem::advise_hugepages(moved.as_ptr(), cap * std::mem::size_of::<T>());
     moved.append(v);
@@ -621,13 +652,14 @@ impl ShardCuts {
         lo >> self.shift..hi.div_ceil(1 << self.shift)
     }
 
-    /// Close the histogram: at most `parts` half-open slot ranges —
-    /// ascending, covering `0..nslots`, each holding at least one counted
-    /// item. Afterwards [`ShardCuts::shard_of`] maps slots to ranges.
-    pub(crate) fn cut(&mut self) -> Vec<(usize, usize)> {
+    /// Close the histogram into `ranges` (cleared first): at most `parts`
+    /// half-open slot ranges — ascending, covering `0..nslots`, each
+    /// holding at least one counted item. Afterwards
+    /// [`ShardCuts::shard_of`] maps slots to ranges.
+    pub(crate) fn cut(&mut self, ranges: &mut Vec<(usize, usize)>) {
         let parts = self.bins.len() / BINS_PER_SHARD;
         let total: usize = self.bins.iter().map(|&c| c as usize).sum();
-        let mut ranges = Vec::with_capacity(parts);
+        ranges.clear();
         // `goal`: the running count at which the open shard closes.
         let (mut lo, mut acc, mut goal) = (0usize, 0usize, total.div_ceil(parts));
         for (b, bin) in self.bins.iter_mut().enumerate() {
@@ -644,7 +676,6 @@ impl ShardCuts {
             }
         }
         ranges.push((lo, self.nslots));
-        ranges
     }
 
     /// Index, into the ranges [`ShardCuts::cut`] returned, of the shard
@@ -656,13 +687,13 @@ impl ShardCuts {
 }
 
 /// Cut the positions `0..len` into at most `parts` contiguous chunks of
-/// near-equal size (difference ≤ 1), skipping empty chunks. Returns
-/// half-open `(start, end)` position ranges.
-pub(crate) fn even_chunks(len: usize, parts: usize) -> Vec<(usize, usize)> {
+/// near-equal size (difference ≤ 1), skipping empty chunks, as half-open
+/// `(start, end)` position ranges in `out` (cleared first).
+pub(crate) fn even_chunks(len: usize, parts: usize, out: &mut Vec<(usize, usize)>) {
     let parts = parts.max(1).min(len.max(1));
     let base = len / parts;
     let extra = len % parts;
-    let mut out = Vec::with_capacity(parts);
+    out.clear();
     let mut start = 0usize;
     for p in 0..parts {
         let size = base + usize::from(p < extra);
@@ -672,7 +703,6 @@ pub(crate) fn even_chunks(len: usize, parts: usize) -> Vec<(usize, usize)> {
         out.push((start, start + size));
         start += size;
     }
-    out
 }
 
 #[cfg(test)]
@@ -790,6 +820,41 @@ mod tests {
     }
 
     #[test]
+    fn table_capacity_never_lands_in_the_threshold_band() {
+        // Slots of gossip_kernel (72 B) and of campaign cells (712 B; 824
+        // B with a 152 B `Msg`), and a row table's f64.
+        for elem in [72usize, 712, 824, 8] {
+            for want in (0..=64)
+                .map(|k| k << 16)
+                .chain((1..=40).map(|k| k * 1000))
+                .chain([45_000, 67_500, 168_750, 1 << 22])
+            {
+                let cap = table_capacity(want, elem);
+                let bytes = cap * elem;
+                assert!(cap >= want, "{want} x {elem} B shrank to {cap}");
+                assert!(
+                    !(HUGE_PAGE..=MMAP_THRESHOLD_MAX).contains(&bytes),
+                    "{want} x {elem} B reserves {bytes} B, inside the band"
+                );
+                if cap > want {
+                    assert!(
+                        bytes - elem <= MMAP_THRESHOLD_MAX,
+                        "{want} x {elem} B rounds past the band by more than one entry"
+                    );
+                }
+            }
+        }
+        // scale_dpso's populate(40 000): 45 000 slots of 712 B (30.6 MiB)
+        // become 47 128 (32 MiB and one slot).
+        assert_eq!(table_capacity(45_000, 712), 47_128);
+        assert_eq!(
+            table_capacity(1152, 712),
+            1152,
+            "a small table keeps its size"
+        );
+    }
+
+    #[test]
     fn populate_allocates_each_table_once() {
         const N: usize = 1000;
         let mut m: Box<Membership<Wide>> = Box::new(Membership::new(
@@ -842,7 +907,8 @@ mod tests {
                 cuts.count(0);
                 cuts.count(leaf);
             }
-            let ranges = cuts.cut();
+            let mut ranges = Vec::new();
+            cuts.cut(&mut ranges);
             assert_eq!(ranges.len(), parts, "{ranges:?}");
             let mut leaf_events = vec![0usize; parts];
             for leaf in 1..N {
@@ -870,12 +936,14 @@ mod tests {
     #[test]
     fn histogram_cuts_partition_the_slot_table() {
         let mut rng = rng();
+        // One descriptor vector for every batch, as the engines keep it.
+        let mut ranges = Vec::new();
         for (nslots, parts, events) in [(1, 1, 1), (5, 8, 3), (1000, 3, 40), (4097, 8, 9000)] {
             let mut cuts = ShardCuts::new();
             cuts.reset(nslots, parts);
             let targets: Vec<usize> = (0..events).map(|_| rng.index(nslots)).collect();
             targets.iter().for_each(|&t| cuts.count(t));
-            let ranges = cuts.cut();
+            cuts.cut(&mut ranges);
             assert!(ranges.len() <= parts);
             assert_eq!(ranges[0].0, 0);
             assert_eq!(ranges.last().unwrap().1, nslots);
@@ -894,8 +962,10 @@ mod tests {
 
     #[test]
     fn even_chunks_partition_every_position() {
-        for (len, parts) in [(10, 3), (0, 4), (5, 8), (7, 1), (16, 16)] {
-            let chunks = even_chunks(len, parts);
+        // One descriptor vector for every cut, as the engines keep it.
+        let mut chunks = Vec::new();
+        for (len, parts) in [(16, 16), (10, 3), (0, 4), (5, 8), (7, 1)] {
+            even_chunks(len, parts, &mut chunks);
             let mut covered = 0;
             let mut prev_end = 0;
             for &(s, e) in &chunks {
