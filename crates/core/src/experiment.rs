@@ -247,11 +247,11 @@ pub struct RunReport {
     pub coordination_exchanges: u64,
     /// Wire bytes sent by the nodes (topology + coordination traffic,
     /// sized by `Msg::wire_bytes`) — the paper's communication cost in
-    /// bytes rather than message counts. Sums over nodes alive at the end
-    /// of the run **plus** the kernel's retired-node accumulator (byte
-    /// ledgers harvested from nodes at death), so this is exact even
-    /// under churn. (`total_evals` and `coordination_exchanges` still sum
-    /// over surviving nodes only and remain lower bounds under churn.)
+    /// bytes rather than message counts. Read from the kernel's wire
+    /// ledger ([`Membership::wire_ledger`]), which every callback counts
+    /// into, so crashed senders' traffic stays counted and this is exact
+    /// even under churn. (`total_evals` and `coordination_exchanges` still
+    /// sum over surviving nodes only and remain lower bounds under churn.)
     pub payload_bytes: u64,
     /// Kernel message statistics.
     pub messages_sent: u64,
@@ -640,8 +640,8 @@ pub fn event_engine<A: Application>(
 pub struct Driven {
     /// The run's figures of merit.
     pub report: RunReport,
-    /// Per-kind wire totals: nodes alive at the end plus the kernel's
-    /// retired accumulator (exact under churn), before frame savings.
+    /// Per-kind wire totals of the kernel's ledger (every node's traffic,
+    /// crashed nodes' included), before frame savings.
     pub wire: WireCounts,
     /// Global best-improvement events at metric-sample granularity
     /// (empty unless [`DistributedPsoSpec::metrics`] is set).
@@ -655,11 +655,12 @@ pub struct Driven {
 /// through it; churn joins use the same spawner.
 /// Then, per 1-based tick `t`: `before_tick(engine, t)` (scripted faults)
 /// → [`Engine::step`] → at most one observer pass → trace → stop check.
-/// When the metrics ring wants `t`, one pass reads quality, the argmin
-/// node, ledger bytes and the live count. On any other tick the pass runs
-/// only if something consumes it: quality when `trace_every` hits `t` or
-/// `stop_at_quality` is set, evaluations under [`Budget::Total`], whose
-/// cap it enforces; otherwise the tick walks no node. A run that was not
+/// When the metrics ring wants `t`, one pass reads quality and the argmin
+/// node; the live count and the wire bytes are the kernel's. On any other
+/// tick the pass runs only if something consumes it: quality when
+/// `trace_every` hits `t` or `stop_at_quality` is set, evaluations under
+/// [`Budget::Total`], whose cap it enforces; otherwise the tick walks no
+/// node. A run that was not
 /// stopped then drains the horizon's tail
 /// ([`Engine::drain_tail`]: the `max_time % tick_period` of simulated time
 /// that is not a whole period) for every caller, before the final totals.
@@ -708,7 +709,7 @@ where
         let mut evals = 0u64;
         match ring.as_mut().filter(|ring| ring.wants(t)) {
             Some(ring) => {
-                let (mut best_node, mut bytes, mut alive) = (0u64, 0u64, 0usize);
+                let mut best_node = 0u64;
                 for (id, app) in engine.nodes() {
                     let node: &OptNode = app.borrow();
                     let q = node.quality();
@@ -716,8 +717,6 @@ where
                         quality = q;
                         best_node = id.raw();
                     }
-                    bytes += node.payload_bytes_sent();
-                    alive += 1;
                     if total_cap.is_some() {
                         evals += node.evals();
                     }
@@ -734,13 +733,13 @@ where
                 ring.record(MetricSample {
                     tick: t,
                     best_quality: quality,
-                    alive,
+                    alive: engine.alive_count(),
                     delivered: stats.delivered,
-                    // Node ledgers charge unbatched sizes at send time:
-                    // add back what crashed senders had on their ledgers
-                    // at death, then net off what the kernel's frame
-                    // coalescing saved later.
-                    wire_bytes: (bytes + engine.retired_wire_counts().total_bytes())
+                    // The ledger charges unbatched sizes at send time: net
+                    // off what the kernel's frame coalescing saved later.
+                    wire_bytes: engine
+                        .wire_ledger()
+                        .total_bytes()
                         .saturating_sub(stats.frame_saved.total()),
                 });
             }
@@ -776,9 +775,6 @@ where
     let mut value = f64::INFINITY;
     let mut total_evals = 0u64;
     let mut exchanges = 0u64;
-    let mut alive = 0usize;
-    // Ledgers harvested from crashed senders at death, then the survivors'.
-    let mut wire = engine.retired_wire_counts();
     for (_, app) in engine.nodes() {
         let node: &OptNode = app.borrow();
         quality = quality.min(node.quality());
@@ -787,10 +783,9 @@ where
         }
         total_evals += node.evals();
         exchanges += node.exchanges_initiated();
-        wire.add(&node.wire_counts());
-        alive += 1;
     }
     let stats = engine.stats();
+    let wire = engine.wire_ledger();
     let report = RunReport {
         best_quality: quality,
         best_value: value,
@@ -798,13 +793,13 @@ where
         ticks: stopped_at.unwrap_or(periods),
         reached_threshold_at: reached_at,
         coordination_exchanges: exchanges,
-        // Sender ledgers charge unbatched sizes; the kernel's frame
+        // The ledger charges unbatched sizes; the kernel's frame
         // coalescing reports what it saved on the wire.
         payload_bytes: wire.total_bytes().saturating_sub(stats.frame_saved.total()),
         messages_sent: stats.sent,
         messages_delivered: stats.delivered,
         messages_dropped: stats.dropped(),
-        final_population: alive,
+        final_population: engine.alive_count(),
         trace,
         samples: ring.map(|r| r.to_series()).unwrap_or_default(),
     };
@@ -1401,6 +1396,43 @@ mod tests {
         for w in tapped.samples.windows(2) {
             assert!(w[1].tick > w[0].tick);
             assert!(w[1].delivered >= w[0].delivered);
+        }
+    }
+
+    /// The kernel counts wire traffic into one ledger per shard and sums
+    /// them when read, so no per-kind total may depend on the shard count.
+    #[test]
+    fn wire_ledger_is_equal_at_every_shard_count() {
+        let obj: Arc<dyn Objective> = Arc::from(by_name("sphere", 10).unwrap());
+        let run = |threads| {
+            let spec = DistributedPsoSpec {
+                nodes: 24,
+                loss_prob: 0.2,
+                churn: ChurnConfig {
+                    crash_prob_per_tick: 0.02,
+                    joins_per_tick: 0.5,
+                    min_nodes: 4,
+                    max_nodes: 48,
+                },
+                threads,
+                ..small_spec()
+            };
+            let recipe = NodeRecipe::new(&spec, Arc::clone(&obj), Budget::PerNode(60), 3).unwrap();
+            let mut cycle = cycle_engine::<OptNode>(&spec, 3);
+            let cycle = drive(&mut cycle, &recipe, |n| n, |_, _| {}).unwrap();
+            let mut event = event_engine::<OptNode>(&spec, AsyncOpts::default(), 3);
+            let event = drive(&mut event, &recipe, |n| n, |_, _| {}).unwrap();
+            (cycle, event)
+        };
+        let (c1, e1) = run(1);
+        for d in [&c1, &e1] {
+            assert!(d.report.messages_dropped > 0, "lossy: {:?}", d.report);
+        }
+        for threads in [2, 3] {
+            let (c, e) = run(threads);
+            assert_eq!(c.wire, c1.wire, "cycle kernel, threads {threads}");
+            assert_eq!(e.wire, e1.wire, "event kernel, threads {threads}");
+            assert_eq!(c.report.payload_bytes, c1.report.payload_bytes);
         }
     }
 

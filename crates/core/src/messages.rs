@@ -49,6 +49,9 @@ pub enum Msg {
 // shared [`crate::rumor::Pos`] views, so no dimensionality grows it.
 const _: () = assert!(std::mem::size_of::<Msg>() <= 48);
 
+// Every slot holds one node, whose traffic ledger is the kernel's.
+const _: () = assert!(std::mem::size_of::<crate::node::OptNode>() <= 264);
+
 /// Several same-tick coordination messages for one destination, fused
 /// into a single frame.
 ///
@@ -191,6 +194,9 @@ pub const KIND_NAMES: [&str; KIND_COUNT] = [
     "master_report",
     "master_update",
 ];
+
+// Every kind has a column in the ledgers the kernels lend.
+const _: () = assert!(KIND_NAMES.len() <= gossipopt_sim::MAX_WIRE_KINDS);
 
 impl Msg {
     /// Frame header every message pays on the wire: version byte + tag

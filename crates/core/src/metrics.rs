@@ -30,9 +30,8 @@ pub struct MetricSample {
     /// Cumulative messages delivered by the kernel up to the sample.
     pub delivered: u64,
     /// Cumulative wire bytes sent up to the sample (see
-    /// `Msg::wire_bytes`): the sum over nodes alive at the sample plus the
-    /// kernel's retired-node accumulator (bytes harvested from nodes at
-    /// death), so like `RunReport::payload_bytes` it is **exact under
+    /// `Msg::wire_bytes`), net of frame savings: read from the kernel's
+    /// wire ledger, so like `RunReport::payload_bytes` it is **exact under
     /// churn** — crashed senders' traffic stays counted.
     pub wire_bytes: u64,
 }

@@ -8,7 +8,7 @@ use gossipopt_gossip::{
     StaticSampler,
 };
 use gossipopt_obs::wall::{self, Phase};
-use gossipopt_sim::{frame_class, Application, Ctx, FrameSavings, NodeId, WireCounts};
+use gossipopt_sim::{frame_class, Application, Ctx, FrameSavings, NodeId};
 use gossipopt_solvers::{BestPoint, RowPso, Solver};
 use gossipopt_util::Xoshiro256pp;
 use std::sync::Arc;
@@ -158,9 +158,10 @@ pub enum CoordComp {
 /// is per-node: the solver (possibly a `RowPso` whose particles live in
 /// the row the kernel lends this node alone — see `NodeRecipe` and
 /// [`Application::row_len`]), the topology view, the coordination store
-/// and the byte ledger. Nothing here may reach for cross-node shared
-/// mutable state; that isolation is what makes sharded ticks
-/// deterministic.
+/// and the count of bytes sent. The per-kind traffic ledger is the
+/// kernel's, lent to each callback through its [`Ctx`]. Nothing here may
+/// reach for cross-node shared mutable state; that isolation is what
+/// makes sharded ticks deterministic.
 pub struct OptNode {
     objective: Arc<dyn Objective>,
     solver: NodeSolver,
@@ -174,21 +175,21 @@ pub struct OptNode {
     eval_budget: Option<u64>,
     /// Count of coordination exchanges this node initiated.
     exchanges_initiated: u64,
-    /// Per-wire-kind ledger of every message this node sent and received
-    /// (topology and coordination traffic alike) — the paper reports
-    /// communication cost, so reports can state volume in bytes per
-    /// message kind, not just counts. Indexed by [`Msg::kind_index`].
-    wire: WireCounts,
+    /// Wire bytes of every message this node sent (topology and
+    /// coordination traffic alike).
+    bytes_sent: u64,
 }
 
-/// Queue `msg` on `ctx` while charging its wire size and kind to the
-/// per-kind ledger — every [`OptNode`] send goes through here so the byte
-/// accounting cannot drift from the traffic. (Free function so the
-/// accumulator can borrow one field while a service component borrows
-/// another.)
+/// Queue `msg` on `ctx` while charging its wire size to `bytes_sent` and,
+/// by kind, to the ledger `ctx` lends — every [`OptNode`] send goes through
+/// here so the byte accounting cannot drift from the traffic. (Free
+/// function so the counter can borrow one field while a service component
+/// borrows another.)
 #[inline]
-fn send_tracked(wire: &mut WireCounts, ctx: &mut Ctx<'_, Msg>, to: NodeId, msg: Msg) {
-    wire.record_send(msg.kind_index(), msg.wire_bytes() as u64);
+fn send_tracked(bytes_sent: &mut u64, ctx: &mut Ctx<'_, Msg>, to: NodeId, msg: Msg) {
+    let bytes = msg.wire_bytes() as u64;
+    *bytes_sent += bytes;
+    ctx.record_send(msg.kind_index(), bytes);
     ctx.send(to, msg);
 }
 
@@ -234,7 +235,7 @@ impl OptNode {
             gossip_every,
             eval_budget,
             exchanges_initiated: 0,
-            wire: WireCounts::new(),
+            bytes_sent: 0,
         }
     }
 
@@ -277,7 +278,7 @@ impl OptNode {
 
     /// Total wire bytes this node has sent (see [`Msg::wire_bytes`]).
     pub fn payload_bytes_sent(&self) -> u64 {
-        self.wire.total_bytes()
+        self.bytes_sent
     }
 
     /// Observer access to the topology component.
@@ -373,7 +374,7 @@ impl OptNode {
                 self.adopt_remote(&g);
             }
             if let Some(r) = reply {
-                send_tracked(&mut self.wire, ctx, from, Msg::Coord(r));
+                send_tracked(&mut self.bytes_sent, ctx, from, Msg::Coord(r));
             }
         }
     }
@@ -391,7 +392,7 @@ impl OptNode {
                 let g = rm.value().expect("new implies value").clone();
                 self.adopt_remote(&g);
             }
-            send_tracked(&mut self.wire, ctx, from, Msg::RumorFeedback(ack));
+            send_tracked(&mut self.bytes_sent, ctx, from, Msg::RumorFeedback(ack));
         }
     }
 
@@ -406,7 +407,7 @@ impl OptNode {
                 if let Some(msg) = ae.initiate() {
                     if let Some(peer) = self.topology.sample(ctx.rng()) {
                         self.exchanges_initiated += 1;
-                        send_tracked(&mut self.wire, ctx, peer, Msg::Coord(msg));
+                        send_tracked(&mut self.bytes_sent, ctx, peer, Msg::Coord(msg));
                     }
                 }
             }
@@ -419,7 +420,12 @@ impl OptNode {
                     for _ in 0..fanout {
                         if let Some(peer) = self.topology.sample(ctx.rng()) {
                             self.exchanges_initiated += 1;
-                            send_tracked(&mut self.wire, ctx, peer, Msg::RumorPush(g.clone()));
+                            send_tracked(
+                                &mut self.bytes_sent,
+                                ctx,
+                                peer,
+                                Msg::RumorPush(g.clone()),
+                            );
                         }
                     }
                 }
@@ -433,7 +439,7 @@ impl OptNode {
                     if let Some(peer) = self.topology.sample(ctx.rng()) {
                         self.exchanges_initiated += 1;
                         send_tracked(
-                            &mut self.wire,
+                            &mut self.bytes_sent,
                             ctx,
                             peer,
                             Msg::Migrant(GlobalBest::from_point(&e)),
@@ -445,7 +451,7 @@ impl OptNode {
                 if let Some(b) = self.solver.best() {
                     self.exchanges_initiated += 1;
                     send_tracked(
-                        &mut self.wire,
+                        &mut self.bytes_sent,
                         ctx,
                         master,
                         Msg::MasterReport(GlobalBest::from_point(b)),
@@ -480,7 +486,7 @@ impl Application for OptNode {
         if let TopologyComp::Newscast(nc) = &mut self.topology {
             let (self_id, now) = (ctx.self_id, ctx.now);
             if let Some((peer, msg)) = nc.on_tick(self_id, now, ctx.rng()) {
-                send_tracked(&mut self.wire, ctx, peer, Msg::Newscast(msg));
+                send_tracked(&mut self.bytes_sent, ctx, peer, Msg::Newscast(msg));
             }
         }
 
@@ -496,13 +502,13 @@ impl Application for OptNode {
     }
 
     fn on_message(&mut self, from: NodeId, msg: Msg, ctx: &mut Ctx<'_, Msg>) {
-        self.wire.record_delivery(msg.kind_index());
+        ctx.record_delivery(msg.kind_index());
         match msg {
             Msg::Newscast(m) => {
                 if let TopologyComp::Newscast(nc) = &mut self.topology {
                     let (self_id, now) = (ctx.self_id, ctx.now);
                     if let Some(reply) = nc.handle(self_id, from, m, now, ctx.rng()) {
-                        send_tracked(&mut self.wire, ctx, from, Msg::Newscast(reply));
+                        send_tracked(&mut self.bytes_sent, ctx, from, Msg::Newscast(reply));
                     }
                 }
             }
@@ -545,7 +551,7 @@ impl Application for OptNode {
                     self.adopt_remote(&g);
                     if let Some(b) = self.solver.best() {
                         send_tracked(
-                            &mut self.wire,
+                            &mut self.bytes_sent,
                             ctx,
                             from,
                             Msg::MasterUpdate(GlobalBest::from_point(b)),
@@ -680,10 +686,6 @@ impl Application for OptNode {
             });
         }
         saved
-    }
-
-    fn wire_counts(&self) -> WireCounts {
-        self.wire
     }
 }
 

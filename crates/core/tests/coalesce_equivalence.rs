@@ -21,7 +21,7 @@ use gossipopt_gossip::RumorConfig;
 use gossipopt_sim::KernelStats;
 use gossipopt_sim::{
     Application, Ctx, CycleConfig, CycleEngine, EventConfig, EventEngine, Latency, NodeId,
-    Transport, WireCounts,
+    Transport,
 };
 use std::sync::Arc;
 
@@ -46,10 +46,6 @@ impl Application for Unfused {
 
     fn row_len(&self) -> usize {
         self.0.row_len()
-    }
-
-    fn wire_counts(&self) -> WireCounts {
-        self.0.wire_counts()
     }
 }
 

@@ -16,8 +16,8 @@ use gossipopt_core::metrics::MetricsSpec;
 use gossipopt_core::node::OptNode;
 use gossipopt_functions::{by_name, Objective};
 use gossipopt_sim::{
-    Application, ChurnConfig, Control, CycleConfig, CycleEngine, EventConfig, EventEngine, NodeId,
-    NodesView, Transport,
+    ChurnConfig, Control, CycleConfig, CycleEngine, EventConfig, EventEngine, NodeId, NodesView,
+    Transport,
 };
 use std::sync::Arc;
 
@@ -96,20 +96,19 @@ impl Observer {
         Control::Continue
     }
 
-    /// End-of-run totals over the survivors plus the retired ledgers.
+    /// End-of-run totals over the survivors, and the kernel's ledger.
     fn finish<'a>(
         self,
         ticks: u64,
         messages: (u64, u64, u64),
         nodes: impl Iterator<Item = (NodeId, &'a OptNode)>,
-        retired_bytes: u64,
+        ledger_bytes: u64,
         frame_bytes_saved: u64,
     ) -> Outcome {
-        let (mut quality, mut evals, mut bytes, mut alive) = (f64::INFINITY, 0, retired_bytes, 0);
+        let (mut quality, mut evals, mut alive) = (f64::INFINITY, 0, 0);
         for (_, node) in nodes {
             quality = quality.min(node.quality());
             evals += node.evals();
-            bytes += node.wire_counts().total_bytes();
             alive += 1;
         }
         Outcome {
@@ -117,7 +116,7 @@ impl Observer {
             reached_threshold_at: self.reached_at,
             messages,
             total_evals: evals,
-            payload_bytes: bytes - frame_bytes_saved,
+            payload_bytes: ledger_bytes - frame_bytes_saved,
             final_population: alive,
             quality_bits: quality.to_bits(),
             samples: self.samples,
@@ -156,7 +155,7 @@ fn reference_cycle(
         ticks,
         (s.sent, s.delivered, s.lost + s.dead_letter + s.hop_overflow),
         engine.nodes(),
-        engine.retired_wire_counts().total_bytes(),
+        engine.wire_ledger().total_bytes(),
         s.frame_saved.total(),
     )
 }
@@ -195,7 +194,7 @@ fn reference_event(
         end / period,
         (delivered + dropped, delivered, dropped),
         engine.nodes(),
-        engine.retired_wire_counts().total_bytes(),
+        engine.wire_ledger().total_bytes(),
         engine.stats().frame_saved.total(),
     )
 }

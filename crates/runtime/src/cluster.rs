@@ -20,7 +20,7 @@ use crate::udp::{UdpDirectory, UdpTransport};
 use gossipopt_core::experiment::{Budget, DistributedPsoSpec, NodeRecipe};
 use gossipopt_core::CoreError;
 use gossipopt_functions::{by_name, Objective};
-use gossipopt_sim::NodeId;
+use gossipopt_sim::{NodeId, WireCounts};
 use gossipopt_util::{Rng64, StreamId, Xoshiro256pp};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -108,6 +108,8 @@ pub struct ClusterReport {
     pub decode_errors: u64,
     /// Sends refused (loss, unknown destination, crashed peer).
     pub send_failures: u64,
+    /// Per-kind traffic network-wide: the nodes' ledgers summed.
+    pub wire: WireCounts,
     /// Nodes that ran to completion (not crashed).
     pub survivors: usize,
     /// Wall-clock duration of the deployment.
@@ -125,10 +127,12 @@ impl ClusterReport {
         nodes.sort_by_key(|o| o.id.raw());
         let fstar = objective.optimum_value();
         let mut best_value = f64::INFINITY;
+        let mut wire = WireCounts::default();
         for o in &nodes {
             if let Some(b) = &o.best {
                 best_value = best_value.min(b.f);
             }
+            wire.add(&o.wire);
         }
         ClusterReport {
             best_quality: best_value - fstar,
@@ -139,6 +143,7 @@ impl ClusterReport {
             messages_received: nodes.iter().map(|o| o.received).sum(),
             decode_errors: nodes.iter().map(|o| o.decode_errors).sum(),
             send_failures: nodes.iter().map(|o| o.send_failures).sum(),
+            wire,
             survivors: nodes.iter().filter(|o| !o.interrupted).count(),
             wall_time,
             nodes,
@@ -412,5 +417,22 @@ mod tests {
         assert_eq!(r.total_evals, 6 * 200);
         assert!(r.send_failures > 0, "loss injector must have dropped some");
         assert!(r.best_quality.is_finite());
+    }
+
+    #[test]
+    fn per_kind_ledgers_count_every_flushed_and_received_message() {
+        let mut spec = small_spec(6);
+        spec.loss_prob = 0.3;
+        let mut cfg = ClusterConfig::new(spec, "sphere");
+        cfg.budget_per_node = 200;
+        let r = run_cluster(&cfg).unwrap();
+        for o in &r.nodes {
+            let sent: u64 = o.wire.sent.iter().sum();
+            assert_eq!(sent, o.sent + o.send_failures, "node {:?}", o.id);
+            assert_eq!(o.wire.delivered.iter().sum::<u64>(), o.received);
+        }
+        let sent: u64 = r.wire.sent.iter().sum();
+        assert_eq!(sent, r.messages_sent + r.send_failures);
+        assert!(r.send_failures > 0 && r.wire.total_bytes() > 0);
     }
 }

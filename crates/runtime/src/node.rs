@@ -11,7 +11,7 @@ use crate::transport::Transport;
 use crate::wire;
 use gossipopt_core::messages::Msg;
 use gossipopt_core::node::OptNode;
-use gossipopt_sim::{Application, Ctx, NodeId};
+use gossipopt_sim::{Application, Ctx, NodeId, WireCounts};
 use gossipopt_solvers::BestPoint;
 use gossipopt_util::{StreamId, Xoshiro256pp};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -68,6 +68,10 @@ pub struct NodeOutcome {
     pub decode_errors: u64,
     /// Sends refused by the transport (unknown/crashed destination, loss).
     pub send_failures: u64,
+    /// Per-kind ledger of the node's traffic, counted by the node as the
+    /// simulator counts it: every message it handed to the transport
+    /// (`sent + send_failures` in all) and every one it received decoded.
+    pub wire: WireCounts,
     /// True when the node stopped because of the stop flag (crash
     /// injection or cluster shutdown) rather than budget completion.
     pub interrupted: bool,
@@ -96,11 +100,15 @@ pub fn run_node<T: Transport>(
     // The node's row (`Application::row_len`), kept here as a simulation
     // kernel keeps it in its row table.
     let mut row = vec![0.0; node.row_len()];
+    // Its wire ledger, lent to every callback as a kernel lends one.
+    let mut wire = WireCounts::default();
     let mut tick: u64 = 0;
 
     // Bootstrap the topology service from the provided contacts.
     {
-        let mut ctx = Ctx::new(id, tick, &mut rng, &mut outbox).with_row(&mut row);
+        let mut ctx = Ctx::new(id, tick, &mut rng, &mut outbox)
+            .with_row(&mut row)
+            .with_wire(&mut wire);
         node.on_join(contacts, &mut ctx);
     }
     flush(&transport, &mut outbox, &mut sent, &mut send_failures);
@@ -118,7 +126,9 @@ pub fn run_node<T: Transport>(
         let budget_left = node.evals() < cfg.eval_budget;
         if budget_left {
             tick += 1;
-            let mut ctx = Ctx::new(id, tick, &mut rng, &mut outbox).with_row(&mut row);
+            let mut ctx = Ctx::new(id, tick, &mut rng, &mut outbox)
+                .with_row(&mut row)
+                .with_wire(&mut wire);
             node.on_tick(&mut ctx);
             flush(&transport, &mut outbox, &mut sent, &mut send_failures);
             if !cfg.eval_pause.is_zero() {
@@ -142,7 +152,9 @@ pub fn run_node<T: Transport>(
             match wire::decode(&bytes) {
                 Ok(msg) => {
                     received += 1;
-                    let mut ctx = Ctx::new(id, tick, &mut rng, &mut outbox).with_row(&mut row);
+                    let mut ctx = Ctx::new(id, tick, &mut rng, &mut outbox)
+                        .with_row(&mut row)
+                        .with_wire(&mut wire);
                     node.on_message(from, msg, &mut ctx);
                     flush(&transport, &mut outbox, &mut sent, &mut send_failures);
                 }
@@ -166,6 +178,7 @@ pub fn run_node<T: Transport>(
         received,
         decode_errors,
         send_failures,
+        wire,
         interrupted,
     }
 }

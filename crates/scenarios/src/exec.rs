@@ -59,8 +59,8 @@ pub struct CellReport {
 /// functions of the cell spec and seed, assembled into a
 /// [`DetSnapshot`] by [`run_cell_obs`].
 struct RawObs {
-    /// Per-kind wire totals: live nodes at the end plus the kernel's
-    /// retired accumulator (exact under churn).
+    /// Per-kind wire totals of the kernel's ledger (exact under churn:
+    /// crashed nodes' traffic stays counted).
     wire: WireCounts,
     /// Per-class frame-batching savings.
     frame_saved: FrameSavings,

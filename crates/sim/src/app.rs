@@ -3,42 +3,34 @@
 use crate::ids::{NodeId, Ticks};
 use gossipopt_util::Xoshiro256pp;
 
-/// Maximum number of distinct wire kinds a [`WireCounts`] can track.
-///
-/// Sized above the present `Msg` kind count (10) so adding a wire kind
-/// does not change this type's layout.
-pub const MAX_WIRE_KINDS: usize = 16;
+/// Maximum number of distinct wire kinds a [`WireCounts`] can track: the
+/// `Msg` kinds in use (`core::messages` asserts they fit).
+pub const MAX_WIRE_KINDS: usize = 10;
 
-/// Per-wire-kind message accounting an application can expose to the
-/// kernel via [`Application::wire_counts`].
+/// Per-wire-kind message accounting: a ledger the host lends to every
+/// callback ([`Ctx::with_wire`]) and the application bumps through
+/// [`Ctx::record_send`] and [`Ctx::record_delivery`].
 ///
 /// Indexed by the application's own kind numbering (for `OptNode`,
 /// `Msg::kind_index`). Purely simulation-state-derived, so these feed the
-/// deterministic observability plane. The membership layer harvests a
-/// dying node's counts into its `retired` accumulator
-/// ([`crate::Membership::retired_wire_counts`]), which is what makes
-/// churn-era byte accounting exact.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// deterministic observability plane. A kernel keeps one ledger per lane
+/// that can run at once and sums them when read
+/// ([`crate::Membership::wire_ledger`]); a node's traffic stays counted
+/// after it crashes because the ledger never lived in the node. A ledger
+/// spans whole cache lines, so two shards' ledgers never share one.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[repr(align(64))]
 pub struct WireCounts {
     /// Messages sent, by kind index.
     pub sent: [u64; MAX_WIRE_KINDS],
     /// Wire bytes sent, by kind index.
     pub bytes: [u64; MAX_WIRE_KINDS],
-    /// Messages delivered to this node, by kind index.
+    /// Messages delivered, by kind index.
     pub delivered: [u64; MAX_WIRE_KINDS],
 }
 
 impl WireCounts {
-    /// All-zero counts.
-    pub fn new() -> WireCounts {
-        WireCounts {
-            sent: [0; MAX_WIRE_KINDS],
-            bytes: [0; MAX_WIRE_KINDS],
-            delivered: [0; MAX_WIRE_KINDS],
-        }
-    }
-
-    /// Add another node's counts into this accumulator, element-wise.
+    /// Add another ledger's counts into this one, element-wise.
     pub fn add(&mut self, other: &WireCounts) {
         for k in 0..MAX_WIRE_KINDS {
             self.sent[k] += other.sent[k];
@@ -63,12 +55,6 @@ impl WireCounts {
     /// Total wire bytes across kinds.
     pub fn total_bytes(&self) -> u64 {
         self.bytes.iter().sum()
-    }
-}
-
-impl Default for WireCounts {
-    fn default() -> WireCounts {
-        WireCounts::new()
     }
 }
 
@@ -108,15 +94,6 @@ impl FrameSavings {
     pub fn add(&mut self, class: usize, bytes: u64) {
         self.by_class[class] += bytes;
     }
-
-    /// Savings with no class attribution (credited to
-    /// [`frame_class::OTHER`]) — the shape legacy `u64`-returning hooks
-    /// map onto.
-    pub fn from_total(bytes: u64) -> FrameSavings {
-        let mut s = FrameSavings::default();
-        s.by_class[frame_class::OTHER] = bytes;
-        s
-    }
 }
 
 impl std::ops::AddAssign for FrameSavings {
@@ -150,7 +127,9 @@ impl std::ops::AddAssign for FrameSavings {
 /// disjoint slot range.
 /// A node may also have the kernel host a row of `f64`s for it
 /// ([`Application::row_len`], [`Ctx::row`]) whose meaning the kernel
-/// never sees.
+/// never sees, and counts its traffic per wire kind into the
+/// [`WireCounts`] ledger the kernel lends the callback, not into its own
+/// state.
 pub trait Application: Sized + Send {
     /// Message type exchanged between nodes of this application.
     type Message: Clone + std::fmt::Debug + Send;
@@ -201,14 +180,6 @@ pub trait Application: Sized + Send {
     fn coalesce_round(_round: &mut Vec<(NodeId, NodeId, Self::Message)>) -> FrameSavings {
         FrameSavings::default()
     }
-
-    /// Per-wire-kind accounting of this node's traffic, if the
-    /// application keeps any (see [`WireCounts`]). The engines harvest
-    /// this at node death so churn never loses bytes from the totals.
-    /// The default reports all zeros.
-    fn wire_counts(&self) -> WireCounts {
-        WireCounts::new()
-    }
 }
 
 /// Kernel services exposed to a protocol during a callback.
@@ -220,11 +191,13 @@ pub struct Ctx<'a, M> {
     pub(crate) rng: &'a mut Xoshiro256pp,
     pub(crate) outbox: &'a mut Vec<(NodeId, M)>,
     row: &'a mut [f64],
+    wire: Option<&'a mut WireCounts>,
 }
 
 impl<'a, M> Ctx<'a, M> {
-    /// Construct a context lending an empty row (kernel-internal; public
-    /// for hosts in other crates and their tests).
+    /// Construct a context lending an empty row and no wire ledger
+    /// (kernel-internal; public for hosts in other crates and their
+    /// tests).
     pub fn new(
         self_id: NodeId,
         now: Ticks,
@@ -237,6 +210,7 @@ impl<'a, M> Ctx<'a, M> {
             rng,
             outbox,
             row: &mut [],
+            wire: None,
         }
     }
 
@@ -245,6 +219,32 @@ impl<'a, M> Ctx<'a, M> {
     pub fn with_row(mut self, row: &'a mut [f64]) -> Self {
         self.row = row;
         self
+    }
+
+    /// Lend `wire` to the callback as the ledger [`Ctx::record_send`] and
+    /// [`Ctx::record_delivery`] count into.
+    #[inline]
+    pub fn with_wire(mut self, wire: &'a mut WireCounts) -> Self {
+        self.wire = Some(wire);
+        self
+    }
+
+    /// Count one sent message of `kind` costing `bytes` on the wire into
+    /// the lent ledger (nothing when the host lends none).
+    #[inline]
+    pub fn record_send(&mut self, kind: usize, bytes: u64) {
+        if let Some(wire) = self.wire.as_deref_mut() {
+            wire.record_send(kind, bytes);
+        }
+    }
+
+    /// Count one delivered message of `kind` into the lent ledger
+    /// (nothing when the host lends none).
+    #[inline]
+    pub fn record_delivery(&mut self, kind: usize) {
+        if let Some(wire) = self.wire.as_deref_mut() {
+            wire.record_delivery(kind);
+        }
     }
 
     /// Queue `msg` for delivery to `to`. Delivery is asynchronous and
@@ -321,6 +321,27 @@ mod tests {
         assert_eq!(ctx.now, 5);
         let _ = ctx.rng().next_u64();
         assert_eq!(outbox, vec![(NodeId(1), 10), (NodeId(2), 20)]);
+    }
+
+    #[test]
+    fn ctx_counts_into_the_lent_ledger_only() {
+        let mut rng = Xoshiro256pp::seeded(1);
+        let mut outbox: Vec<(NodeId, u32)> = Vec::new();
+        let mut ctx = Ctx::new(NodeId(0), 0, &mut rng, &mut outbox);
+        ctx.record_send(1, 9);
+        ctx.record_delivery(1);
+        let mut wire = WireCounts::default();
+        let mut ctx = Ctx::new(NodeId(0), 0, &mut rng, &mut outbox).with_wire(&mut wire);
+        ctx.record_send(2, 5);
+        ctx.record_send(2, 7);
+        ctx.record_delivery(0);
+        assert_eq!((wire.sent[2], wire.bytes[2], wire.delivered[0]), (2, 12, 1));
+        assert_eq!(
+            (wire.sent[1], wire.delivered[1]),
+            (0, 0),
+            "no ledger, no count"
+        );
+        assert_eq!(wire.total_bytes(), 12);
     }
 
     #[test]

@@ -67,7 +67,7 @@
 //! [`StepReport`] is what the tick added to the layer's
 //! [`KernelStats`], join-time sends of churn joins included.
 
-use crate::app::{Application, Ctx, FrameSavings};
+use crate::app::{Application, FrameSavings};
 use crate::churn::ChurnConfig;
 use crate::ids::{NodeId, Ticks};
 use crate::slots::{Membership, ShardCuts, SlotRange};
@@ -325,13 +325,12 @@ impl<M> ShardWork<M> {
         cuts: &ShardCuts,
         lane: &mut [Bucket<M>],
     ) {
-        let lo = self.lo;
         let mut dead = 0u64;
         for &(k, i) in &self.order {
             let Some(m) = self.inbox[k as usize][i as usize].take() else {
                 continue; // lost
             };
-            if slots.slots[m.1.raw() as usize - lo].alive {
+            if slots.is_live(m.1.raw() as usize) {
                 self.survivors.push(m);
             } else {
                 dead += 1;
@@ -346,10 +345,9 @@ impl<M> ShardWork<M> {
             FrameSavings::default()
         };
         for (from, to, msg) in self.survivors.drain(..) {
-            let (slot, row) = slots.get(to.raw() as usize);
             self.tmp.clear();
-            let mut ctx = Ctx::new(to, now, &mut slot.rng, &mut self.tmp).with_row(row);
-            slot.app.on_message(from, msg, &mut ctx);
+            let (app, mut ctx) = slots.lend(to.raw() as usize, now, &mut self.tmp);
+            app.on_message(from, msg, &mut ctx);
             for (nto, m) in self.tmp.drain(..) {
                 lane[cuts.bin_of(nto)].push(Some((to, nto, m)));
             }
@@ -449,8 +447,8 @@ impl<A: Application> CycleEngine<A> {
             if let Some(&j) = order.get(at + SLOT_AHEAD) {
                 let slot = &self.members.slots[j as usize];
                 let p = slot as *const _ as *const u8;
-                // A slot spans several lines (id/rng header plus the
-                // application state); pull the first four.
+                // A slot spans several lines (the application state, then
+                // its RNG); pull the first four.
                 for line in 0..4 {
                     gossipopt_util::prefetch_read(p.wrapping_add(64 * line));
                 }
@@ -462,16 +460,13 @@ impl<A: Application> CycleEngine<A> {
                 }
             }
             let i = order[at] as usize;
-            let (slot, row) = self.members.slot_mut(i);
             // Nodes crash only in the churn phase before this loop, but a
             // stale order entry would be a logic error — guard in debug.
-            debug_assert!(slot.alive);
-            let id = slot.id;
+            debug_assert!(self.members.alive[i]);
             outbox.clear();
-            {
-                let mut ctx = Ctx::new(id, self.now, &mut slot.rng, &mut outbox).with_row(row);
-                slot.app.on_tick(&mut ctx);
-            }
+            let (app, mut ctx) = self.members.lend(i, self.now, &mut outbox);
+            let id = ctx.self_id;
+            app.on_tick(&mut ctx);
             self.route(id, &mut outbox);
         }
         self.outbox_buf = outbox;
@@ -511,11 +506,7 @@ impl<A: Application> CycleEngine<A> {
                     .map(|&(s, e)| (live[s] as usize, live[e - 1] as usize + 1)),
             );
             let (now, cuts) = (self.now, &self.cuts);
-            let views = crate::slots::disjoint_slot_ranges(
-                &mut self.members.slots,
-                &mut self.members.rows,
-                &self.ranges,
-            );
+            let (views, live) = self.members.shards(&self.ranges);
             let tasks: Vec<TickShard<'_, A>> = views
                 .into_iter()
                 .zip(&self.chunks)
@@ -530,12 +521,11 @@ impl<A: Application> CycleEngine<A> {
             let callback_span = wall::start();
             rayon::execute_indexed(tasks, threads, &|mut shard: TickShard<'_, A>| {
                 for &pos in shard.live {
-                    let (slot, row) = shard.range.get(pos as usize);
-                    debug_assert!(slot.alive);
-                    let id = slot.id;
+                    debug_assert!(shard.range.is_live(pos as usize));
                     shard.tmp.clear();
-                    let mut ctx = Ctx::new(id, now, &mut slot.rng, shard.tmp).with_row(row);
-                    slot.app.on_tick(&mut ctx);
+                    let (app, mut ctx) = shard.range.lend(pos as usize, now, shard.tmp);
+                    let id = ctx.self_id;
+                    app.on_tick(&mut ctx);
                     for (to, m) in shard.tmp.drain(..) {
                         shard.lane[cuts.bin_of(to)].push(Some((id, to, m)));
                     }
@@ -616,11 +606,7 @@ impl<A: Application> CycleEngine<A> {
             wall::finish(Phase::CycleMerge, merge_span);
 
             let dispatch_span = wall::start();
-            let views = crate::slots::disjoint_slot_ranges(
-                &mut self.members.slots,
-                &mut self.members.rows,
-                ranges,
-            );
+            let (views, _) = self.members.shards(ranges);
             let tasks: Vec<_> = works
                 .iter_mut()
                 .zip(views)
@@ -736,17 +722,14 @@ impl<A: Application> CycleEngine<A> {
             members.stats.lost += 1;
             return;
         }
-        let Some(i) = members.slot_index(to).filter(|&i| members.slots[i].alive) else {
+        let Some(i) = members.live_slot(to) else {
             members.stats.dead_letter += 1;
             return;
         };
         let mut outbox = std::mem::take(&mut self.reply_outbox_buf);
         outbox.clear();
-        {
-            let (slot, row) = self.members.slot_mut(i);
-            let mut ctx = Ctx::new(to, self.now, &mut slot.rng, &mut outbox).with_row(row);
-            slot.app.on_message(from, msg, &mut ctx);
-        }
+        let (app, mut ctx) = self.members.lend(i, self.now, &mut outbox);
+        app.on_message(from, msg, &mut ctx);
         self.members.stats.delivered += 1;
         for (nto, nmsg) in outbox.drain(..) {
             queue.push_back((to, nto, nmsg));
@@ -771,6 +754,7 @@ impl<A: Application> DerefMut for CycleEngine<A> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::app::Ctx;
     use gossipopt_util::Xoshiro256pp;
 
     /// Toy protocol: every tick send our counter to a fixed buddy; on

@@ -107,7 +107,7 @@
 //! still in flight are in none of the counters, so `sent == delivered +
 //! lost + dead_letter` always holds (there is no hop budget).
 
-use crate::app::{Application, Ctx};
+use crate::app::Application;
 use crate::churn::ChurnConfig;
 use crate::ids::{NodeId, Ticks};
 use crate::slots::{Membership, ShardCuts, SlotRange};
@@ -487,8 +487,8 @@ impl<A: Application> EventEngine<A> {
         // survivors' targets for the shard cuts.
         let (members, cuts) = (&mut self.members, &mut self.shard_cuts);
         cuts.reset(members.slots.len(), threads);
-        events.retain(|ev| match members.slot_index(ev.target()) {
-            Some(t) if members.slots[t].alive => {
+        events.retain(|ev| match members.live_slot(ev.target()) {
+            Some(t) => {
                 cuts.count(t);
                 true
             }
@@ -527,8 +527,9 @@ impl<A: Application> EventEngine<A> {
                 })
             })
             .collect();
-        let (members, cuts) = (&self.members, &self.shard_cuts);
-        let shard_of = |ev: &Event<A::Message>| cuts.shard_of(members.slot_of_live(ev.target()));
+        // Triage kept live targets only, so a target's id is its slot.
+        let cuts = &self.shard_cuts;
+        let shard_of = |ev: &Event<A::Message>| cuts.shard_of(ev.target().raw() as usize);
         for ev in events.extract_if(.., |ev| shard_of(ev) != 0) {
             bufs[shard_of(&ev)].events.push(ev);
         }
@@ -537,11 +538,7 @@ impl<A: Application> EventEngine<A> {
         // Callback phase: parallel shards, each running its events in seq
         // order against one flat outbox.
         let now = self.now;
-        let views = crate::slots::disjoint_slot_ranges(
-            &mut self.members.slots,
-            &mut self.members.rows,
-            &self.ranges,
-        );
+        let (views, _) = self.members.shards(&self.ranges);
         let tasks: Vec<EventShard<'_, A>> = views
             .into_iter()
             .zip(bufs)
@@ -554,17 +551,17 @@ impl<A: Application> EventEngine<A> {
                 let outbox = &mut shard.bufs.outbox;
                 let before = outbox.len();
                 let node = ev.target();
-                let (slot, row) = shard.range.get(node.raw() as usize);
-                debug_assert!(slot.alive, "triage kept live targets only");
-                let mut ctx = Ctx::new(node, shard.now, &mut slot.rng, outbox).with_row(row);
+                let i = node.raw() as usize;
+                debug_assert!(shard.range.is_live(i), "triage kept live targets only");
+                let (app, mut ctx) = shard.range.lend(i, shard.now, outbox);
                 // Ticks always replay: the timer must be rescheduled.
                 let reschedule_tick = match ev.kind {
                     EventKind::Tick { .. } => {
-                        slot.app.on_tick(&mut ctx);
+                        app.on_tick(&mut ctx);
                         true
                     }
                     EventKind::Deliver { from, msg, .. } => {
-                        slot.app.on_message(from, msg, &mut ctx);
+                        app.on_message(from, msg, &mut ctx);
                         delivered += 1;
                         false
                     }
@@ -749,7 +746,7 @@ impl<A: Application> DerefMut for EventEngine<A> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::app::FrameSavings;
+    use crate::app::{frame_class, Ctx, FrameSavings};
     use crate::transport::Latency;
 
     /// Echo protocol: tick sends a ping to a contact; receivers count.
@@ -1035,7 +1032,9 @@ mod tests {
                     _ => round.push((from, to, msg)),
                 }
             }
-            FrameSavings::from_total(saved)
+            let mut savings = FrameSavings::default();
+            savings.add(frame_class::OTHER, saved);
+            savings
         }
     }
 

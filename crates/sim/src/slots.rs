@@ -3,21 +3,22 @@
 //! A node's life-cycle — entry with a bootstrap sample, crash, churn — is
 //! one model, independent of how a kernel advances time. [`Membership`]
 //! owns it: the slots, the spawner, bootstrap sampling, the churn step,
-//! scripted crashes, the wire counts harvested from the dead and the one
-//! [`KernelStats`] both kernels count into. A kernel keeps only its
+//! scripted crashes, the per-lane wire ledgers and the one [`KernelStats`]
+//! both kernels count into. A kernel keeps only its
 //! schedule (rounds, or a timer wheel) and routes what a joining node
 //! sends; both dereference to their membership, so `e.crash(id)`,
 //! `e.stats()` or `e.set_spawner(..)` resolve on either kernel.
 //!
-//! Storage: ids are allocated sequentially and a slot is never removed,
+//! Storage: a node's id is the index of its slot, which is never removed,
 //! so the id → slot lookup is pure arithmetic (a bounds compare) instead
 //! of a hash-map probe, and the set of live nodes is an incrementally
 //! maintained sorted list of slot indices — iterating it is O(alive) and
 //! equals filtering every slot ever allocated by liveness, so visit order
 //! (and therefore RNG draw order) is identical to the re-filtering
 //! implementations it replaced.
-//! Beside the slots sits the [`RowTable`], split together with them
-//! ([`disjoint_slot_ranges`]), so a row is as exclusive as its slot.
+//! Beside the slots sit the [`RowTable`] and a dense liveness vector,
+//! split together with them ([`Membership::shards`]), so a row is as
+//! exclusive as its slot and a liveness check loads a byte, not a slot.
 
 use crate::app::{Application, Ctx, WireCounts};
 use crate::churn::ChurnConfig;
@@ -26,14 +27,12 @@ use crate::KernelStats;
 use gossipopt_util::{Rng64, StreamId, Xoshiro256pp};
 use std::ops::DerefMut;
 
-/// One node's kernel-side record: identity, protocol state, private RNG
-/// stream and liveness flag. Slots are append-only; crashes only clear
-/// `alive`.
+/// One node's kernel-side record: protocol state and private RNG stream;
+/// the node's id is the slot's index. Slots are append-only; a crash only
+/// clears the slot's entry of [`Membership`]'s `alive`.
 pub(crate) struct Slot<A> {
-    pub(crate) id: NodeId,
     pub(crate) app: A,
     pub(crate) rng: Xoshiro256pp,
-    pub(crate) alive: bool,
 }
 
 /// Read-only view over live nodes, handed to observers by both kernels.
@@ -44,12 +43,11 @@ pub struct NodesView<'a, A> {
 
 impl<'a, A> NodesView<'a, A> {
     /// Iterate `(id, application)` over live nodes in slot order.
-    pub fn iter(&self) -> impl Iterator<Item = (NodeId, &'a A)> + '_ {
+    pub fn iter(&self) -> impl Iterator<Item = (NodeId, &'a A)> + 'a {
         let slots = self.slots;
-        self.live.iter().map(move |&i| {
-            let s = &slots[i as usize];
-            (s.id, &s.app)
-        })
+        self.live
+            .iter()
+            .map(move |&i| (NodeId(u64::from(i)), &slots[i as usize].app))
     }
 
     /// Number of live nodes.
@@ -74,12 +72,12 @@ pub struct Membership<A> {
     pub(crate) slots: Vec<Slot<A>>,
     /// Row `i` belongs to slot `i`.
     pub(crate) rows: RowTable,
+    /// `alive[i]`: slot `i`'s node is live.
+    pub(crate) alive: Vec<bool>,
     /// Slot indices of live nodes, kept sorted ascending (insertions only
     /// ever append because new ids take the highest slot index; crashes
     /// remove in place).
     pub(crate) live: Vec<u32>,
-    pub(crate) alive_count: usize,
-    next_id: u64,
     /// The kernel stream.
     pub(crate) rng: Xoshiro256pp,
     pub(crate) stats: KernelStats,
@@ -90,9 +88,11 @@ pub struct Membership<A> {
     bootstrap_sample: usize,
     churn: ChurnConfig,
     spawner: Option<Spawner<A>>,
-    /// Wire counts harvested from nodes at death, so a crash never loses
-    /// traffic from the per-kind totals.
-    retired: WireCounts,
+    /// The wire ledgers lent to callbacks ([`Ctx::with_wire`]): `wire[0]`
+    /// to every callback on the calling thread (the sequential sweep,
+    /// `deliver_one`, joins), `wire[1 + k]` to the callbacks of shard `k`.
+    /// Summed only when read ([`Membership::wire_ledger`]).
+    wire: Vec<WireCounts>,
     /// Bootstrap contacts of the node being joined.
     contacts: Vec<NodeId>,
     /// Index scratch for `Rng64::sample_indices_into`.
@@ -112,9 +112,8 @@ impl<A> Membership<A> {
         Membership {
             slots: Vec::new(),
             rows: RowTable::default(),
+            alive: Vec::new(),
             live: Vec::new(),
-            alive_count: 0,
-            next_id: 0,
             rng: Xoshiro256pp::derive(seed, kernel),
             stats: KernelStats::default(),
             seed,
@@ -122,64 +121,95 @@ impl<A> Membership<A> {
             bootstrap_sample,
             churn,
             spawner: None,
-            retired: WireCounts::new(),
+            wire: vec![WireCounts::default()],
             contacts: Vec::new(),
             sample_buf: Vec::new(),
         }
     }
 
-    /// Slot index for `id`, if the id was ever allocated.
+    /// Slot index for `id` (its raw value), if the id was allocated and
+    /// its node is live.
     #[inline]
-    pub(crate) fn slot_index(&self, id: NodeId) -> Option<usize> {
+    pub(crate) fn live_slot(&self, id: NodeId) -> Option<usize> {
         let i = id.raw() as usize;
-        if i < self.slots.len() {
-            Some(i)
-        } else {
-            None
-        }
+        (self.alive.get(i) == Some(&true)).then_some(i)
     }
 
-    /// Slot index for an id already verified allocated **and live** (the
-    /// sharded delivery paths pre-check liveness, then index repeatedly).
-    #[inline]
-    pub(crate) fn slot_of_live(&self, id: NodeId) -> usize {
-        let i = id.raw() as usize;
-        debug_assert!(self.slots[i].alive);
-        i
-    }
-
-    /// Append a live slot for `app` under the next sequential id; returns
-    /// the slot index.
+    /// Append a live slot for `app`, the next id's; returns the slot
+    /// index.
     fn push(&mut self, app: A, rng: Xoshiro256pp) -> usize {
-        let id = NodeId(self.next_id);
-        self.next_id += 1;
         let slot_idx = self.slots.len();
-        debug_assert_eq!(slot_idx as u64, id.raw(), "ids are slot-sequential");
         if self.slots.len() == self.slots.capacity() {
             grow_advised(&mut self.slots, 1);
         }
-        self.slots.push(Slot {
-            id,
-            app,
-            rng,
-            alive: true,
-        });
+        self.slots.push(Slot { app, rng });
+        self.alive.push(true);
         // New slots take the largest index, so appending keeps `live` sorted.
         self.live.push(slot_idx as u32);
-        self.alive_count += 1;
         slot_idx
     }
 
-    /// Slot `i` and its row.
+    /// Slot `i`'s application, and a context at `now` lending it the
+    /// node's stream and row and the calling thread's ledger.
     #[inline]
-    pub(crate) fn slot_mut(&mut self, i: usize) -> (&mut Slot<A>, &mut [f64]) {
-        (&mut self.slots[i], self.rows.row_mut(i))
+    pub(crate) fn lend<'b, M>(
+        &'b mut self,
+        i: usize,
+        now: Ticks,
+        outbox: &'b mut Vec<(NodeId, M)>,
+    ) -> (&'b mut A, Ctx<'b, M>) {
+        let slot = &mut self.slots[i];
+        let ctx = Ctx::new(NodeId(i as u64), now, &mut slot.rng, outbox)
+            .with_row(self.rows.row_mut(i))
+            .with_wire(&mut self.wire[0]);
+        (&mut slot.app, ctx)
+    }
+
+    /// Split the network into one exclusive [`SlotRange`] per entry of
+    /// `ranges` (half-open, ascending, pairwise disjoint): its slots,
+    /// rows and liveness, and the wire ledger of shard `k` for the `k`-th
+    /// range. The live list comes back beside them, shared.
+    ///
+    /// This is the aliasing-free foundation of the sharded execution
+    /// paths: each shard gets exclusive `&mut` access to a contiguous slot
+    /// range, its rows and a ledger no other shard counts into, so
+    /// per-node callbacks can run concurrently without locks while the
+    /// borrow checker rules out cross-shard access.
+    pub(crate) fn shards(&mut self, ranges: &[(usize, usize)]) -> (Vec<SlotRange<'_, A>>, &[u32]) {
+        if self.wire.len() <= ranges.len() {
+            self.wire.resize(1 + ranges.len(), WireCounts::default());
+        }
+        let stride = self.rows.stride;
+        let mut slots = &mut self.slots[..];
+        let mut floats = &mut self.rows.buf[self.rows.start..];
+        let mut wire = self.wire[1..].iter_mut();
+        let mut out = Vec::with_capacity(ranges.len());
+        let mut consumed = 0usize;
+        for &(lo, hi) in ranges {
+            debug_assert!(lo >= consumed && hi >= lo, "ranges ascending + disjoint");
+            let (_skip, rest) = std::mem::take(&mut slots).split_at_mut(lo - consumed);
+            let (mine, rest) = rest.split_at_mut(hi - lo);
+            slots = rest;
+            let (_skip, rest) = std::mem::take(&mut floats).split_at_mut((lo - consumed) * stride);
+            let (my_rows, rest) = rest.split_at_mut((hi - lo) * stride);
+            floats = rest;
+            out.push(SlotRange {
+                base: lo,
+                slots: mine,
+                rows: my_rows,
+                stride,
+                alive: &self.alive[lo..hi],
+                wire: wire.next().expect("a ledger per shard"),
+            });
+            consumed = hi;
+        }
+        (out, &self.live)
     }
 
     /// Re-filter the live list after slots were marked dead.
     fn retain_live(&mut self) {
-        let slots = &self.slots;
-        self.live.retain(|&i| slots[i as usize].alive);
+        let alive = &self.alive;
+        self.live.retain(|&i| alive[i as usize]);
     }
 
     /// Install the factory that builds the nodes of churn joins and of the
@@ -191,7 +221,7 @@ impl<A> Membership<A> {
     /// Build the next joiner with the spawner, on the spawner stream of
     /// the id it will get; `None` when no spawner is installed.
     pub(crate) fn spawn(&mut self) -> Option<A> {
-        let id = NodeId(self.next_id);
+        let id = NodeId(self.slots.len() as u64);
         let stream = StreamId::node(self.component + 1, id.raw());
         let seed = self.seed;
         self.spawner
@@ -201,7 +231,7 @@ impl<A> Membership<A> {
 
     /// Number of live nodes.
     pub fn alive_count(&self) -> usize {
-        self.alive_count
+        self.live.len()
     }
 
     /// Cumulative kernel statistics.
@@ -214,26 +244,22 @@ impl<A> Membership<A> {
         self.stats.delivered
     }
 
-    /// Per-kind wire counts harvested from nodes that have died. Add
-    /// these to the live nodes' counts for exact totals under churn.
-    pub fn retired_wire_counts(&self) -> WireCounts {
-        self.retired
+    /// Per-kind wire totals of every node's traffic so far, crashed
+    /// nodes' included: the sum of the ledgers lent to callbacks.
+    pub fn wire_ledger(&self) -> WireCounts {
+        let mut total = WireCounts::default();
+        self.wire.iter().for_each(|wire| total.add(wire));
+        total
     }
 
     /// Read a live node's application state.
     pub fn node(&self, id: NodeId) -> Option<&A> {
-        self.slot_index(id)
-            .map(|i| &self.slots[i])
-            .filter(|s| s.alive)
-            .map(|s| &s.app)
+        self.live_slot(id).map(|i| &self.slots[i].app)
     }
 
     /// Iterate `(id, application)` over live nodes in slot order.
     pub fn nodes(&self) -> impl Iterator<Item = (NodeId, &A)> + '_ {
-        self.live.iter().map(|&i| {
-            let s = &self.slots[i as usize];
-            (s.id, &s.app)
-        })
+        self.view().iter()
     }
 
     /// Observer view of the live network.
@@ -256,7 +282,7 @@ impl<A: Application> Membership<A> {
         now: Ticks,
         outbox: &mut Vec<(NodeId, A::Message)>,
     ) -> NodeId {
-        let id = NodeId(self.next_id);
+        let id = NodeId(self.slots.len() as u64);
         // A uniform sample without replacement of up to
         // `bootstrap_sample` live nodes (the joiner is not one yet); no
         // draws when there is nobody to sample or no sample is wanted.
@@ -265,28 +291,26 @@ impl<A: Application> Membership<A> {
         if m > 0 {
             self.rng
                 .sample_indices_into(self.live.len(), m, &mut self.sample_buf);
-            let (slots, live) = (&self.slots, &self.live);
+            let live = &self.live;
             self.contacts
-                .extend(self.sample_buf.iter().map(|&k| slots[live[k] as usize].id));
+                .extend(self.sample_buf.iter().map(|&k| NodeId(u64::from(live[k]))));
         }
         let rng = Xoshiro256pp::derive(self.seed, StreamId::node(self.component, id.raw()));
         self.rows.push(app.row_len(), self.slots.is_empty(), id);
         let i = self.push(app, rng);
-        let (slot, row) = (&mut self.slots[i], self.rows.row_mut(i));
         outbox.clear();
-        let mut ctx = Ctx::new(id, now, &mut slot.rng, outbox).with_row(row);
-        slot.app.on_join(&self.contacts, &mut ctx);
+        let contacts = std::mem::take(&mut self.contacts);
+        let (app, mut ctx) = self.lend(i, now, outbox);
+        app.on_join(&contacts, &mut ctx);
+        self.contacts = contacts;
         id
     }
 
-    /// Crash live slot `i`: harvest its wire counts and count the crash.
-    /// The caller updates the live list.
+    /// Crash live slot `i` and count the crash. The caller updates the
+    /// live list.
     fn retire(&mut self, i: usize) {
-        let slot = &mut self.slots[i];
-        debug_assert!(slot.alive);
-        self.retired.add(&slot.app.wire_counts());
-        slot.alive = false;
-        self.alive_count -= 1;
+        debug_assert!(self.alive[i]);
+        self.alive[i] = false;
         self.stats.crashes += 1;
     }
 
@@ -294,7 +318,7 @@ impl<A: Application> Membership<A> {
     /// already dead or unknown. Messages still addressed to it become dead
     /// letters; a rejoin is a new id.
     pub fn crash(&mut self, id: NodeId) -> bool {
-        let Some(i) = self.slot_index(id).filter(|&i| self.slots[i].alive) else {
+        let Some(i) = self.live_slot(id) else {
             return false;
         };
         self.retire(i);
@@ -327,8 +351,9 @@ impl<A: Application> Membership<A> {
 
     /// Join `n` spawner-built nodes through the kernel's `insert`. At the
     /// first, the slot table and the row table each reserve
-    /// [`headroom`]`(n)` entries in one advised allocation, sized by
-    /// [`table_capacity`]. Grown a node at a time, each table would be
+    /// [`headroom`]`(n)` entries in one advised allocation, and the
+    /// liveness table in one plain one, all sized by [`table_capacity`].
+    /// Grown a node at a time, each table would be
     /// faulted anew at every doubling and leave a trail of freed buffers
     /// (half, a quarter, … of its size) that raise glibc's mmap threshold.
     /// Reserved entries no join reaches are address space, not memory.
@@ -343,6 +368,10 @@ impl<A: Application> Membership<A> {
                 if kernel.slots.capacity() < kernel.slots.len() + room {
                     grow_advised(&mut kernel.slots, room);
                 }
+                let len = kernel.alive.len();
+                kernel
+                    .alive
+                    .reserve_exact(table_capacity(len + room, 1) - len);
                 kernel.rows.reserve(room * app.row_len());
             }
             insert(kernel, app);
@@ -365,23 +394,23 @@ impl<A: Application> Membership<A> {
             return;
         }
         if churn.crash_prob_per_tick > 0.0 {
-            let mut crashed = false;
+            let mut crashed = 0;
             // Kills only mark slots until the live list is re-filtered.
             for k in 0..m.live.len() {
-                if m.alive_count <= churn.min_nodes {
+                if m.live.len() - crashed <= churn.min_nodes {
                     break;
                 }
                 if m.rng.chance(churn.crash_prob_per_tick) {
                     m.retire(m.live[k] as usize);
-                    crashed = true;
+                    crashed += 1;
                 }
             }
-            if crashed {
+            if crashed > 0 {
                 m.retain_live();
             }
         }
         for _ in 0..churn.sample_joins(&mut m.rng) {
-            if kernel.alive_count >= churn.max_nodes {
+            if kernel.live.len() >= churn.max_nodes {
                 break;
             }
             let Some(app) = kernel.spawn() else {
@@ -510,58 +539,41 @@ impl RowTable {
     }
 }
 
-/// One shard's exclusive part of the network: the slots `base..base + n`
-/// and their rows.
+/// One shard's exclusive part of the network ([`Membership::shards`]):
+/// the slots `base..base + n`, their rows and liveness, and the shard's
+/// wire ledger.
 pub(crate) struct SlotRange<'a, A> {
     pub(crate) base: usize,
     pub(crate) slots: &'a mut [Slot<A>],
     rows: &'a mut [f64],
     stride: usize,
+    alive: &'a [bool],
+    wire: &'a mut WireCounts,
 }
 
 impl<A> SlotRange<'_, A> {
-    /// The slot at absolute index `i`, with its row.
+    /// The application in slot `i` (absolute index), and a context at
+    /// `now` lending it the node's stream and row and the shard's ledger.
     #[inline]
-    pub(crate) fn get(&mut self, i: usize) -> (&mut Slot<A>, &mut [f64]) {
-        let k = i - self.base;
-        let at = k * self.stride;
-        (&mut self.slots[k], &mut self.rows[at..at + self.stride])
+    pub(crate) fn lend<'b, M>(
+        &'b mut self,
+        i: usize,
+        now: Ticks,
+        outbox: &'b mut Vec<(NodeId, M)>,
+    ) -> (&'b mut A, Ctx<'b, M>) {
+        let (k, stride) = (i - self.base, self.stride);
+        let slot = &mut self.slots[k];
+        let ctx = Ctx::new(NodeId(i as u64), now, &mut slot.rng, outbox)
+            .with_row(&mut self.rows[k * stride..(k + 1) * stride])
+            .with_wire(self.wire);
+        (&mut slot.app, ctx)
     }
-}
 
-/// Split `slots` and their `rows` into disjoint mutable ranges covering
-/// the half-open, ascending, pairwise-disjoint slot `ranges`.
-///
-/// This is the aliasing-free foundation of the sharded execution paths:
-/// each shard gets exclusive `&mut` access to a contiguous slot range and
-/// its rows, so per-node callbacks can run concurrently without locks
-/// while the borrow checker rules out cross-shard access.
-pub(crate) fn disjoint_slot_ranges<'a, A>(
-    mut slots: &'a mut [Slot<A>],
-    rows: &'a mut RowTable,
-    ranges: &[(usize, usize)],
-) -> Vec<SlotRange<'a, A>> {
-    let stride = rows.stride;
-    let mut floats = &mut rows.buf[rows.start..];
-    let mut out = Vec::with_capacity(ranges.len());
-    let mut consumed = 0usize;
-    for &(lo, hi) in ranges {
-        debug_assert!(lo >= consumed && hi >= lo, "ranges ascending + disjoint");
-        let (_skip, rest) = std::mem::take(&mut slots).split_at_mut(lo - consumed);
-        let (mine, rest) = rest.split_at_mut(hi - lo);
-        slots = rest;
-        let (_skip, rest) = std::mem::take(&mut floats).split_at_mut((lo - consumed) * stride);
-        let (my_rows, rest) = rest.split_at_mut((hi - lo) * stride);
-        floats = rest;
-        out.push(SlotRange {
-            base: lo,
-            slots: mine,
-            rows: my_rows,
-            stride,
-        });
-        consumed = hi;
+    /// Whether the node in slot `i` (absolute index) is live.
+    #[inline]
+    pub(crate) fn is_live(&self, i: usize) -> bool {
+        self.alive[i - self.base]
     }
-    out
 }
 
 /// Histogram bins per worker behind [`ShardCuts`]: a shard boundary can
@@ -739,11 +751,10 @@ mod tests {
     #[test]
     fn sequential_ids_and_arithmetic_lookup() {
         let a = net(7, 5, 0);
-        for (i, slot) in a.slots.iter().enumerate() {
-            assert_eq!(slot.id.raw() as usize, i);
-        }
-        assert_eq!(a.slot_index(NodeId(3)), Some(3));
-        assert_eq!(a.slot_index(NodeId(5)), None);
+        let ids: Vec<u64> = a.nodes().map(|(id, _)| id.raw()).collect();
+        assert_eq!(ids, [0, 1, 2, 3, 4]);
+        assert_eq!(a.live_slot(NodeId(3)), Some(3));
+        assert_eq!(a.live_slot(NodeId(5)), None);
         assert_eq!(a.node(NodeId(4)), Some(&4));
     }
 
@@ -753,7 +764,7 @@ mod tests {
         assert!(a.crash(NodeId(2)));
         assert!(!a.crash(NodeId(2)), "double crash is a no-op");
         assert!(!a.crash(NodeId(99)));
-        assert_eq!((a.alive_count, a.stats.crashes), (5, 1));
+        assert_eq!((a.alive_count(), a.stats.crashes), (5, 1));
         assert_eq!(a.live, vec![0, 1, 3, 4, 5]);
         assert!(a.node(NodeId(2)).is_none());
         let ids: Vec<u64> = a.nodes().map(|(id, _)| id.raw()).collect();
@@ -764,19 +775,19 @@ mod tests {
     fn crash_fraction_refilters_the_live_list() {
         let mut a = net(7, 4, 0);
         assert_eq!(a.crash_fraction(0.5), 2);
-        assert_eq!((a.alive_count, a.stats.crashes), (2, 2));
+        assert_eq!((a.alive_count(), a.stats.crashes), (2, 2));
         assert_eq!(a.view().len(), 2);
-        assert!(a.live.iter().all(|&i| a.slots[i as usize].alive));
+        assert!(a.live.iter().all(|&i| a.alive[i as usize]));
     }
 
     #[test]
     fn disjoint_ranges_cover_exactly_and_exclusively() {
         let mut a = net(7, 10, 0);
-        let views = disjoint_slot_ranges(&mut a.slots, &mut a.rows, &[(0, 3), (4, 4), (5, 9)]);
+        let (views, _) = a.shards(&[(0, 3), (4, 4), (5, 9)]);
         assert_eq!(views.len(), 3);
         let lens: Vec<(usize, usize)> = views.iter().map(|v| (v.base, v.slots.len())).collect();
         assert_eq!(lens, [(0, 3), (4, 0), (5, 4)]);
-        assert_eq!(views[2].slots[3].id, NodeId(8));
+        assert_eq!(views[2].slots[3].app, 8);
     }
 
     /// A node asking for a 3-float row whose first float is its app value.
@@ -806,13 +817,13 @@ mod tests {
         for v in 0..2000 {
             assert_eq!(a.rows.row_mut(v as usize), [f64::from(v), 0.0, 0.0]);
         }
-        let views = disjoint_slot_ranges(&mut a.slots, &mut a.rows, &[(3, 5), (1999, 2000)]);
+        let (views, _) = a.shards(&[(3, 5), (1999, 2000)]);
         let got: Vec<f64> = views
             .into_iter()
             .flat_map(|mut v| {
                 let base = v.base;
                 (base..base + v.slots.len())
-                    .map(|i| v.get(i).1[0])
+                    .map(|i| v.lend(i, 0, &mut Vec::<(NodeId, ())>::new()).1.row()[0])
                     .collect::<Vec<_>>()
             })
             .collect();
@@ -821,9 +832,10 @@ mod tests {
 
     #[test]
     fn table_capacity_never_lands_in_the_threshold_band() {
-        // Slots of gossip_kernel (72 B) and of campaign cells (712 B; 824
-        // B with a 152 B `Msg`), and a row table's f64.
-        for elem in [72usize, 712, 824, 8] {
+        // Slots of gossip_kernel (72 B) and of campaign cells (320 B; 712
+        // B with the node's own wire ledger, 824 B with a 152 B `Msg`), and
+        // a row table's f64.
+        for elem in [72usize, 320, 712, 824, 8] {
             for want in (0..=64)
                 .map(|k| k << 16)
                 .chain((1..=40).map(|k| k * 1000))
@@ -845,8 +857,10 @@ mod tests {
             }
         }
         // scale_dpso's populate(40 000): 45 000 slots of 712 B (30.6 MiB)
-        // become 47 128 (32 MiB and one slot).
+        // become 47 128 (32 MiB and one slot), and of 320 B (13.7 MiB)
+        // 104 858.
         assert_eq!(table_capacity(45_000, 712), 47_128);
+        assert_eq!(table_capacity(45_000, 320), 104_858);
         assert_eq!(
             table_capacity(1152, 712),
             1152,

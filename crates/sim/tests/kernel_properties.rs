@@ -2,9 +2,10 @@
 
 use gossipopt_sim::{
     Application, ChurnConfig, Ctx, CycleConfig, CycleEngine, EventConfig, EventEngine, Latency,
-    NodeId, Transport,
+    Membership, NodeId, Transport, WireCounts,
 };
 use proptest::prelude::*;
+use std::sync::{Arc, Mutex};
 
 /// Probe protocol that records everything it observes.
 #[derive(Debug, Clone, Default)]
@@ -292,4 +293,162 @@ fn a_node_with_another_row_length_is_refused() {
     e.insert(Ragged(1));
     e.insert(Ragged(1));
     e.insert(Ragged(0));
+}
+
+/// Wire kinds of the ledger test: a message's kind is its value modulo
+/// this, its size in bytes `1 + value % 5`.
+const KINDS: u64 = 3;
+
+/// A node that counts every message it sends and every one delivered to
+/// it twice: into the ledger its callback is lent, and into its network's
+/// shared tally, which outlives crashed nodes.
+struct Counting {
+    tally: Arc<Mutex<WireCounts>>,
+    contacts: Vec<NodeId>,
+    ticks: u64,
+}
+
+impl Counting {
+    fn send(&mut self, ctx: &mut Ctx<'_, u64>, to: NodeId, msg: u64) {
+        let (kind, bytes) = ((msg % KINDS) as usize, 1 + msg % 5);
+        ctx.record_send(kind, bytes);
+        self.tally.lock().unwrap().record_send(kind, bytes);
+        ctx.send(to, msg);
+    }
+}
+
+impl Application for Counting {
+    type Message = u64;
+
+    fn on_join(&mut self, contacts: &[NodeId], ctx: &mut Ctx<'_, u64>) {
+        self.contacts = contacts.to_vec();
+        if let Some(&c) = contacts.first() {
+            self.send(ctx, c, ctx.self_id.raw());
+        }
+    }
+
+    fn on_tick(&mut self, ctx: &mut Ctx<'_, u64>) {
+        self.ticks += 1;
+        let salt = self.ticks + ctx.self_id.raw();
+        for (k, c) in self.contacts.clone().into_iter().take(2).enumerate() {
+            self.send(ctx, c, salt + k as u64);
+        }
+    }
+
+    fn on_message(&mut self, from: NodeId, msg: u64, ctx: &mut Ctx<'_, u64>) {
+        let kind = (msg % KINDS) as usize;
+        ctx.record_delivery(kind);
+        self.tally.lock().unwrap().record_delivery(kind);
+        // Every fourth message is answered, and no answer is.
+        if msg.is_multiple_of(4) {
+            self.send(ctx, from, msg + 1);
+        }
+    }
+}
+
+/// Crashes and joins every period, joins past the populated tables.
+fn counting_churn() -> ChurnConfig {
+    ChurnConfig {
+        crash_prob_per_tick: 0.03,
+        joins_per_tick: 1.5,
+        min_nodes: 4,
+        max_nodes: usize::MAX,
+    }
+}
+
+/// Populate 48 counting nodes through `populate`, run `first`, crash a
+/// quarter of the network and its lowest live id, run `second`; return the
+/// kernel's summed ledger and the nodes' own tally.
+fn count_traffic<K>(
+    kernel: &mut K,
+    populate: impl FnOnce(&mut K),
+    mut run: impl FnMut(&mut K, u64),
+    (first, second): (u64, u64),
+    tally: &Mutex<WireCounts>,
+) -> (WireCounts, WireCounts)
+where
+    K: std::ops::DerefMut<Target = Membership<Counting>>,
+{
+    populate(kernel);
+    run(kernel, first);
+    assert!(kernel.crash_fraction(0.25) > 0);
+    let lowest = kernel.nodes().next().map(|(id, _)| id).unwrap();
+    assert!(kernel.crash(lowest));
+    run(kernel, second);
+    let s = kernel.stats();
+    assert!(s.joins > 0 && s.lost > 0 && s.dead_letter > 0, "{s:?}");
+    let ledger = kernel.wire_ledger();
+    assert_eq!(
+        ledger.delivered.iter().sum::<u64>(),
+        s.delivered,
+        "every delivery counted"
+    );
+    (ledger, *tally.lock().unwrap())
+}
+
+/// The kernels lend each shard its own ledger and sum them only when read:
+/// whatever the shard count, the sum holds every send and delivery the
+/// nodes counted — join-time sends, replies and crashed nodes' traffic
+/// included — no more and no less.
+#[test]
+fn wire_ledgers_sum_the_same_at_every_shard_count() {
+    let spawner = |tally: &Arc<Mutex<WireCounts>>| {
+        let tally = Arc::clone(tally);
+        move |_: NodeId, _: &mut gossipopt_util::Xoshiro256pp| Counting {
+            tally: Arc::clone(&tally),
+            contacts: Vec::new(),
+            ticks: 0,
+        }
+    };
+    let (mut cycle, mut event) = (Vec::new(), Vec::new());
+    for threads in [0usize, 1, 2, 3] {
+        let tally = Arc::new(Mutex::new(WireCounts::default()));
+        let mut cfg = CycleConfig::seeded(21);
+        cfg.threads = threads;
+        cfg.churn = counting_churn();
+        cfg.transport = Transport::lossy(0.1);
+        let mut e: CycleEngine<Counting> = CycleEngine::new(cfg);
+        e.set_spawner(spawner(&tally));
+        let got = count_traffic(&mut e, |e| e.populate(48), |e, t| e.run(t), (8, 8), &tally);
+        assert_eq!(
+            got.0, got.1,
+            "cycle kernel, threads {threads}: ledger vs tally"
+        );
+        cycle.push(got.0);
+
+        let tally = Arc::new(Mutex::new(WireCounts::default()));
+        let mut cfg = EventConfig::seeded(21);
+        cfg.threads = threads;
+        cfg.tick_period = 5;
+        cfg.churn = counting_churn();
+        cfg.transport = Transport {
+            loss_prob: 0.1,
+            latency: Latency::Uniform(1, 8),
+        };
+        let mut ev: EventEngine<Counting> = EventEngine::new(cfg);
+        ev.set_spawner(spawner(&tally));
+        let got = count_traffic(
+            &mut ev,
+            |ev| ev.populate(48),
+            |ev, t| ev.run(ev.now() + t),
+            (40, 40),
+            &tally,
+        );
+        assert_eq!(
+            got.0, got.1,
+            "event kernel, threads {threads}: ledger vs tally"
+        );
+        event.push(got.0);
+    }
+    // The event kernel is bit-identical at every thread count; the cycle
+    // kernel's `threads = 0` is another discipline, so its phased counts
+    // are compared among themselves.
+    assert!(
+        event.iter().all(|w| *w == event[0]),
+        "event kernel: {event:?}"
+    );
+    assert!(
+        cycle[1..].iter().all(|w| *w == cycle[1]),
+        "cycle kernel: {cycle:?}"
+    );
 }
