@@ -107,8 +107,8 @@ impl Serialize for Pos {
 }
 
 impl Deserialize for Pos {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        Vec::<f64>::from_value(v).map(Pos::from)
+    fn deserialize<S: serde::Source>(src: &mut S) -> Result<Self, serde::Error> {
+        Vec::<f64>::deserialize(src).map(Pos::from)
     }
 }
 

@@ -38,8 +38,10 @@
 //!
 //! Layers:
 //!
-//! * [`toml`] — a minimal offline TOML parser producing the shim
-//!   `serde::Value` data model;
+//! * [`toml`] — a minimal offline TOML parser producing a shim
+//!   `serde::Value` tree, which specs read through the tree cursor
+//!   (`Deserialize::from_value`); JSON documents (store entries,
+//!   reports, snapshots) are read straight from their text;
 //! * [`spec`] — [`CellSpec`] / [`CampaignSpec`] / [`FaultSpec`]
 //!   validation and sweep expansion;
 //! * [`faults`] — the [`FaultApp`] protocol wrapper executing partition

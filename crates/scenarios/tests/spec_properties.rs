@@ -4,6 +4,7 @@
 
 use gossipopt_scenarios::{cell_key, parse_campaign, AssertSpec, CellSpec, FaultSpec};
 use proptest::prelude::*;
+use serde::Deserialize;
 
 /// Render a cell as a TOML campaign document (the emitter half of the
 /// round trip; the crate deliberately only ships a parser).
@@ -230,6 +231,9 @@ proptest! {
             Ok(c) => c,
             Err(e) => return Err(TestCaseError::Fail(format!("{e:?}"))),
         };
+        // The tree source (the TOML path's) reads the same cell.
+        let tree = CellSpec::from_value(&serde_json::parse(&text).unwrap());
+        prop_assert_eq!(tree.ok().as_ref(), Some(&back));
         prop_assert_eq!(back, cell);
     }
 

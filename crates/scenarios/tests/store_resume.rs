@@ -2,10 +2,12 @@
 //! re-runs, crash resume, selective invalidation, corruption recovery,
 //! and the byte-identity of reports regardless of where cells came from.
 
+use gossipopt_obs::{DetSnapshot, WallSnapshot};
 use gossipopt_scenarios::{
-    cell_key, parse_campaign, run_campaign_observed, run_campaign_stored, run_cell, CampaignSpec,
-    CellSpec, Store,
+    cell_key, parse_campaign, run_campaign_observed, run_campaign_stored, run_cell, run_cell_obs,
+    CampaignReport, CampaignSpec, CellSpec, Store, StoreEntry, StoreKey,
 };
+use proptest::prelude::*;
 use std::path::PathBuf;
 
 /// Process-independence, pinned by value: the key is a pure function of
@@ -143,9 +145,19 @@ fn corrupt_entries_are_diagnosed_recomputed_and_overwritten() {
     let victim = &spec.cells[2];
     let key = cell_key(victim);
     let entry_path = store.dir(&key).join("entry.json");
+    // The last one is a good entry plus an unknown key whose value nests
+    // past the limit: skipping it must hit the limit, not the stack.
+    let good = std::fs::read_to_string(&entry_path).unwrap();
     let bad_entries = [
         b"{ \"schema\": \"gossipopt-st".to_vec(),
         b"[".repeat(100_000),
+        format!(
+            "{{\"x\": {}{},{}",
+            "[".repeat(129),
+            "]".repeat(129),
+            &good[1..]
+        )
+        .into_bytes(),
     ];
     for bad in bad_entries {
         std::fs::write(&entry_path, bad).unwrap();
@@ -247,4 +259,134 @@ fn store_reports_are_independent_of_thread_count() {
     }
     let _ = std::fs::remove_dir_all(dir_a);
     let _ = std::fs::remove_dir_all(dir_b);
+}
+
+/// The golden entry (`store.rs` pins its bytes) and the key it is filed
+/// under, read from the key components the entry records.
+fn golden_entry() -> (&'static str, StoreKey) {
+    let text = include_str!("golden/entry.json");
+    let v = serde_json::parse(text).unwrap();
+    let key = StoreKey {
+        hash: v["hash"].as_str().unwrap().into(),
+        seed: v["seed"].as_u64().unwrap(),
+        spec: v["spec"].as_str().unwrap().into(),
+    };
+    (text, key)
+}
+
+/// Read `text` from both sources of the one deserializer, the text
+/// reader (`from_str`) and the tree cursor (`from_value` over `parse`);
+/// they must agree, compared by what each re-serializes to.
+fn read_both_ways<T>(text: &str) -> T
+where
+    T: serde::de::DeserializeOwned + serde::Serialize,
+{
+    let direct: T = serde_json::from_str(text).unwrap();
+    let tree = T::from_value(&serde_json::parse(text).unwrap()).unwrap();
+    assert_eq!(
+        serde_json::to_string(&direct).unwrap(),
+        serde_json::to_string(&tree).unwrap()
+    );
+    direct
+}
+
+#[test]
+fn stored_and_exported_documents_read_the_same_from_text_and_tree() {
+    let (golden, _) = golden_entry();
+    let entry: StoreEntry = read_both_ways(golden);
+    let mut again = serde_json::to_string_pretty(&entry).unwrap();
+    again.push('\n');
+    assert_eq!(again, golden, "a loaded entry re-renders byte for byte");
+
+    let spec = small_campaign();
+    let (store, dir) = tmp_store("two-sources");
+    let key = cell_key(&spec.cells[3]);
+    store
+        .save(&key, &run_cell(&spec.cells[3]).unwrap())
+        .unwrap();
+    let fresh = std::fs::read_to_string(store.dir(&key).join("entry.json")).unwrap();
+    let _: StoreEntry = read_both_ways(&fresh);
+
+    let report = run_campaign_stored(&spec, 1, None)
+        .unwrap()
+        .report
+        .to_json();
+    let _: CampaignReport = read_both_ways(&report);
+    let (_, snap) = run_cell_obs(&spec.cells[1]).unwrap();
+    let _: DetSnapshot = read_both_ways(&snap.det.to_canonical_json());
+    let _: WallSnapshot = read_both_ways(&WallSnapshot::capture().to_json());
+    let _ = std::fs::remove_dir_all(dir);
+}
+
+#[test]
+fn truncated_and_deeply_nested_entries_fail_cleanly() {
+    let (text, key) = golden_entry();
+    let (store, dir) = tmp_store("truncated");
+    std::fs::create_dir_all(store.dir(&key)).unwrap();
+    let path = store.dir(&key).join("entry.json");
+    std::fs::write(&path, text).unwrap();
+    assert!(
+        store.load(&key).unwrap().is_some(),
+        "the golden entry loads"
+    );
+
+    // Every prefix short of the closing brace is an error; the one that
+    // drops only the final newline is still the whole entry.
+    let close = text.rfind('}').unwrap();
+    for cut in 0..text.len() {
+        std::fs::write(&path, &text.as_bytes()[..cut]).unwrap();
+        let loaded = store.load(&key);
+        if cut <= close {
+            assert!(loaded.is_err(), "a {cut}-byte prefix loaded");
+        } else {
+            assert!(loaded.unwrap().is_some(), "a {cut}-byte prefix failed");
+        }
+    }
+
+    // An unknown key is skipped, and skipping obeys the nesting limit:
+    // inside the entry's own object, 127 levels fit and 128 do not.
+    let nested = |levels: usize| {
+        let value = "[".repeat(levels) + &"]".repeat(levels);
+        format!("{{\"x\": {value},{}", &text[1..])
+    };
+    std::fs::write(&path, nested(127)).unwrap();
+    assert!(store.load(&key).unwrap().is_some());
+    for levels in [128, 129] {
+        std::fs::write(&path, nested(levels)).unwrap();
+        let e = store.load(&key).unwrap_err();
+        assert!(e.reason.contains("nesting deeper than 128"), "{e}");
+    }
+    let _ = std::fs::remove_dir_all(dir);
+}
+
+/// JSON's own punctuation, digits and keyword letters: what an edit
+/// must produce to get past the UTF-8 check and into the parser.
+const JSON_BYTES: &[u8] = b"{}[]\",:.-+eE0123456789ntrufals\\ \n";
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+    #[test]
+    fn store_load_never_panics_on_damaged_entries(
+        edits in prop::collection::vec((any::<u64>(), any::<u8>(), any::<bool>()), 1..6)
+    ) {
+        let (text, key) = golden_entry();
+        let mut bytes = text.as_bytes().to_vec();
+        for (at, byte, insert) in edits {
+            let at = (at % (bytes.len() as u64 + 1)) as usize;
+            // Three in four edits are JSON bytes, the rest any byte.
+            let byte = if byte % 4 == 0 { byte } else { JSON_BYTES[byte as usize % JSON_BYTES.len()] };
+            if insert || at == bytes.len() {
+                bytes.insert(at, byte);
+            } else {
+                bytes[at] = byte;
+            }
+        }
+        let dir = std::env::temp_dir().join("gossipopt-store-it-damaged");
+        let store = Store::open(&dir).unwrap();
+        std::fs::create_dir_all(store.dir(&key)).unwrap();
+        std::fs::write(store.dir(&key).join("entry.json"), &bytes).unwrap();
+        // Any verdict will do (a benign edit may still load); a panic
+        // would not return here.
+        let _ = store.load(&key);
+    }
 }

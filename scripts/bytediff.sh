@@ -19,7 +19,13 @@
 #     Subdirectories of scenarios/ are deliberately not run: paper_full/
 #     holds CPU-hour grids, and ext/ uses grammar values a parent binary
 #     may reject;
-#   * `campaign report` (paper tables and curves).
+#   * `campaign report` (paper tables and curves);
+#   * a warm store across builds: the reference binary fills a store from
+#     scenarios/paper_grid.toml (with --obs-out, so the obs sidecars are
+#     written too), then each binary runs that campaign against its own
+#     copy of the store. Both must load every cell and execute none
+#     (`store: N loaded, 0 executed` on stderr), so the working tree must
+#     read what the reference wrote: entries and sidecars alike.
 #
 # Outputs are compared with `diff -r`, excluding only the wall-clock files
 # (obs_wall.json, and obs.prom which embeds them). Exits non-zero on the
@@ -83,5 +89,31 @@ done
 
 echo "== campaign report"
 both report campaign report --out @OUT@ --no-store --threads 2 --quiet
+
+echo "== warm store written by $SHA"
+fill="$WORK/out/warm_fill"
+"$REF_DIR/target/release/campaign" scenarios/paper_grid.toml --out "$fill" \
+    --store "$fill/store" --threads 2 --obs-out "$fill/obs" --quiet 2>"$fill.err"
+cells="$(sed -n 's/.*store: 0 loaded, \([0-9]*\) executed.*/\1/p' "$fill.err")"
+if [[ -z "$cells" ]]; then
+    echo "bytediff: the reference build did not fill a store:" >&2
+    cat "$fill.err" >&2
+    exit 1
+fi
+for side in ref new; do
+    root="target"
+    [[ "$side" == ref ]] && root="$REF_DIR/target"
+    out="$WORK/out/$side/warm_store"
+    mkdir -p "$out"
+    cp -r "$fill/store" "$out/store"
+    "$root/release/campaign" scenarios/paper_grid.toml --out "$out" --store "$out/store" \
+        --threads 2 --obs-out "$out/obs" --quiet >"$out/stdout.txt" 2>"$WORK/out/warm_$side.err"
+    if ! grep -q "store: $cells loaded, 0 executed" "$WORK/out/warm_$side.err"; then
+        echo "bytediff: $side did not load all $cells stored cells:" >&2
+        cat "$WORK/out/warm_$side.err" >&2
+        exit 1
+    fi
+done
+compare warm_store
 
 echo "bytediff: identical to $REF ($SHA)"
